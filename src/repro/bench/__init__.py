@@ -10,8 +10,9 @@
 * :mod:`repro.bench.runner` — the parallel grid runner and ``BENCH_*.json``
   artifact pipeline (``python -m repro.bench.runner --figure 5 --scale
   smoke --jobs 8``).
-* :mod:`repro.bench.microbench` — events/sec microbenchmarks for the
-  simulation engine (``python -m repro.bench.microbench``).
+
+Host-speed measurement lives outside the package, in ``perf/`` (``python3
+perf/bench.py``; see ``perf/README.md``).
 """
 
 # NOTE: repro.bench.runner is deliberately NOT imported here: it is runnable

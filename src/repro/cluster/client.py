@@ -92,7 +92,7 @@ class ClientSession:
         # Per-operation completion context, keyed by op/txn id. Completion
         # callbacks are the bound methods below — allocated once per
         # session instead of one functools.partial per operation (a named
-        # hot-path allocation; see repro.bench.microbench).
+        # hot-path allocation; ``cluster.client.self_share`` in perf/).
         self._inflight: Dict[int, Tuple[float, float, int]] = {}
         self._txn_inflight: Dict[int, Tuple[float, float, int]] = {}
         # Crash/recovery bookkeeping: ``_stalled`` is set when an issue is

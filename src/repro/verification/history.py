@@ -9,10 +9,23 @@ to subsequent reads").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.errors import HistoryError
 from repro.types import Key, Operation, OpStatus, OpType, Transaction, Value
+
+
+def value_key(value: Value) -> object:
+    """A hashable stand-in for a written/observed value.
+
+    The value itself when hashable (so values that compare equal share a
+    key and values that merely share a hash do not), its ``repr`` otherwise.
+    """
+    try:
+        hash(value)
+        return value
+    except TypeError:  # pragma: no cover - exotic value types
+        return repr(value)
 
 
 @dataclass
@@ -82,6 +95,16 @@ class TransactionRecord:
     def committed(self) -> bool:
         """Whether the transaction completed with a commit."""
         return self.status is OpStatus.OK
+
+
+def group_by_key(
+    operations: Iterable[CompletedOperation],
+) -> Dict[Key, List[CompletedOperation]]:
+    """Group records by key, keeping their order within each key."""
+    grouped: Dict[Key, List[CompletedOperation]] = {}
+    for record in operations:
+        grouped.setdefault(record.key, []).append(record)
+    return grouped
 
 
 class History:
@@ -223,21 +246,4 @@ class History:
 
     def per_key(self) -> Dict[Key, List[CompletedOperation]]:
         """Group records by key (Hermes operations are single-key)."""
-        grouped: Dict[Key, List[CompletedOperation]] = {}
-        for record in self.operations():
-            grouped.setdefault(record.key, []).append(record)
-        return grouped
-
-    def keys(self) -> List[Key]:
-        """Keys appearing in the history."""
-        return list(self.per_key().keys())
-
-    def successful_updates(self, key: Key) -> List[CompletedOperation]:
-        """Committed updates (writes and successful RMWs) for a key."""
-        return [
-            record
-            for record in self.per_key().get(key, [])
-            if record.op.op_type.is_update
-            and record.completed
-            and record.status is OpStatus.OK
-        ]
+        return group_by_key(self.operations())

@@ -2,10 +2,9 @@
 
 Hermes provides single-key linearizable reads, writes and RMWs; because
 linearizability is compositional (paper §2.2), checking each key's
-sub-history independently suffices. The checker implements the classic
-Wing & Gong search: try to build a legal sequential order of the operations
-that respects real-time precedence, memoizing visited configurations
-(Lowe-style) to keep the search tractable.
+sub-history independently suffices. The checker is a Wing & Gong search
+with Lowe-style memoization of dead ends: try to build a legal sequential
+order of the operations that respects real-time precedence.
 
 Register semantics checked per key:
 
@@ -16,19 +15,110 @@ Register semantics checked per key:
 * updates that never completed (client crashed or run ended) may be
   linearized or omitted;
 * RMWs reported ABORTED must have had no effect.
+
+**State encoding.** A key's records are sorted by invocation time once. An
+operation may be linearized next only if it was invoked no later than the
+earliest response among the operations still to place, which is at most the
+response of the earliest-invoked one (index ``lo``). The candidates are
+therefore a window of at most *concurrent sessions* records starting at
+``lo``, and a search state is three small values: ``lo``, a bitset of the
+records past ``lo`` already placed, and the register value. The cost is
+O(operations x window) time and one small tuple per dead end, independent of
+how long the key's history is.
+
+**Absorption.** A *completed* operation that can only observe the register
+(a read; a compare-and-swap that reported a value other than the one it
+would install, so its compare failed) and that is a candidate whose
+observation equals the current register value is placed immediately, without
+branching. This loses no linearization: take any legal order of the
+remaining operations. The observer changes no state wherever it stands, so
+removing it leaves every other operation legal; re-inserting it at the front
+is legal because it observes exactly the current value, and respects real
+time because it is a candidate (nothing still to place responded before it
+was invoked). So a legal order exists with the observer first if and only if
+one exists at all. Operations that *may* write — including a write of the
+value the register already holds — are never absorbed: moved to the front
+they could stop overwriting what came before them.
+
+``max_states`` bounds the number of states entered per key (absorbed
+operations enter none). A search that runs out reports the key as
+*inconclusive*, not as a violation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from operator import attrgetter
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.types import Key, OpStatus, OpType, Value
-from repro.verification.history import CompletedOperation, History
+from repro.verification.history import CompletedOperation, History, value_key
 
 #: Sentinel returned by the apply step when an operation cannot be linearized
 #: at the current point (distinct from ``None``, which is a legal register value).
 _IMPOSSIBLE = object()
+
+#: ``_observed_value`` of a record that may write: equal to no register value.
+_MAY_WRITE = object()
+
+_INF = float("inf")
+
+
+def _trailing_ones(bits: int) -> int:
+    """Length of the run of set bits at the low end of ``bits``."""
+    return (~bits & (bits + 1)).bit_length() - 1
+
+
+def _observed_value(record: CompletedOperation) -> object:
+    """The one register value a pure observer is legal at, else ``_MAY_WRITE``.
+
+    Mirrors :meth:`LinearizabilityChecker._apply`: a completed read is legal
+    exactly where the register equals its result; a completed
+    compare-and-swap whose result is neither the value it installs (so it
+    cannot have succeeded) nor its compare value (so it can have failed) is
+    legal exactly where the register equals its result. Neither changes it.
+    """
+    if not record.completed:
+        return _MAY_WRITE
+    op = record.op
+    if op.op_type is OpType.READ:
+        return record.result
+    if (
+        op.op_type is OpType.RMW
+        and op.compare is not None
+        and record.status is OpStatus.OK
+        and record.result != op.value
+        and record.result != op.compare
+    ):
+        return record.result
+    return _MAY_WRITE
+
+
+def _zone_ranks(
+    records: Sequence[CompletedOperation], observed: Sequence[object], response: Sequence[float]
+) -> List[float]:
+    """Per record, the order in which to try it among the candidates of a state.
+
+    The records that install one value and the pure observers of that value
+    form a *cluster*; where written values are distinct, a linearization is
+    a sequence of whole clusters, and cluster A must come before cluster B
+    if any record of A responded before any record of B was invoked. Ranking
+    clusters by ``min(earliest response, latest invocation)`` — the low end
+    of Gibbons & Korach's zones — respects every such constraint of a
+    linearizable history, so the first descent is usually a linearization.
+    This only orders a state's successors; the search stays exhaustive.
+    ``response`` is each record's response time, infinite while pending.
+    """
+    clusters = [
+        value_key(record.op.value if seen is _MAY_WRITE else seen)
+        for record, seen in zip(records, observed)
+    ]
+    earliest_response: Dict[object, float] = {}
+    latest_invoke: Dict[object, float] = {}
+    for record, responded, cluster in zip(records, response, clusters):
+        earliest_response[cluster] = min(responded, earliest_response.get(cluster, _INF))
+        latest_invoke[cluster] = max(record.invoke_time, latest_invoke.get(cluster, -_INF))
+    return [min(earliest_response[cluster], latest_invoke[cluster]) for cluster in clusters]
 
 
 @dataclass
@@ -37,15 +127,19 @@ class CheckResult:
 
     Attributes:
         key: The key checked.
-        linearizable: Whether a valid linearization exists.
+        linearizable: Whether a valid linearization was found.
         operations: Number of operations considered.
-        explored_states: Number of search states explored (diagnostics).
+        explored_states: Number of search states entered (diagnostics).
+        inconclusive: The search budget ran out before a linearization was
+            found or ruled out (``linearizable`` is then False: an
+            exhausted search is not a pass).
     """
 
     key: Key
     linearizable: bool
     operations: int
     explored_states: int
+    inconclusive: bool = False
 
 
 class LinearizabilityChecker:
@@ -58,8 +152,16 @@ class LinearizabilityChecker:
     # ------------------------------------------------------------ public API
     def check(self, history: History, initial_values: Optional[Dict[Key, Value]] = None) -> List[CheckResult]:
         """Check every key's sub-history; returns one result per key."""
+        return self.check_keys(history.per_key(), initial_values)
+
+    def check_keys(
+        self,
+        per_key: Mapping[Key, Sequence[CompletedOperation]],
+        initial_values: Optional[Dict[Key, Value]] = None,
+    ) -> List[CheckResult]:
+        """Check already grouped sub-histories (see :meth:`History.per_key`)."""
         results = []
-        for key, records in history.per_key().items():
+        for key, records in per_key.items():
             initial = self.initial_value
             if initial_values is not None and key in initial_values:
                 initial = initial_values[key]
@@ -78,10 +180,13 @@ class LinearizabilityChecker:
     ) -> CheckResult:
         """Check one key's sub-history."""
         relevant = [r for r in records if self._relevant(r)]
-        explored = [0]
-        ok = self._search(relevant, initial_value, explored)
+        verdict, explored = self._search(relevant, initial_value)
         return CheckResult(
-            key=key, linearizable=ok, operations=len(relevant), explored_states=explored[0]
+            key=key,
+            linearizable=verdict is True,
+            operations=len(relevant),
+            explored_states=explored,
+            inconclusive=verdict is None,
         )
 
     # -------------------------------------------------------------- internals
@@ -100,98 +205,99 @@ class LinearizabilityChecker:
         return True
 
     def _search(
-        self,
-        records: List[CompletedOperation],
-        initial_value: Value,
-        explored: List[int],
-    ) -> bool:
-        if not records:
-            return True
+        self, records: Sequence[CompletedOperation], initial_value: Value
+    ) -> Tuple[Optional[bool], int]:
+        """Search for a legal linearization of one key's relevant records.
+
+        Returns:
+            ``(verdict, explored)``: ``verdict`` is True when a linearization
+            exists, False when none does, and ``None`` when the budget of
+            ``max_states`` entered states ran out first.
+        """
+        # Invocation order (stable): the operations that may go next are then
+        # always a short window starting at the earliest unplaced one.
+        records = sorted(records, key=attrgetter("invoke_time"))
         n = len(records)
-        # Precompute values for memoization keys.
-        seen: Set[Tuple[FrozenSet[int], int]] = set()
+        invoke = [record.invoke_time for record in records]
+        response = [_INF if r.response_time is None else r.response_time for r in records]
+        observed = [_observed_value(record) for record in records]
+        skippable = [not r.completed and r.op.op_type.is_update for r in records]
+        rank = _zone_ranks(records, observed, response)
+        apply = self._apply
+        max_states = self.max_states
+        explored = 0
+        #: Dead ends: ``(lo, mask, value)`` states with no linearization.
+        seen: Set[Tuple[int, int, object]] = set()
+        #: One frame per partial linearization (depth-first, explicit stack so
+        #: a hot key with thousands of operations cannot overflow the
+        #: interpreter's recursion limit): the state's memo key and the
+        #: generator of its untried successors.
+        stack: List[Tuple[Tuple[int, int, object], Iterator[Tuple[int, int, Value]]]] = []
 
-        def value_key(value: Value) -> int:
-            try:
-                return hash(value)
-            except TypeError:  # pragma: no cover - unhashable values
-                return hash(repr(value))
+        def successors(lo: int, mask: int, value: Value, candidates: List[int]):
+            # Every candidate linearized next, then every pending update in
+            # the window left out for good (it may never have taken effect).
+            for index in sorted(candidates, key=rank.__getitem__):
+                outcome = apply(records[index], value)
+                if outcome is not _IMPOSSIBLE:
+                    yield lo, mask | 1 << (index - lo), outcome
+            for index in candidates:
+                if skippable[index]:
+                    yield lo, mask | 1 << (index - lo), value
 
-        def minimal_candidates(remaining: Tuple[int, ...]) -> List[int]:
-            # An operation may be linearized next only if no other remaining
-            # operation *responded* before it was invoked.
-            horizon = min(
-                (
-                    records[i].response_time
-                    for i in remaining
-                    if records[i].response_time is not None
-                ),
-                default=float("inf"),
-            )
-            return [i for i in remaining if records[i].invoke_time <= horizon]
-
-        def successors(remaining: Tuple[int, ...], value: Value):
-            # Yield the successor states of one search node, in the same
-            # order the recursive formulation tried them: every minimal
-            # candidate linearized next, then every pending update skipped
-            # entirely (it may never have taken effect).
-            for index in minimal_candidates(remaining):
-                outcome = self._apply(records[index], value)
-                if outcome is _IMPOSSIBLE:
-                    continue
-                yield (
-                    tuple(i for i in remaining if i != index),
-                    outcome,
-                )
-            for index in remaining:
-                record = records[index]
-                if not record.completed and record.op.op_type.is_update:
-                    yield (
-                        tuple(i for i in remaining if i != index),
-                        value,
-                    )
-
-        def enter(remaining: Tuple[int, ...], value: Value) -> Optional[bool]:
-            # Returns True (solved) / False (dead end) for leaf decisions, or
-            # None after pushing a frame for the new interior node.
-            if not remaining:
-                return True
-            explored[0] += 1
-            if explored[0] > self.max_states:
-                # Give up conservatively: report non-linearizable rather than
-                # looping forever. Tests keep histories small enough that the
-                # limit is never hit in practice.
-                return False
-            memo_key = (frozenset(remaining), value_key(value))
-            if memo_key in seen:
-                return False
-            stack.append((memo_key, successors(remaining, value)))
-            return None
-
-        # Depth-first search with an explicit stack: one frame per partial
-        # linearization, so hot keys with thousands of operations cannot
-        # overflow the interpreter's recursion limit.
-        stack: List[Tuple[Tuple[FrozenSet[int], int], object]] = []
-        outcome = enter(tuple(range(n)), initial_value)
-        if outcome is not None:
-            return outcome
-        while stack:
-            memo_key, options = stack[-1]
-            descended = False
-            for next_remaining, next_value in options:
-                sub = enter(next_remaining, next_value)
-                if sub is True:
-                    return True
-                if sub is None:
-                    descended = True
-                    break
-                # sub is False: this successor is a dead end; try the next.
-            if not descended:
-                # All successors exhausted: memoize the failure and backtrack
-                # (the generator resumes where it left off on the next visit).
+        # A state is ``(lo, mask, value)``: ``lo`` is the earliest-invoked
+        # operation not yet placed, bit ``j`` of ``mask`` says operation
+        # ``lo + j`` is already placed (or skipped), ``value`` is the register.
+        state: Optional[Tuple[int, int, Value]] = (0, 0, initial_value)
+        while True:
+            if state is not None:
+                lo, mask, value = state
+                # One scan from ``lo`` finds every operation that may go next:
+                # those invoked no later than the earliest response among the
+                # operations still to place. Records are in invocation order
+                # and respond after they are invoked, so the scan stops at the
+                # first one invoked after the running minimum response.
+                horizon = _INF
+                candidates: List[int] = []
+                index, rest = lo, mask
+                while index < n:
+                    if rest & 1:
+                        run = _trailing_ones(rest)
+                        index += run
+                        rest >>= run
+                        continue
+                    if invoke[index] > horizon:
+                        break
+                    if observed[index] == value:
+                        # Absorbed: an operation that only observes the
+                        # register, and legally observes it now, is placed
+                        # at once and never branched on (see module doc).
+                        mask |= 1 << (index - lo)
+                    else:
+                        candidates.append(index)
+                        if response[index] < horizon:
+                            horizon = response[index]
+                    index += 1
+                    rest >>= 1
+                if not candidates:
+                    return True, explored
+                run = _trailing_ones(mask)
+                lo += run
+                mask >>= run
+                explored += 1
+                if explored > max_states:
+                    return None, max_states
+                memo_key = (lo, mask, value_key(value))
+                if memo_key not in seen:
+                    stack.append((memo_key, successors(lo, mask, value, candidates)))
+            if not stack:
+                return False, explored
+            memo_key, untried = stack[-1]
+            state = next(untried, None)
+            if state is None:
+                # Every successor was a dead end: remember it and backtrack.
                 seen.add(memo_key)
                 stack.pop()
-        return False
 
     def _apply(self, record: CompletedOperation, value: Value):
         """Apply one operation at its linearization point.

@@ -26,11 +26,11 @@ are unambiguously pre-migration can trigger a violation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.membership.service import MigrationRecord
-from repro.types import Key, OpStatus, OpType, Value
-from repro.verification.history import History
+from repro.types import Key, OpStatus, OpType
+from repro.verification.history import CompletedOperation, History, value_key
 
 
 @dataclass
@@ -50,19 +50,11 @@ class MigrationCheckResult:
     violations: List[str] = field(default_factory=list)
 
 
-def _value_key(value: Value) -> object:
-    """A hashable stand-in for a written/observed value."""
-    try:
-        hash(value)
-        return value
-    except TypeError:  # pragma: no cover - exotic value types
-        return repr(value)
-
-
 def check_migration(
     history: History,
     record: MigrationRecord,
     boundary_margin: float = 1e-3,
+    operations: Optional[Sequence[CompletedOperation]] = None,
 ) -> MigrationCheckResult:
     """Check that no operation observed pre-migration state after the flip.
 
@@ -82,6 +74,9 @@ def check_migration(
             propagation plus the client request latency (defaults are a
             few microseconds; 1 ms is comfortably conservative while still
             far below any realistic pre/post measurement window).
+        operations: ``history.operations()``, when the caller already holds
+            it (:func:`repro.verification.report.check_all` builds it once
+            for every checker and every migration record).
 
     Returns:
         A :class:`MigrationCheckResult`; ``result.ok`` is True when every
@@ -90,7 +85,7 @@ def check_migration(
         write's value.
     """
     migrated: Dict[Key, object] = {
-        key: _value_key(value) for key, value in record.values.items()
+        key: value_key(value) for key, value in record.values.items()
     }
     freeze_time = record.freeze_time - boundary_margin
     flip_time = record.flip_time
@@ -99,18 +94,20 @@ def check_migration(
     #: apply at the target after the copy, so they supersede it).
     later_values: Dict[Key, Set[object]] = {key: set() for key in migrated}
     keys_seen: Set[Key] = set()
-    for op_record in history.operations():
+    if operations is None:
+        operations = history.operations()
+    for op_record in operations:
         key = op_record.key
         if key not in migrated:
             continue
         keys_seen.add(key)
         op = op_record.op
         if op.op_type.is_update and op_record.invoke_time >= freeze_time:
-            later_values[key].add(_value_key(op.value))
+            later_values[key].add(value_key(op.value))
 
     reads_checked = 0
     violations: List[str] = []
-    for op_record in history.completed():
+    for op_record in operations:
         key = op_record.key
         if key not in migrated:
             continue
@@ -120,7 +117,7 @@ def check_migration(
         if op_record.invoke_time < flip_time or op_record.status is not OpStatus.OK:
             continue
         reads_checked += 1
-        observed = _value_key(op_record.result)
+        observed = value_key(op_record.result)
         if observed == migrated[key] or observed in later_values[key]:
             continue
         violations.append(

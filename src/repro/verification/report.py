@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.membership.service import MigrationRecord
 from repro.types import Key, Value
-from repro.verification.history import History
+from repro.verification.history import History, group_by_key
 from repro.verification.linearizability import LinearizabilityChecker
 from repro.verification.migration import check_migration
 from repro.verification.transactions import check_transactions
@@ -110,16 +110,26 @@ def check_all(
             artifact keys unchanged.
         boundary_margin: Freeze-boundary slack for the migration checker
             (see :func:`repro.verification.migration.check_migration`).
-        max_states: Search budget per key for the linearizability checker.
+        max_states: Search budget per key for the linearizability checker;
+            a key whose search exhausts it is reported as inconclusive (a
+            violation entry saying so, counted in
+            ``details["inconclusive_keys"]``), never as a pass.
 
     Returns:
         A :class:`VerificationReport` with one entry per checker run.
     """
     checkers: List[CheckerReport] = []
+    # Built once and handed to every checker.
+    operations = history.operations()
 
-    lin_results = LinearizabilityChecker(max_states=max_states).check(history, initial_values)
+    lin_results = LinearizabilityChecker(max_states=max_states).check_keys(
+        group_by_key(operations), initial_values
+    )
     lin_violations = [
-        f"key {result.key!r} sub-history of {result.operations} operations "
+        f"key {result.key!r} sub-history of {result.operations} operations: "
+        f"inconclusive: search budget of {max_states} states exhausted"
+        if result.inconclusive
+        else f"key {result.key!r} sub-history of {result.operations} operations "
         f"is not linearizable ({result.explored_states} states explored)"
         for result in lin_results
         if not result.linearizable
@@ -132,13 +142,14 @@ def check_all(
                 "keys_checked": len(lin_results),
                 "operations": sum(r.operations for r in lin_results),
                 "explored_states": sum(r.explored_states for r in lin_results),
+                "inconclusive_keys": sum(r.inconclusive for r in lin_results),
             },
             violations=lin_violations,
         )
     )
 
     if include_transactions:
-        txn_result = check_transactions(history)
+        txn_result = check_transactions(history, operations)
         checkers.append(
             CheckerReport(
                 name="transactions",
@@ -158,7 +169,9 @@ def check_all(
         reads_checked = 0
         violations: List[str] = []
         for record in migration_records:
-            result = check_migration(history, record, boundary_margin=boundary_margin)
+            result = check_migration(
+                history, record, boundary_margin=boundary_margin, operations=operations
+            )
             ok = ok and result.ok
             keys_checked += result.keys_checked
             reads_checked += result.reads_checked

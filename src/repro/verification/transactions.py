@@ -34,10 +34,10 @@ regression tests for the lock/2PC machinery, exercised by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.types import Key, OpStatus, OpType, Value
-from repro.verification.history import History
+from repro.types import Key, OpStatus, OpType
+from repro.verification.history import CompletedOperation, History, value_key
 
 
 @dataclass
@@ -60,21 +60,17 @@ class TxnCheckResult:
     violations: List[str] = field(default_factory=list)
 
 
-def _value_key(value: Value) -> object:
-    """A hashable stand-in for a written/observed value."""
-    try:
-        hash(value)
-        return value
-    except TypeError:  # pragma: no cover - exotic value types
-        return repr(value)
-
-
-def check_transactions(history: History) -> TxnCheckResult:
+def check_transactions(
+    history: History, operations: Optional[Sequence[CompletedOperation]] = None
+) -> TxnCheckResult:
     """Check abort invisibility and atomic visibility of a history.
 
     Args:
         history: A history recorded with transactions (see
             :meth:`repro.verification.history.History.invoke_txn`).
+        operations: ``history.operations()``, when the caller already holds
+            it (:func:`repro.verification.report.check_all` builds it once
+            for every checker).
 
     Returns:
         A :class:`TxnCheckResult`; ``result.ok`` is True when committed
@@ -93,33 +89,40 @@ def check_transactions(history: History) -> TxnCheckResult:
     # Written-value attribution: committed transactional writes are version
     # points; aborted transactional writes must be invisible.
     aborted_values = {
-        _value_key(op.value)
+        value_key(op.value)
         for record in aborted
         for op in record.txn.write_ops
     }
-    # key -> [(commit_time, txn_id, value_key)] in commit order.
+    # key -> [(commit_time, txn_id, written value)] in commit order.
     versions_by_key: Dict[Key, List[Tuple[float, int, object]]] = {}
     for record in committed:
         for op in record.txn.write_ops:
             commit_time = record.commit_times.get(op.op_id, record.response_time or 0.0)
             versions_by_key.setdefault(op.key, []).append(
-                (commit_time, record.txn.txn_id, _value_key(op.value))
+                (commit_time, record.txn.txn_id, value_key(op.value))
             )
     # value -> (key, version index); positions define "includes version i".
     position_of: Dict[Tuple[Key, object], int] = {}
     txn_write_positions: Dict[int, Dict[Key, int]] = {}
     for key, versions in versions_by_key.items():
         versions.sort()
-        for index, (_time, txn_id, value_key) in enumerate(versions):
-            position_of[(key, value_key)] = index
+        for index, (_time, txn_id, written) in enumerate(versions):
+            position_of[(key, written)] = index
             txn_write_positions.setdefault(txn_id, {})[key] = index
+    # key -> committed writers of it, as indices into ``committed``.
+    writers_of: Dict[Key, List[int]] = {}
+    for ordinal, record in enumerate(committed):
+        for key in txn_write_positions.get(record.txn.txn_id, ()):
+            writers_of.setdefault(key, []).append(ordinal)
 
     # ---- abort invisibility: no completed read observes an aborted write.
     if aborted_values:
-        for record in history.completed():
+        if operations is None:
+            operations = history.operations()
+        for record in operations:
             if record.op.op_type is not OpType.READ or record.status is not OpStatus.OK:
                 continue
-            if _value_key(record.result) in aborted_values:
+            if value_key(record.result) in aborted_values:
                 violations.append(
                     f"read op {record.op.op_id} of key {record.op.key!r} observed "
                     f"a value written by an aborted transaction"
@@ -137,27 +140,28 @@ def check_transactions(history: History) -> TxnCheckResult:
         for op in reader.txn.read_ops:
             if op.op_id not in reader.values:
                 continue
-            value_key = _value_key(reader.values[op.op_id])
-            position = position_of.get((op.key, value_key))
-            if position is None and _is_initial_or_unknown(value_key):
+            seen = value_key(reader.values[op.op_id])
+            position = position_of.get((op.key, seen))
+            if position is None and _is_initial_or_unknown(seen):
                 position = -1
             observed[op.key] = position
-        read_keys = list(observed)
-        if len(read_keys) < 2:
+        if len(observed) < 2:
             continue
-        for writer in committed:
+        # Only a writer of at least two of the keys read can be seen
+        # partially; visit those, in committed order.
+        keys_shared: Dict[int, int] = {}
+        for key in observed:
+            for ordinal in writers_of.get(key, ()):
+                keys_shared[ordinal] = keys_shared.get(ordinal, 0) + 1
+        for ordinal in sorted(o for o, count in keys_shared.items() if count >= 2):
+            writer = committed[ordinal]
             if writer.txn.txn_id == reader.txn.txn_id:
                 continue
-            writer_positions = txn_write_positions.get(writer.txn.txn_id)
-            if not writer_positions:
-                continue
-            shared = [k for k in read_keys if k in writer_positions]
-            if len(shared) < 2:
-                continue
+            writer_positions = txn_write_positions[writer.txn.txn_id]
             includes: List[Tuple[Key, bool]] = []
-            for key in shared:
-                pos = observed.get(key)
-                if pos is None:
+            for key in observed:
+                pos = observed[key]
+                if pos is None or key not in writer_positions:
                     continue  # plain-write observation: indeterminate
                 includes.append((key, pos >= writer_positions[key]))
             if len(includes) < 2:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import HistoryError, VerificationError
 from repro.types import Operation, OpStatus
@@ -202,6 +204,206 @@ def test_any_serial_history_of_writes_then_reads_is_linearizable(values):
     r = Operation.read("k")
     record(history, r, time, time + 0.5, result=last)
     assert check_history(history)
+
+
+def test_equal_hash_values_are_distinct_register_states():
+    # hash(-1) == hash(-2) in CPython: a memo keyed on hash(value) took the
+    # state "both writes placed, register -1" for the already failed "...
+    # register -2" and reported this history as a violation.
+    assert hash(-1) == hash(-2)
+    history = History()
+    record(history, Operation.write("k", -1), 0.0, 10.0, result=-1)
+    record(history, Operation.write("k", -2), 0.0, 10.0, result=-2)
+    record(history, Operation.read("k"), 11.0, 12.0, result=-1)
+    assert check_history(history)
+    # The same pair followed by an operation that is not absorbed, so both
+    # orders reach one (lo, mask) with registers -2 (dead end) and -1.
+    history = History()
+    record(history, Operation.write("k", -1), 0.0, 10.0, result=-1)
+    record(history, Operation.write("k", -2), 0.0, 10.0, result=-2)
+    record(history, Operation.rmw("k", 7, compare=-1), 11.0, 12.0, result=7)
+    assert check_history(history)
+
+
+def _contended_history(writers=6):
+    history = History()
+    for value in range(writers):
+        record(history, Operation.write("k", value), 0.0, 10.0, result=value)
+    record(history, Operation.read("k"), 11.0, 12.0, result=writers - 1)
+    return history
+
+
+def test_exhausted_budget_is_inconclusive_not_a_violation():
+    history = _contended_history()
+    assert LinearizabilityChecker().check(history)[0].linearizable
+    result = LinearizabilityChecker(max_states=3).check(history)[0]
+    assert result.inconclusive and not result.linearizable
+    assert result.explored_states == 3
+
+    report = check_all(history, max_states=3)
+    assert not report.ok  # an exhausted search is not a pass
+    lin = report.checker("linearizability")
+    assert lin.details["inconclusive_keys"] == 1
+    assert "inconclusive: search budget of 3 states exhausted" in lin.violations[0]
+    assert "not linearizable" not in lin.violations[0]
+    assert check_all(history).checker("linearizability").details["inconclusive_keys"] == 0
+
+
+# ---- absorption must not hide violations
+def test_absorbed_reads_do_not_hide_a_stale_read_after_an_overwrite():
+    history = History()
+    record(history, Operation.read("k"), 0.0, 1.0, result="init")  # absorbed
+    record(history, Operation.write("k", "a"), 2.0, 3.0, result="a")
+    record(history, Operation.read("k"), 2.5, 3.5, result="a")  # absorbed after W(a)
+    record(history, Operation.write("k", "b"), 4.0, 5.0, result="b")
+    record(history, Operation.read("k"), 6.0, 7.0, result="a")  # stale
+    assert not check_history(history, initial_values={"k": "init"})
+
+
+def test_read_of_a_value_written_only_after_the_read_responded_is_rejected():
+    history = History()
+    record(history, Operation.read("k"), 0.0, 1.0, result="late")
+    record(history, Operation.write("k", "late"), 2.0, 3.0, result="late")
+    record(history, Operation.read("k"), 4.0, 5.0, result="late")
+    assert not check_history(history)
+
+
+def test_write_of_the_current_value_is_not_absorbed():
+    # W(1) is legal and leaves the register unchanged *now*, but its only
+    # valid place is after W(2); placing it first would lose this order.
+    history = History()
+    record(history, Operation.write("k", 1), 0.0, 10.0, result=1)
+    record(history, Operation.write("k", 2), 0.0, 10.0, result=2)
+    record(history, Operation.read("k"), 1.0, 2.0, result=2)
+    record(history, Operation.read("k"), 11.0, 12.0, result=1)
+    assert check_history(history, initial_values={"k": 1})
+
+
+def test_cas_that_may_have_succeeded_is_not_absorbed():
+    # The CAS returned the value it installs: at register "x" it reads as a
+    # failed compare, but its only valid place is after W(c), succeeding.
+    history = History()
+    record(history, Operation.rmw("k", "x", compare="c"), 0.0, 10.0, result="x")
+    record(history, Operation.write("k", "c"), 0.0, 10.0, result="c")
+    record(history, Operation.read("k"), 11.0, 12.0, result="x")
+    assert check_history(history, initial_values={"k": "x"})
+
+
+def test_records_out_of_invocation_order_are_checked_in_time_order():
+    # History.absorb appends a whole shard's records after another's, so a
+    # key's records need not arrive sorted by invocation.
+    late, early = History(), History()
+    record(late, Operation.write("k", 2), 4.0, 5.0, result=2)
+    record(late, Operation.read("k"), 6.0, 7.0, result=2)
+    record(early, Operation.write("k", 1), 0.0, 1.0, result=1)
+    record(early, Operation.read("k"), 2.0, 3.0, result=1)
+    merged = History()
+    merged.absorb(late)
+    merged.absorb(early)
+    assert [r.invoke_time for r in merged.operations()] == [4.0, 6.0, 0.0, 2.0]
+    assert check_history(merged)
+
+    stale = History()
+    record(stale, Operation.read("k"), 6.0, 7.0, result=1)  # after W(2) completed
+    merged.absorb(stale)
+    assert not check_history(merged)
+
+
+# ---- differential test against a brute-force reference
+_VALUES = (-1, -2, 0, 1)  # hash(-1) == hash(-2)
+
+
+def _reference_apply(rec, value):
+    """Register semantics restated independently of the checker: new value or None."""
+    op, done = rec.op, rec.completed and rec.status is OpStatus.OK
+    if op.op_type.value == "read":
+        return (value,) if rec.result == value else None
+    if op.op_type.value == "write":
+        return (op.value,)
+    if op.compare is None or value == op.compare:
+        return (op.value,) if not done or rec.result == op.value else None
+    return (value,) if not done or rec.result == value else None
+
+
+def _reference_linearizable(records, initial):
+    """All subsets of pending updates x all permutations (records: <= 7)."""
+    records = [
+        r
+        for r in records
+        if r.status not in (OpStatus.ABORTED, OpStatus.UNAVAILABLE)
+        and (r.completed or r.op.op_type.is_update)
+    ]
+    pending = [r for r in records if not r.completed]
+    completed = [r for r in records if r.completed]
+    for size in range(len(pending) + 1):
+        for kept in itertools.combinations(pending, size):
+            for order in itertools.permutations(completed + list(kept)):
+                value = initial
+                for position, rec in enumerate(order):
+                    # Real-time order: nothing placed later responded before
+                    # this record was invoked.
+                    if any(
+                        later.completed and later.response_time < rec.invoke_time
+                        for later in order[position + 1 :]
+                    ):
+                        break
+                    outcome = _reference_apply(rec, value)
+                    if outcome is None:
+                        break
+                    (value,) = outcome
+                else:
+                    return True
+    return False
+
+
+@st.composite
+def _small_histories(draw):
+    """A serial execution stretched into overlapping intervals, then perturbed.
+
+    Operation ``i`` takes effect at time ``i``; its interval is widened by up
+    to 3 on each side, so the unperturbed history is linearizable. Each
+    perturbation (a changed result, a write left pending, an RMW reported
+    ABORTED) may or may not break that — the reference decides.
+    """
+    value = initial = draw(st.sampled_from(_VALUES + (None,)))
+    rows = []
+    for point in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["read", "read", "write", "cas", "rmw"]))
+        new = draw(st.sampled_from(_VALUES))
+        compare = draw(st.sampled_from(_VALUES)) if kind == "cas" else None
+        if kind == "read":
+            op, result = Operation.read("k"), value
+        elif kind == "write":
+            op, result = Operation.write("k", new), new
+            value = new
+        elif kind == "cas" and value != compare:
+            op, result = Operation.rmw("k", new, compare=compare), value
+        else:
+            op, result = Operation.rmw("k", new, compare=compare), new
+            value = new
+        invoke = point - draw(st.integers(0, 3))
+        respond = point + draw(st.integers(0, 3))
+        status = OpStatus.OK
+        perturb = draw(st.sampled_from(["none", "none", "result", "pending", "aborted"]))
+        if perturb == "result":
+            result = draw(st.sampled_from(_VALUES))
+        elif perturb == "pending" and kind != "read":
+            respond = None
+        elif perturb == "aborted" and kind in ("cas", "rmw"):
+            status, result = OpStatus.ABORTED, None
+        rows.append((op, float(invoke), None if respond is None else float(respond), status, result))
+    return initial, draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_histories())
+def test_checker_agrees_with_brute_force_reference(case):
+    initial, rows = case
+    history = History()
+    for op, invoke, respond, status, result in rows:
+        record(history, op, invoke, respond, status=status, result=result)
+    expected = _reference_linearizable(history.operations(), initial)
+    assert check_history(history, initial_values={"k": initial}) == expected
 
 
 # ---------------------------------------------------------------- invariants
