@@ -23,11 +23,15 @@ def percentile(values: Sequence[float], fraction: float) -> float:
     Raises:
         BenchmarkError: if ``values`` is empty or ``fraction`` out of range.
     """
-    if not values:
+    return _percentile_sorted(sorted(values), fraction)
+
+
+def _percentile_sorted(ordered: Sequence[float], fraction: float) -> float:
+    """:func:`percentile` of values already in ascending order."""
+    if not ordered:
         raise BenchmarkError("cannot compute a percentile of an empty sequence")
     if not 0.0 <= fraction <= 1.0:
         raise BenchmarkError("percentile fraction must be within [0, 1]")
-    ordered = sorted(values)
     if len(ordered) == 1:
         return ordered[0]
     rank = fraction * (len(ordered) - 1)
@@ -84,21 +88,30 @@ def latency_summary(
     op_type: Optional[OpType] = None,
     only_ok: bool = True,
 ) -> LatencySummary:
-    """Summarize latencies, optionally filtered by operation type."""
+    """Summarize latencies, optionally filtered by operation type.
+
+    One walk over the records (fields read directly, not through the
+    ``latency``/``ok`` properties) and one sort per call.
+    """
+    ok = OpStatus.OK
     latencies = [
-        r.latency
+        r.end_time - r.start_time
         for r in results
-        if (op_type is None or r.op.op_type is op_type) and (not only_ok or r.ok)
+        if (op_type is None or r.op.op_type is op_type) and (not only_ok or r.status is ok)
     ]
     if not latencies:
         return LatencySummary.empty()
+    # Summed in record order, before the sort: float addition is not
+    # associative and the mean's bits are in committed baselines.
+    mean = sum(latencies) / len(latencies)
+    latencies.sort()
     return LatencySummary(
         count=len(latencies),
-        mean=sum(latencies) / len(latencies),
-        median=percentile(latencies, 0.50),
-        p95=percentile(latencies, 0.95),
-        p99=percentile(latencies, 0.99),
-        maximum=max(latencies),
+        mean=mean,
+        median=_percentile_sorted(latencies, 0.50),
+        p95=_percentile_sorted(latencies, 0.95),
+        p99=_percentile_sorted(latencies, 0.99),
+        maximum=latencies[-1],
     )
 
 
@@ -113,20 +126,22 @@ def throughput(
     that cold-start effects (empty queues, unsaturated pipelines) do not
     inflate or deflate the estimate.
     """
-    usable = [r for r in results if not only_ok or r.ok]
+    ok = OpStatus.OK
+    usable = [r for r in results if r.status is ok] if only_ok else list(results)
     if not usable:
         return 0.0
-    start = min(r.start_time for r in usable)
-    end = max(r.end_time for r in usable)
+    ends = [r.end_time for r in usable]
+    start = min([r.start_time for r in usable])
+    end = max(ends)
     span = end - start
     if span <= 0:
         return 0.0
     cutoff = start + span * warmup_fraction
-    counted = [r for r in usable if r.end_time >= cutoff]
     effective_span = end - cutoff
+    counted = sum(1 for end_time in ends if end_time >= cutoff)
     if effective_span <= 0 or not counted:
         return 0.0
-    return len(counted) / effective_span
+    return counted / effective_span
 
 
 def throughput_timeseries(

@@ -26,6 +26,7 @@ from repro.rpc.flow_control import CreditConfig
 from repro.rpc.wings import WingsTransport
 from repro.sim.clock import LooselySynchronizedClock
 from repro.sim.engine import Simulator
+from repro.sim.hostgc import quiet_after_full_collection
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.node import ServiceTimeModel
 from repro.sim.rng import SeededRNG
@@ -327,14 +328,14 @@ class Cluster:
         """
         if self.sharded:
             shard_of = self.shard_router.shard_of
+            partitions: List[Dict[Key, Value]] = [{} for _ in range(self.shards)]
             for key, value in dataset.items():
-                shard = shard_of(key)
-                for node_id in self.hosts:
-                    self.shard_replicas[(node_id, shard)].preload(key, value)
+                partitions[shard_of(key)][key] = value
+            for (_, shard), replica in self.shard_replicas.items():
+                replica.preload_dataset(partitions[shard])
             return
         for replica in self.replicas.values():
-            for key, value in dataset.items():
-                replica.preload(key, value)
+            replica.preload_dataset(dataset)
 
     # --------------------------------------------------------------- faults
     def crash(self, node_id: NodeId) -> None:
@@ -405,13 +406,20 @@ class Cluster:
         return self.node_clock(node_id).nudge(delta, bound=bound)
 
     # --------------------------------------------------------------- running
+    # Both wrap the simulator call in the host GC governor: a run's retained
+    # records are cycle-free, so full collections after the first only re-walk
+    # them (see repro.sim.hostgc).
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run the simulation (thin wrapper over the simulator)."""
-        return self.sim.run(until=until, max_events=max_events)
+        with quiet_after_full_collection():
+            return self.sim.run(until=until, max_events=max_events)
 
     def run_until(self, predicate, check_interval: float = 1e-4, max_time: Optional[float] = None) -> float:
         """Run until a predicate holds (thin wrapper over the simulator)."""
-        return self.sim.run_until(predicate, check_interval=check_interval, max_time=max_time)
+        with quiet_after_full_collection():
+            return self.sim.run_until(
+                predicate, check_interval=check_interval, max_time=max_time
+            )
 
     # ------------------------------------------------------------ statistics
     def total_stat(self, attribute: str) -> int:

@@ -67,7 +67,7 @@ for _state, _targets in ALLOWED_TRANSITIONS.items():
     _state._allowed_mask = sum(t._mask for t in _targets)
 
 
-@dataclass
+@dataclass(slots=True)
 class KeyMeta:
     """Per-key protocol metadata stored in the replica's KVS record.
 

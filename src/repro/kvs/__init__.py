@@ -2,25 +2,22 @@
 
 The paper's HermesKV builds on ccKVS, itself a variant of MICA, extended with
 seqlocks for concurrent-read-concurrent-write (CRCW) access and with
-per-key protocol metadata. This package provides the equivalent substrate:
+per-key protocol metadata. This package provides the equivalent substrate
+for a single-threaded simulation (each record's ``version`` is the sequence
+a seqlock would carry; there is no concurrent access to guard):
 
 * :mod:`repro.kvs.store` — the versioned key-value store with per-key
   protocol metadata slots used by every replication protocol in the library.
-* :mod:`repro.kvs.seqlock` — a sequence-lock implementation modelling the
-  lock-free reader/writer discipline used by ccKVS.
 * :mod:`repro.kvs.mica` — a MICA-style lossy hash index with fixed-size
   buckets, used to model the store's index structure and capacity behaviour.
 """
 
 from repro.kvs.mica import Bucket, MicaIndex
-from repro.kvs.seqlock import SeqLock, SeqLockError
 from repro.kvs.store import KeyValueStore, ValueRecord
 
 __all__ = [
     "Bucket",
     "KeyValueStore",
     "MicaIndex",
-    "SeqLock",
-    "SeqLockError",
     "ValueRecord",
 ]

@@ -3,22 +3,24 @@
 This is the authoritative per-replica datastore used by every protocol in
 the library. Each record carries the value, an opaque per-protocol metadata
 slot (Hermes stores its per-key timestamp and state here; CRAQ stores its
-clean/dirty version list; ZAB stores the last applied zxid), and a seqlock
-modelling ccKVS's CRCW access discipline.
+clean/dirty version list; ZAB stores the last applied zxid), and a
+store-level version bumped on every put — the sequence a ccKVS seqlock would
+carry. The simulation is single-threaded, so there is no lock object: a
+replica retains one record per key for the whole run, and every extra
+object per record is one more the host's cyclic collector walks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Iterator, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.errors import CapacityExceeded, KeyNotFound
 from repro.kvs.mica import MicaIndex
-from repro.kvs.seqlock import SeqLock
 from repro.types import Key, Value
 
 
-@dataclass
+@dataclass(slots=True)
 class ValueRecord:
     """A stored record: value plus protocol metadata.
 
@@ -26,13 +28,11 @@ class ValueRecord:
         value: The application value.
         meta: Protocol-specific metadata (opaque to the store).
         version: Monotonic store-level version, incremented on every put.
-        lock: Seqlock guarding the record.
     """
 
     value: Value
     meta: Any = None
     version: int = 0
-    lock: SeqLock = field(default_factory=SeqLock)
 
 
 class KeyValueStore:
@@ -81,7 +81,7 @@ class KeyValueStore:
         if record is None:
             raise KeyNotFound(repr(key))
         self.reads += 1
-        return record.lock.read(lambda: record.value)
+        return record.value
 
     def get_record(self, key: Key) -> ValueRecord:
         """Return the full record (value + metadata) for ``key``.
@@ -116,12 +116,9 @@ class KeyValueStore:
             if self._index is not None:
                 self._index.insert(key)
         else:
-            def apply() -> None:
-                record.value = value
-                if meta is not None:
-                    record.meta = meta
-
-            record.lock.write(apply)
+            record.value = value
+            if meta is not None:
+                record.meta = meta
         record.version += 1
         self.writes += 1
         return record

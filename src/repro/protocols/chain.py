@@ -35,7 +35,10 @@ CR_HEADER_BYTES = 16
 WRITE_DOWN_VERSION_GUARD = True
 
 
-@dataclass(frozen=True, slots=True)
+# Plain slotted dataclasses compared by identity, not frozen: see the note in
+# repro.core.messages (a frozen __init__ costs ~4x; the sanitizer and lint
+# M-rules guard mutation instead).
+@dataclass(eq=False, slots=True)
 class CrWriteRequest:
     """A write forwarded from the receiving node to the head."""
 
@@ -46,7 +49,7 @@ class CrWriteRequest:
     size_bytes: int = CR_HEADER_BYTES
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(eq=False, slots=True)
 class CrWriteDown:
     """A write propagating down the chain."""
 
@@ -58,7 +61,7 @@ class CrWriteDown:
     size_bytes: int = CR_HEADER_BYTES
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(eq=False, slots=True)
 class CrWriteReply:
     """Completion notification from the tail to the origin node."""
 
@@ -67,7 +70,7 @@ class CrWriteReply:
     size_bytes: int = CR_HEADER_BYTES
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(eq=False, slots=True)
 class CrReadRequest:
     """A read forwarded to the tail (CR serves linearizable reads there only)."""
 
@@ -77,7 +80,7 @@ class CrReadRequest:
     size_bytes: int = CR_HEADER_BYTES
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(eq=False, slots=True)
 class CrReadReply:
     """The tail's answer to a forwarded read."""
 
@@ -86,7 +89,7 @@ class CrReadReply:
     size_bytes: int = CR_HEADER_BYTES
 
 
-@dataclass
+@dataclass(slots=True)
 class CrKeyMeta:
     """Per-key version counter used by the head to order writes."""
 

@@ -36,7 +36,10 @@ CRAQ_HEADER_BYTES = 16
 # --------------------------------------------------------------------------
 # Wire messages
 # --------------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+# Plain slotted dataclasses compared by identity, not frozen: see the note in
+# repro.core.messages (a frozen __init__ costs ~4x; the sanitizer and lint
+# M-rules guard mutation instead).
+@dataclass(eq=False, slots=True)
 class WriteRequest:
     """A write forwarded from the receiving node to the head of the chain."""
 
@@ -47,7 +50,7 @@ class WriteRequest:
     size_bytes: int = CRAQ_HEADER_BYTES
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(eq=False, slots=True)
 class WriteDown:
     """A versioned write propagating down the chain (head towards tail)."""
 
@@ -59,7 +62,7 @@ class WriteDown:
     size_bytes: int = CRAQ_HEADER_BYTES
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(eq=False, slots=True)
 class AckUp:
     """A commit acknowledgement propagating up the chain (tail towards head)."""
 
@@ -68,7 +71,7 @@ class AckUp:
     size_bytes: int = CRAQ_HEADER_BYTES
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(eq=False, slots=True)
 class WriteReply:
     """Completion notification sent by the tail to the write's origin node."""
 
@@ -79,7 +82,7 @@ class WriteReply:
     size_bytes: int = CRAQ_HEADER_BYTES
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(eq=False, slots=True)
 class VersionQuery:
     """A dirty read asking the tail which version of a key has committed."""
 
@@ -89,7 +92,7 @@ class VersionQuery:
     size_bytes: int = CRAQ_HEADER_BYTES
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(eq=False, slots=True)
 class VersionReply:
     """The tail's answer to a :class:`VersionQuery`."""
 
@@ -103,7 +106,7 @@ class VersionReply:
 # --------------------------------------------------------------------------
 # Per-key metadata
 # --------------------------------------------------------------------------
-@dataclass
+@dataclass(slots=True)
 class CraqKeyMeta:
     """CRAQ's per-key bookkeeping at one chain node.
 
@@ -395,10 +398,10 @@ class CraqReplica(ReplicaNode):
             record.meta.versions[0] = record.value
         return record.meta
 
-    def preload(self, key: Key, value: Value) -> None:
-        """Install an initial committed value (dataset loading)."""
-        record = self.store.put(key, value, meta=CraqKeyMeta())
-        record.meta.versions[0] = value
+    def preload_dataset(self, dataset: Dict[Key, Value]) -> None:
+        """Install initial committed values (dataset loading)."""
+        for key, value in dataset.items():
+            self.store.put(key, value, meta=CraqKeyMeta()).meta.versions[0] = value
 
     def committed_value(self, key: Key) -> Value:
         """Latest committed value — from the version map, not the record.

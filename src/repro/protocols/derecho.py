@@ -36,7 +36,10 @@ DERECHO_HEADER_BYTES = 16
 # --------------------------------------------------------------------------
 # Wire messages
 # --------------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+# Plain slotted dataclasses compared by identity, not frozen: see the note in
+# repro.core.messages (a frozen __init__ costs ~4x; the sanitizer and lint
+# M-rules guard mutation instead).
+@dataclass(eq=False, slots=True)
 class SubmitUpdate:
     """An update forwarded from the receiving replica to the sequencer."""
 
@@ -47,7 +50,7 @@ class SubmitUpdate:
     size_bytes: int = DERECHO_HEADER_BYTES
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(eq=False, slots=True)
 class OrderedRound:
     """A sequenced round (ordered batch) of updates multicast to all replicas."""
 
@@ -56,7 +59,7 @@ class OrderedRound:
     size_bytes: int = DERECHO_HEADER_BYTES
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(eq=False, slots=True)
 class RoundReceived:
     """A replica's confirmation that it received the whole round."""
 
@@ -64,7 +67,7 @@ class RoundReceived:
     size_bytes: int = DERECHO_HEADER_BYTES
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(eq=False, slots=True)
 class RoundDeliver:
     """The sequencer's instruction to deliver (apply) a stable round."""
 

@@ -34,7 +34,10 @@ ZAB_HEADER_BYTES = 16
 # --------------------------------------------------------------------------
 # Wire messages
 # --------------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+# Plain slotted dataclasses compared by identity, not frozen: see the note in
+# repro.core.messages (a frozen __init__ costs ~4x; the sanitizer and lint
+# M-rules guard mutation instead).
+@dataclass(eq=False, slots=True)
 class ForwardWrite:
     """A write forwarded from the receiving replica to the leader."""
 
@@ -45,7 +48,7 @@ class ForwardWrite:
     size_bytes: int = ZAB_HEADER_BYTES
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(eq=False, slots=True)
 class Proposal:
     """A leader proposal assigning ``zxid`` to a write."""
 
@@ -57,7 +60,7 @@ class Proposal:
     size_bytes: int = ZAB_HEADER_BYTES
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(eq=False, slots=True)
 class ProposalAck:
     """A follower acknowledgement of a proposal."""
 
@@ -65,7 +68,7 @@ class ProposalAck:
     size_bytes: int = ZAB_HEADER_BYTES
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(eq=False, slots=True)
 class Commit:
     """A leader commit notification for ``zxid``."""
 
@@ -73,7 +76,7 @@ class Commit:
     size_bytes: int = ZAB_HEADER_BYTES
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingProposal:
     """Leader-side bookkeeping for an in-flight proposal."""
 

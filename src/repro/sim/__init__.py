@@ -10,6 +10,8 @@ protocol in the library runs:
   and message queues.
 * :mod:`repro.sim.clock` — loosely synchronized clocks (paper §2.4).
 * :mod:`repro.sim.rng` — deterministic random-number management.
+* :mod:`repro.sim.hostgc` — pauses the host's cyclic collector for the rest
+  of a run once its first full collection is done (host cost only).
 * :mod:`repro.sim.trace` — lightweight event tracing for debugging and tests.
 
 The simulator substitutes for the paper's RDMA testbed; see DESIGN.md for the

@@ -160,6 +160,123 @@ def test_completed_ok_and_abort_rate():
     assert abort_rate(results) == pytest.approx(1 / 9)
 
 
+# ------------------------------------------- reduce equivalence (references)
+# The pre-PR-15 bodies, kept as the references the sort-once / single-pass
+# versions must match bit for bit (every float, including the mean, is in
+# committed baselines).
+def _reference_percentile(values, fraction):
+    ordered = sorted(values)
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = fraction * (len(ordered) - 1)
+    low = int(rank)
+    high = min(low + 1, len(ordered) - 1)
+    if ordered[low] == ordered[high]:
+        return ordered[low]
+    weight = rank - low
+    interpolated = ordered[low] + weight * (ordered[high] - ordered[low])
+    return min(max(interpolated, ordered[0]), ordered[-1])
+
+
+def _reference_latency_summary(results, op_type=None, only_ok=True):
+    latencies = [
+        r.latency
+        for r in results
+        if (op_type is None or r.op.op_type is op_type) and (not only_ok or r.ok)
+    ]
+    if not latencies:
+        return LatencySummary.empty()
+    return LatencySummary(
+        count=len(latencies),
+        mean=sum(latencies) / len(latencies),
+        median=_reference_percentile(latencies, 0.50),
+        p95=_reference_percentile(latencies, 0.95),
+        p99=_reference_percentile(latencies, 0.99),
+        maximum=max(latencies),
+    )
+
+
+def _reference_throughput(results, warmup_fraction=0.1, only_ok=True):
+    usable = [r for r in results if not only_ok or r.ok]
+    if not usable:
+        return 0.0
+    start = min(r.start_time for r in usable)
+    end = max(r.end_time for r in usable)
+    span = end - start
+    if span <= 0:
+        return 0.0
+    cutoff = start + span * warmup_fraction
+    counted = [r for r in usable if r.end_time >= cutoff]
+    effective_span = end - cutoff
+    if effective_span <= 0 or not counted:
+        return 0.0
+    return len(counted) / effective_span
+
+
+_OPS = {
+    OpType.READ: Operation.read(1),
+    OpType.WRITE: Operation.write(1, 1),
+    OpType.RMW: Operation.rmw(1, 1),
+}
+# Few distinct times and latencies, so ties, equal percentile neighbours and
+# zero-span lists all occur.
+_TIMES = st.one_of(st.sampled_from([0.0, 1e-6, 2.5e-6, 1e-3]), st.floats(0.0, 1e-2))
+_RECORDS = st.lists(
+    st.builds(
+        lambda op_type, status, start, latency: result(
+            _OPS[op_type], start, start + latency, status=status
+        ),
+        st.sampled_from(list(OpType)),
+        st.sampled_from([OpStatus.OK, OpStatus.OK, OpStatus.ABORTED, OpStatus.TIMEOUT]),
+        _TIMES,
+        _TIMES,
+    ),
+    max_size=40,
+)
+
+
+@given(_RECORDS, st.sampled_from([None, *OpType]), st.booleans())
+def test_latency_summary_matches_reference(records, op_type, only_ok):
+    assert latency_summary(records, op_type, only_ok) == _reference_latency_summary(
+        records, op_type, only_ok
+    )
+
+
+@given(_RECORDS, st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.booleans())
+def test_throughput_matches_reference(records, warmup_fraction, only_ok):
+    expected = _reference_throughput(records, warmup_fraction, only_ok)
+    assert throughput(records, warmup_fraction, only_ok) == expected
+    # A one-shot iterable works too, as the reference (and latency_summary) do.
+    assert throughput(iter(records), warmup_fraction, only_ok) == expected
+
+
+@given(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=50), st.floats(0.0, 1.0))
+def test_percentile_matches_reference(values, fraction):
+    assert percentile(values, fraction) == _reference_percentile(values, fraction)
+
+
+def test_reduce_matches_reference_on_degenerate_inputs():
+    one = [result(_OPS[OpType.READ], 1.0, 1.5)]
+    zero_span = [result(_OPS[OpType.WRITE], 2.0, 2.0)] * 3
+    for records in ([], one, zero_span):
+        assert latency_summary(records) == _reference_latency_summary(records)
+        assert throughput(records) == _reference_throughput(records)
+    assert throughput(zero_span) == 0.0
+    assert latency_summary(one).p99 == 0.5
+
+
+def test_latency_summary_equal_neighbours_around_a_percentile_rank():
+    # Ranks 94-96 of 101 sorted latencies hold the same value, submitted out
+    # of order: p95 must take the short-circuit (exactly that value), as the
+    # per-call-sorting reference does.
+    latencies = [float(i) for i in range(101)]
+    latencies[94] = latencies[95] = latencies[96] = 95.1
+    records = [result(_OPS[OpType.READ], 0.0, latency) for latency in reversed(latencies)]
+    summary = latency_summary(records)
+    assert summary.p95 == 95.1
+    assert summary == _reference_latency_summary(records)
+
+
 # ------------------------------------------------------------------- report
 def test_format_table_alignment_and_title():
     text = format_table(["a", "bb"], [[1, 22], [333, 4]], title="T")

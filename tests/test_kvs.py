@@ -1,4 +1,4 @@
-"""Unit tests for the KVS substrate: store, seqlocks, MICA index."""
+"""Unit tests for the KVS substrate: store, MICA index."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import CapacityExceeded, KeyNotFound
 from repro.kvs.mica import Bucket, BucketEntry, MicaIndex, fingerprint
-from repro.kvs.seqlock import SeqLock, SeqLockError
 from repro.kvs.store import KeyValueStore, ValueRecord
 
 
@@ -121,61 +120,6 @@ def test_store_with_index_tracks_keys():
     for i in range(50):
         store.put(i, i)
     assert len(store) == 50
-
-
-# ----------------------------------------------------------------- seqlock
-def test_seqlock_initial_state():
-    lock = SeqLock()
-    assert lock.sequence == 0
-    assert not lock.write_in_progress
-
-
-def test_seqlock_write_cycle():
-    lock = SeqLock()
-    lock.write_begin()
-    assert lock.write_in_progress
-    lock.write_end()
-    assert lock.sequence == 2
-
-
-def test_seqlock_nested_write_rejected():
-    lock = SeqLock()
-    lock.write_begin()
-    with pytest.raises(SeqLockError):
-        lock.write_begin()
-
-
-def test_seqlock_unmatched_write_end_rejected():
-    lock = SeqLock()
-    with pytest.raises(SeqLockError):
-        lock.write_end()
-
-
-def test_seqlock_read_validate():
-    lock = SeqLock()
-    snapshot = lock.read_begin()
-    assert lock.read_validate(snapshot)
-    lock.write_begin()
-    lock.write_end()
-    assert not lock.read_validate(snapshot)
-
-
-def test_seqlock_read_helper_returns_value():
-    lock = SeqLock()
-    assert lock.read(lambda: 42) == 42
-
-
-def test_seqlock_write_helper_returns_value_and_releases():
-    lock = SeqLock()
-    assert lock.write(lambda: "done") == "done"
-    assert not lock.write_in_progress
-
-
-def test_seqlock_read_fails_when_writer_stuck():
-    lock = SeqLock()
-    lock.write_begin()
-    with pytest.raises(SeqLockError):
-        lock.read(lambda: 1, max_retries=3)
 
 
 # -------------------------------------------------------------------- mica
