@@ -4,7 +4,7 @@ Every figure artifact this repository ships is byte-diffed against a
 committed baseline, which makes two properties load-bearing everywhere:
 simulations must be **bit-deterministic** (no wall-clock reads, no unseeded
 randomness, no iteration orders that vary across processes), and the
-zero-copy ``(shard, msg)`` envelopes riding the batched arrival inbox must
+zero-copy ``(shard, msg)`` envelopes riding the arrival inbox must
 **never alias mutable state** that changes after send. The test suite can
 only spot-check these invariants; this linter checks them mechanically on
 every file, the same way the runtime sanitizer (:mod:`repro.analysis.
@@ -54,17 +54,6 @@ H001      a message class that no dispatcher ever matches
           (``isinstance(msg, X)`` / ``msg.__class__ is X`` /
           ``type(msg) is X``) anywhere in the linted tree — an unhandled
           message type silently drops on the floor.
-A001      direct ``sim.schedule``/``sim.call_soon`` or raw
-          ``network.send``/``broadcast`` calls inside a protocol handler
-          class (one defining ``protocol_dispatch``/
-          ``handle_protocol_message``/``handle_client_op``). Handler
-          methods run on possibly *chained* frames (same-node event
-          chaining time-warps the virtual clock between inbox entries), so
-          all sends must go through ``self.transport`` and all timers
-          through ``set_timer`` — the sanctioned hooks that allocate
-          tie-breaking seqs and wire costs at send time. Re-entering the
-          engine directly would bypass that accounting and break the
-          chained/unchained byte-identity contract.
 ========  ==================================================================
 
 Usage::
@@ -188,16 +177,6 @@ ORDER_INSENSITIVE_CALLS = {
 #: Base-class names that mark wire-message hierarchies (M001/M002/H001).
 MESSAGE_BASES = {"MembershipMessage", "TxnMessage", "HermesMessage"}
 
-#: Methods whose presence marks a protocol handler class (A001 scope):
-#: its handler methods execute on possibly-chained frames.
-A001_HOOK_METHODS = {"protocol_dispatch", "handle_protocol_message", "handle_client_op"}
-
-#: Engine entry points a handler must not call directly (A001).
-A001_ENGINE_CALLS = {"schedule", "schedule_at", "call_soon"}
-
-#: Raw network sends that bypass the transport's seq/wire-cost accounting (A001).
-A001_RAW_SEND_CALLS = {"send", "send_multi", "broadcast"}
-
 #: Attribute names known (cross-module) to hold set/frozenset values.
 #: ``MembershipView.members`` is a ``frozenset`` (membership/view.py).
 KNOWN_SET_ATTRS = {"members"}
@@ -210,7 +189,6 @@ RULE_TITLES = {
     "M001": "message dataclass missing __slots__ or wire-cost entry",
     "M002": "mutable default field on a message dataclass",
     "H001": "message type not covered by any dispatcher",
-    "A001": "handler re-enters the engine/raw network on a chained frame",
 }
 
 
@@ -328,8 +306,6 @@ class _FileLinter(ast.NodeVisitor):
         #: Module-level and per-scope set-typed variable names (D003).
         self._set_names: Set[str] = set()
         self._set_attrs: Set[str] = set(KNOWN_SET_ATTRS)
-        #: Nesting of classes that define a protocol handler hook (A001).
-        self._handler_class: List[bool] = []
         self._scope: List[str] = []
         self._parents: Dict[ast.AST, ast.AST] = {}
         for parent in ast.walk(tree):
@@ -443,41 +419,7 @@ class _FileLinter(ast.NodeVisitor):
                 "id() keys/orders a collection; CPython identities differ "
                 "across runs — key by a stable field instead",
             )
-        self._check_chained_frame_reentry(node)
         self.generic_visit(node)
-
-    # ------------------------------------------------- chained-frame re-entry
-    def _check_chained_frame_reentry(self, node: ast.Call) -> None:
-        """A001: handler methods run on possibly-chained (time-warped) frames.
-
-        Inside a protocol handler class, direct ``<recv>.sim.schedule(...)``
-        (or ``call_soon``/``schedule_at``) and raw ``<recv>.network.send``
-        (``send_multi``/``broadcast``) calls bypass the transport/timer hooks
-        that assign tie-breaking seqs and wire costs at send time — the only
-        dispatch path the chaining byte-identity contract covers.
-        """
-        if not (self.in_order_zone and self._handler_class and self._handler_class[-1]):
-            return
-        func = node.func
-        if not isinstance(func, ast.Attribute) or not isinstance(func.value, ast.Attribute):
-            return
-        receiver = func.value.attr
-        if receiver == "sim" and func.attr in A001_ENGINE_CALLS:
-            self._add(
-                "A001",
-                node,
-                f"direct engine call '{ast.unparse(func)}(...)' from a protocol "
-                "handler; handlers run on chained frames — arm timers via "
-                "set_timer / route work through the node inbox",
-            )
-        elif receiver == "network" and func.attr in A001_RAW_SEND_CALLS:
-            self._add(
-                "A001",
-                node,
-                f"raw network call '{ast.unparse(func)}(...)' from a protocol "
-                "handler; send via self.transport so seqs and wire costs are "
-                "assigned on the sanctioned dispatch path",
-            )
 
     def _id_call_keys_a_collection(self, node: ast.Call) -> bool:
         """Whether this ``id(...)`` call keys, orders or populates a collection."""
@@ -545,15 +487,7 @@ class _FileLinter(ast.NodeVisitor):
                     facts.has_size_bytes = True
         self.classes[node.name] = facts
         self._scope.append(node.name)
-        self._handler_class.append(
-            any(
-                isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and stmt.name in A001_HOOK_METHODS
-                for stmt in node.body
-            )
-        )
         self.generic_visit(node)
-        self._handler_class.pop()
         self._scope.pop()
 
     @staticmethod
@@ -940,7 +874,7 @@ def apply_baseline(
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.lint",
-        description="Determinism & aliasing linter (rules D001-D004, M001-M002, H001, A001).",
+        description="Determinism & aliasing linter (rules D001-D004, M001-M002, H001).",
     )
     parser.add_argument("paths", nargs="+", help="files or directories to lint")
     parser.add_argument(

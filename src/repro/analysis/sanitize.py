@@ -1,9 +1,8 @@
 """Opt-in runtime sanitizer for the simulator's aliasing and RNG invariants.
 
-The batched delivery path (:mod:`repro.sim.node`) is **zero-copy**: a
-message object pushed into a node's inbox at send time is the very object
-the handler receives at delivery time, possibly milliseconds of simulated
-time later. The speed comes with an aliasing contract — *nothing may mutate
+Message delivery (:mod:`repro.sim.node`) is **zero-copy**: a message object
+pushed into a node's inbox at send time is the very object the handler
+receives at delivery time, possibly milliseconds of simulated time later. The speed comes with an aliasing contract — *nothing may mutate
 a message after it was sent* — that an ordinary test can only catch when
 the corruption happens to change an artifact. This module checks the
 contract directly, on every message, when ``REPRO_SANITIZE=1``:
@@ -128,14 +127,6 @@ class Sanitizer:
         #: path" (setup, preload, verification) where access is unrestricted.
         self._owners: List[Any] = []
         self._rng_originals: Dict[str, Callable[..., Any]] = {}
-        #: Legacy-path in-flight ledger: id(message) -> [fingerprint,
-        #: outstanding deliveries, message]. The message reference pins the
-        #: object so its id cannot be recycled while the entry is live;
-        #: entries for messages that are never delivered (crashed
-        #: destination) persist for the run — an accepted cost of an opt-in
-        #: debugging tool. The batched path needs none of this: its inbox
-        #: entry carries the fingerprint from send to delivery.
-        self._in_flight: Dict[int, list] = {}
         self.fingerprints_checked = 0
         self.stores_guarded = 0
 
@@ -244,27 +235,6 @@ class Sanitizer:
                 f"on the zero-copy inbox.\n  at send:     {expected!r}\n"
                 f"  at delivery: {actual!r}"
             )
-
-    def note_send(self, message: Any, copies: int = 1) -> None:
-        """Record a legacy-path network send: fingerprint now, verify on
-        arrival (:meth:`check_arrival`). ``copies`` is the fan-out degree."""
-        entry = self._in_flight.get(id(message))
-        fingerprint = self._walk(message, 0, set())
-        if entry is None:
-            self._in_flight[id(message)] = [fingerprint, copies, message]
-        else:
-            entry[0] = fingerprint
-            entry[1] += copies
-
-    def check_arrival(self, message: Any, node_id: Any) -> None:
-        """Verify a legacy-path arrival against its send-time fingerprint."""
-        entry = self._in_flight.get(id(message))
-        if entry is None:
-            return
-        self.verify(message, entry[0], node_id)
-        entry[1] -= 1
-        if entry[1] <= 0:
-            del self._in_flight[id(message)]
 
     @staticmethod
     def _describe(payload: Any) -> str:

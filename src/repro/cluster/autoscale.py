@@ -19,7 +19,8 @@ sliding window of ``window_ticks`` samples):
   ``txn_conflict_weight`` (a conflicted shard is hotter than its completed
   ops alone suggest).
 * **per-node inbox queue depth** — instantaneous ``queue_depth`` of each
-  host, used to steer the *target* choice toward genuinely idle nodes.
+  host (its inbox length: work awaiting the CPU plus messages in flight to
+  it), used to steer the *target* choice toward genuinely idle nodes.
 
 Decision rule: a shard is *hot* when its windowed load exceeds
 ``imbalance_threshold`` times the mean shard load (and the cluster-wide

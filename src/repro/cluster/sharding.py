@@ -21,10 +21,10 @@ Two pieces implement it:
   replicas are constructed as *guests* of the host (see
   :mod:`repro.sim.node`), so all shards on a node share the node's CPU and
   NIC budget exactly like HermesKV worker threads share a machine. Shard
-  traffic travels as ``(shard_id, inner)`` envelopes over the existing
-  batched delivery path; the envelope is routing metadata only and adds no
-  wire bytes (a real deployment demultiplexes by key, which already
-  determines the shard).
+  traffic travels as ``(shard_id, inner)`` envelopes through the host's
+  inbox; the envelope is routing metadata only and adds no wire bytes (a
+  real deployment demultiplexes by key, which already determines the
+  shard).
 
 ``shards=1`` deployments bypass this module entirely — the cluster builds
 the exact unsharded structure, keeping artifacts byte-identical.

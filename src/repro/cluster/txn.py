@@ -44,7 +44,7 @@ Cross-shard transactions run two-phase commit:
 
 Messages between coordinator and participants ride the existing transports:
 on sharded clusters they travel as ``(shard, message)`` envelopes over the
-batched per-node inbox exactly like protocol traffic (see
+per-node inbox exactly like protocol traffic (see
 :class:`repro.cluster.sharding.ShardHost`); a participant co-located with
 the coordinator is reached through the node's local-work queue (CPU charged,
 no wire bytes).

@@ -185,11 +185,10 @@ class ReplicaNode(NodeProcess):
         # ServiceTimeModel.cost(size, 1.0) values for reads and updates.
         self._read_size = self.config.key_size
         self._update_size = self.config.key_size + self.config.value_size
-        # Fast client-submit path: host nodes on the batched delivery path
-        # push straight into their own inbox; guests must go through the
-        # rebound submit_local(_at) delegators, legacy mode through the
-        # scheduling spelling.
-        self._fast_submit = host is None and self._batched
+        # Fast client-submit path: host nodes push straight into their own
+        # inbox; guests must go through the rebound submit_local(_at)
+        # delegators.
+        self._fast_submit = host is None
         self._bound_on_local_work = self.on_local_work
         self._refresh_submit_services()
 
@@ -358,9 +357,7 @@ class ReplicaNode(NodeProcess):
 
         Entries let the hot path skip both the ``on_message`` isinstance
         chain and the ``handle_protocol_message`` type switch. Handlers are
-        invoked on a delivery frame (possibly a chained one) exactly like
-        ``handle_protocol_message`` — sends go through the transport, never
-        ``Simulator.schedule`` directly (lint rule A001).
+        invoked on a delivery frame exactly like ``handle_protocol_message``.
         """
         return {}
 

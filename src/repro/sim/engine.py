@@ -118,13 +118,6 @@ class Simulator:
         self._cancelled_pending = 0
         self._running = False
         self._stopped = False
-        # Active time bound of the current run() call, readable by node
-        # processes for same-node event chaining (repro.sim.node): a chained
-        # frame may execute inline only while its finish time stays at or
-        # below this bound. ``None`` means chaining is off — either no run()
-        # is active or the loop tracks max_events, whose per-event accounting
-        # inline frames would bypass.
-        self._active_until: Optional[float] = None
 
     # ------------------------------------------------------------------ time
     @property
@@ -224,13 +217,6 @@ class Simulator:
         executed_this_run = 0
         heap = self._heap
         heappop = heapq.heappop
-        # Same-node chaining (repro.sim.node) executes a node's next inbox
-        # frame inline when it provably is the next event this loop would
-        # pop. It must respect the run bound, and it is disabled under
-        # max_events because inline frames bypass this loop's counter.
-        self._active_until = None if max_events is not None else (
-            until if until is not None else float("inf")
-        )
         try:
             if max_events is None and until is not None:
                 # Specialized loop for the dominant run_until(...) pattern:
@@ -293,7 +279,6 @@ class Simulator:
                     self._now = until
         finally:
             self._running = False
-            self._active_until = None
         return self._now
 
     def run_until(

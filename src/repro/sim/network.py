@@ -9,28 +9,25 @@ protocol comparison:
 * network partitions (paper §3.4 "Network Partitions"),
 * crashed receivers silently dropping traffic.
 
-Two delivery paths exist:
+A destination receives in one of two ways, fixed by how it registered:
 
-* **Batched** (default, used by :class:`~repro.sim.node.NodeProcess`): the
-  arrival is pushed straight into the destination node's arrival inbox at
-  send time, with the arrival timestamp precomputed. No simulator event is
-  spent on the delivery itself; the node schedules exactly one event per
-  message, at the time its handler runs. This halves the event count on the
-  experiment hot path while computing byte-identical handler times (see
-  :mod:`repro.sim.node` for the equivalence argument).
-* **Legacy/callback** (plain receivers registered with :meth:`Network.register`,
-  or ``NetworkConfig.batch_delivery=False``): the network schedules one
-  delivery event per message and invokes the receiver callback when it fires.
+* **Node processes** (:class:`~repro.sim.node.NodeProcess`, via
+  :meth:`Network.register_process`): the arrival is pushed straight into
+  the destination's inbox at send time, with the arrival timestamp
+  precomputed. No simulator event is spent on the delivery itself; the node
+  schedules exactly one event per message, at the time its handler runs
+  (see :mod:`repro.sim.node`).
+* **Plain callbacks** (:meth:`Network.register`): the network schedules one
+  delivery event per message and invokes the callback when it fires.
 
-Randomness is drawn through a bulk-refilled buffer of raw uniform draws so
-both paths consume the underlying :class:`random.Random` stream in exactly
-the same per-message order — batching never perturbs the jitter sequence.
+Randomness is drawn through a bulk-refilled buffer of raw uniform draws, in
+exactly the per-message order of calling ``random.Random.random()`` once
+per decision.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 import random
 
@@ -46,28 +43,6 @@ DEFAULT_HEADER_BYTES = 42
 
 #: How many raw uniform draws are prefetched per refill of the RNG buffer.
 _RNG_BUFFER_SIZE = 1024
-
-
-def _default_batch_delivery() -> bool:
-    """Batched delivery is on unless ``REPRO_SIM_UNBATCHED`` is set.
-
-    The environment knob exists so the determinism tests (and bisection of
-    any suspected batching bug) can force the legacy one-event-per-message
-    path without touching experiment specs — the spec identity, and hence
-    every derived cell seed, stays the same in both modes.
-    """
-    return not os.environ.get("REPRO_SIM_UNBATCHED")
-
-
-def _default_chain_delivery() -> bool:
-    """Same-node event chaining is on unless ``REPRO_SIM_UNCHAINED`` is set.
-
-    Mirrors ``REPRO_SIM_UNBATCHED``: the legacy (unchained) schedule can be
-    forced for determinism bisection without touching experiment specs.
-    Chaining rides the batched inbox path, so ``REPRO_SIM_UNBATCHED``
-    implies unchained delivery as well.
-    """
-    return not os.environ.get("REPRO_SIM_UNCHAINED")
 
 
 @dataclass
@@ -89,13 +64,6 @@ class NetworkConfig:
         reorder_extra_latency: Maximum extra delay applied to reordered
             messages (uniform in ``[0, reorder_extra_latency]``).
         header_bytes: Fixed per-message header overhead added to payload size.
-        batch_delivery: Whether nodes that support it receive arrivals through
-            the batched inbox path (see module docstring). Defaults to on,
-            overridable globally with ``REPRO_SIM_UNBATCHED=1``.
-        chain_delivery: Whether nodes may execute provably-next inbox frames
-            inline (same-node event chaining, see :mod:`repro.sim.node`).
-            Defaults to on, overridable globally with
-            ``REPRO_SIM_UNCHAINED=1``; requires ``batch_delivery``.
     """
 
     base_latency: float = 2e-6
@@ -106,8 +74,6 @@ class NetworkConfig:
     reorder_rate: float = 0.0
     reorder_extra_latency: float = 20e-6
     header_bytes: int = DEFAULT_HEADER_BYTES
-    batch_delivery: bool = field(default_factory=_default_batch_delivery)
-    chain_delivery: bool = field(default_factory=_default_chain_delivery)
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` for invalid settings."""
@@ -216,7 +182,7 @@ class NetworkStats:
     messages_dropped_loss + messages_dropped_partition +
     messages_dropped_crashed`` (duplicates are extra deliveries that were
     never counted as sends). While messages are still in flight — or queued
-    behind a destination CPU on the batched path — the delivered count lags.
+    behind a destination CPU — the delivered count lags.
     """
 
     messages_sent: int = 0
@@ -231,10 +197,10 @@ class NetworkStats:
 class Network:
     """The simulated network fabric connecting all nodes.
 
-    Nodes register a receive callback with :meth:`register`; node processes
-    that support inbox delivery register themselves with
-    :meth:`register_process`. Other components (protocol nodes, clients)
-    send messages with :meth:`send` or :meth:`broadcast`.
+    Plain receivers register a callback with :meth:`register`; node
+    processes register themselves with :meth:`register_process`. Other
+    components (protocol nodes, clients) send messages with :meth:`send`
+    or :meth:`broadcast`.
     """
 
     def __init__(
@@ -248,7 +214,7 @@ class Network:
         self.config.validate()
         self._rng = rng or random.Random(0)
         self._receivers: Dict[NodeId, ReceiveCallback] = {}
-        #: Destinations receiving through the batched inbox path. Values are
+        #: Destinations receiving through their inbox. Values are
         #: ``NodeProcess``-like objects exposing ``_push_arrival``.
         self._inbox_procs: Dict[NodeId, Any] = {}
         self._crashed: Set[NodeId] = set()
@@ -272,24 +238,19 @@ class Network:
 
         Re-registering replaces the previous callback (used when a node
         restarts after a crash). Registering a plain callback removes any
-        batched-inbox registration for the node.
+        inbox registration for the node.
         """
         self._receivers[node_id] = receiver
         self._inbox_procs.pop(node_id, None)
 
     def register_process(self, process: Any) -> None:
-        """Register a node process for batched inbox delivery.
+        """Register a node process for inbox delivery.
 
-        ``process`` must expose ``node_id``, ``deliver`` (the legacy
-        callback, kept as a fallback) and ``_push_arrival``. When
-        ``config.batch_delivery`` is off the process is registered as a
-        plain callback receiver instead.
+        ``process`` must expose ``node_id`` and ``_push_arrival``; it
+        replaces any plain callback registered for the node.
         """
-        self._receivers[process.node_id] = process.deliver
-        if self.config.batch_delivery:
-            self._inbox_procs[process.node_id] = process
-        else:
-            self._inbox_procs.pop(process.node_id, None)
+        self._inbox_procs[process.node_id] = process
+        self._receivers.pop(process.node_id, None)
 
     def unregister(self, node_id: NodeId) -> None:
         """Remove a node from the network entirely."""
@@ -300,7 +261,7 @@ class Network:
     @property
     def node_ids(self) -> List[NodeId]:
         """All registered node ids, sorted."""
-        return sorted(self._receivers)
+        return sorted(self._receivers.keys() | self._inbox_procs.keys())
 
     # --------------------------------------------------------------- faults
     def crash(self, node_id: NodeId) -> None:
@@ -396,89 +357,11 @@ class Network:
 
         The message is subject to loss, duplication, reordering, partitions
         and crash filtering per the network configuration. Delivery happens
-        either by pushing into the destination's arrival inbox (batched
-        path) or by scheduling the destination's receive callback after the
-        computed network latency (legacy path).
+        either by pushing into the destination's arrival inbox or by
+        scheduling the destination's receive callback after the computed
+        network latency.
         """
-        proc = self._inbox_procs.get(dst)
-        if proc is None and dst not in self._receivers:
-            raise SimulationError(f"destination node {dst} is not registered on the network")
-        cfg = self.config
-        total_bytes = size_bytes + cfg.header_bytes
-        stats = self.stats
-        stats.messages_sent += 1
-        stats.bytes_sent += total_bytes
-
-        if src in self._crashed:
-            # A crashed node emits nothing.
-            stats.messages_dropped_crashed += 1
-            return
-        if self._partition is not None and not self._partition.allows(src, dst):
-            stats.messages_dropped_partition += 1
-            return
-        if cfg.loss_rate > 0.0 and self._next_random() < cfg.loss_rate:
-            stats.messages_dropped_loss += 1
-            return
-        # Gray per-link fault: one dict-truthiness check on healthy runs;
-        # the extra loss draw happens only when the crossed link actually
-        # carries a lossy fault, so fault-free RNG streams are untouched.
-        link_fault = self._link_faults.get((src, dst)) if self._link_faults else None
-        if link_fault is not None and link_fault.loss_rate > 0.0:
-            if self._next_random() < link_fault.loss_rate:
-                stats.messages_dropped_loss += 1
-                return
-
-        # Inlined _sample_latency + delivery dispatch (once per message on
-        # the hot path; the helpers keep the canonical spelling).
-        latency = cfg.base_latency
-        jitter = cfg.jitter
-        if jitter > 0.0:
-            idx = self._rand_idx
-            buf = self._rand_buf
-            if idx >= len(buf):
-                draw = self._refill()
-            else:
-                self._rand_idx = idx + 1
-                draw = buf[idx]
-            latency *= 1.0 + (-jitter + (jitter - -jitter) * draw)
-        latency += total_bytes * cfg.per_byte_latency
-        if cfg.reorder_rate > 0.0 and self._next_random() < cfg.reorder_rate:
-            latency += cfg.reorder_extra_latency * self._next_random()
-        if link_fault is not None:
-            latency *= link_fault.latency_factor
-        if proc is not None:
-            sim = self.sim
-            seq = sim._seq
-            sim._seq = seq + 1
-            proc._push_arrival(sim._now + latency, seq, src, message, total_bytes)
-        else:
-            self.sim.schedule(latency, self._deliver, src, dst, message, total_bytes)
-
-        if cfg.duplicate_rate > 0.0 and self._next_random() < cfg.duplicate_rate:
-            stats.messages_duplicated += 1
-            self._schedule_delivery(
-                proc,
-                src,
-                dst,
-                message,
-                total_bytes,
-                1.0 if link_fault is None else link_fault.latency_factor,
-            )
-        if (
-            link_fault is not None
-            and link_fault.duplicate_rate > 0.0
-            and self._next_random() < link_fault.duplicate_rate
-        ):
-            stats.messages_duplicated += 1
-            self._schedule_delivery(
-                proc,
-                src,
-                dst,
-                message,
-                total_bytes,
-                link_fault.latency_factor,
-                link_fault.duplicate_delay * self._next_random(),
-            )
+        self.send_multi(src, (dst,), message, size_bytes)
 
     def broadcast(
         self,
@@ -501,12 +384,12 @@ class Network:
         message: Any,
         size_bytes: int = 0,
     ) -> None:
-        """Send one payload to several destinations (hot broadcast path).
+        """Send one payload to several destinations, in order.
 
-        Behaviourally identical to calling :meth:`send` once per destination
-        in order — same per-destination loss/jitter/duplication draws from
-        the shared stream — but the configuration, stats and fault lookups
-        are hoisted out of the loop. ``src`` itself is not filtered here.
+        Each destination gets its own loss/jitter/duplication draws from the
+        shared stream, in destination order; the configuration, stats and
+        fault lookups are hoisted out of the loop. ``src`` itself is not
+        filtered here.
         """
         cfg = self.config
         stats = self.stats
@@ -543,8 +426,10 @@ class Network:
             if loss_rate > 0.0 and self._next_random() < loss_rate:
                 stats.messages_dropped_loss += 1
                 continue
-            # Gray per-link fault: same gating as :meth:`send` — healthy
-            # runs pay one truthiness check and draw nothing extra.
+            # Gray per-link fault: one dict-truthiness check on healthy
+            # runs; the extra loss draw happens only when the crossed link
+            # actually carries a lossy fault, so fault-free RNG streams are
+            # untouched.
             link_fault = link_faults.get((src, dst)) if link_faults else None
             if link_fault is not None and link_fault.loss_rate > 0.0:
                 if self._next_random() < link_fault.loss_rate:

@@ -12,49 +12,36 @@ are approximated by dividing per-message service time by ``worker_threads``,
 i.e. an M/G/1 approximation of an M/G/k server. This preserves relative
 protocol behaviour, which is the reproduction target.
 
-Batched delivery
+Message delivery
 ----------------
 
-Two delivery implementations coexist (selected by
-``NetworkConfig.batch_delivery``, see :mod:`repro.sim.network`):
-
-* **Legacy**: the network schedules one simulator event per message at its
-  arrival time; the arrival handler computes the handler's *finish* time
-  ``finish = max(arrival, cpu_free_at) + service`` eagerly and schedules a
-  second event to run the handler — two simulator events per message.
-
-* **Batched** (default): the network pushes ``(arrival, seq, ...)`` entries
-  straight into the node's **inbox** (a per-node heap ordered by arrival)
-  at *send* time, and the node keeps exactly **one** outstanding simulator
-  event — for the finish time of the earliest-arriving entry. When it fires,
-  the handler runs and the next entry's finish event is chained. One
-  simulator event per message, and the global heap stays small.
-
-The batched path computes the identical finish-time recurrence, just
-lazily. Two subtleties keep it byte-identical to the legacy path:
+The network pushes ``[arrival, seq, service, ...]`` entries straight into
+the destination's **inbox** (a per-node heap ordered by arrival) at *send*
+time; local work enters the same inbox at submit time. The node keeps
+exactly **one** outstanding simulator event — for the finish time
+``max(arrival, cpu_free_at) + service`` of the earliest-arriving entry.
+When it fires, the handler runs and the finish event of the next entry is
+scheduled: one simulator event per message, and the global heap stays
+small. Two rules fix the schedule:
 
 1. *CPU charges.* ``charge_send``/``charge_cpu`` during a handler at time
-   ``T`` must delay only work **arriving after** ``T`` (the legacy path
-   mutates ``cpu_free_at`` at ``T``, after earlier arrivals already
-   captured their finish times). The batched path therefore records
-   charges as ``(T, cost)`` pairs and folds a charge into the CPU timeline
-   only when computing the finish of the first entry whose arrival is at
-   or after ``T`` — the same interleaving the legacy event order produces.
+   ``T`` must delay only work **arriving after** ``T``: work that arrived
+   earlier was already queued behind the CPU when the charge happened.
+   Charges are therefore recorded as ``(T, cost)`` pairs and folded into
+   the CPU timeline only when computing the finish of the first entry
+   whose arrival is at or after ``T``.
 
-2. *Arrival order.* Inbox entries are ordered by ``(arrival, seq)`` with a
-   per-node monotone ``seq``, matching the engine's insertion-order tie
-   break for same-time arrival events on the legacy path.
+2. *Arrival order.* Inbox entries are ordered by ``(arrival, seq)``, the
+   seq drawn from the engine's own counter when the arrival is created
+   (send time for network messages, submit time for local work). The
+   finish event reuses that seq as its tie-break, so same-instant finishes
+   across nodes execute in arrival order.
 
-Equal-time ties *across* nodes (possible only with zero network jitter) may
-execute in a different relative order than legacy; all benchmark
-configurations use jittered latencies, where such ties do not occur — the
-determinism suite asserts byte-identical artifacts between both paths.
-
-Crash semantics (both paths): a crash discards all queued work and all
-outstanding timers permanently — recovering does not resurrect work or
-timers from before the crash. Messages still in flight at the crash are
-delivered (and dropped) at their arrival times while the node stays down,
-and are processed normally if the node has recovered by then.
+Crash semantics: a crash discards all queued work and all outstanding
+timers permanently — recovering does not resurrect work or timers from
+before the crash. Messages still in flight at the crash are dropped at
+their arrival times while the node stays down, and are processed normally
+if the node has recovered by then.
 
 Guest mode (key-range sharding)
 -------------------------------
@@ -116,7 +103,7 @@ from repro.types import NodeId
 
 #: Inbox-entry slot indices: ``[arrival, seq, service, is_network, handler, args]``.
 #: ``is_network`` marks entries whose processing counts toward the network's
-#: ``messages_delivered`` statistic (the legacy path counts at arrival).
+#: ``messages_delivered`` statistic.
 #: Under ``REPRO_SANITIZE=1`` an optional 7th slot holds the payload
 #: fingerprint captured at enqueue; heap comparisons never reach it because
 #: the seq in slot 1 is unique.
@@ -124,14 +111,6 @@ _ARRIVAL, _SEQ, _SERVICE, _IS_NET, _HANDLER, _HARGS = range(6)
 
 #: Prune the fired-timer tracking set once it exceeds this size.
 _TIMER_PRUNE_THRESHOLD = 256
-
-#: Maximum number of inbox frames one engine event may execute inline
-#: through same-node chaining before the node re-enters through a real
-#: scheduled head event (the deterministic re-entry point). The bound keeps
-#: a single engine callback from monopolizing the interpreter on a deeply
-#: backlogged node; re-entry is byte-identical because the scheduled head
-#: event is, by the chain rule, the next event the engine pops anyway.
-_CHAIN_DEPTH_LIMIT = 64
 
 
 @dataclass
@@ -222,17 +201,9 @@ class NodeProcess:
         self._sm_per_byte = model.per_byte
         self._sm_send_overhead = model.send_overhead
         self._sm_workers = model.worker_threads
-        # Batched-path state (see module docstring).
-        self._batched: bool = bool(network.config.batch_delivery)
-        # Same-node chaining budget: frames one engine event may run inline
-        # (0 disables chaining — legacy schedule, REPRO_SIM_UNCHAINED).
-        self._chain_budget: int = (
-            _CHAIN_DEPTH_LIMIT
-            if self._batched and network.config.chain_delivery
-            else 0
-        )
-        # One-entry pool: the inbox entry consumed by the last processed
-        # frame, recycled by the next push instead of allocating afresh.
+        # Inbox state (see module docstring). One-entry pool: the inbox
+        # entry consumed by the last processed frame, recycled by the next
+        # push instead of allocating afresh.
         self._spare_entry: Optional[list] = None
         self._inbox: List[list] = []
         # The outstanding head event is identified by a version token: any
@@ -243,10 +214,6 @@ class NodeProcess:
         self._drop_event: Optional[EventHandle] = None
         self._processing = False
         self._pending_charges: Deque[Tuple[float, float]] = deque()
-        # Legacy-path state: entries scheduled before the current crash epoch
-        # are discarded when their event fires.
-        self._queue_depth = 0
-        self._queue_epoch = 0
         # Outstanding timers, cancelled wholesale on crash; pruned of fired
         # handles once they outnumber the adaptive watermark.
         self._timers: Set[EventHandle] = set()
@@ -254,8 +221,8 @@ class NodeProcess:
         # Hot-path method bind (the network is fixed for the node's
         # lifetime): saves two attribute lookups per message.
         self._network_send = network.send
-        # Stats object bind for the delivery loop (never reassigned on the
-        # network).
+        # Stats object bind for the per-frame delivered count (never
+        # reassigned on the network).
         self._net_stats = network.stats
         if host is None:
             network.register_process(self)
@@ -273,15 +240,9 @@ class NodeProcess:
 
     @property
     def queue_depth(self) -> int:
-        """Number of messages/work items awaiting processing.
-
-        On the batched path this includes messages still in flight on the
-        network (they sit in the inbox from send time); on the legacy path
-        only messages that have arrived are counted.
-        """
-        if self._batched:
-            return len(self._inbox)
-        return self._queue_depth
+        """Inbox length: work awaiting the CPU plus messages still in flight
+        to this node (they sit in the inbox from send time)."""
+        return len(self._inbox)
 
     # --------------------------------------------------------------- faults
     def crash(self) -> None:
@@ -298,42 +259,38 @@ class NodeProcess:
             handle.cancel()
         self._timers.clear()
         self._timer_prune_at = _TIMER_PRUNE_THRESHOLD
-        if self._batched:
-            self._head_version += 1
-            self._head_scheduled = False
-            self._pending_charges.clear()
-            if self._inbox:
-                now = self.sim.now
-                kept: List[list] = []
-                delivered = 0
-                for entry in self._inbox:
-                    if entry[_ARRIVAL] <= now:
-                        # Arrived while the node was up: the legacy path
-                        # counted these delivered at arrival; the queued
-                        # work itself is lost to the crash.
-                        delivered += entry[_IS_NET]
-                    else:
-                        kept.append(entry)
-                if delivered:
-                    self.network.stats.messages_delivered += delivered
-                heapify(kept)
-                self._inbox = kept
-                self._ensure_drop_chain()
-        else:
-            self._queue_epoch += 1
+        self._head_version += 1
+        self._head_scheduled = False
+        self._pending_charges.clear()
+        if self._inbox:
+            now = self.sim.now
+            kept: List[list] = []
+            delivered = 0
+            for entry in self._inbox:
+                if entry[_ARRIVAL] <= now:
+                    # Arrived while the node was up: the network did
+                    # deliver these; the queued work itself is lost to
+                    # the crash.
+                    delivered += entry[_IS_NET]
+                else:
+                    kept.append(entry)
+            if delivered:
+                self.network.stats.messages_delivered += delivered
+            heapify(kept)
+            self._inbox = kept
+            self._ensure_drop_chain()
 
     def recover(self) -> None:
         """Clear the crashed flag (protocol-level recovery is separate)."""
         self._crashed = False
         self.network.recover(self.node_id)
         self._cpu_free_at = self.sim.now
-        if self._batched:
-            self._pending_charges.clear()
-            if self._drop_event is not None:
-                self._drop_event.cancel()
-                self._drop_event = None
-            if self._inbox and not self._processing and not self._head_scheduled:
-                self._schedule_head()
+        self._pending_charges.clear()
+        if self._drop_event is not None:
+            self._drop_event.cancel()
+            self._drop_event = None
+        if self._inbox and not self._processing and not self._head_scheduled:
+            self._schedule_head()
 
     @property
     def cpu_scale(self) -> float:
@@ -370,55 +327,27 @@ class NodeProcess:
         self._sm_workers = model.worker_threads
 
     # ------------------------------------------------------------- messaging
-    def deliver(self, src: NodeId, message: Any, size_bytes: int) -> None:
-        """Network receive callback: queue the message for CPU processing.
-
-        Used on the legacy delivery path (the batched path pushes arrivals
-        directly via :meth:`_push_arrival`). ``messages_delivered`` was
-        already counted by the caller, hence ``is_network=0`` below.
-        """
-        if self._crashed:
-            return
-        if self._batched:
-            service = self.service_model.cost(size_bytes, 1.0)
-            self._push_local(self.sim._now, service, self.on_message, (src, message))
-        else:
-            san = self._sanitizer
-            if san is not None:
-                # Close the send->arrival window (the batched path carries
-                # its fingerprint inside the inbox entry instead).
-                san.check_arrival(message, self.node_id)
-            self._enqueue(size_bytes, 1.0, self.on_message, src, message)
-
     def submit_local(self, work: Any, size_bytes: int = 0, weight: float = 1.0) -> None:
         """Submit a local work item (e.g. a client request) to this node."""
         if self._crashed:
             return
-        if self._batched:
-            service = self.service_model.cost(size_bytes, weight)
-            self._push_local(self.sim._now, service, self.on_local_work, (work,))
-        else:
-            self._enqueue(size_bytes, weight, self.on_local_work, work)
+        service = self.service_model.cost(size_bytes, weight)
+        self._push_local(self.sim._now, service, self.on_local_work, (work,))
 
     def submit_local_at(
         self, time: float, work: Any, size_bytes: int = 0, weight: float = 1.0
     ) -> None:
         """Submit a local work item that reaches this node at a future time.
 
-        Equivalent to scheduling ``submit_local`` at ``time`` but, on the
-        batched path, without spending a simulator event on the hand-off:
-        the item enters the arrival inbox directly (clients use this for
-        the request half of their RPC latency). If the node crashes before
-        ``time``, the item is discarded — exactly as a scheduled
-        ``submit_local`` would be by its crashed-node check.
+        The item enters the arrival inbox directly, without spending a
+        simulator event on the hand-off (clients use this for the request
+        half of their RPC latency). If the node crashes before ``time``,
+        the item is discarded.
         """
         if self._crashed:
             return
-        if self._batched:
-            service = self.service_model.cost(size_bytes, weight)
-            self._push_local(time, service, self.on_local_work, (work,))
-        else:
-            self.sim.schedule_at(time, self.submit_local, work, size_bytes, weight)
+        service = self.service_model.cost(size_bytes, weight)
+        self._push_local(time, service, self.on_local_work, (work,))
 
     def send(self, dst: NodeId, message: Any, size_bytes: int = 0) -> None:
         """Send a message to another node, charging send CPU (no-op when crashed)."""
@@ -428,15 +357,10 @@ class NodeProcess:
         # arithmetic matches ServiceTimeModel.send_cost exactly.
         cost = (self._sm_send_overhead + size_bytes * self._sm_per_byte * 0.5) / self._sm_workers
         now = self.sim._now
-        if self._batched:
-            self._pending_charges.append((now, cost))
-            if self._head_scheduled and not self._processing:
-                if self._inbox[0][_ARRIVAL] >= now:
-                    self._schedule_head()
-        else:
-            self._cpu_free_at = max(now, self._cpu_free_at) + cost
-            if self._sanitizer is not None:
-                self._sanitizer.note_send(message)
+        self._pending_charges.append((now, cost))
+        if self._head_scheduled and not self._processing:
+            if self._inbox[0][_ARRIVAL] >= now:
+                self._schedule_head()
         self._network_send(self.node_id, dst, message, size_bytes)
 
     def broadcast(self, destinations, message: Any, size_bytes: int = 0) -> None:
@@ -454,31 +378,17 @@ class NodeProcess:
             return
         cost = (self._sm_send_overhead + size_bytes * self._sm_per_byte * 0.5) / self._sm_workers
         now = self.sim._now
-        if self._batched:
-            charges = self._pending_charges
-            for _ in targets:
-                charges.append((now, cost))
-            if self._head_scheduled and not self._processing:
-                if self._inbox[0][_ARRIVAL] >= now:
-                    self._schedule_head()
-        else:
-            free = self._cpu_free_at
-            if free < now:
-                free = now
-            for _ in targets:
-                free += cost
-            self._cpu_free_at = free
-            if self._sanitizer is not None:
-                self._sanitizer.note_send(message, copies=len(targets))
+        charges = self._pending_charges
+        for _ in targets:
+            charges.append((now, cost))
+        if self._head_scheduled and not self._processing:
+            if self._inbox[0][_ARRIVAL] >= now:
+                self._schedule_head()
         self.network.send_multi(node_id, targets, message, size_bytes)
 
     def charge_send(self, size_bytes: int = 0) -> None:
         """Account the CPU cost of posting one outgoing message."""
-        cost = self.service_model.send_cost(size_bytes)
-        if self._batched:
-            self._record_charge(cost)
-        else:
-            self._cpu_free_at = max(self.sim.now, self._cpu_free_at) + cost
+        self._record_charge(self.service_model.send_cost(size_bytes))
 
     def charge_cpu(self, size_bytes: int = 0, weight: float = 1.0) -> None:
         """Account additional CPU work performed inside the current handler.
@@ -488,11 +398,7 @@ class NodeProcess:
         management runs on a single serialization thread, so it is charged at
         ``weight = worker_threads`` to undo the parallel-workers division.
         """
-        cost = self.service_model.cost(size_bytes, weight)
-        if self._batched:
-            self._record_charge(cost)
-        else:
-            self._cpu_free_at = max(self.sim.now, self._cpu_free_at) + cost
+        self._record_charge(self.service_model.cost(size_bytes, weight))
 
     def set_timer(self, delay: float, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule a timer on this node; cancelled if the node crashes.
@@ -555,30 +461,15 @@ class NodeProcess:
         """Handle a locally submitted work item. Subclasses may override."""
         raise NotImplementedError
 
-    # ----------------------------------------------------- batched internals
-    def _alloc_seq(self) -> int:
-        """Allocate an inbox-entry sequence number from the ENGINE counter.
-
-        The entry's seq doubles as the tie-break slot of its finish event,
-        so it must order same-timestamp events exactly like the legacy
-        path: allocating from the simulator's own counter at the moment
-        the arrival is created (send time for network messages, submit
-        time for local work) mirrors the seq the legacy delivery/submit
-        event would have received, making cross-node ties resolve in
-        arrival order on both paths.
-        """
-        sim = self.sim
-        seq = sim._seq
-        sim._seq = seq + 1
-        return seq
-
+    # ------------------------------------------------------- inbox internals
     def _push_arrival(self, arrival: float, seq: int, src: NodeId, message: Any, total_bytes: int) -> None:
-        """Network entry point on the batched path (called at send time).
+        """Network entry point (called at send time).
 
         Same push discipline as :meth:`_push_local` — this runs once per
-        network message; ``seq`` is the engine sequence number the network allocated
-        for this delivery (see :meth:`_alloc_seq`). Service arithmetic
-        matches ``ServiceTimeModel.cost`` with ``weight=1.0`` exactly.
+        network message; ``seq`` is the engine sequence number the network
+        allocated for this delivery (see "Arrival order" in the module
+        docstring). Service arithmetic matches ``ServiceTimeModel.cost``
+        with ``weight=1.0`` exactly.
         """
         service = (self._sm_base + total_bytes * self._sm_per_byte) / self._sm_workers
         san = self._sanitizer
@@ -618,8 +509,8 @@ class NodeProcess:
         """Push a local (non-network) entry, recycling the pooled entry list.
 
         Local hand-offs (client submits, the closed loop's collapsed
-        completion chain) are the dominant chained push, so they share the
-        one-entry pool with :meth:`_push_arrival`.
+        completion chain) are the dominant push on read-heavy cells, so
+        they share the one-entry pool with :meth:`_push_arrival`.
         """
         sim = self.sim
         seq = sim._seq
@@ -680,7 +571,7 @@ class NodeProcess:
         self._head_scheduled = True
         # The finish event reuses the entry's send/submit-time seq as its
         # tie-break, so same-instant finishes across nodes execute in
-        # arrival order — matching the legacy path's event interleaving.
+        # arrival order.
         # Reschedules reuse it too: the stale copy always has a strictly
         # earlier finish time, so no two heap entries ever compare equal.
         heappush(
@@ -689,120 +580,46 @@ class NodeProcess:
         )
 
     def _process_head(self, version: int) -> None:
-        """Run the head frame, then chain provably-next frames inline.
-
-        Same-node event chaining: after a frame's handler returns, the next
-        inbox entry's finish event ``(finish, seq)`` is compared against the
-        engine's heap top. When it sorts **before every pending engine
-        event** (and stays within the active run bound), the engine loop
-        would pop exactly that event next — so the frame executes inline
-        under a time warp (``sim._now`` advanced to the finish time,
-        ``events_executed`` counted) without a heap round-trip. Any other
-        outcome — an interleaving event on another node, a timer between
-        frames, ``stop()``, a crash, or an exhausted chain budget — falls
-        back to scheduling the head event, the deterministic re-entry
-        point. The executed schedule is byte-identical to the unchained
-        one by construction (``REPRO_SIM_UNCHAINED=1`` forces the latter).
-        """
+        """Run the head frame, then schedule the next entry's finish event."""
         if version != self._head_version:
             # Stale event: superseded by a preemption, a charge-triggered
             # reschedule, or a crash.
             return
         self._head_scheduled = False
-        sim = self.sim
-        inbox = self._inbox
+        entry = heappop(self._inbox)
+        arrival = entry[_ARRIVAL]
+        # Commit the lazily evaluated CPU timeline: charges at or before
+        # this arrival are absorbed into the finish time (== now).
         charges = self._pending_charges
+        while charges and charges[0][0] <= arrival:
+            charges.popleft()
+        self._cpu_free_at = self.sim._now
+        if entry[_IS_NET]:
+            self._net_stats.messages_delivered += 1
+        self.messages_processed += 1
+        self._processing = True
         san = self._sanitizer
-        net_stats = self._net_stats
-        # Chain bound, hoisted: ``_active_until`` is fixed for the duration
-        # of the engine's run() call we are inside of; ``None`` disables
-        # chaining (budget 0, no active run, or a max_events loop). The
-        # budget is folded in by flipping ``until`` to None on exhaustion.
-        until = sim._active_until if self._chain_budget else None
-        budget = self._chain_budget
-        while True:
-            entry = heappop(inbox)
-            arrival = entry[_ARRIVAL]
-            # Commit the lazily evaluated CPU timeline: charges at or before
-            # this arrival are absorbed into the finish time (== now).
-            if charges:
-                while charges and charges[0][0] <= arrival:
-                    charges.popleft()
-            self._cpu_free_at = sim._now
-            if entry[_IS_NET]:
-                net_stats.messages_delivered += 1
-            self.messages_processed += 1
-            self._processing = True
-            if san is None:
-                try:
-                    entry[_HANDLER](*entry[_HARGS])
-                finally:
-                    self._processing = False
-                # Recycle the consumed entry for the next push (chained
-                # local deliveries would otherwise allocate one per hop).
-                entry[_HARGS] = ()
-                self._spare_entry = entry
-            else:
-                # Chained frames are fingerprint-checked exactly like
-                # scheduled ones (the capture rides in the 7th slot).
-                san.verify(entry[_HARGS], entry[6], self.node_id)
-                san.begin_delivery(self)
-                try:
-                    entry[_HANDLER](*entry[_HARGS])
-                finally:
-                    san.end_delivery()
-                    self._processing = False
-            inbox = self._inbox  # crash()-in-handler replaces the list
-            if not inbox or self._crashed or self._head_scheduled:
-                # Crash mid-chain: queued frames were already discarded (or
-                # moved to the drop chain) by crash(); nothing to re-arm.
-                return
-            nxt = inbox[0]
-            arrival = nxt[_ARRIVAL]
-            free = self._cpu_free_at
-            if charges:
-                for charge_time, cost in charges:
-                    if charge_time > arrival:
-                        break
-                    if free < charge_time:
-                        free = charge_time
-                    free += cost
-            finish = (arrival if arrival > free else free) + nxt[_SERVICE]
-            if until is not None and finish <= until:
-                chain = False
-                heap = sim._heap
-                while heap:
-                    top = heap[0]
-                    if top[2] is None:
-                        # Lazily-cancelled engine entry: the loop would
-                        # discard it before reaching our event.
-                        heappop(heap)
-                        sim._cancelled_pending -= 1
-                        continue
-                    top_time = top[0]
-                    chain = finish < top_time or (
-                        finish == top_time and nxt[_SEQ] < top[1]
-                    )
-                    break
-                else:
-                    chain = True
-                # stop() requested mid-chain wins over chaining (checked
-                # last: it is almost never set on the hot path).
-                if chain and not sim._stopped:
-                    budget -= 1
-                    if not budget:
-                        until = None
-                    sim._now = finish
-                    sim._events_executed += 1
-                    continue
-            version = self._head_version + 1
-            self._head_version = version
-            self._head_scheduled = True
-            heappush(
-                sim._heap,
-                [finish, nxt[_SEQ], self._process_head, (version,), False],
-            )
-            return
+        if san is None:
+            try:
+                entry[_HANDLER](*entry[_HARGS])
+            finally:
+                self._processing = False
+            # Recycle the consumed entry for the next push (a handler that
+            # hands work to its own node would otherwise allocate one per hop).
+            entry[_HARGS] = ()
+            self._spare_entry = entry
+        else:
+            san.verify(entry[_HARGS], entry[6], self.node_id)
+            san.begin_delivery(self)
+            try:
+                entry[_HANDLER](*entry[_HARGS])
+            finally:
+                san.end_delivery()
+                self._processing = False
+        # A handler that crashed its own node already discarded the queued
+        # frames (or moved them to the drop chain): nothing to re-arm.
+        if self._inbox and not self._crashed and not self._head_scheduled:
+            self._schedule_head()
 
     def _ensure_drop_chain(self) -> None:
         """While crashed, drop in-flight arrivals at their arrival times."""
@@ -830,59 +647,6 @@ class NodeProcess:
             self.network.stats.messages_dropped_crashed += dropped
         if self._inbox:
             self._drop_event = self.sim.schedule_at(self._inbox[0][_ARRIVAL], self._drop_head)
-
-    # ------------------------------------------------------ legacy internals
-    def _enqueue(
-        self,
-        size_bytes: int,
-        weight: float,
-        handler: Callable[..., None],
-        *args: Any,
-    ) -> None:
-        service = self.service_model.cost(size_bytes, weight)
-        start = max(self.sim.now, self._cpu_free_at)
-        finish = start + service
-        self._cpu_free_at = finish
-        self._queue_depth += 1
-        san = self._sanitizer
-        if san is None:
-            self.sim.schedule_at(finish, self._process, self._queue_epoch, handler, args)
-        else:
-            self.sim.schedule_at(
-                finish,
-                self._process_sanitized,
-                self._queue_epoch,
-                handler,
-                args,
-                san.fingerprint(args),
-            )
-
-    def _process(self, epoch: int, handler: Callable[..., None], args: Tuple[Any, ...]) -> None:
-        self._queue_depth -= 1
-        if self._crashed or epoch != self._queue_epoch:
-            return
-        self.messages_processed += 1
-        handler(*args)
-
-    def _process_sanitized(
-        self,
-        epoch: int,
-        handler: Callable[..., None],
-        args: Tuple[Any, ...],
-        expected: Any,
-    ) -> None:
-        """Legacy-path delivery with the mutation fingerprint check."""
-        self._queue_depth -= 1
-        if self._crashed or epoch != self._queue_epoch:
-            return
-        self.messages_processed += 1
-        san = self._sanitizer
-        san.verify(args, expected, self.node_id)
-        san.begin_delivery(self)
-        try:
-            handler(*args)
-        finally:
-            san.end_delivery()
 
     def _timer_fired(self, callback: Callable[..., None], args: Tuple[Any, ...]) -> None:
         if self._crashed:

@@ -4,7 +4,7 @@ Covers the generation layer (``repro.workloads.aggregate``), the
 ``AggregatedClient`` in-flight ring and crash handling, spec validation,
 statistical equivalence against the per-session open-loop model at matched
 offered load, identity-neutral cell seeding, and determinism across worker
-counts and the unchained legacy engine path.
+counts.
 """
 
 from __future__ import annotations
@@ -337,17 +337,6 @@ def test_parallel_aggregated_deterministic_across_jobs():
     assert serial.overall_latency.median == parallel.overall_latency.median
     assert serial.overall_latency.p99 == parallel.overall_latency.p99
     assert serial.cluster_stats == parallel.cluster_stats
-
-
-def test_aggregated_deterministic_under_unchained_engine(monkeypatch):
-    spec = _agg_spec()
-    chained = run_experiment(spec)
-    monkeypatch.setenv("REPRO_SIM_UNCHAINED", "1")
-    unchained = run_experiment(spec)
-    assert len(chained.results) == len(unchained.results)
-    assert chained.throughput == unchained.throughput
-    assert chained.overall_latency.median == unchained.overall_latency.median
-    assert chained.cluster_stats == unchained.cluster_stats
 
 
 # ---------------------------------------------------------- crash/recovery

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.lint import (
+    RULE_TITLES,
     Finding,
     apply_baseline,
     lint_paths,
@@ -47,7 +48,7 @@ class TestFixtures:
         rules = set()
         for rel in FIXTURES:
             rules |= set(_expected_markers(FIXTURE_ROOT / rel))
-        assert rules == {"D001", "D002", "D003", "D004", "M001", "M002", "H001", "A001"}
+        assert rules == set(RULE_TITLES)
 
     def test_every_rule_has_a_clean_twin(self):
         broken = {f for f in FIXTURES if f.endswith("_broken.py")}
@@ -121,28 +122,6 @@ class TestBaseline:
         unused = apply_baseline([finding], [entry])
         assert not finding.baselined
         assert unused == [entry]
-
-    def test_a001_entry_follows_the_same_convention(self):
-        """A001 findings baseline exactly like every other rule."""
-        finding = self._finding(
-            rule="A001",
-            path="src/repro/protocols/custom.py",
-            symbol="CustomReplica.handle_protocol_message",
-            message="direct engine call 'self.sim.schedule(...)' from a protocol handler",
-        )
-        unused = apply_baseline(
-            [finding],
-            [
-                {
-                    "rule": "A001",
-                    "path": "protocols/custom.py",
-                    "symbol": "CustomReplica.handle_protocol_message",
-                    "reason": "bootstrap-only timer armed before the first chained frame can exist",
-                }
-            ],
-        )
-        assert finding.baselined
-        assert unused == []
 
     def test_one_entry_suppresses_all_findings_of_its_triple(self):
         findings = [self._finding(line=10), self._finding(line=40)]

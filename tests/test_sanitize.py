@@ -7,6 +7,7 @@ is byte-identical to the committed baseline.
 
 from __future__ import annotations
 
+import ast
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,6 +60,21 @@ class TestEnablement:
     def test_falsy_values_disable(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_SANITIZE", value)
         assert not sanitizer_enabled()
+
+    def test_only_sanitizer_and_runner_read_the_environment(self):
+        """No behaviour switch hides in an env var elsewhere under ``src/``."""
+
+        def reads_environ(path: Path) -> bool:
+            names = {"environ", "getenv"}
+            return any(
+                (isinstance(node, ast.Attribute) and node.attr in names)
+                or (isinstance(node, ast.ImportFrom) and names & {a.name for a in node.names})
+                for node in ast.walk(ast.parse(path.read_text()))
+            )
+
+        src = REPO_ROOT / "src" / "repro"
+        readers = [p for p in sorted(src.rglob("*.py")) if reads_environ(p)]
+        assert readers == [src / "analysis" / "sanitize.py", src / "bench" / "runner.py"]
 
     def test_singleton_reused_and_reset(self, sanitize_on):
         first = get_sanitizer()
@@ -213,9 +229,9 @@ class _Recorder(NodeProcess):
         self.received.append(work)
 
 
-def _pair(jitter=0.0, batch_delivery=True):
+def _pair(jitter=0.0):
     sim = Simulator()
-    network = Network(sim, NetworkConfig(jitter=jitter, batch_delivery=batch_delivery))
+    network = Network(sim, NetworkConfig(jitter=jitter))
     return sim, _Recorder(0, sim, network), _Recorder(1, sim, network)
 
 
@@ -227,9 +243,8 @@ class TestDeliveryIntegration:
         assert b.received == [{"op": "write", "keys": [1, 2]}]
         assert get_sanitizer().fingerprints_checked >= 1
 
-    @pytest.mark.parametrize("batch_delivery", [True, False])
-    def test_mutation_after_send_caught(self, sanitize_on, batch_delivery):
-        sim, a, b = _pair(batch_delivery=batch_delivery)
+    def test_mutation_after_send_caught(self, sanitize_on):
+        sim, a, b = _pair()
         payload = {"op": "write", "keys": [1, 2]}
         a.send(1, payload, size_bytes=64)
         payload["keys"].append(3)  # the aliasing bug the zero-copy path forbids
@@ -292,17 +307,6 @@ class TestClusterSanitized:
         assert client.done
         assert get_sanitizer().fingerprints_checked > 0
         assert get_sanitizer().stores_guarded >= 3
-
-    def test_legacy_delivery_cluster_runs_clean(self, sanitize_on, monkeypatch):
-        """The in-flight ledger raises no false alarms on the legacy path."""
-        monkeypatch.setenv("REPRO_SIM_UNBATCHED", "1")
-        cluster = make_cluster("hermes", 3)
-        workload = small_workload(0.3)
-        cluster.preload(workload.initial_dataset())
-        client = ClosedLoopClient(0, cluster, workload, max_ops=30)
-        run_clients(cluster, [client], max_time=1.0)
-        assert client.done
-        assert get_sanitizer().fingerprints_checked > 0
 
     def test_sharded_cluster_runs_clean(self, sanitize_on):
         cluster = make_cluster("hermes", 3, shards=2)
