@@ -7,11 +7,11 @@ optimizations the paper describes in §3.3 and the Wings batching layer of
 
 from __future__ import annotations
 
-from repro.bench.experiments import ablation_optimizations, ablation_wings_batching
+from repro.bench.experiments import FIGURES, sweep
 
 
 def test_ablation_protocol_optimizations(run_once, scale, jobs):
-    result = run_once(ablation_optimizations, scale=scale, jobs=jobs)
+    result = run_once(sweep, FIGURES["ablations"].parts[0], scale, jobs=jobs)
     print()
     print(result.table())
     baseline = result.data["baseline (O1 on)"]
@@ -29,7 +29,7 @@ def test_ablation_protocol_optimizations(run_once, scale, jobs):
 
 
 def test_ablation_wings_batching(run_once, scale, jobs):
-    result = run_once(ablation_wings_batching, scale=scale, jobs=jobs)
+    result = run_once(sweep, FIGURES["ablations"].parts[1], scale, jobs=jobs)
     print()
     print(result.table())
     direct = result.data["direct"]

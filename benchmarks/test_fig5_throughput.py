@@ -7,7 +7,7 @@ below both once writes appear; all three are identical for read-only traffic.
 
 from __future__ import annotations
 
-from repro.bench.experiments import figure_5a_throughput_uniform, figure_5b_throughput_skew
+from repro.bench.experiments import FIGURES, sweep
 from repro.bench.harness import ExperimentSpec
 from repro.bench.runner import run_cells
 
@@ -34,14 +34,14 @@ def assert_throughput_shape(result, craq_tolerance=1.0):
 
 
 def test_fig5a_throughput_uniform(run_once, scale, jobs):
-    result = run_once(figure_5a_throughput_uniform, scale=scale, jobs=jobs)
+    result = run_once(sweep, FIGURES["5"].parts[0], scale, jobs=jobs)
     print()
     print(result.table())
     assert_throughput_shape(result)
 
 
 def test_fig5b_throughput_skewed(run_once, scale, jobs):
-    result = run_once(figure_5b_throughput_skew, scale=scale, jobs=jobs)
+    result = run_once(sweep, FIGURES["5"].parts[1], scale, jobs=jobs)
     print()
     print(result.table())
     assert_throughput_shape(result, craq_tolerance=0.9)

@@ -9,17 +9,30 @@ node. ZAB's tail explodes with load because writes serialize on the leader.
 
 from __future__ import annotations
 
-from repro.bench.experiments import (
-    figure_6a_latency_vs_throughput,
-    figure_6b_latency_uniform,
-    figure_6c_latency_skew,
-)
+from dataclasses import replace
+
+from repro.bench.experiments import FIGURES, sweep
+
+FIG_6A, FIG_6B, FIG_6C = FIGURES["6"].parts
+
+
+def at_load_points(client_counts):
+    """Figure 6a's grid swept over other closed-loop clients-per-replica counts."""
+
+    def cells(scale):
+        # Each protocol's 1-client cell, re-run at every requested count.
+        return [
+            ((protocol, clients), replace(spec, clients_per_replica=clients))
+            for (protocol, declared), spec in FIG_6A.cells(scale)
+            if declared == 1
+            for clients in client_counts
+        ]
+
+    return replace(FIG_6A, cells=cells)
 
 
 def test_fig6a_latency_vs_throughput(run_once, scale, jobs):
-    result = run_once(
-        figure_6a_latency_vs_throughput, scale=scale, client_counts=(2, 6, 12), jobs=jobs
-    )
+    result = run_once(sweep, at_load_points((2, 6, 12)), scale, jobs=jobs)
     print()
     print(result.table())
     # At every load point Hermes' tail latency is well below CRAQ's and ZAB's
@@ -35,7 +48,7 @@ def test_fig6a_latency_vs_throughput(run_once, scale, jobs):
 
 
 def test_fig6b_latency_uniform(run_once, scale, jobs):
-    result = run_once(figure_6b_latency_uniform, scale=scale, jobs=jobs)
+    result = run_once(sweep, FIG_6B, scale, jobs=jobs)
     print()
     print(result.table())
     for ratio in (0.05, 0.20, 0.50):
@@ -50,7 +63,7 @@ def test_fig6b_latency_uniform(run_once, scale, jobs):
 
 
 def test_fig6c_latency_skew(run_once, scale, jobs):
-    result = run_once(figure_6c_latency_skew, scale=scale, jobs=jobs)
+    result = run_once(sweep, FIG_6C, scale, jobs=jobs)
     print()
     print(result.table())
     for ratio in (0.20, 0.50):
@@ -64,8 +77,8 @@ def test_fig6c_latency_skew(run_once, scale, jobs):
 
 def test_fig6c_skew_hurts_craq_reads_more_than_uniform(run_once, scale, jobs):
     def run():
-        uniform = figure_6b_latency_uniform(scale=scale, seed=3, jobs=jobs)
-        skewed = figure_6c_latency_skew(scale=scale, seed=3, jobs=jobs)
+        uniform = sweep(FIG_6B, scale, seed=3, jobs=jobs)
+        skewed = sweep(FIG_6C, scale, seed=3, jobs=jobs)
         return uniform, skewed
 
     uniform, skewed = run_once(run)

@@ -8,11 +8,11 @@ erode their scaling, with ZAB's throughput dropping sharply at 7 nodes under
 
 from __future__ import annotations
 
-from repro.bench.experiments import figure_7_scalability
+from repro.bench.experiments import FIGURES, sweep
 
 
 def test_fig7_scalability(run_once, scale, jobs):
-    result = run_once(figure_7_scalability, scale=scale, jobs=jobs)
+    result = run_once(sweep, FIGURES["7"].parts[0], scale, jobs=jobs)
     print()
     print(result.table())
 

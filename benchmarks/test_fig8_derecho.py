@@ -6,11 +6,11 @@ objects and by ~3x at 1 KB; Hermes' own throughput decreases as objects grow.
 
 from __future__ import annotations
 
-from repro.bench.experiments import figure_8_derecho
+from repro.bench.experiments import FIGURES, sweep
 
 
 def test_fig8_hermes_vs_derecho(run_once, scale, jobs):
-    result = run_once(figure_8_derecho, scale=scale, jobs=jobs)
+    result = run_once(sweep, FIGURES["8"].parts[0], scale, jobs=jobs)
     print()
     print(result.table())
 

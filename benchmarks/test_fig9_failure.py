@@ -8,16 +8,12 @@ update, then recovers to a steady state served by the surviving replicas.
 
 from __future__ import annotations
 
-from repro.bench.experiments import figure_9_failure
+from repro.bench.experiments import FIGURES
 
 
 def test_fig9_throughput_under_failure(run_once):
     result = run_once(
-        figure_9_failure,
-        write_ratio=0.05,
-        crash_time=0.060,
-        detection_timeout=0.150,
-        total_time=0.400,
+        FIGURES["9"].parts[0], crash_time=0.060, detection_timeout=0.150, total_time=0.400
     )
     print()
     print(result.notes)
@@ -54,7 +50,7 @@ def test_fig9_sharded_crash_and_recovery(run_once):
     master, the node later restarts (outside the view), and the recorded
     history passes the linearizability and transaction-atomicity checkers.
     """
-    result = run_once(figure_9_failure, shards=4)
+    result = run_once(FIGURES["9"].parts[0], shards=4)
     print()
     print(result.notes)
 

@@ -10,11 +10,11 @@ plus migration atomicity for the policy row).
 
 from __future__ import annotations
 
-from repro.bench.experiments import figure_flashcrowd
+from repro.bench.experiments import FIGURES
 
 
 def test_autoscale_recovers_post_shift_throughput(run_once):
-    result = run_once(figure_flashcrowd)
+    result = run_once(FIGURES["flashcrowd"].parts[0])
     print()
     print(result.table())
     print(result.notes)

@@ -10,11 +10,11 @@ after the flip).
 
 from __future__ import annotations
 
-from repro.bench.experiments import figure_migrate
+from repro.bench.experiments import FIGURES
 
 
 def test_migrate_throughput_rebalances_across_shards(run_once):
-    result = run_once(figure_migrate)
+    result = run_once(FIGURES["migrate"].parts[0])
     print()
     print(result.table())
     print(result.notes)

@@ -14,11 +14,11 @@ this figure partitions it across protocol groups. Expected shape:
 
 from __future__ import annotations
 
-from repro.bench.experiments import MAIN_PROTOCOLS, figure_shard_scale
+from repro.bench.experiments import FIGURES, MAIN_PROTOCOLS, sweep
 
 
 def test_shard_scaling(run_once, scale, jobs):
-    result = run_once(figure_shard_scale, scale=scale, jobs=jobs)
+    result = run_once(sweep, FIGURES["shardscale"].parts[0], scale, jobs=jobs)
     print()
     print(result.table())
 

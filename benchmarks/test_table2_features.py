@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from repro.bench.experiments import table_2_features
+from repro.bench.experiments import FIGURES
 
 
 def test_table2_feature_matrix(run_once):
-    result = run_once(table_2_features)
+    result = run_once(FIGURES["table2"].parts[0])
     print()
     print(result.table())
 

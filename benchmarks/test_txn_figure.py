@@ -19,7 +19,7 @@ zipfian(0.99) contention, no-wait locks at per-shard lock masters):
 
 from __future__ import annotations
 
-from repro.bench.experiments import TXN_CROSS_SHARD_POINTS, figure_txn
+from repro.bench.experiments import FIGURES, TXN_CROSS_SHARD_POINTS, sweep
 from repro.bench.harness import ExperimentSpec, run_experiment
 from repro.bench.runner import derive_cell_seed
 from repro.verification.linearizability import check_history
@@ -29,7 +29,7 @@ from repro.workloads.generator import WorkloadMix
 
 
 def test_txn_figure_shape(run_once, scale, jobs):
-    result = run_once(figure_txn, scale=scale, jobs=jobs)
+    result = run_once(sweep, FIGURES["txn"].parts[0], scale, jobs=jobs)
     print()
     print(result.table())
 

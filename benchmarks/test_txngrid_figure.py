@@ -14,15 +14,11 @@ Expected shape of the ``--figure txngrid`` grid (fixed 4 coupled shards,
 
 from __future__ import annotations
 
-from repro.bench.experiments import (
-    TXN_FRACTION_POINTS,
-    TXN_KEYS_POINTS,
-    figure_txn_grid,
-)
+from repro.bench.experiments import FIGURES, TXN_FRACTION_POINTS, TXN_KEYS_POINTS, sweep
 
 
 def test_txngrid_figure_shape(run_once, scale, jobs):
-    result = run_once(figure_txn_grid, scale=scale, jobs=jobs)
+    result = run_once(sweep, FIGURES["txngrid"].parts[0], scale, jobs=jobs)
     print()
     print(result.table())
 

@@ -16,15 +16,11 @@ generators, parallel shard execution, zipfian(0.99)):
 
 from __future__ import annotations
 
-from repro.bench.experiments import (
-    USER_SWEEP_SESSIONS,
-    USER_SWEEP_SHARD_COUNTS,
-    figure_usersweep,
-)
+from repro.bench.experiments import FIGURES, USER_SWEEP_SESSIONS, USER_SWEEP_SHARD_COUNTS
 
 
 def test_usersweep_figure_shape(run_once, scale, jobs):
-    result = run_once(figure_usersweep, scale=scale, jobs=jobs)
+    result = run_once(FIGURES["usersweep"].parts[0], scale=scale, jobs=jobs)
     print()
     print(result.table())
 

@@ -505,68 +505,36 @@ def write_diff_report(path: str, entries: List[DiffEntry], errors: List[str]) ->
 
 
 # ------------------------------------------------------------- figure CLI
-def _figure_functions() -> Dict[str, List[Callable[..., Any]]]:
-    """Figure key -> list of figure functions (imported lazily: the
-    experiments module itself imports this runner)."""
-    from repro.bench import experiments as exp
+# The figure table (repro.bench.experiments.FIGURES) is imported inside the
+# functions that read it, never at module level: callers that only want the
+# grid runner (perf/ imports SCALE_PRESETS and derive_cell_seed from here)
+# must not pay for importing every figure's dependencies.
 
-    def gridded(func: Callable[..., Any]) -> Callable[..., Any]:
-        def call(scale: Scale, seed: int, jobs: Optional[int]) -> Any:
-            return func(scale=scale, seed=seed, jobs=jobs)
 
-        call.__name__ = func.__name__
-        call.uses_scale = True
-        return call
+def _run_part(
+    figure: "Figure", part: Any, scale: Scale, seed: int, jobs: Optional[int]  # noqa: F821
+) -> Any:
+    """Run one part of a declared figure with the arguments it takes."""
+    from repro.bench.experiments import Grid, sweep
 
-    def fixed(func: Callable[..., Any], **forwarded: Any) -> Callable[..., Any]:
-        """For figures with a bespoke, scale-independent setup (9, migrate,
-        Table 2): ``scale``/``jobs`` do not apply; ``forwarded`` names the
-        arguments that do (``seed``, and ``shards`` for figures whose
-        bespoke cluster honours the CLI's ``--shards``/``--shard-mode``
-        overrides)."""
-
-        def call(scale: Scale, seed: int, jobs: Optional[int]) -> Any:
-            kwargs = {"seed": seed} if "seed" in forwarded else {}
-            if forwarded.get("shards"):
-                # Forward --shards when the figure can honour it; below the
-                # figure's minimum (e.g. --shards 1 with migrate in an
-                # --figure all sweep) the bespoke default applies — an
-                # *explicitly selected* migrate with --shards 1 is rejected
-                # up front by the CLI instead.
-                shards = GRID_SPEC_OVERRIDES.get("shards")
-                if shards is not None and shards >= forwarded.get("min_shards", 1):
-                    kwargs["shards"] = shards
-                shard_mode = GRID_SPEC_OVERRIDES.get("shard_mode")
-                if shard_mode is not None:
-                    kwargs["shard_mode"] = shard_mode
-            return func(**kwargs)
-
-        call.__name__ = func.__name__
-        call.uses_scale = False
-        return call
-
-    return {
-        "5": [gridded(exp.figure_5a_throughput_uniform), gridded(exp.figure_5b_throughput_skew)],
-        "6": [
-            gridded(exp.figure_6a_latency_vs_throughput),
-            gridded(exp.figure_6b_latency_uniform),
-            gridded(exp.figure_6c_latency_skew),
-        ],
-        "7": [gridded(exp.figure_7_scalability)],
-        "8": [gridded(exp.figure_8_derecho)],
-        "9": [fixed(exp.figure_9_failure, seed=True, shards=True)],
-        "migrate": [fixed(exp.figure_migrate, seed=True, shards=True, min_shards=2)],
-        "flashcrowd": [fixed(exp.figure_flashcrowd, seed=True, shards=True, min_shards=2)],
-        "table2": [fixed(exp.table_2_features)],
-        "ablations": [gridded(exp.ablation_optimizations), gridded(exp.ablation_wings_batching)],
-        "openloop": [gridded(exp.figure_open_loop)],
-        "rmw": [gridded(exp.figure_rmw_mix)],
-        "shardscale": [gridded(exp.figure_shard_scale)],
-        "shardskew": [gridded(exp.figure_shard_scale_skew)],
-        "txn": [gridded(exp.figure_txn)],
-        "txngrid": [gridded(exp.figure_txn_grid)],
-        "usersweep": [gridded(exp.figure_usersweep)],
-    }
+    if isinstance(part, Grid):
+        return sweep(part, scale, seed, jobs)
+    if figure.scaled:
+        return part(scale=scale, seed=seed, jobs=jobs)
+    if not figure.sharded:
+        return part()  # a fixed table: no run arguments apply
+    kwargs: Dict[str, Any] = {"seed": seed}
+    # Forward --shards when the scenario can honour it; below its minimum
+    # (e.g. --shards 1 with migrate in an --figure all sweep) the scenario's
+    # own default applies — an *explicitly selected* figure with too few
+    # shards is rejected up front by the CLI instead.
+    shards = GRID_SPEC_OVERRIDES.get("shards")
+    if shards is not None and shards >= figure.min_shards:
+        kwargs["shards"] = shards
+    shard_mode = GRID_SPEC_OVERRIDES.get("shard_mode")
+    if shard_mode is not None:
+        kwargs["shard_mode"] = shard_mode
+    return part(**kwargs)
 
 
 def artifact_name(figure: str) -> str:
@@ -598,18 +566,17 @@ def run_figure(
     Returns:
         The artifact payload (also written to disk when requested).
     """
-    functions = _figure_functions().get(figure)
-    if functions is None:
-        raise BenchmarkError(
-            f"unknown figure {figure!r}; options: {sorted(_figure_functions())}"
-        )
-    # Record the scale only when it was actually applied: Figure 9 and
-    # Table 2 have bespoke, scale-independent setups, and stamping an
-    # unapplied scale into their artifacts would defeat artifact diffing.
-    uses_scale = any(getattr(func, "uses_scale", True) for func in functions)
+    from repro.bench.experiments import FIGURES
+
+    declared = FIGURES.get(figure)
+    if declared is None:
+        raise BenchmarkError(f"unknown figure {figure!r}; options: {sorted(FIGURES)}")
     payload: Dict[str, Any] = {
         "figure": figure,
-        "scale": scale.name if uses_scale else None,
+        # Record the scale only when it was actually applied: stamping an
+        # unapplied scale into a scale-independent figure's artifact would
+        # defeat artifact diffing.
+        "scale": scale.name if declared.scaled else None,
         "seed": seed,
         "results": [],
     }
@@ -618,8 +585,8 @@ def run_figure(
         # overrides prevents their artifacts from diffing clean against
         # (or silently replacing) the default baselines.
         payload["spec_overrides"] = dict(GRID_SPEC_OVERRIDES)
-    for func in functions:
-        result = func(scale, seed, jobs)
+    for part in declared.parts:
+        result = _run_part(declared, part, scale, seed, jobs)
         if print_tables:
             print(result.table())
             if result.notes:
@@ -634,8 +601,11 @@ def run_figure(
     return payload
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point (``python -m repro.bench.runner``)."""
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser; ``--figure`` choices come from the figure table."""
+    from repro.bench.experiments import FIGURES
+
+    scenarios = [key for key, figure in FIGURES.items() if figure.sharded]
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.runner",
         description="Reproduce paper figures on parallel workers and emit BENCH_*.json artifacts.",
@@ -644,10 +614,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--figure",
         action="append",
         dest="figures",
+        choices=[*FIGURES, "all"],
         metavar="FIG",
-        help="figure to run: 5, 6, 7, 8, 9, migrate, flashcrowd, table2, "
-        "ablations, openloop, rmw, shardscale, shardskew, txn, txngrid, "
-        "usersweep, or all (repeatable; default: all)",
+        help=f"figure to run: {', '.join(FIGURES)}, or all (repeatable; default: all)",
     )
     parser.add_argument(
         "--scale",
@@ -662,8 +631,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         metavar="S",
         help="override the key-range shard count of every grid cell; the "
-        "bespoke figures 9, migrate and flashcrowd run their scenario on "
-        "S shards (table2 is unaffected)",
+        f"bespoke figures {', '.join(scenarios[:-1])} and {scenarios[-1]} run "
+        "their scenario on S shards (fixed tables are unaffected)",
     )
     parser.add_argument(
         "--shard-mode",
@@ -703,15 +672,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="override a diff tolerance (path-substring = relative tolerance; "
         "repeatable, e.g. --diff-tolerance throughput=0.05)",
     )
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """CLI entry point (``python -m repro.bench.runner``)."""
+    from repro.bench.experiments import FIGURES
+
+    parser = build_parser()
     args = parser.parse_args(argv)
 
-    known = sorted(_figure_functions())
     figures = args.figures or ["all"]
     if "all" in figures:
-        figures = known
-    unknown = [f for f in figures if f not in known]
-    if unknown:
-        parser.error(f"unknown figure(s) {unknown}; options: {known + ['all']}")
+        figures = sorted(FIGURES)
 
     try:
         scale = resolve_scale(args.scale)
@@ -729,7 +702,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # Only when selected by name: a default/--figure all sweep with
         # --shards 1 runs the bespoke multi-shard figures at their own
         # default shard count instead (grid cells all run unsharded).
-        sharded_only = [f for f in ("migrate", "flashcrowd") if f in args.figures]
+        sharded_only = [f for f in FIGURES if FIGURES[f].min_shards > 1 and f in args.figures]
         if sharded_only:
             parser.error(
                 f"--figure {'/'.join(sharded_only)} needs at least two shards "
@@ -738,15 +711,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.shard_mode == "parallel" and (args.shards or 1) > 1:
         # Fail before any figure burns compute, with a clear message
         # instead of a mid-run traceback.
-        if "openloop" in figures:
-            # The open-loop sweep's Poisson sessions cannot be split across
-            # independent shard simulations (closed-loop replay only).
+        coupled_only = [f for f in figures if not FIGURES[f].parallel]
+        if any(not FIGURES[f].sharded for f in coupled_only):
+            # A coupled-only grid: the open-loop sweep's Poisson sessions
+            # cannot be split across independent shard simulations
+            # (closed-loop replay only).
             parser.error(
                 "--shard-mode parallel with --shards > 1 does not support the "
                 "open-loop figure (closed-loop clients only); use --shard-mode "
                 "coupled or select other figures"
             )
-        membership_figures = [f for f in figures if f in ("9", "migrate", "flashcrowd")]
+        membership_figures = [f for f in coupled_only if FIGURES[f].sharded]
         if membership_figures:
             # Membership/view-change scenarios need one shared simulation
             # that the RM service can reconfigure.

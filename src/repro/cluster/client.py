@@ -13,8 +13,8 @@ Three client models are provided:
 * :class:`AggregatedClient` — one generator per node statistically standing
   in for up to millions of open- or closed-loop sessions (see
   :mod:`repro.workloads.aggregate`): batched merged-Poisson arrival draws,
-  deterministic per-session keying, and a flat in-flight ring instead of
-  per-session objects.
+  deterministic per-session keying, and one in-flight dict per generator
+  instead of per-session objects.
 
 Clients are co-located with replicas, as in the paper's evaluation (§8
 discusses the external-client variant): each session is bound to one replica
@@ -89,11 +89,13 @@ class ClientSession:
         else:
             self._replica = cluster.replica(replica_id)
         self._sim = cluster.sim
-        # Per-operation completion context, keyed by op/txn id. Completion
-        # callbacks are the bound methods below — allocated once per
-        # session instead of one functools.partial per operation (a named
-        # hot-path allocation; ``cluster.client.self_share`` in perf/).
-        self._inflight: Dict[int, Tuple[float, float, int]] = {}
+        # Per-operation completion context, keyed by op/txn id: ``(start,
+        # response_lat, epoch)``, plus the firing session for aggregated
+        # generators. Completion callbacks are the bound methods below —
+        # allocated once per session instead of one functools.partial per
+        # operation (a named hot-path allocation; ``cluster.client.self_share``
+        # in perf/).
+        self._inflight: Dict[int, Tuple] = {}
         self._txn_inflight: Dict[int, Tuple[float, float, int]] = {}
         # Crash/recovery bookkeeping: ``_stalled`` is set when an issue is
         # skipped because the bound node is crashed; ``_epoch`` is bumped
@@ -463,73 +465,6 @@ class OpenLoopClient(ClientSession):
         self.cluster.sim.schedule(gap, self._arrival)
 
 
-class _InflightRing:
-    """Open-addressed in-flight context store keyed by op id.
-
-    Operation ids are globally increasing integers and an aggregated
-    generator keeps at most one arrival batch plus the operations in
-    service outstanding, so ``op_id & mask`` over a power-of-two table is
-    collision-free in steady state: one list store/clear per operation
-    replaces dict hashing. On the rare collision (e.g. entries leaked by
-    crash-dropped submissions) the table doubles, rehashing live entries.
-    """
-
-    __slots__ = ("_ids", "_ctx", "_mask", "size")
-
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity <= 0 or capacity & (capacity - 1):
-            raise ValueError("ring capacity must be a power of two")
-        self._ids: List[int] = [-1] * capacity
-        self._ctx: List[Optional[Tuple[float, float, int, int]]] = [None] * capacity
-        self._mask = capacity - 1
-        self.size = 0
-
-    def __contains__(self, op_id: int) -> bool:
-        return self._ids[op_id & self._mask] == op_id
-
-    def put(self, op_id: int, ctx: Tuple[float, float, int, int]) -> None:
-        """Store the completion context of one in-flight operation."""
-        slot = op_id & self._mask
-        if self._ids[slot] != -1:
-            self._grow(op_id)
-            slot = op_id & self._mask
-        self._ids[slot] = op_id
-        self._ctx[slot] = ctx
-        self.size += 1
-
-    def pop(self, op_id: int) -> Tuple[float, float, int, int]:
-        """Remove and return the context stored under ``op_id``."""
-        slot = op_id & self._mask
-        if self._ids[slot] != op_id:
-            raise KeyError(op_id)
-        self._ids[slot] = -1
-        ctx = self._ctx[slot]
-        self._ctx[slot] = None
-        self.size -= 1
-        assert ctx is not None
-        return ctx
-
-    def _grow(self, incoming_id: int) -> None:
-        live = [
-            (op_id, self._ctx[slot])
-            for slot, op_id in enumerate(self._ids)
-            if op_id != -1
-        ]
-        capacity = self._mask + 1
-        while True:
-            capacity *= 2
-            mask = capacity - 1
-            slots = {op_id & mask for op_id, _ in live}
-            if len(slots) == len(live) and (incoming_id & mask) not in slots:
-                break
-        ids: List[int] = [-1] * capacity
-        ctx: List[Optional[Tuple[float, float, int, int]]] = [None] * capacity
-        for op_id, entry in live:
-            ids[op_id & mask] = op_id
-            ctx[op_id & mask] = entry
-        self._ids, self._ctx, self._mask = ids, ctx, mask
-
-
 class AggregatedClient(ClientSession):
     """One generator statistically standing in for ``sessions`` sessions.
 
@@ -538,8 +473,8 @@ class AggregatedClient(ClientSession):
     :class:`repro.workloads.aggregate.AggregateArrivals`), synthesizes each
     firing session's next operation deterministically (SHA-256-folded
     session ids feeding the usual key distributions and txn steering), and
-    submits through the fused submit fast path. In-flight tracking is a
-    flat ring keyed by op id. Arrivals are pre-submitted one batch at a
+    submits through the fused submit fast path. In-flight contexts share the
+    session's op-id-keyed dict. Arrivals are pre-submitted one batch at a
     time — one simulator "pump" event per ``batch`` operations instead of
     one arrival event per operation.
 
@@ -586,7 +521,6 @@ class AggregatedClient(ClientSession):
         self._batch = batch
         self._schedule = schedule
         self._cursor = 0
-        self._ring = _InflightRing()
         self._record_agg_cb = self._record_agg
         self._started = False
         # Pump events carry a version token: a RECOVER restart bumps the
@@ -640,7 +574,7 @@ class AggregatedClient(ClientSession):
     @property
     def inflight(self) -> int:
         """Operations currently pre-submitted or in service."""
-        return self._ring.size
+        return len(self._inflight)
 
     def start(self) -> None:
         """Begin pumping arrivals (idempotent)."""
@@ -723,7 +657,7 @@ class AggregatedClient(ClientSession):
             self._stalled = True
             self._parked += 1
             return  # dropped at the node; see ClientSession._issue
-        self._ring.put(op.op_id, (issue_time, response_lat, self._epoch, session))
+        self._inflight[op.op_id] = (issue_time, response_lat, self._epoch, session)
         arrival = issue_time + request_lat
         if arrival > self._sim._now:
             replica.submit_at(arrival, op, self._record_agg_cb)
@@ -731,7 +665,7 @@ class AggregatedClient(ClientSession):
             replica.submit(op, self._record_agg_cb)
 
     def _record_agg(self, op: Operation, status: OpStatus, value: Value) -> None:
-        start, response_lat, epoch, session = self._ring.pop(op.op_id)
+        start, response_lat, epoch, session = self._inflight_pop(op.op_id)
         end = self._sim._now + response_lat
         if self.history is not None:
             self.history.respond(op, end, status, value)

@@ -16,7 +16,6 @@ from repro.cluster.sharding import ShardHost, ShardRouter
 from repro.core.config import HermesConfig
 from repro.core.replica import HermesReplica
 from repro.errors import ConfigurationError
-from repro.kvs.store import KeyValueStore
 from repro.membership.service import MembershipConfig, MembershipService
 from repro.membership.view import MembershipView
 from repro.protocols.base import ReplicaConfig, ReplicaNode, protocol_registry
@@ -204,7 +203,6 @@ class Cluster:
             self.network,
             self.view,
             config=self.config.replica,
-            store=KeyValueStore(track_index=self.config.replica.track_kvs_index),
             service_model=self.config.service_model,
             tracer=self.tracer,
             clock=clock,

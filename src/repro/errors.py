@@ -68,10 +68,6 @@ class KeyNotFound(KVSError):
     """The requested key is not present in the store."""
 
 
-class CapacityExceeded(KVSError):
-    """The store has reached its configured capacity."""
-
-
 class VerificationError(ReproError):
     """Base class for history / invariant verification errors."""
 

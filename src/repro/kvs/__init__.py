@@ -5,19 +5,13 @@ seqlocks for concurrent-read-concurrent-write (CRCW) access and with
 per-key protocol metadata. This package provides the equivalent substrate
 for a single-threaded simulation (each record's ``version`` is the sequence
 a seqlock would carry; there is no concurrent access to guard):
-
-* :mod:`repro.kvs.store` — the versioned key-value store with per-key
-  protocol metadata slots used by every replication protocol in the library.
-* :mod:`repro.kvs.mica` — a MICA-style lossy hash index with fixed-size
-  buckets, used to model the store's index structure and capacity behaviour.
+:mod:`repro.kvs.store` — the versioned key-value store with per-key protocol
+metadata slots used by every replication protocol in the library.
 """
 
-from repro.kvs.mica import Bucket, MicaIndex
 from repro.kvs.store import KeyValueStore, ValueRecord
 
 __all__ = [
-    "Bucket",
     "KeyValueStore",
-    "MicaIndex",
     "ValueRecord",
 ]

@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Optional, Tuple
 
-from repro.errors import CapacityExceeded, KeyNotFound
-from repro.kvs.mica import MicaIndex
+from repro.errors import KeyNotFound
 from repro.types import Key, Value
 
 
@@ -36,22 +35,10 @@ class ValueRecord:
 
 
 class KeyValueStore:
-    """A replica-local key-value store.
+    """A replica-local, unbounded key-value store."""
 
-    Args:
-        capacity: Optional maximum number of keys; exceeding it raises
-            :class:`CapacityExceeded`. ``None`` means unbounded.
-        track_index: Whether to maintain a MICA-style index alongside the
-            dict (adds realism for capacity studies at a small CPU cost).
-    """
-
-    def __init__(self, capacity: Optional[int] = None, track_index: bool = False) -> None:
+    def __init__(self) -> None:
         self._records: Dict[Key, ValueRecord] = {}
-        self._capacity = capacity
-        self._index: Optional[MicaIndex] = None
-        if track_index:
-            buckets = max(64, (capacity or 4096) // 4)
-            self._index = MicaIndex(num_buckets=buckets)
         self.reads = 0
         self.writes = 0
 
@@ -100,21 +87,11 @@ class KeyValueStore:
 
     # ---------------------------------------------------------------- write
     def put(self, key: Key, value: Value, meta: Any = None) -> ValueRecord:
-        """Insert or update ``key`` with ``value`` (and optional metadata).
-
-        Raises:
-            CapacityExceeded: when inserting a new key would exceed capacity.
-        """
+        """Insert or update ``key`` with ``value`` (and optional metadata)."""
         record = self._records.get(key)
         if record is None:
-            if self._capacity is not None and len(self._records) >= self._capacity:
-                raise CapacityExceeded(
-                    f"store capacity {self._capacity} reached inserting {key!r}"
-                )
             record = ValueRecord(value=value, meta=meta)
             self._records[key] = record
-            if self._index is not None:
-                self._index.insert(key)
         else:
             record.value = value
             if meta is not None:
@@ -131,12 +108,7 @@ class KeyValueStore:
 
     def delete(self, key: Key) -> bool:
         """Remove ``key``; returns whether it was present."""
-        removed = self._records.pop(key, None)
-        if removed is None:
-            return False
-        if self._index is not None:
-            self._index.remove(key)
-        return True
+        return self._records.pop(key, None) is not None
 
     # ------------------------------------------------------------- bulk ops
     def snapshot(self) -> Dict[Key, Value]:

@@ -71,13 +71,16 @@ class ReplicaConfig:
     Attributes:
         key_size: Wire size of a key in bytes (paper uses 8).
         value_size: Wire size of a value in bytes (paper uses 32 by default).
-        track_kvs_index: Whether the KVS maintains its MICA-style index.
+        track_kvs_index: Retired (always ``False``, not settable, never
+            read). It stays only because this config's repr is part of the
+            derived seed of every grid cell whose spec carries a
+            ``HermesConfig``; dropping it would re-seed those cells.
         clock: Loosely-synchronized-clock parameters.
     """
 
     key_size: int = 8
     value_size: int = 32
-    track_kvs_index: bool = False
+    track_kvs_index: bool = field(default=False, init=False)
     clock: ClockConfig = field(default_factory=ClockConfig)
 
     def validate(self) -> None:
@@ -121,7 +124,7 @@ class ReplicaNode(NodeProcess):
         self.config = config or ReplicaConfig()
         self.config.validate()
         self.view = view
-        self.store = store or KeyValueStore(track_index=self.config.track_kvs_index)
+        self.store = store or KeyValueStore()
         if self._sanitizer is not None:
             # Cross-replica guard: while any handler runs, only this replica
             # (or its ShardHost, which reads guest stores during migration)

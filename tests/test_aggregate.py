@@ -1,7 +1,7 @@
 """Tests for the aggregated million-session client model.
 
 Covers the generation layer (``repro.workloads.aggregate``), the
-``AggregatedClient`` in-flight ring and crash handling, spec validation,
+``AggregatedClient`` in-flight store and crash handling, spec validation,
 statistical equivalence against the per-session open-loop model at matched
 offered load, identity-neutral cell seeding, and determinism across worker
 counts.
@@ -21,7 +21,7 @@ from repro.bench.harness import (
     run_experiment,
 )
 from repro.bench.runner import derive_cell_seed, run_specs
-from repro.cluster.client import AggregatedClient, _InflightRing, run_clients
+from repro.cluster.client import AggregatedClient, run_clients
 from repro.cluster.failures import FailureEvent, FailureInjector
 from repro.errors import BenchmarkError, WorkloadError
 from repro.sim.rng import SeededRNG
@@ -103,35 +103,28 @@ def test_session_stream_distinct_ops_draw_distinct_values():
     assert len(seen) == 100
 
 
-# ------------------------------------------------------------- inflight ring
-def test_inflight_ring_roundtrip_and_size():
-    ring = _InflightRing(capacity=4)
-    ring.put(10, (1.0, 2.0, 0, 5))
-    assert 10 in ring
-    assert ring.size == 1
-    assert ring.pop(10) == (1.0, 2.0, 0, 5)
-    assert 10 not in ring
-    assert ring.size == 0
-
-
-def test_inflight_ring_pop_missing_raises():
-    ring = _InflightRing(capacity=4)
-    with pytest.raises(KeyError):
-        ring.pop(3)
-
-
-def test_inflight_ring_grows_on_collision_preserving_entries():
-    ring = _InflightRing(capacity=4)
-    ring.put(1, (1.0, 0.0, 0, 1))
-    ring.put(5, (5.0, 0.0, 0, 5))  # 5 & 3 == 1: collision forces growth
-    assert ring.size == 2
-    assert ring.pop(1) == (1.0, 0.0, 0, 1)
-    assert ring.pop(5) == (5.0, 0.0, 0, 5)
-
-
-def test_inflight_ring_rejects_non_power_of_two():
-    with pytest.raises(ValueError):
-        _InflightRing(capacity=6)
+# ------------------------------------------------------------ in-flight store
+def test_aggregated_inflight_counts_outstanding_ops_and_drains():
+    """``inflight`` counts pre-submitted and in-service operations."""
+    cluster = make_cluster("hermes", 3)
+    workload = small_workload(write_ratio=0.2, num_keys=50, seed=13)
+    client = AggregatedClient(
+        client_id=0,
+        cluster=cluster,
+        workload=workload,
+        sessions=5000,
+        max_ops=2000,
+        rate=1e5,
+        replica_id=0,
+    )
+    samples = []
+    cluster.sim.schedule_at(
+        5e-3, lambda: samples.append((client.inflight, client.issued - client.completed))
+    )
+    run_clients(cluster, [client], max_time=0.2)
+    [(inflight, outstanding)] = samples
+    assert inflight == outstanding > 0
+    assert client.completed == 2000 and client.inflight == 0
 
 
 # ------------------------------------------------------------ split/arrivals

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench.experiments import FIGURES, Grid, sweep
 from repro.bench.harness import ExperimentSpec, Scale
 from repro.bench.runner import (
     artifact_name,
@@ -102,19 +103,26 @@ def test_run_specs_strips_raw_results_by_default():
 
 
 # ------------------------------------------------------------- artifacts
-def test_figure_artifact_identical_for_any_worker_count(tmp_path):
-    from repro.bench.experiments import _throughput_sweep
+def tiny_sweep(protocols, write_ratios, jobs):
+    """A tiny write-ratio grid tabulated by Figure 5's row reducer."""
+    grid = Grid(
+        title="tiny sweep",
+        headers=["write_ratio", *protocols],
+        notes="",
+        cells=lambda scale: [
+            ((protocol, ratio), tiny_spec(protocol=protocol, write_ratio=ratio))
+            for ratio in write_ratios
+            for protocol in protocols
+        ],
+        rows=FIGURES["5"].parts[0].rows,
+    )
+    return sweep(grid, TINY, jobs=jobs)
 
+
+def test_figure_artifact_identical_for_any_worker_count(tmp_path):
     dumps = []
     for jobs in (1, 3):
-        figure = _throughput_sweep(
-            "tiny sweep",
-            None,
-            TINY,
-            protocols=("hermes", "craq"),
-            write_ratios=(0.05, 0.5),
-            jobs=jobs,
-        )
+        figure = tiny_sweep(("hermes", "craq"), (0.05, 0.5), jobs)
         path = tmp_path / f"jobs{jobs}.json"
         write_artifact(str(path), figure_to_dict(figure))
         dumps.append(path.read_bytes())
@@ -122,11 +130,7 @@ def test_figure_artifact_identical_for_any_worker_count(tmp_path):
 
 
 def test_figure_to_dict_flattens_tuple_keys():
-    from repro.bench.experiments import _throughput_sweep
-
-    figure = _throughput_sweep(
-        "tiny sweep", None, TINY, protocols=("hermes",), write_ratios=(0.2,), jobs=1
-    )
+    figure = tiny_sweep(("hermes",), (0.2,), jobs=1)
     payload = figure_to_dict(figure)
     assert payload["data"] == {"hermes,0.2": figure.data[("hermes", 0.2)]}
     json.dumps(payload)  # round-trippable
