@@ -211,6 +211,67 @@ class ExperimentSpec:
     membership: Optional[MembershipConfig] = None
     allow_incomplete: bool = False
 
+    def validate(self) -> None:
+        """Raise :class:`~repro.errors.BenchmarkError` for an invalid spec.
+
+        The one check of how the spec's fields combine; the cluster it
+        builds is validated separately by :meth:`ClusterConfig.validate`.
+        """
+        if self.ops_per_client < 1 or self.clients_per_replica < 1:
+            raise BenchmarkError("experiment requires at least one client and one operation")
+        if self.shards < 1:
+            raise BenchmarkError("shards must be >= 1")
+        if self.shard_mode not in SHARD_MODES:
+            raise BenchmarkError(
+                f"unknown shard_mode {self.shard_mode!r}; options: {SHARD_MODES}"
+            )
+        if self.client_model not in ("closed", "open", "aggregated"):
+            raise BenchmarkError(
+                f"unknown client_model {self.client_model!r}; "
+                "options: 'closed', 'open', 'aggregated'"
+            )
+        if self.client_model == "aggregated":
+            if self.sessions < 0:
+                raise BenchmarkError("sessions must be >= 0")
+            if not self.offered_load and self.session_think_time <= 0:
+                raise BenchmarkError(
+                    "aggregated experiments need an offered_load (open loop) or "
+                    "a positive session_think_time (closed loop)"
+                )
+        elif self.sessions:
+            raise BenchmarkError(
+                "the sessions knob requires client_model='aggregated' "
+                "(per-session models simulate num_replicas * clients_per_replica "
+                "sessions)"
+            )
+        parallel = self.shards > 1 and self.shard_mode == "parallel"
+        if parallel:
+            aggregated_open = self.client_model == "aggregated" and bool(self.offered_load)
+            if self.client_model != "closed" and not aggregated_open:
+                raise BenchmarkError(
+                    "parallel shard execution supports closed-loop clients and "
+                    "open-loop aggregated generators only; use "
+                    "shard_mode='coupled' for other sharded experiments"
+                )
+        if not 0.0 <= self.txn_fraction <= 1.0:
+            raise BenchmarkError("txn_fraction must be within [0, 1]")
+        if self.txn_fraction > 0 and parallel:
+            raise BenchmarkError(
+                "transactions require shard_mode='coupled': parallel shard "
+                "execution runs shards as independent simulations, which cannot "
+                "exchange cross-shard 2PC traffic"
+            )
+        if parallel and (self.faults or self.run_membership or self.migrations or self.membership):
+            raise BenchmarkError(
+                "fault schedules, membership and migrations require "
+                "shard_mode='coupled': parallel shard execution runs shards as "
+                "independent simulations with disjoint failure domains"
+            )
+        if self.migrations and self.shards < 2:
+            raise BenchmarkError("planned migrations require shards >= 2")
+        if self.client_model == "open" and (not self.offered_load or self.offered_load <= 0):
+            raise BenchmarkError("open-loop experiments require a positive offered_load")
+
     def with_scale(self, scale: Scale) -> "ExperimentSpec":
         """A copy of this spec resized to the given scale preset."""
         return replace(
@@ -311,19 +372,23 @@ def aggregated_sessions(spec: ExperimentSpec) -> int:
     return spec.sessions or spec.num_replicas * spec.clients_per_replica
 
 
-def _build_aggregated_clients(
-    spec: ExperimentSpec, cluster: Cluster, workload: WorkloadMix, history: Optional[History]
+def _aggregated_clients(
+    spec: ExperimentSpec,
+    cluster: Cluster,
+    workload: WorkloadMix,
+    history: Optional[History],
+    schedules: Optional[List[List[ScheduleEntry]]] = None,
 ) -> List[ClientSession]:
     """One AggregatedClient generator per node, sessions split across them.
 
     The per-node operation budget matches the per-session models
     (``clients_per_replica * ops_per_client``), so matched-load comparisons
-    against ``client_model="open"`` complete the same operation count.
+    against ``client_model="open"`` complete the same operation count. With
+    ``schedules`` each generator replays its node's materialized schedule
+    instead (parallel shard execution).
     """
     node_ids = cluster.node_ids
     session_counts = split_sessions(aggregated_sessions(spec), len(node_ids))
-    ops_budget = spec.clients_per_replica * spec.ops_per_client
-    open_loop = bool(spec.offered_load)
     clients: List[ClientSession] = []
     base = 0
     for index, node_id in enumerate(node_ids):
@@ -333,68 +398,60 @@ def _build_aggregated_clients(
                 cluster=cluster,
                 workload=workload,
                 sessions=session_counts[index],
-                max_ops=ops_budget,
-                rate=spec.offered_load / len(node_ids) if open_loop else None,
+                max_ops=spec.clients_per_replica * spec.ops_per_client,
+                rate=spec.offered_load / len(node_ids) if spec.offered_load else None,
                 think_time=spec.session_think_time,
                 replica_id=node_id,
                 history=history,
                 session_base=base,
-                rng=SeededRNG(spec.seed).child(f"aggregated-node-{index}"),
+                schedule=None if schedules is None else schedules[index],
             )
         )
         base += session_counts[index]
     return clients
 
 
+def _session_slots(spec: ExperimentSpec, cluster: Cluster):
+    """``(client_id, node_id)`` of every per-session client, in node order."""
+    return enumerate(
+        node_id for node_id in cluster.node_ids for _ in range(spec.clients_per_replica)
+    )
+
+
 def build_clients(
     spec: ExperimentSpec, cluster: Cluster, workload: WorkloadMix, history: Optional[History]
 ) -> List[ClientSession]:
     """Construct the client sessions described by an experiment spec."""
-    if spec.client_model not in ("closed", "open", "aggregated"):
-        raise BenchmarkError(
-            f"unknown client_model {spec.client_model!r}; "
-            "options: 'closed', 'open', 'aggregated'"
-        )
+    spec.validate()
     if spec.client_model == "aggregated":
-        return _build_aggregated_clients(spec, cluster, workload, history)
-    open_loop = spec.client_model == "open"
-    if open_loop:
-        if not spec.offered_load or spec.offered_load <= 0:
-            raise BenchmarkError("open-loop experiments require a positive offered_load")
-        total_sessions = spec.num_replicas * spec.clients_per_replica
-        rate_per_client = spec.offered_load / total_sessions
-    clients: List[ClientSession] = []
-    client_id = 0
-    for node_id in cluster.node_ids:
-        for _ in range(spec.clients_per_replica):
-            if open_loop:
-                clients.append(
-                    OpenLoopClient(
-                        client_id=client_id,
-                        cluster=cluster,
-                        workload=workload,
-                        rate=rate_per_client,
-                        max_ops=spec.ops_per_client,
-                        replica_id=node_id,
-                        history=history,
-                        rng=random.Random(
-                            (spec.seed * 1_000_003 + 7_919 * (client_id + 1)) & 0x7FFFFFFF
-                        ),
-                    )
-                )
-            else:
-                clients.append(
-                    ClosedLoopClient(
-                        client_id=client_id,
-                        cluster=cluster,
-                        workload=workload,
-                        max_ops=spec.ops_per_client,
-                        replica_id=node_id,
-                        history=history,
-                    )
-                )
-            client_id += 1
-    return clients
+        return _aggregated_clients(spec, cluster, workload, history)
+    if spec.client_model == "open":
+        assert spec.offered_load  # validate(): open loops need a positive load
+        rate = spec.offered_load / (spec.num_replicas * spec.clients_per_replica)
+        return [
+            OpenLoopClient(
+                client_id=client_id,
+                cluster=cluster,
+                workload=workload,
+                rate=rate,
+                max_ops=spec.ops_per_client,
+                replica_id=node_id,
+                history=history,
+                rng=random.Random((spec.seed * 1_000_003 + 7_919 * (client_id + 1)) & 0x7FFFFFFF),
+            )
+            for client_id, node_id in _session_slots(spec, cluster)
+        ]
+    return [
+        ClosedLoopClient(
+            client_id=client_id,
+            cluster=cluster,
+            workload=workload,
+            max_ops=spec.ops_per_client,
+            replica_id=node_id,
+            history=history,
+        )
+        for client_id, node_id in _session_slots(spec, cluster)
+    ]
 
 
 def _summarize(
@@ -454,62 +511,6 @@ def _reduce_run(
     return result
 
 
-def _validate_spec(spec: ExperimentSpec) -> None:
-    if spec.ops_per_client < 1 or spec.clients_per_replica < 1:
-        raise BenchmarkError("experiment requires at least one client and one operation")
-    if spec.shards < 1:
-        raise BenchmarkError("shards must be >= 1")
-    if spec.shard_mode not in SHARD_MODES:
-        raise BenchmarkError(
-            f"unknown shard_mode {spec.shard_mode!r}; options: {SHARD_MODES}"
-        )
-    if spec.client_model not in ("closed", "open", "aggregated"):
-        raise BenchmarkError(
-            f"unknown client_model {spec.client_model!r}; "
-            "options: 'closed', 'open', 'aggregated'"
-        )
-    if spec.client_model == "aggregated":
-        if spec.sessions < 0:
-            raise BenchmarkError("sessions must be >= 0")
-        if not spec.offered_load and spec.session_think_time <= 0:
-            raise BenchmarkError(
-                "aggregated experiments need an offered_load (open loop) or "
-                "a positive session_think_time (closed loop)"
-            )
-    elif spec.sessions:
-        raise BenchmarkError(
-            "the sessions knob requires client_model='aggregated' "
-            "(per-session models simulate num_replicas * clients_per_replica "
-            "sessions)"
-        )
-    if spec.shards > 1 and spec.shard_mode == "parallel":
-        aggregated_open = spec.client_model == "aggregated" and bool(spec.offered_load)
-        if spec.client_model != "closed" and not aggregated_open:
-            raise BenchmarkError(
-                "parallel shard execution supports closed-loop clients and "
-                "open-loop aggregated generators only; use "
-                "shard_mode='coupled' for other sharded experiments"
-            )
-    if not 0.0 <= spec.txn_fraction <= 1.0:
-        raise BenchmarkError("txn_fraction must be within [0, 1]")
-    if spec.txn_fraction > 0 and spec.shards > 1 and spec.shard_mode == "parallel":
-        raise BenchmarkError(
-            "transactions require shard_mode='coupled': parallel shard "
-            "execution runs shards as independent simulations, which cannot "
-            "exchange cross-shard 2PC traffic"
-        )
-    if spec.shards > 1 and spec.shard_mode == "parallel" and (
-        spec.faults or spec.run_membership or spec.migrations or spec.membership
-    ):
-        raise BenchmarkError(
-            "fault schedules, membership and migrations require "
-            "shard_mode='coupled': parallel shard execution runs shards as "
-            "independent simulations with disjoint failure domains"
-        )
-    if spec.migrations and spec.shards < 2:
-        raise BenchmarkError("planned migrations require shards >= 2")
-
-
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run one experiment end to end and reduce its results.
 
@@ -518,7 +519,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     them over worker processes) and merges the metrics — the merged result
     is identical either way.
     """
-    _validate_spec(spec)
+    spec.validate()
     if spec.shards > 1 and spec.shard_mode == "parallel":
         parts = [run_shard_experiment(spec, shard) for shard in range(spec.shards)]
         return merge_shard_results(spec, parts)
@@ -557,13 +558,13 @@ def _aggregated_schedules(
     """Materialize every generator's *unsharded* open-loop timed schedule.
 
     Seed derivation (one :class:`SeededRNG` child per node index) matches
-    :func:`_build_aggregated_clients` exactly, so a parallel-sharded run
-    replays the very op stream — same times, keys, latencies — a coupled
-    run of the same spec would draw live.
+    :class:`~repro.cluster.client.AggregatedClient` exactly, so a
+    parallel-sharded run replays the very op stream — same times, keys,
+    latencies — a coupled run of the same spec would draw live.
     """
     session_counts = split_sessions(aggregated_sessions(spec), spec.num_replicas)
     ops_budget = spec.clients_per_replica * spec.ops_per_client
-    assert spec.offered_load  # _validate_spec: parallel aggregated is open-loop
+    assert spec.offered_load  # validate(): parallel aggregated is open-loop
     rate_per_node = spec.offered_load / spec.num_replicas
     schedules: List[List[ScheduleEntry]] = []
     base = 0
@@ -594,7 +595,7 @@ def run_shard_experiment(spec: ExperimentSpec, shard: int) -> ExperimentResult:
     operation stream is invariant under the shard count. Aggregated-model
     specs replay the generators' materialized timed schedules the same way.
     """
-    _validate_spec(spec)
+    spec.validate()
     router = ShardRouter(spec.shards)
     base_workload = build_workload(spec)
     total_sessions = spec.num_replicas * spec.clients_per_replica
@@ -625,41 +626,22 @@ def run_shard_experiment(spec: ExperimentSpec, shard: int) -> ExperimentResult:
     cluster.preload(dataset)
 
     history = History() if spec.record_history else None
-    clients: List[ClientSession] = []
+    clients: List[ClientSession]
     if aggregated:
-        session_counts = split_sessions(aggregated_sessions(spec), spec.num_replicas)
-        base = 0
-        for index, node_id in enumerate(cluster.node_ids):
-            clients.append(
-                AggregatedClient(
-                    client_id=index,
-                    cluster=cluster,
-                    workload=base_workload,
-                    sessions=session_counts[index],
-                    max_ops=0,  # scripted mode: the schedule is the budget
-                    replica_id=node_id,
-                    history=history,
-                    session_base=base,
-                    schedule=shard_schedules[index],
-                )
-            )
-            base += session_counts[index]
+        clients = _aggregated_clients(spec, cluster, base_workload, history, shard_schedules)
     else:
         scripted = ScriptedOps(scripts, seed=shard_seed)
-        client_id = 0
-        for node_id in cluster.node_ids:
-            for _ in range(spec.clients_per_replica):
-                clients.append(
-                    ClosedLoopClient(
-                        client_id=client_id,
-                        cluster=cluster,
-                        workload=scripted,
-                        max_ops=scripted.ops_for(client_id),
-                        replica_id=node_id,
-                        history=history,
-                    )
-                )
-                client_id += 1
+        clients = [
+            ClosedLoopClient(
+                client_id=client_id,
+                cluster=cluster,
+                workload=scripted,
+                max_ops=scripted.ops_for(client_id),
+                replica_id=node_id,
+                history=history,
+            )
+            for client_id, node_id in _session_slots(spec, cluster)
+        ]
 
     duration = run_clients(cluster, clients, max_time=spec.max_sim_time)
     return _reduce_run(sub_spec, cluster, clients, duration, history)

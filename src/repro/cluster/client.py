@@ -1,6 +1,7 @@
 """Client sessions driving a replicated deployment.
 
-Three client models are provided:
+Three client models share one session contract, :class:`ClientSession`, and
+differ only in their arrival process:
 
 * :class:`ClosedLoopClient` — issues the next request only after the previous
   one completed (optionally with think time). Sweeping the number of
@@ -12,9 +13,8 @@ Three client models are provided:
   regardless of completions, modelling external load.
 * :class:`AggregatedClient` — one generator per node statistically standing
   in for up to millions of open- or closed-loop sessions (see
-  :mod:`repro.workloads.aggregate`): batched merged-Poisson arrival draws,
-  deterministic per-session keying, and one in-flight dict per generator
-  instead of per-session objects.
+  :mod:`repro.workloads.aggregate`): batched merged-Poisson arrival draws and
+  deterministic per-session keying instead of per-session objects.
 
 Clients are co-located with replicas, as in the paper's evaluation (§8
 discusses the external-client variant): each session is bound to one replica
@@ -59,13 +59,27 @@ CLIENT_LATENCY_JITTER = 0.05
 
 
 class ClientSession:
-    """Common machinery for client sessions (result/history recording)."""
+    """The submit/record/recover contract every client model shares.
+
+    A model supplies only its arrival process, as three hooks:
+    :meth:`_arrive` (run by :meth:`start` and by a recovery restart),
+    :meth:`_completed` (run inline when a request completes) and
+    :meth:`_resume` (whether a recovery of the bound node restarts the
+    arrivals). Everything else is one path for all models: :meth:`_submit`,
+    :meth:`_record` / :meth:`_record_txn`, the in-flight dict and the
+    recovery handler.
+
+    Args:
+        max_ops: The operation budget; the session is :attr:`done` once that
+            many requests completed.
+    """
 
     def __init__(
         self,
         client_id: int,
         cluster: Cluster,
         workload: WorkloadMix,
+        max_ops: int,
         replica_id: Optional[NodeId] = None,
         history: Optional[History] = None,
         request_latency: float = DEFAULT_REQUEST_LATENCY,
@@ -73,6 +87,7 @@ class ClientSession:
         self.client_id = client_id
         self.cluster = cluster
         self.workload = workload
+        self.max_ops = max_ops
         self.history = history
         if replica_id is None:
             replica_id = cluster.node_ids[client_id % len(cluster.node_ids)]
@@ -89,22 +104,24 @@ class ClientSession:
         else:
             self._replica = cluster.replica(replica_id)
         self._sim = cluster.sim
-        # Per-operation completion context, keyed by op/txn id: ``(start,
-        # response_lat, epoch)``, plus the firing session for aggregated
-        # generators. Completion callbacks are the bound methods below —
+        # Per-request completion context, keyed by op/txn id (one id counter
+        # feeds both): ``(issue time, response-leg latency, epoch, firing
+        # session)``. Completion callbacks are the bound methods below —
         # allocated once per session instead of one functools.partial per
         # operation (a named hot-path allocation; ``cluster.client.self_share``
         # in perf/).
-        self._inflight: Dict[int, Tuple] = {}
-        self._txn_inflight: Dict[int, Tuple[float, float, int]] = {}
-        # Crash/recovery bookkeeping: ``_stalled`` is set when an issue is
-        # skipped because the bound node is crashed; ``_epoch`` is bumped
-        # when the node recovers so that completions of operations issued
-        # before the recovery cannot double-start the closed loop's
-        # completion chain (ops submitted with a future arrival survive a
-        # crash+recover window and complete after the chain restarted).
+        self._inflight: Dict[int, Tuple[float, float, int, int]] = {}
+        # Crash/recovery bookkeeping. ``_stalled`` is set when a submission
+        # is skipped because the bound node is crashed. ``_epoch`` is bumped
+        # when the node recovers, so completions of requests issued before
+        # the recovery cannot chain a second request stream (a submission
+        # with a future arrival survives a crash+recover window and
+        # completes after the arrivals restarted). ``_version`` retires
+        # arrival events a recovery superseded.
         self._epoch = 0
+        self._version = 0
         self._stalled = False
+        self._started = False
         self.request_latency = request_latency
         # Per-client deterministic stream for request/response latency
         # jitter, drawn in issue order (bind .random once; it is consumed
@@ -130,146 +147,100 @@ class ClientSession:
         #: member-operation count.
         self.txns_committed = 0
         self.txns_aborted = 0
-        # Only sessions that actually override on_complete (e.g. closed-loop
-        # issuance) pay for a completion event per operation.
-        self._wants_completion_hook = (
-            type(self).on_complete is not ClientSession.on_complete
-        )
+        cluster.on_recover(replica_id, self._node_recovered)
 
-    # ------------------------------------------------------------ bookkeeping
-    def _draw_latencies(self) -> "tuple[float, float]":
-        """Jittered (request, response) latencies for one operation."""
-        base = self.request_latency
-        if base <= 0:
-            return 0.0, 0.0
-        rnd = self._lat_random
-        jitter = CLIENT_LATENCY_JITTER
-        return (
-            base * (1.0 + (rnd() * 2.0 - 1.0) * jitter),
-            base * (1.0 + (rnd() * 2.0 - 1.0) * jitter),
-        )
+    @property
+    def done(self) -> bool:
+        """Whether the session has completed its whole operation budget."""
+        return self.completed >= self.max_ops
 
-    def _replica_for(self, op: Operation):
-        """The replica serving ``op`` (shard-routed on sharded clusters)."""
-        replica = self._replica
-        if replica is None:
-            return self._shard_replicas[self._shard_of(op.key)]
-        return replica
-
-    def _issue(self, op: Operation) -> None:
-        if op.__class__ is Transaction:
-            self._issue_txn(op)
+    def start(self) -> None:
+        """Begin issuing requests (idempotent)."""
+        if self._started:
             return
-        self.issued += 1
-        start = self.cluster.sim.now
-        if self.history is not None:
-            self.history.invoke(op, start)
-        request_lat, response_lat = self._draw_latencies()
-        replica = self._replica_for(op)
-        if replica.crashed:
-            # The node would silently drop the submission anyway (the op
-            # stays pending in the history); skipping it here keeps the
-            # in-flight context dict from accumulating dead entries. The
-            # stall flag lets a later RECOVER restart the session.
-            self._stalled = True
-            return
-        if request_lat > 0:
-            self._inflight[op.op_id] = (start, response_lat, self._epoch)
-            replica.submit_at(start + request_lat, op, self._record)
-        else:
-            self._submit(op, start)
+        self._started = True
+        self._sim.call_soon(self._arrive, self._version)
 
-    # ----------------------------------------------------------- transactions
-    def _txn_node(self):
-        """The node process receiving this session's transaction hand-offs."""
+    # ------------------------------------------------------ the model hooks
+    def _arrive(self, version: int) -> None:
+        """Issue the next arrival(s) (an engine event; see :meth:`start`)."""
+        raise NotImplementedError
+
+    def _completed(self, end: float, session: int) -> None:
+        """Run inline when a request of the current epoch completes while
+        budget is left; ``end`` is the client-side completion time."""
+
+    def _resume(self) -> bool:
+        """Whether a recovery of the bound node restarts the arrivals."""
+        return False
+
+    # ------------------------------------------------------------ submission
+    def _node(self):
+        """The bound node's process: its replica, or its shard host."""
         if self._replica is not None:
             return self._replica
         return self.cluster.hosts[self.replica_id]
 
-    def _issue_txn(self, txn: Transaction, issue_time: Optional[float] = None) -> None:
-        """Issue a multi-key transaction to the bound node's 2PC coordinator.
+    def _submit(
+        self,
+        op,
+        issue_time: float,
+        request_lat: Optional[float] = None,
+        response_lat: float = 0.0,
+        session: int = 0,
+    ) -> None:
+        """Issue ``op`` (an operation or a transaction) at ``issue_time``.
 
-        ``issue_time`` may lie in the future (the closed loop's collapsed
-        completion chain); the hand-off enters the node's arrival inbox at
-        ``issue_time + request_latency`` like any other client request.
+        The request enters the serving node's arrival inbox at ``issue_time
+        + request_lat``, which is never in the past: ``submit_at`` at the
+        current instant is exactly ``submit``. ``request_lat=None`` draws
+        both legs from the session's jitter stream, and transactions always
+        do (an aggregated arrival pre-draws the legs of single operations
+        only). A crashed serving node would silently drop the submission
+        (the op stays pending in the history); it is skipped here instead,
+        keeping the in-flight dict free of dead entries, and the stall flag
+        lets a later RECOVER restart the session.
         """
         self.issued += 1
-        sim_now = self._sim._now
-        if issue_time is None:
-            issue_time = sim_now
-        if self.history is not None:
-            self.history.invoke_txn(txn, issue_time)
-        request_lat, response_lat = self._draw_latencies()
-        node = self._txn_node()
+        txn = op.__class__ is Transaction
+        if request_lat is None or txn:
+            base = self.request_latency
+            if base > 0:
+                rnd = self._lat_random
+                request_lat = base * (1.0 + (rnd() * 2.0 - 1.0) * CLIENT_LATENCY_JITTER)
+                response_lat = base * (1.0 + (rnd() * 2.0 - 1.0) * CLIENT_LATENCY_JITTER)
+            else:
+                request_lat = response_lat = 0.0
+        history = self.history
+        if txn:
+            if history is not None:
+                history.invoke_txn(op, issue_time)
+            node = self._node()
+        else:
+            if history is not None:
+                history.invoke(op, issue_time)
+            node = self._replica
+            if node is None:
+                node = self._shard_replicas[self._shard_of(op.key)]
         if node.crashed:
             self._stalled = True
-            return  # dropped at the node; see _issue
-        self._txn_inflight[txn.txn_id] = (issue_time, response_lat, self._epoch)
-        submit = ClientTxnSubmit(txn, self._record_txn)
-        config = self.cluster.config.replica
-        size = ops_wire_size(txn.ops, config.key_size, config.value_size)
-        arrival = issue_time + request_lat
-        if arrival > sim_now:
-            node.submit_local_at(arrival, submit, size_bytes=size)
-        else:
-            node.submit_local(submit, size_bytes=size)
-
-    def _record_txn(self, txn: Transaction, outcome: TxnOutcome) -> None:
-        start, response_lat, epoch = self._txn_inflight.pop(txn.txn_id)
-        end = self._sim._now + response_lat
-        status = outcome.status
-        if self.history is not None:
-            self.history.respond_txn(txn, end, status, outcome.values, outcome.commit_times)
-        self.completed += 1
-        if status is OpStatus.OK:
-            self.txns_committed += 1
-        else:
-            if status is OpStatus.ABORTED:
-                self.aborted += 1
-            self.txns_aborted += 1
-        committed = status is OpStatus.OK
-        served_by = self.replica_id
-        for op in txn.ops:
-            if committed:
-                value = outcome.values.get(op.op_id) if op.op_type is OpType.READ else op.value
-            else:
-                value = None
-            self.results.append(
-                OperationResult(
-                    op=op,
-                    status=status,
-                    value=value,
-                    start_time=start,
-                    end_time=end,
-                    served_by=served_by,
-                )
-            )
-        if epoch == self._epoch:
-            # A stale epoch means the bound node recovered (and the chain
-            # restarted) after this transaction was issued: record the
-            # result above but do not double-start the completion chain.
-            self._completion_chain(response_lat)
-        if not self._wants_completion_hook:
             return
-        if response_lat > 0:
-            self.cluster.sim.schedule(response_lat, self.on_complete, txn.ops[0], status, None)
+        arrival = issue_time + request_lat
+        if txn:
+            self._inflight[op.txn_id] = (issue_time, response_lat, self._epoch, session)
+            config = self.cluster.config.replica
+            node.submit_local_at(
+                arrival,
+                ClientTxnSubmit(op, self._record_txn),
+                size_bytes=ops_wire_size(op.ops, config.key_size, config.value_size),
+            )
         else:
-            self.on_complete(txn.ops[0], status, None)
+            self._inflight[op.op_id] = (issue_time, response_lat, self._epoch, session)
+            node.submit_at(arrival, op, self._record_cb)
 
-    def _submit(self, op: Operation, start: float) -> None:
-        replica = self._replica_for(op)
-        if replica.crashed:
-            self._stalled = True
-            return  # dropped at the node; see _issue
-        self._inflight[op.op_id] = (start, 0.0, self._epoch)
-        replica.submit(op, self._record)
-
+    # ------------------------------------------------------------- recording
     def _record(self, op: Operation, status: OpStatus, value: Value) -> None:
-        # The per-operation context (issue time, response-leg latency) is
-        # keyed by op id in ``_inflight``: one dict store+pop per operation
-        # replaces the functools.partial allocation each completion
-        # callback used to cost.
-        start, response_lat, epoch = self._inflight_pop(op.op_id)
+        start, response_lat, epoch, session = self._inflight_pop(op.op_id)
         end = self._sim._now + response_lat
         if self.history is not None:
             self.history.respond(op, end, status, value)
@@ -286,29 +257,55 @@ class ClientSession:
                 served_by=self.replica_id,
             )
         )
-        if epoch == self._epoch:
-            # See _record_txn: stale-epoch completions must not restart
-            # the completion chain a second time.
-            self._completion_chain(response_lat)
-        if not self._wants_completion_hook:
-            return
-        if response_lat > 0:
-            self.cluster.sim.schedule(response_lat, self.on_complete, op, status, value)
+        if epoch == self._epoch and self.issued < self.max_ops:
+            # A stale epoch means the bound node recovered (and the arrivals
+            # restarted) after this request was issued: record its result,
+            # but do not chain a second request stream from it.
+            self._completed(end, session)
+
+    def _record_txn(self, txn: Transaction, outcome: TxnOutcome) -> None:
+        start, response_lat, epoch, session = self._inflight_pop(txn.txn_id)
+        end = self._sim._now + response_lat
+        status = outcome.status
+        if self.history is not None:
+            self.history.respond_txn(txn, end, status, outcome.values, outcome.commit_times)
+        self.completed += 1
+        if status is OpStatus.OK:
+            self.txns_committed += 1
         else:
-            self.on_complete(op, status, value)
+            if status is OpStatus.ABORTED:
+                self.aborted += 1
+            self.txns_aborted += 1
+        committed = status is OpStatus.OK
+        for op in txn.ops:
+            if committed:
+                value = outcome.values.get(op.op_id) if op.op_type is OpType.READ else op.value
+            else:
+                value = None
+            self._results_append(
+                OperationResult(
+                    op=op,
+                    status=status,
+                    value=value,
+                    start_time=start,
+                    end_time=end,
+                    served_by=self.replica_id,
+                )
+            )
+        if epoch == self._epoch and self.issued < self.max_ops:
+            self._completed(end, session)  # see _record
 
-    def _completion_chain(self, response_lat: float) -> None:
-        """Internal hook run inline at completion time (no extra event).
+    # -------------------------------------------------------- crash/recovery
+    def _node_recovered(self, node_id: NodeId) -> None:
+        """Restart the arrivals after the bound node recovers from a crash.
 
-        Subclasses that react to completions at the *client side* of the
-        request latency (i.e. at ``now + request_latency``) should override
-        :meth:`on_complete` instead; this hook runs at the replica-side
-        completion instant and is used by the closed loop to schedule the
-        next request without paying one simulator event per operation.
+        The epoch bump comes first, so a pre-crash request that still
+        completes records its result without chaining (see :meth:`_record`).
         """
-
-    def on_complete(self, op: Operation, status: OpStatus, value: Value) -> None:
-        """Hook for subclasses (e.g. reacting to completions client-side)."""
+        self._epoch += 1
+        if self._started and self._resume():
+            self._stalled = False
+            self._sim.call_soon(self._arrive, self._version)
 
 
 class ClosedLoopClient(ClientSession):
@@ -330,96 +327,40 @@ class ClosedLoopClient(ClientSession):
         history: Optional[History] = None,
         request_latency: float = DEFAULT_REQUEST_LATENCY,
     ) -> None:
-        super().__init__(client_id, cluster, workload, replica_id, history, request_latency)
-        self.max_ops = max_ops
+        super().__init__(client_id, cluster, workload, max_ops, replica_id, history, request_latency)
         self.think_time = think_time
-        self._started = False
-        # A crash of the bound node stalls the closed loop (issues are
-        # skipped while it is down); resume when it recovers instead of
-        # skipping it forever.
-        cluster.on_recover(self.replica_id, self._node_recovered)
 
-    @property
-    def done(self) -> bool:
-        """Whether the session has completed all of its operations."""
-        return self.completed >= self.max_ops
+    def _arrive(self, version: int) -> None:
+        if self.issued < self.max_ops:
+            self._submit(self._next_op(self.client_id), self._sim._now)
 
-    def start(self) -> None:
-        """Begin issuing requests (idempotent)."""
-        if self._started:
-            return
-        self._started = True
-        self.cluster.sim.call_soon(self._issue_next)
+    def _completed(self, end: float, session: int) -> None:
+        """Issue the next request with at most one simulator event.
 
-    def _issue_next(self) -> None:
-        if self.issued >= self.max_ops:
-            return
-        self._issue(self.workload.next_operation(self.client_id))
-
-    def _node_recovered(self, node_id: NodeId) -> None:
-        """Restart the loop after the bound node recovers from a crash.
-
-        Bumping the epoch first means any pre-crash operation that still
-        completes (a submission whose arrival outlived the crash window)
-        records its result without double-starting the chain.
+        The faithful chain (completion event at the client-side completion
+        time ``end``, optional think time, then a submit event one
+        request-leg latency later) is collapsed: the issue instant carries
+        no handler but bookkeeping, so the request is submitted now for its
+        future arrival. With a recorded history the invocation must be
+        recorded at its true time, so one event at the issue time is kept.
         """
-        self._epoch += 1
-        if not self._started:
-            return
-        if self._stalled or self._inflight or self._txn_inflight:
-            self._stalled = False
-            self.cluster.sim.call_soon(self._issue_next)
-
-    def _completion_chain(self, response_lat: float) -> None:
-        """Schedule the next request with a single simulator event.
-
-        The faithful chain (completion event at ``now +`` the response-leg
-        latency, optional think time, then a submit event one request-leg
-        latency later) is collapsed into one event at the same final
-        timestamp.
-        The invocation ("issue") time itself never carried an event handler
-        other than bookkeeping, so it is computed here and passed along.
-        With a recorded history the issue must be recorded at its true
-        time, so one event at the issue time is kept.
-        """
-        if self.issued >= self.max_ops:
-            return
-        sim = self._sim
-        issue_time = sim._now + response_lat if response_lat > 0 else sim._now
-        if self.think_time > 0:
-            issue_time += self.think_time
+        issue_time = end + self.think_time if self.think_time > 0 else end
         if self.history is not None:
-            sim.schedule_at(issue_time, self._issue_next)
-            return
-        op = self._next_op(self.client_id)
-        if op.__class__ is Transaction:
-            self._issue_txn(op, issue_time)
-            return
-        self.issued += 1
-        # Inlined _draw_latencies (two jitter draws per op, same RNG order)
-        # and _replica_for: this chain runs once per closed-loop operation.
-        base = self.request_latency
-        if base > 0:
-            rnd = self._lat_random
-            request_lat = base * (1.0 + (rnd() * 2.0 - 1.0) * CLIENT_LATENCY_JITTER)
-            next_response_lat = base * (1.0 + (rnd() * 2.0 - 1.0) * CLIENT_LATENCY_JITTER)
+            self._sim.schedule_at(issue_time, self._arrive, self._version)
         else:
-            request_lat = next_response_lat = 0.0
-        replica = self._replica
-        if replica is None:
-            replica = self._shard_replicas[self._shard_of(op.key)]
-        if replica.crashed:
-            self._stalled = True
-            return  # dropped at the node; see _issue
-        if request_lat > 0 or issue_time > sim._now:
-            self._inflight[op.op_id] = (issue_time, next_response_lat, self._epoch)
-            replica.submit_at(issue_time + request_lat, op, self._record_cb)
-        else:
-            self._submit(op, issue_time)
+            self._submit(self._next_op(self.client_id), issue_time)
+
+    def _resume(self) -> bool:
+        # A crash drops what the node had queued, so an in-flight request
+        # at recovery time will never complete: the loop is broken.
+        return self._stalled or bool(self._inflight)
 
 
 class OpenLoopClient(ClientSession):
     """An open-loop session: Poisson arrivals at a fixed rate.
+
+    Arrivals continue through a crash of the bound node (the requests are
+    dropped there), so a recovery needs no restart.
 
     Args:
         rate: Mean request arrival rate in operations per simulated second.
@@ -439,30 +380,15 @@ class OpenLoopClient(ClientSession):
         rng: Optional[random.Random] = None,
         request_latency: float = DEFAULT_REQUEST_LATENCY,
     ) -> None:
-        super().__init__(client_id, cluster, workload, replica_id, history, request_latency)
+        super().__init__(client_id, cluster, workload, max_ops, replica_id, history, request_latency)
         self.rate = rate
-        self.max_ops = max_ops
         self._rng = rng or random.Random(client_id)
-        self._started = False
 
-    @property
-    def done(self) -> bool:
-        """Whether every issued operation has completed."""
-        return self.completed >= self.max_ops
-
-    def start(self) -> None:
-        """Begin issuing requests (idempotent)."""
-        if self._started:
-            return
-        self._started = True
-        self.cluster.sim.call_soon(self._arrival)
-
-    def _arrival(self) -> None:
+    def _arrive(self, version: int) -> None:
         if self.issued >= self.max_ops:
             return
-        self._issue(self.workload.next_operation(self.client_id))
-        gap = self._rng.expovariate(self.rate)
-        self.cluster.sim.schedule(gap, self._arrival)
+        self._submit(self._next_op(self.client_id), self._sim._now)
+        self._sim.schedule(self._rng.expovariate(self.rate), self._arrive, version)
 
 
 class AggregatedClient(ClientSession):
@@ -470,13 +396,12 @@ class AggregatedClient(ClientSession):
 
     Instead of one Python object per session, a single generator per node
     draws the *merged* arrival schedule of its session population (see
-    :class:`repro.workloads.aggregate.AggregateArrivals`), synthesizes each
-    firing session's next operation deterministically (SHA-256-folded
-    session ids feeding the usual key distributions and txn steering), and
-    submits through the fused submit fast path. In-flight contexts share the
-    session's op-id-keyed dict. Arrivals are pre-submitted one batch at a
-    time — one simulator "pump" event per ``batch`` operations instead of
-    one arrival event per operation.
+    :class:`repro.workloads.aggregate.AggregateArrivals`) and synthesizes
+    each firing session's next operation deterministically (SHA-256-folded
+    session ids feeding the usual key distributions and txn steering).
+    Arrivals are pre-submitted one batch at a time — one simulator "pump"
+    event per ``batch`` operations instead of one arrival event per
+    operation — and carry their firing session in the in-flight context.
 
     Modes:
 
@@ -492,11 +417,12 @@ class AggregatedClient(ClientSession):
       process-parallel shard execution (see
       :func:`repro.workloads.aggregate.materialize_open_schedule`).
 
-    Crash handling mirrors the per-session sessions: a generator bound to a
-    crashed node *pauses* (no arrivals are drawn while it is down) and
-    resumes from the recovery instant on RECOVER — it does not accumulate a
-    backlog to burst-replay. In closed mode, sessions whose rechain was
-    skipped during the outage re-enter as a fresh arrival wave.
+    Crash handling: a generator bound to a crashed node *pauses* (no
+    arrivals are drawn while it is down) and resumes from the recovery
+    instant on RECOVER — it does not accumulate a backlog to burst-replay.
+    Rechains run at completions, which only a live node delivers, so in
+    closed mode a session whose request the crash dropped stays silent
+    afterwards: there is no per-session state to restart it from.
     """
 
     def __init__(
@@ -514,221 +440,83 @@ class AggregatedClient(ClientSession):
         session_base: int = 0,
         batch: int = 64,
         schedule: Optional[List[ScheduleEntry]] = None,
-        rng: Optional[SeededRNG] = None,
     ) -> None:
-        super().__init__(client_id, cluster, workload, replica_id, history, request_latency)
+        if schedule is not None:
+            self._mode = "scripted"
+            max_ops = len(schedule)
+        elif rate is not None and rate > 0:
+            self._mode = "open"
+        elif think_time > 0:
+            self._mode = "closed"
+        else:
+            raise WorkloadError(
+                "AggregatedClient needs a positive rate (open loop) or a "
+                "positive think_time (closed loop)"
+            )
+        super().__init__(client_id, cluster, workload, max_ops, replica_id, history, request_latency)
         self.sessions = sessions
         self._batch = batch
         self._schedule = schedule
-        self._cursor = 0
-        self._record_agg_cb = self._record_agg
-        self._started = False
-        # Pump events carry a version token: a RECOVER restart bumps the
-        # version so a pre-crash pump event still sitting in the queue
-        # cannot double-drive the arrival stream.
-        self._pump_version = 0
-        # Closed mode: sessions whose rechain was skipped because the bound
-        # node was down; re-entered as a wave on RECOVER.
-        self._parked = 0
-        self._txn_sessions: Dict[int, int] = {}
-        if schedule is not None:
-            self.max_ops = len(schedule)
-            self._mode = "scripted"
-            self._agg: Optional[AggregateWorkload] = None
-            self._arrivals: Optional[AggregateArrivals] = None
-            self._wave_remaining = 0
-        else:
-            self.max_ops = max_ops
-            if rng is None:
-                rng = SeededRNG(workload.seed).child(f"aggregated-node-{client_id}")
-            if rate is not None and rate > 0:
-                self._mode = "open"
-                aggregate_rate = float(rate)
-                self._wave_remaining = max_ops
-            elif think_time > 0:
-                self._mode = "closed"
-                aggregate_rate = sessions / think_time
-                self._wave_remaining = min(sessions, max_ops)
-            else:
-                raise WorkloadError(
-                    "AggregatedClient needs a positive rate (open loop) or a "
-                    "positive think_time (closed loop)"
-                )
+        # Arrivals the pump has yet to draw (or replay).
+        self._wave_remaining = min(sessions, max_ops) if self._mode == "closed" else max_ops
+        if schedule is None:
             self._agg = AggregateWorkload(workload)
             self._arrivals = AggregateArrivals(
                 sessions=sessions,
-                aggregate_rate=aggregate_rate,
-                rng=rng,
+                aggregate_rate=float(rate) if self._mode == "open" else sessions / think_time,
+                rng=SeededRNG(workload.seed).child(f"aggregated-node-{client_id}"),
                 session_base=session_base,
                 request_latency=request_latency,
                 jitter=CLIENT_LATENCY_JITTER,
                 think_time=think_time,
             )
-        cluster.on_recover(self.replica_id, self._node_recovered)
-
-    @property
-    def done(self) -> bool:
-        """Whether every budgeted operation has completed."""
-        return self.completed >= self.max_ops
 
     @property
     def inflight(self) -> int:
-        """Operations currently pre-submitted or in service."""
+        """Requests currently pre-submitted or in service."""
         return len(self._inflight)
 
-    def start(self) -> None:
-        """Begin pumping arrivals (idempotent)."""
-        if self._started:
-            return
-        self._started = True
-        self._sim.call_soon(self._pump, self._pump_version)
-
-    # ------------------------------------------------------------- the pump
-    def _pump(self, version: int) -> None:
-        if version != self._pump_version:
-            return  # superseded by a RECOVER restart
-        if self._schedule is not None:
-            self._pump_scripted(version)
-            return
+    def _arrive(self, version: int) -> None:
+        """The pump: pre-submit the next batch of arrivals."""
         remaining = self._wave_remaining
-        if remaining <= 0:
-            return
-        if self._txn_node().crashed:
-            # Pause with no backlog: nothing is drawn while the node is
-            # down; _node_recovered restarts the pump from the recovery
-            # instant (closed mode re-enters the rest of the wave there).
-            self._stalled = True
+        if version != self._version or remaining <= 0 or self._node().crashed:
+            # Superseded by a RECOVER restart, or nothing left, or paused
+            # with no backlog: nothing is drawn while the node is down, and
+            # a recovery restarts the pump from the recovery instant.
             return
         count = min(self._batch, remaining)
-        assert self._arrivals is not None and self._agg is not None
-        entries = self._arrivals.draw(self._sim._now, count)
-        synthesize = self._agg.next_operation
-        for issue_time, request_lat, response_lat, session in entries:
-            self._submit_entry(
-                issue_time, request_lat, response_lat, synthesize(session), session
-            )
+        now = self._sim._now
+        schedule = self._schedule
+        if schedule is None:
+            entries = self._arrivals.draw(now, count)
+            synthesize = self._agg.next_operation
+            for issue_time, request_lat, response_lat, session in entries:
+                self._submit(synthesize(session), issue_time, request_lat, response_lat, session)
+            last = entries[-1][0]
+        else:
+            cursor = len(schedule) - remaining
+            entries = schedule[cursor : cursor + count]
+            for issue_time, request_lat, response_lat, op in entries:
+                # Resuming after a crash window replays late entries now.
+                issue_time = max(issue_time, now)
+                self._submit(op, issue_time, request_lat, response_lat, op.client_id)
+            last = max(entries[-1][0], now)
         self._wave_remaining = remaining - count
         if self._wave_remaining > 0:
             # One engine event per batch: the next batch is drawn when the
             # simulation reaches this batch's last arrival.
-            self._sim.schedule_at(entries[-1][0], self._pump, version)
+            self._sim.schedule_at(last, self._arrive, version)
 
-    def _pump_scripted(self, version: int) -> None:
-        schedule = self._schedule
-        assert schedule is not None
-        cursor = self._cursor
-        total = len(schedule)
-        if cursor >= total:
-            return
-        if self._txn_node().crashed:
-            self._stalled = True
-            return
-        end = min(cursor + self._batch, total)
-        now = self._sim._now
-        for issue_time, request_lat, response_lat, op in schedule[cursor:end]:
-            if issue_time < now:
-                issue_time = now  # resuming after a crash window: replay late
-            self._submit_entry(issue_time, request_lat, response_lat, op, op.client_id)
-        self._cursor = end
-        if end < total:
-            self._sim.schedule_at(max(schedule[end - 1][0], now), self._pump, version)
-
-    # ---------------------------------------------------------- issue/record
-    def _submit_entry(
-        self,
-        issue_time: float,
-        request_lat: float,
-        response_lat: float,
-        op,
-        session: int,
-    ) -> None:
-        if op.__class__ is Transaction:
-            # Transactions ride the existing 2PC hand-off (which draws its
-            # own jitter, like every other client model); remember the
-            # firing session so a closed-loop completion can rechain it.
-            self._txn_sessions[op.txn_id] = session
-            self._issue_txn(op, issue_time)
-            return
-        self.issued += 1
-        if self.history is not None:
-            self.history.invoke(op, issue_time)
-        replica = self._replica_for(op)
-        if replica.crashed:
-            self._stalled = True
-            self._parked += 1
-            return  # dropped at the node; see ClientSession._issue
-        self._inflight[op.op_id] = (issue_time, response_lat, self._epoch, session)
-        arrival = issue_time + request_lat
-        if arrival > self._sim._now:
-            replica.submit_at(arrival, op, self._record_agg_cb)
-        else:
-            replica.submit(op, self._record_agg_cb)
-
-    def _record_agg(self, op: Operation, status: OpStatus, value: Value) -> None:
-        start, response_lat, epoch, session = self._inflight_pop(op.op_id)
-        end = self._sim._now + response_lat
-        if self.history is not None:
-            self.history.respond(op, end, status, value)
-        self.completed += 1
-        if status is OpStatus.ABORTED:
-            self.aborted += 1
-        self._results_append(
-            OperationResult(
-                op=op,
-                status=status,
-                value=value,
-                start_time=start,
-                end_time=end,
-                served_by=self.replica_id,
-            )
-        )
-        if self._mode == "closed" and epoch == self._epoch and self.issued < self.max_ops:
-            self._rechain(session, end)
-
-    def _record_txn(self, txn: Transaction, outcome: TxnOutcome) -> None:
-        session = self._txn_sessions.pop(txn.txn_id, None)
-        ctx = self._txn_inflight.get(txn.txn_id)
-        epoch_ok = ctx is not None and ctx[2] == self._epoch
-        response_lat = ctx[1] if ctx is not None else 0.0
-        super()._record_txn(txn, outcome)
-        if (
-            self._mode == "closed"
-            and epoch_ok
-            and session is not None
-            and self.issued < self.max_ops
-        ):
-            self._rechain(session, self._sim._now + response_lat)
-
-    def _rechain(self, session: int, completion_time: float) -> None:
-        assert self._arrivals is not None and self._agg is not None
-        issue_time, request_lat, response_lat = self._arrivals.rechain(
-            completion_time, session
-        )[:3]
-        self._submit_entry(
-            issue_time,
-            request_lat,
-            response_lat,
-            self._agg.next_operation(session),
-            session,
-        )
-
-    # -------------------------------------------------------- crash/recovery
-    def _node_recovered(self, node_id: NodeId) -> None:
-        """Resume pumping after the bound node recovers from a crash.
-
-        The epoch bump (as in the per-session models) keeps completions of
-        pre-crash operations from rechaining into a restarted stream; the
-        pump-version bump retires any pre-crash pump event still queued.
-        """
-        self._epoch += 1
-        if not self._started:
-            return
-        self._pump_version += 1
-        self._stalled = False
+    def _completed(self, end: float, session: int) -> None:
         if self._mode == "closed":
-            self._wave_remaining += self._parked
-            self._parked = 0
-        self._sim.call_soon(self._pump, self._pump_version)
+            issue_time, request_lat, response_lat, _ = self._arrivals.rechain(end, session)
+            self._submit(
+                self._agg.next_operation(session), issue_time, request_lat, response_lat, session
+            )
+
+    def _resume(self) -> bool:
+        self._version += 1  # retire any pre-crash pump event still queued
+        return True
 
 
 def run_clients(
@@ -754,10 +542,10 @@ def run_clients(
         The simulated completion time (the cap, for capped runs).
     """
     for client in clients:
-        client.start()  # type: ignore[attr-defined]
+        client.start()
     try:
         return cluster.run_until(
-            lambda: all(getattr(c, "done", True) for c in clients),
+            lambda: all(c.done for c in clients),
             check_interval=check_interval,
             max_time=max_time,
         )

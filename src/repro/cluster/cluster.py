@@ -29,7 +29,6 @@ from repro.sim.hostgc import quiet_after_full_collection
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.node import ServiceTimeModel
 from repro.sim.rng import SeededRNG
-from repro.sim.trace import Tracer
 from repro.types import Key, NodeId, Value
 
 
@@ -61,7 +60,6 @@ class ClusterConfig:
             failure/reconfiguration experiments; unnecessary overhead
             otherwise).
         membership: RM service configuration.
-        enable_tracing: Whether replicas record trace events.
     """
 
     protocol: str = "hermes"
@@ -78,7 +76,6 @@ class ClusterConfig:
     wings_credits: Optional[CreditConfig] = None
     run_membership_service: bool = False
     membership: MembershipConfig = field(default_factory=MembershipConfig)
-    enable_tracing: bool = False
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` for invalid settings."""
@@ -132,7 +129,6 @@ class Cluster:
         self.rng = SeededRNG(config.seed)
         self.sim = Simulator()
         self.network = Network(self.sim, config.network, rng=self.rng.stream("network"))
-        self.tracer = Tracer(enabled=config.enable_tracing)
         self.view = MembershipView.initial(range(config.num_replicas))
         self.shards = config.shards
         self.sharded = config.shards > 1
@@ -204,7 +200,6 @@ class Cluster:
             self.view,
             config=self.config.replica,
             service_model=self.config.service_model,
-            tracer=self.tracer,
             clock=clock,
             **kwargs,
         )

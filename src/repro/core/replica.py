@@ -184,8 +184,6 @@ class HermesReplica(ReplicaNode):
             acks=pool.pop() if pool else set(),
         )
         self._pending[key] = pending
-        if self.tracer.enabled:
-            self.tracer.record(self.sim.now, self.node_id, "write-start", key=key, ts=ts)
         self._broadcast_inv(pending)
 
     def _start_replay(self, key: Key) -> None:
@@ -205,7 +203,6 @@ class HermesReplica(ReplicaNode):
         )
         self._pending[key] = pending
         self.replays_started += 1
-        self.tracer.record(self.sim.now, self.node_id, "replay-start", key=key, ts=meta.timestamp)
         self._broadcast_inv(pending)
 
     def _broadcast_inv(self, pending: PendingUpdate) -> None:
@@ -288,11 +285,6 @@ class HermesReplica(ReplicaNode):
             self.rmws_committed += 1
         elif not pending.is_replay:
             self.writes_committed += 1
-        if self.tracer.enabled:
-            self.tracer.record(
-                self.sim.now, self.node_id, "commit", key=pending.key, ts=pending.ts,
-                replay=pending.is_replay,
-            )
 
         if not skip_val:
             val = Val(
@@ -319,7 +311,6 @@ class HermesReplica(ReplicaNode):
         self.rmws_aborted += 1
         self._notify_client(pending, OpStatus.ABORTED)
         self._release_acks(pending)
-        self.tracer.record(self.sim.now, self.node_id, "rmw-abort", key=pending.key, ts=pending.ts)
 
     def _release_acks(self, pending: PendingUpdate) -> None:
         """Return a finished update's ACK set to the reuse pool.

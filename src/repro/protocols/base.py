@@ -31,7 +31,6 @@ from repro.sim.clock import ClockConfig, LooselySynchronizedClock
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.node import NodeProcess, ServiceTimeModel
-from repro.sim.trace import Tracer
 from repro.types import Key, NodeId, Operation, OpStatus, OpType, TxnMessage, Value
 
 #: Completion callback invoked by a replica when an operation finishes:
@@ -110,7 +109,6 @@ class ReplicaNode(NodeProcess):
         store: Optional[KeyValueStore] = None,
         service_model: Optional[ServiceTimeModel] = None,
         transport: Optional[Transport] = None,
-        tracer: Optional[Tracer] = None,
         clock: Optional[LooselySynchronizedClock] = None,
         host: Optional[NodeProcess] = None,
         shard_id: int = 0,
@@ -131,7 +129,6 @@ class ReplicaNode(NodeProcess):
             # may touch this store. Off by default (``_sanitizer is None``).
             self._sanitizer.guard_store(self.store, owner=self, host=host or self)
         self.transport = transport or DirectTransport(self)
-        self.tracer = tracer or Tracer(enabled=False)
         self.clock = clock or LooselySynchronizedClock(self.config.clock)
         host_agent = getattr(host, "membership_agent", None) if host is not None else None
         if host_agent is not None:
@@ -475,7 +472,6 @@ class ReplicaNode(NodeProcess):
 
     def _view_changed(self, view: MembershipView) -> None:
         self.view = view
-        self.tracer.record(self.sim.now, self.node_id, "view-change", epoch=view.epoch_id)
         participant = self._txn_participant
         if participant is not None:
             # Lock-master recovery: abort transactions stranded by the view

@@ -12,7 +12,6 @@ protocol in the library runs:
 * :mod:`repro.sim.rng` — deterministic random-number management.
 * :mod:`repro.sim.hostgc` — pauses the host's cyclic collector for the rest
   of a run once its first full collection is done (host cost only).
-* :mod:`repro.sim.trace` — lightweight event tracing for debugging and tests.
 
 The simulator substitutes for the paper's RDMA testbed; see DESIGN.md for the
 substitution rationale.
@@ -23,7 +22,6 @@ from repro.sim.engine import EventHandle, Simulator
 from repro.sim.network import Network, NetworkConfig, Partition
 from repro.sim.node import NodeProcess, ServiceTimeModel
 from repro.sim.rng import SeededRNG
-from repro.sim.trace import TraceEvent, Tracer
 
 __all__ = [
     "ClockConfig",
@@ -36,6 +34,4 @@ __all__ = [
     "SeededRNG",
     "ServiceTimeModel",
     "Simulator",
-    "TraceEvent",
-    "Tracer",
 ]

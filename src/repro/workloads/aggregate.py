@@ -161,7 +161,7 @@ class AggregateArrivals:
     stream at rate N/think while all are idle) and adds :meth:`rechain` for
     the per-completion follow-up arrival.
 
-    Latency jitter matches :meth:`ClientSession._draw_latencies` shape
+    Latency jitter matches the shape :meth:`ClientSession._submit` draws
     (two uniform draws per operation, ±``jitter`` around the base) but from
     a dedicated named stream, so per-op timing is independent of the shard
     layout when schedules are materialized for parallel replay.

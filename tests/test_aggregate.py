@@ -385,8 +385,8 @@ def test_aggregated_closed_loop_survives_crash_recover_cycle():
         ),
     )
     result = run_experiment(spec)
-    # The run makes progress through and beyond the fault window; parked
-    # sessions re-enter on RECOVER rather than being lost.
+    # The run makes progress through and beyond the fault window: the pump
+    # restarts on RECOVER and the surviving sessions keep rechaining.
     completed = len(result.results)
     assert completed > 0
     budget = spec.num_replicas * spec.clients_per_replica * spec.ops_per_client

@@ -46,7 +46,11 @@ def test_known_red_schedules_stay_out_of_the_green_corpus():
     assert not {name for name, _ in KNOWN_RED} & {name for name, _ in CORPUS}
 
 
-@pytest.mark.xfail(strict=True, reason="open finding (ROADMAP item 4): not linearizable")
+@pytest.mark.xfail(
+    strict=True,
+    reason="open finding (ROADMAP item 'Turn the red test green, make refutation "
+    "terminate, and put every verdict in the artifact'): not linearizable",
+)
 @pytest.mark.parametrize(
     "name,schedule", KNOWN_RED, ids=[name for name, _ in KNOWN_RED]
 )

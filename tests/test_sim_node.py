@@ -1,4 +1,4 @@
-"""Unit tests for node processes, CPU queueing and clocks/RNG/tracer."""
+"""Unit tests for node processes, CPU queueing and clocks/RNG."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.sim.engine import Simulator
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.node import NodeProcess, ServiceTimeModel
 from repro.sim.rng import SeededRNG
-from repro.sim.trace import Tracer
 
 
 class EchoNode(NodeProcess):
@@ -213,25 +212,3 @@ def test_rng_child_derivation_differs_from_parent():
     child = root.child("node-0")
     assert child.seed != root.seed
 
-
-# ------------------------------------------------------------------- tracer
-def test_tracer_disabled_records_nothing():
-    tracer = Tracer(enabled=False)
-    tracer.record(0.0, 1, "x")
-    assert len(tracer) == 0
-
-
-def test_tracer_records_and_filters():
-    tracer = Tracer(enabled=True)
-    tracer.record(0.0, 1, "commit", key=3)
-    tracer.record(0.1, 2, "inv", key=3)
-    assert len(tracer.events(category="commit")) == 1
-    assert len(tracer.events(node=2)) == 1
-
-
-def test_tracer_capacity_limit():
-    tracer = Tracer(enabled=True, capacity=2)
-    for i in range(5):
-        tracer.record(i, 0, "e")
-    assert len(tracer) == 2
-    assert tracer.dropped == 3
