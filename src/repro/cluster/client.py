@@ -423,6 +423,11 @@ class AggregatedClient(ClientSession):
     Rechains run at completions, which only a live node delivers, so in
     closed mode a session whose request the crash dropped stays silent
     afterwards: there is no per-session state to restart it from.
+
+    Host state: the per-session synthesis dicts live only while a session
+    can still fire. Once the budget is drawn — the last pump batch in open
+    mode, the last rechain in closed mode — the generator drops them, so
+    they do not survive into the reduce.
     """
 
     def __init__(
@@ -459,6 +464,8 @@ class AggregatedClient(ClientSession):
         self._schedule = schedule
         # Arrivals the pump has yet to draw (or replay).
         self._wave_remaining = min(sessions, max_ops) if self._mode == "closed" else max_ops
+        # Live synthesis state; released by _release_if_drawn.
+        self._agg: Optional[AggregateWorkload] = None
         if schedule is None:
             self._agg = AggregateWorkload(workload)
             self._arrivals = AggregateArrivals(
@@ -506,6 +513,8 @@ class AggregatedClient(ClientSession):
             # One engine event per batch: the next batch is drawn when the
             # simulation reaches this batch's last arrival.
             self._sim.schedule_at(last, self._arrive, version)
+        else:
+            self._release_if_drawn()
 
     def _completed(self, end: float, session: int) -> None:
         if self._mode == "closed":
@@ -513,6 +522,18 @@ class AggregatedClient(ClientSession):
             self._submit(
                 self._agg.next_operation(session), issue_time, request_lat, response_lat, session
             )
+            self._release_if_drawn()
+
+    def _release_if_drawn(self) -> None:
+        """Drop the synthesis state once no session can fire again.
+
+        The pump synthesizes while the wave has arrivals left, a closed-mode
+        rechain while the budget has issues left (see :meth:`_record`).
+        Neither count ever grows back, so once both are spent the
+        per-session dicts are dead weight for the rest of the run.
+        """
+        if self._wave_remaining <= 0 and self.issued >= self.max_ops:
+            self._agg = None
 
     def _resume(self) -> bool:
         self._version += 1  # retire any pre-crash pump event still queued

@@ -108,13 +108,15 @@ class HermesReplica(ReplicaNode):
         """Dispatch a client read / write / RMW."""
         if op.op_type is OpType.READ:
             # Inlined read fast path: local reads dominate most
-            # workloads and this dispatch runs once per operation.
+            # workloads and this dispatch runs once per operation. A
+            # record no write has touched carries no metadata and is Valid
+            # by definition, so it is served without allocating any.
             record = self._records_get(op.key)
-            if record is not None and record.meta is not None:
-                meta = record.meta
-            else:
+            if record is None:
                 record, meta = self._record(op.key)
-            if meta.state is KeyState.VALID:
+            else:
+                meta = record.meta
+            if meta is None or meta.state is KeyState.VALID:
                 self.reads_served_locally += 1
                 self.ops_completed += 1
                 callback(op, OpStatus.OK, record.value)

@@ -23,7 +23,11 @@ op mix, txn steering, latency jitter) deterministic per synthetic session:
   the merged statistics without touching N.
 
 Bookkeeping is bounded by the *operation budget*, never by the session
-count: the fold/sequence dicts only hold sessions that actually fired.
+count: the op-index dict only holds sessions that actually fired, and the
+fold memo only those that fired at least twice (a session's first firing
+computes its fold without storing it — at 10^6 sessions most sessions fire
+once). :class:`~repro.cluster.client.AggregatedClient` drops the whole
+:class:`AggregateWorkload` once its budget is drawn.
 
 Seeding discipline: everything here draws from named
 :class:`repro.sim.rng.SeededRNG` streams (lint rule D002 enforces this for
@@ -63,11 +67,13 @@ ScheduleEntry = Tuple[float, float, float, Union[Operation, Transaction]]
 def fold_session(seed: int, session: int) -> int:
     """Fold ``(seed, session)`` into a 64-bit per-session stream root.
 
-    SHA-256 of the repr tuple, truncated to 8 bytes: avalanche over both
-    inputs so that adjacent session ids land on uncorrelated splitmix64
-    sequences, and stable across Python versions (no ``hash()``).
+    SHA-256 of the repr of ``(seed, session, "agg-session")``, truncated to
+    8 bytes: avalanche over both inputs so that adjacent session ids land on
+    uncorrelated splitmix64 sequences, and stable across Python versions (no
+    ``hash()``). The f-string spells that repr byte for byte without
+    building the tuple.
     """
-    payload = repr((int(seed), int(session), "agg-session")).encode("ascii")
+    payload = f"({int(seed)}, {int(session)}, 'agg-session')".encode("ascii")
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 
@@ -108,8 +114,10 @@ class AggregateWorkload:
     order exactly — txn-fraction check, key sample, write-ratio check,
     sequence bump, rmw check — but sources every draw from a
     :class:`SessionStream` keyed by ``(workload seed, session, op index)``
-    instead of a per-client ``random.Random``. State is two dicts bounded
-    by the set of sessions that actually fired (≤ the op budget).
+    instead of a per-client ``random.Random``. State is two dicts: the op
+    index of every session that fired (≤ the op budget) and the memoized
+    fold of every session that fired at least twice. A first firing folds
+    without storing, so a one-shot session costs one dict entry, not two.
     """
 
     def __init__(self, workload: WorkloadMix) -> None:
@@ -118,18 +126,17 @@ class AggregateWorkload:
         self._op_index: Dict[int, int] = {}
         self._stream = SessionStream()
 
-    def touched_sessions(self) -> int:
-        """How many distinct sessions have drawn at least one operation."""
-        return len(self._op_index)
-
     def next_operation(self, session: int) -> Union[Operation, Transaction]:
         """Synthesize the next operation of ``session``."""
         workload = self.workload
-        fold = self._folds.get(session)
-        if fold is None:
-            fold = self._folds[session] = fold_session(workload.seed, session)
         index = self._op_index.get(session, 0)
         self._op_index[session] = index + 1
+        if index == 0:
+            fold = fold_session(workload.seed, session)
+        else:
+            fold = self._folds.get(session)
+            if fold is None:
+                fold = self._folds[session] = fold_session(workload.seed, session)
         stream = self._stream
         stream.reset(fold, index)
         if workload.txn_fraction and stream.random() < workload.txn_fraction:

@@ -10,6 +10,7 @@ counts.
 from __future__ import annotations
 
 import hashlib
+import random
 from dataclasses import replace
 
 import pytest
@@ -25,7 +26,7 @@ from repro.cluster.client import AggregatedClient, run_clients
 from repro.cluster.failures import FailureEvent, FailureInjector
 from repro.errors import BenchmarkError, WorkloadError
 from repro.sim.rng import SeededRNG
-from repro.types import OpType
+from repro.types import OpType, Transaction
 from repro.verification.history import History
 from repro.workloads.aggregate import (
     AggregateArrivals,
@@ -43,9 +44,10 @@ from tests.conftest import make_cluster, small_workload
 def test_fold_session_is_deterministic_and_version_stable():
     assert fold_session(7, 731_204) == fold_session(7, 731_204)
     # Pinned value: the fold must never drift (no hash(), no platform salt).
-    payload = repr((7, 731_204, "agg-session")).encode("ascii")
-    expected = int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
-    assert fold_session(7, 731_204) == expected
+    for seed, session in ((7, 731_204), (0, 0), (-3, 2**40)):
+        payload = repr((seed, session, "agg-session")).encode("ascii")
+        expected = int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
+        assert fold_session(seed, session) == expected
 
 
 def test_fold_session_separates_adjacent_sessions_and_seeds():
@@ -70,6 +72,56 @@ def test_session_independent_of_population_size():
     assert [(o.op_type, o.key, o.value) for o in ops_small] == [
         (o.op_type, o.key, o.value) for o in ops_large
     ]
+
+
+class _NoMemo(dict):
+    """A fold memo that never remembers: every op folds its session afresh."""
+
+    def get(self, key, default=None):
+        return default
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _signature(op):
+    if isinstance(op, Transaction):
+        return tuple(_signature(member) for member in op.ops)
+    return (op.op_type, op.key, op.value, op.client_id)
+
+
+def _mixed_workload() -> WorkloadMix:
+    return WorkloadMix.uniform(
+        400, write_ratio=0.3, rmw_ratio=0.3, txn_fraction=0.1, txn_num_shards=2, seed=17
+    )
+
+
+@pytest.mark.parametrize("sessions", [10, 1_000_000])
+def test_memoized_folds_match_a_fresh_fold_per_op(sessions):
+    """Skipping the memo on a session's first firing changes no op: the
+    stream equals one that calls ``fold_session`` for every op, for a
+    repeat-heavy population and for a one-shot-heavy one."""
+    picks = random.Random(sessions)
+    firing = [picks.randrange(sessions) for _ in range(5_000)]
+    memoized = AggregateWorkload(_mixed_workload())
+    reference = AggregateWorkload(_mixed_workload())
+    reference._folds = _NoMemo()
+    assert [_signature(memoized.next_operation(s)) for s in firing] == [
+        _signature(reference.next_operation(s)) for s in firing
+    ]
+
+
+def test_fold_memo_holds_only_sessions_that_fired_twice():
+    arrivals = AggregateArrivals(
+        sessions=1_000_000, aggregate_rate=2e6, rng=SeededRNG(5).child("memo")
+    )
+    aggregate = AggregateWorkload(WorkloadMix.uniform(1000, write_ratio=0.05, seed=5))
+    for entry in arrivals.draw(0.0, 20_000):
+        aggregate.next_operation(entry[3])
+    repeated = {s for s, fired in aggregate._op_index.items() if fired >= 2}
+    assert repeated  # ~200 birthday collisions among 20k picks of 10^6
+    assert set(aggregate._folds) == repeated
+    assert len(aggregate._op_index) > 50 * len(aggregate._folds)
 
 
 # ------------------------------------------------------------ session stream
@@ -125,6 +177,33 @@ def test_aggregated_inflight_counts_outstanding_ops_and_drains():
     [(inflight, outstanding)] = samples
     assert inflight == outstanding > 0
     assert client.completed == 2000 and client.inflight == 0
+
+
+@pytest.mark.parametrize(
+    "mode", [{"rate": 1e5}, {"think_time": 2e-4}], ids=["open", "closed"]
+)
+def test_synthesis_state_is_released_once_the_budget_is_drawn(mode):
+    """The generator drops its per-session dicts when no session can fire
+    again; a later crash+recover of its node issues nothing."""
+    cluster = make_cluster("hermes", 3)
+    client = AggregatedClient(
+        client_id=0,
+        cluster=cluster,
+        workload=small_workload(write_ratio=0.2, num_keys=50, seed=13),
+        sessions=100,
+        max_ops=1500,
+        replica_id=0,
+        **mode,
+    )
+    assert client._agg is not None
+    run_clients(cluster, [client], max_time=0.5)
+    assert client._agg is None
+    assert client.issued == client.completed == 1500
+    cluster.crash(0)
+    cluster.recover(0)
+    cluster.run(until=cluster.sim.now + 0.01)
+    assert client.issued == client.completed == 1500
+    assert client.inflight == 0
 
 
 # ------------------------------------------------------------ split/arrivals

@@ -21,6 +21,35 @@ def test_read_of_preloaded_key_is_local(hermes_cluster):
     assert hermes_cluster.network.stats.messages_sent == 0
 
 
+def test_read_of_untouched_key_allocates_no_metadata_and_still_invalidates(hermes_cluster):
+    """A never-written key is Valid by definition: the read is served with
+    no per-key metadata; a later write still invalidates it and stalls
+    reads until the VAL."""
+    hermes_cluster.preload({"k": "v0"})
+    follower = hermes_cluster.replica(1)
+    status, value = submit_and_run(hermes_cluster, 1, Operation.read("k"))
+    assert (status, value) == (OpStatus.OK, "v0")
+    assert follower.reads_served_locally == 1
+    assert follower.store.get_record("k").meta is None
+
+    read_result = []
+    hermes_cluster.sim.schedule(
+        0.0,
+        lambda: hermes_cluster.replica(0).submit(Operation.write("k", "v1"), lambda o, s, v: None),
+    )
+    # Right after the INV reaches node 1, before the VAL (as in
+    # test_reads_stall_while_key_invalid).
+    hermes_cluster.sim.schedule(
+        3.0e-6,
+        lambda: follower.submit(Operation.read("k"), lambda o, s, v: read_result.append((s, v))),
+    )
+    hermes_cluster.run(until=hermes_cluster.sim.now + 0.01)
+    assert follower.stall_events == 1
+    assert read_result == [(OpStatus.OK, "v1")]
+    assert follower.store.get_record("k").meta.state is KeyState.VALID
+    assert follower.reads_served_locally == 2
+
+
 def test_read_of_unknown_key_returns_none(hermes_cluster):
     status, value = submit_and_run(hermes_cluster, 1, Operation.read("missing"))
     assert status is OpStatus.OK
