@@ -3,7 +3,7 @@
 * :mod:`repro.analysis.stats` — percentile and throughput computations over
   :class:`~repro.types.OperationResult` collections, plus windowed
   throughput time series (Figure 9).
-* :mod:`repro.analysis.report` — plain-text table/series formatting used by
+* :mod:`repro.analysis.report` — plain-text table formatting used by
   the benchmark harness and EXPERIMENTS.md generation.
 * :mod:`repro.analysis.lint` — stdlib-``ast`` determinism & aliasing linter
   with repo-specific rules (wall-clock reads, unseeded randomness, unordered
@@ -16,7 +16,7 @@
   draws to the node's seeded streams.
 """
 
-from repro.analysis.report import format_series, format_table
+from repro.analysis.report import format_table
 from repro.analysis.sanitize import SanitizerError, sanitizer_enabled
 from repro.analysis.stats import (
     LatencySummary,
@@ -29,7 +29,6 @@ from repro.analysis.stats import (
 __all__ = [
     "LatencySummary",
     "SanitizerError",
-    "format_series",
     "format_table",
     "latency_summary",
     "percentile",

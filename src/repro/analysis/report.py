@@ -7,7 +7,7 @@ pasted into EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]], title: str = "") -> str:
@@ -43,26 +43,3 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]], title
     for row in string_rows:
         lines.append(render_row(row))
     return "\n".join(lines)
-
-
-def format_series(
-    series: Sequence[Tuple[float, float]],
-    x_label: str = "x",
-    y_label: str = "y",
-    title: str = "",
-    max_points: int = 60,
-) -> str:
-    """Render an ``(x, y)`` series as a text table, optionally downsampled."""
-    points = list(series)
-    if len(points) > max_points:
-        stride = max(1, len(points) // max_points)
-        points = points[::stride]
-    rows = [(f"{x:.6g}", f"{y:.6g}") for x, y in points]
-    return format_table([x_label, y_label], rows, title=title)
-
-
-def ratio(numerator: float, denominator: float) -> float:
-    """A safe ratio helper (0 when the denominator is 0)."""
-    if denominator == 0:
-        return 0.0
-    return numerator / denominator

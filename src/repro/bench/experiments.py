@@ -29,6 +29,7 @@ from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence,
 from repro.analysis.report import format_table
 from repro.analysis.stats import throughput_timeseries
 from repro.bench.harness import ExperimentResult, ExperimentSpec, Scale, build_workload
+from repro.bench.runner import run_cells
 from repro.cluster.autoscale import AutoscaleConfig
 from repro.cluster.client import ClosedLoopClient
 from repro.cluster.cluster import Cluster, ClusterConfig
@@ -46,15 +47,6 @@ from repro.verification.history import History
 from repro.workloads.distributions import ShiftingHotspotKeys, UniformKeys
 from repro.workloads.generator import WorkloadMix
 from repro.workloads.presets import preset_spec_kwargs
-
-
-def run_cells(*args, **kwargs):
-    """Proxy to :func:`repro.bench.runner.run_cells`, imported lazily so that
-    ``python -m repro.bench.runner`` does not double-import its own module
-    through this one."""
-    from repro.bench.runner import run_cells as _run_cells
-
-    return _run_cells(*args, **kwargs)
 
 
 #: Write ratios evaluated by Figures 5 and 6 of the paper.
@@ -189,10 +181,17 @@ class Grid:
 
 
 def sweep(
-    grid: Grid, scale: Optional[Scale] = None, seed: int = 1, jobs: Optional[int] = None
+    grid: Grid,
+    scale: Optional[Scale] = None,
+    seed: int = 1,
+    jobs: Optional[int] = None,
+    overrides: Optional[Dict[str, object]] = None,
 ) -> FigureResult:
-    """Run a grid (seeds derived from ``seed``, ``jobs`` workers) and tabulate it."""
-    runs = run_cells(grid.cells(scale or Scale.default()), root_seed=seed, jobs=jobs)
+    """Run a grid (seeds derived from ``seed``, ``jobs`` workers, every cell
+    given the ``overrides`` spec fields) and tabulate it."""
+    runs = run_cells(
+        grid.cells(scale or Scale.default()), root_seed=seed, jobs=jobs, spec_overrides=overrides
+    )
     result = FigureResult(grid.title, list(grid.headers), notes=grid.notes)
     for data, row in grid.rows(runs):
         result.data.update(data)
@@ -211,12 +210,13 @@ class Figure:
         parts: One :class:`FigureResult` each, in artifact order: a
             :class:`Grid`, or a function. A function of a scaled figure takes
             ``(scale, seed, jobs)``; of a scale-independent one, ``seed`` and
-            the shard arguments when ``sharded``, otherwise nothing.
+            ``shards`` when ``sharded``, otherwise nothing.
         scaled: ``--scale`` applies; otherwise the artifact stamps
             ``"scale": null``.
-        sharded: The scenario takes ``--shards``/``--shard-mode`` as
-            ``shards``/``shard_mode`` arguments (grids get them as cell
-            overrides instead).
+        sharded: The scenario takes ``--shards`` as its ``shards`` argument
+            and always runs coupled (grids get ``--shards``/``--shard-mode``
+            as cell overrides instead; scaled functions own their shard
+            axes and get neither).
         min_shards: The fewest shards the scenario runs on. An explicitly
             selected figure with fewer is rejected; ``--figure all`` runs it
             at its own default instead.
@@ -870,18 +870,6 @@ def figure_usersweep(
 # ---------------------------------------------------------------------------
 # Scenario figures: one bespoke, scale-independent cluster each
 # ---------------------------------------------------------------------------
-def _require_coupled(figure: str, shard_mode: str) -> None:
-    """Membership/view-change scenarios need one shared simulation."""
-    if shard_mode != "coupled":
-        raise BenchmarkError(
-            f"{figure} is a membership/view-change scenario and requires "
-            "shard_mode='coupled': parallel shard execution runs each shard "
-            "as an independent simulation, so there is no shared cluster for "
-            "the RM service to reconfigure. Re-run with --shard-mode coupled "
-            "(the default)."
-        )
-
-
 def _membership(detection_timeout: float = 0.150, **extra) -> MembershipConfig:
     """The scenarios' RM service: 40 ms leases renewed every 10 ms, 10 ms pings."""
     return MembershipConfig(
@@ -928,7 +916,6 @@ def figure_9_failure(
     detection_timeout: float = 0.150,
     total_time: float = 0.400,
     clients_per_replica: int = 3,
-    shard_mode: str = "coupled",
     seed: int = 1,
 ) -> FigureResult:
     """Figure 9: HermesKV throughput before, during and after a node failure.
@@ -950,7 +937,6 @@ def figure_9_failure(
     transaction atomicity. The unsharded default is byte-identical to the
     classic Figure 9 setup.
     """
-    _require_coupled("figure 9", shard_mode)
     sharded = shards > 1
     window = 0.010
     config = ClusterConfig(
@@ -1052,7 +1038,7 @@ def figure_9_failure(
 # ---------------------------------------------------------------------------
 # Live shard migration: view-change-driven rebalance of a key range
 # ---------------------------------------------------------------------------
-def figure_migrate(shards: int = 4, shard_mode: str = "coupled", seed: int = 1) -> FigureResult:
+def figure_migrate(shards: int = 4, seed: int = 1) -> FigureResult:
     """Live shard migration: throughput rebalances across shard groups.
 
     A sharded five-node Hermes cluster (20% writes) runs with the RM
@@ -1066,7 +1052,6 @@ def figure_migrate(shards: int = 4, shard_mode: str = "coupled", seed: int = 1) 
     linearizability checker and the migration-atomicity checker (no
     operation observes pre-migration state after the flip).
     """
-    _require_coupled("figure migrate", shard_mode)
     if shards < 2:
         raise BenchmarkError("figure migrate requires shards >= 2")
     source_shard, migrate_time, total_time = 0, 0.080, 0.240
@@ -1163,7 +1148,7 @@ def figure_migrate(shards: int = 4, shard_mode: str = "coupled", seed: int = 1) 
 # ---------------------------------------------------------------------------
 # Flash crowd: elastic resharding under a shifting zipfian hot head
 # ---------------------------------------------------------------------------
-def figure_flashcrowd(shards: int = 4, shard_mode: str = "coupled", seed: int = 1) -> FigureResult:
+def figure_flashcrowd(shards: int = 4, seed: int = 1) -> FigureResult:
     """Flash crowd vs the autoscaler: aggregate throughput recovery.
 
     A four-node chain-replication deployment (tail-only linearizable reads —
@@ -1186,7 +1171,6 @@ def figure_flashcrowd(shards: int = 4, shard_mode: str = "coupled", seed: int = 
     full verification stack (linearizability + transaction atomicity +
     migration atomicity) stamped per row.
     """
-    _require_coupled("figure flashcrowd", shard_mode)
     if shards < 2:
         raise BenchmarkError("figure flashcrowd requires shards >= 2")
     shift_time, total_time, window = 0.100, 0.300, 0.020

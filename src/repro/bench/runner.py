@@ -229,13 +229,6 @@ def run_specs(
     return results
 
 
-#: Extra :class:`ExperimentSpec` field overrides applied to every grid cell
-#: by :func:`run_cells` — the hook behind the CLI's ``--shards`` /
-#: ``--shard-mode`` grid axes. Applied *before* per-cell seed derivation, so
-#: overridden grids get their own deterministic seeds. Empty by default.
-GRID_SPEC_OVERRIDES: Dict[str, Any] = {}
-
-
 def run_cells(
     cells: Sequence[Tuple[Hashable, ExperimentSpec]],
     root_seed: int,
@@ -250,8 +243,9 @@ def run_cells(
         root_seed: Figure-level seed mixed into every cell's derived seed.
         jobs: Worker processes (see :func:`run_specs`).
         keep_results: Keep raw per-operation results.
-        spec_overrides: Field overrides applied to every cell's spec
-            (defaults to the module-level :data:`GRID_SPEC_OVERRIDES`).
+        spec_overrides: Field overrides applied to every cell's spec before
+            its seed is derived, so an overridden grid gets its own
+            deterministic seeds (the CLI's ``--shards``/``--shard-mode``).
 
     Returns:
         Mapping from each cell key to its result.
@@ -259,13 +253,12 @@ def run_cells(
     keys = [key for key, _ in cells]
     if len(set(keys)) != len(keys):
         raise BenchmarkError("grid cell keys must be unique")
-    overrides = GRID_SPEC_OVERRIDES if spec_overrides is None else spec_overrides
-    if overrides:
+    if spec_overrides:
         # A figure that sweeps an axis itself (any cell holds the field at a
         # non-default value — e.g. figure_shard_scale's shard axis) owns that
         # axis: overriding it would relabel the sweep, so the override is
         # dropped for that grid.
-        effective = dict(overrides)
+        effective = dict(spec_overrides)
         for name in list(effective):
             default = _IDENTITY_NEUTRAL_DEFAULTS.get(name, _MISSING)
             if default is not _MISSING and any(
@@ -332,178 +325,6 @@ def write_artifact(path: str, payload: Dict[str, Any]) -> None:
         handle.write("\n")
 
 
-# --------------------------------------------------------- baseline diffing
-#: Per-metric relative tolerances for ``--diff-baseline``, matched by the
-#: first rule whose key is a substring of the metric's path (checked in
-#: order). Artifacts are deterministic for a fixed code version, so a rerun
-#: of unchanged code always diffs clean; the tolerances define how much a
-#: *code change* may legitimately move each metric before CI calls it a
-#: regression. Latency percentiles wobble more than means under protocol
-#: tweaks; counter-like metrics (message counts, aborts) are the noisiest.
-DEFAULT_DIFF_TOLERANCES: "List[Tuple[str, float]]" = [
-    ("messages_sent", 0.25),
-    ("rmws_aborted", 0.50),
-    ("reconfiguration_times", 0.25),
-    ("p99", 0.35),
-    ("_us", 0.25),
-    ("series", 0.50),
-    ("ratio", 0.25),
-    ("", 0.15),  # default: throughput-like metrics
-]
-
-#: Payload keys that are derived presentation (skipped when diffing).
-_DIFF_SKIP_KEYS = frozenset({"rows", "notes"})
-
-
-@dataclasses.dataclass
-class DiffEntry:
-    """One compared metric from a baseline diff."""
-
-    figure: str
-    path: str
-    baseline: Any
-    fresh: Any
-    drift: float
-    tolerance: float
-    ok: bool
-
-
-def _tolerance_for(path: str, tolerances: Sequence[Tuple[str, float]]) -> float:
-    for key, tol in tolerances:
-        if key in path:
-            return tol
-    return 0.0
-
-
-def _relative_drift(a: float, b: float) -> float:
-    scale = max(abs(a), abs(b))
-    if scale == 0.0:
-        return 0.0
-    return abs(a - b) / scale
-
-
-def diff_payloads(
-    figure: str,
-    baseline: Any,
-    fresh: Any,
-    tolerances: Sequence[Tuple[str, float]] = (),
-    path: str = "",
-) -> List[DiffEntry]:
-    """Compare two artifact payload fragments, returning one entry per leaf.
-
-    Numeric leaves compare with the relative tolerance selected by the
-    metric's path; all other leaves (strings, booleans, None) and the tree
-    structure itself must match exactly. ``rows`` and ``notes`` are skipped
-    — they are text renderings of the ``data`` numbers.
-    """
-    tolerances = tolerances or DEFAULT_DIFF_TOLERANCES
-    entries: List[DiffEntry] = []
-
-    def mismatch(p: str, a: Any, b: Any) -> None:
-        entries.append(DiffEntry(figure, p, a, b, float("inf"), 0.0, False))
-
-    def walk(a: Any, b: Any, p: str) -> None:
-        if isinstance(a, dict) and isinstance(b, dict):
-            keys_a = set(a) - _DIFF_SKIP_KEYS
-            keys_b = set(b) - _DIFF_SKIP_KEYS
-            for missing in sorted(keys_a ^ keys_b):
-                mismatch(f"{p}/{missing}", a.get(missing, "<absent>"), b.get(missing, "<absent>"))
-            for key in sorted(keys_a & keys_b):
-                walk(a[key], b[key], f"{p}/{key}")
-            return
-        if isinstance(a, list) and isinstance(b, list):
-            if len(a) != len(b):
-                mismatch(f"{p}/len", len(a), len(b))
-                return
-            for index, (item_a, item_b) in enumerate(zip(a, b)):
-                walk(item_a, item_b, f"{p}[{index}]")
-            return
-        numeric_a = isinstance(a, (int, float)) and not isinstance(a, bool)
-        numeric_b = isinstance(b, (int, float)) and not isinstance(b, bool)
-        if numeric_a and numeric_b:
-            drift = _relative_drift(float(a), float(b))
-            tolerance = _tolerance_for(p, tolerances)
-            entries.append(DiffEntry(figure, p, a, b, drift, tolerance, drift <= tolerance))
-            return
-        if a != b:
-            mismatch(p, a, b)
-
-    walk(baseline, fresh, path)
-    return entries
-
-
-def parse_tolerance_overrides(specs: Sequence[str]) -> List[Tuple[str, float]]:
-    """Parse repeated ``KEY=VALUE`` tolerance overrides (prepended to defaults)."""
-    rules: List[Tuple[str, float]] = []
-    for item in specs:
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise BenchmarkError(f"tolerance override {item!r} is not KEY=VALUE")
-        try:
-            rules.append((key, float(value)))
-        except ValueError as exc:
-            raise BenchmarkError(f"invalid tolerance value in {item!r}") from exc
-    return rules + DEFAULT_DIFF_TOLERANCES
-
-
-def diff_against_baseline(
-    figure: str,
-    fresh_payload: Dict[str, Any],
-    baseline_dir: str,
-    tolerances: Sequence[Tuple[str, float]] = (),
-) -> Tuple[List[DiffEntry], List[str]]:
-    """Diff a freshly produced figure payload against a committed baseline.
-
-    Returns:
-        ``(entries, errors)`` — per-metric comparisons plus fatal problems
-        (missing baseline file, scale/seed mismatch).
-    """
-    errors: List[str] = []
-    path = os.path.join(baseline_dir, artifact_name(figure))
-    if not os.path.exists(path):
-        return [], [f"no baseline artifact {path}"]
-    with open(path, "r", encoding="utf-8") as handle:
-        baseline = json.load(handle)
-    for field_name in ("figure", "scale", "seed"):
-        if baseline.get(field_name) != fresh_payload.get(field_name):
-            errors.append(
-                f"{figure}: baseline {field_name}={baseline.get(field_name)!r} does not match "
-                f"fresh run {field_name}={fresh_payload.get(field_name)!r}"
-            )
-    if errors:
-        return [], errors
-    # Round-trip the fresh payload through JSON so both sides have identical
-    # type/shape treatment (tuples become lists, keys become strings).
-    fresh = json.loads(json.dumps(_jsonable(fresh_payload), sort_keys=True))
-    return diff_payloads(figure, baseline, fresh, tolerances), errors
-
-
-def write_diff_report(path: str, entries: List[DiffEntry], errors: List[str]) -> None:
-    """Write the machine-readable diff report next to the artifacts.
-
-    Structural mismatches carry ``drift=inf`` internally; the report maps
-    them to ``null`` so the JSON stays strictly parseable (the bare
-    ``Infinity`` token json.dump would emit is not valid JSON).
-    """
-
-    def finite(value: float) -> Optional[float]:
-        return value if value != float("inf") else None
-
-    failing = [e for e in entries if not e.ok]
-    finite_drifts = [e.drift for e in entries if e.drift != float("inf")]
-    payload = {
-        "ok": not failing and not errors,
-        "compared": len(entries),
-        "failures": [
-            {**dataclasses.asdict(e), "drift": finite(e.drift)} for e in failing
-        ],
-        "errors": errors,
-        "structural_mismatches": sum(1 for e in entries if e.drift == float("inf")),
-        "worst_drift": max(finite_drifts, default=0.0),
-    }
-    write_artifact(path, _jsonable(payload))
-
-
 # ------------------------------------------------------------- figure CLI
 # The figure table (repro.bench.experiments.FIGURES) is imported inside the
 # functions that read it, never at module level: callers that only want the
@@ -512,29 +333,36 @@ def write_diff_report(path: str, entries: List[DiffEntry], errors: List[str]) ->
 
 
 def _run_part(
-    figure: "Figure", part: Any, scale: Scale, seed: int, jobs: Optional[int]  # noqa: F821
+    figure: "Figure",  # noqa: F821
+    part: Any,
+    scale: Scale,
+    seed: int,
+    jobs: Optional[int],
+    overrides: Dict[str, Any],
 ) -> Any:
-    """Run one part of a declared figure with the arguments it takes."""
+    """Run one part of a declared figure with the arguments it takes.
+
+    ``overrides`` (the CLI's ``--shards``/``--shard-mode``) reach a grid as
+    cell overrides and a sharded scenario as its ``shards`` argument. A scaled
+    function gets neither: it owns its grids' shard axes, and the open-loop
+    capacity probe is calibrated against the unsharded protocol.
+    """
     from repro.bench.experiments import Grid, sweep
 
     if isinstance(part, Grid):
-        return sweep(part, scale, seed, jobs)
+        return sweep(part, scale, seed, jobs, overrides)
     if figure.scaled:
         return part(scale=scale, seed=seed, jobs=jobs)
     if not figure.sharded:
         return part()  # a fixed table: no run arguments apply
-    kwargs: Dict[str, Any] = {"seed": seed}
     # Forward --shards when the scenario can honour it; below its minimum
     # (e.g. --shards 1 with migrate in an --figure all sweep) the scenario's
     # own default applies — an *explicitly selected* figure with too few
     # shards is rejected up front by the CLI instead.
-    shards = GRID_SPEC_OVERRIDES.get("shards")
+    shards = overrides.get("shards")
     if shards is not None and shards >= figure.min_shards:
-        kwargs["shards"] = shards
-    shard_mode = GRID_SPEC_OVERRIDES.get("shard_mode")
-    if shard_mode is not None:
-        kwargs["shard_mode"] = shard_mode
-    return part(**kwargs)
+        return part(seed=seed, shards=shards)
+    return part(seed=seed)
 
 
 def artifact_name(figure: str) -> str:
@@ -551,6 +379,7 @@ def run_figure(
     jobs: Optional[int] = None,
     output_dir: Optional[str] = None,
     print_tables: bool = True,
+    overrides: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Run one figure end to end: experiments, tables, JSON artifact.
 
@@ -562,6 +391,8 @@ def run_figure(
         jobs: Worker processes for the grid.
         output_dir: Where to write the artifact; ``None`` skips writing.
         print_tables: Print each figure's text table to stdout.
+        overrides: ``shards``/``shard_mode`` spec overrides (the CLI's
+            ``--shards``/``--shard-mode``; see :func:`_run_part`).
 
     Returns:
         The artifact payload (also written to disk when requested).
@@ -571,22 +402,23 @@ def run_figure(
     declared = FIGURES.get(figure)
     if declared is None:
         raise BenchmarkError(f"unknown figure {figure!r}; options: {sorted(FIGURES)}")
+    overrides = dict(overrides or {})
     payload: Dict[str, Any] = {
         "figure": figure,
         # Record the scale only when it was actually applied: stamping an
         # unapplied scale into a scale-independent figure's artifact would
-        # defeat artifact diffing.
+        # make it differ from an identical run at another scale.
         "scale": scale.name if declared.scaled else None,
         "seed": seed,
         "results": [],
     }
-    if GRID_SPEC_OVERRIDES:
+    if overrides:
         # Overridden grids are a different measurement; stamping the
-        # overrides prevents their artifacts from diffing clean against
-        # (or silently replacing) the default baselines.
-        payload["spec_overrides"] = dict(GRID_SPEC_OVERRIDES)
+        # overrides keeps their artifacts from ever matching (or silently
+        # replacing) the default baselines.
+        payload["spec_overrides"] = overrides
     for part in declared.parts:
-        result = _run_part(declared, part, scale, seed, jobs)
+        result = _run_part(declared, part, scale, seed, jobs, overrides)
         if print_tables:
             print(result.table())
             if result.notes:
@@ -630,7 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="S",
-        help="override the key-range shard count of every grid cell; the "
+        help="override the key-range shard count of every grid cell (figures "
+        "that sweep shards themselves keep their own axis); the "
         f"bespoke figures {', '.join(scenarios[:-1])} and {scenarios[-1]} run "
         "their scenario on S shards (fixed tables are unaffected)",
     )
@@ -658,20 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-artifacts", action="store_true", help="skip writing BENCH_*.json files"
     )
     parser.add_argument("--quiet", action="store_true", help="suppress text tables")
-    parser.add_argument(
-        "--diff-baseline",
-        metavar="DIR",
-        help="compare the fresh run against committed BENCH_*.json baselines in "
-        "DIR with per-metric tolerances; exit non-zero on drift",
-    )
-    parser.add_argument(
-        "--diff-tolerance",
-        action="append",
-        default=[],
-        metavar="KEY=REL",
-        help="override a diff tolerance (path-substring = relative tolerance; "
-        "repeatable, e.g. --diff-tolerance throughput=0.05)",
-    )
     return parser
 
 
@@ -688,11 +507,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         scale = resolve_scale(args.scale)
-    except BenchmarkError as exc:
-        parser.error(str(exc))
-
-    try:
-        tolerances = parse_tolerance_overrides(args.diff_tolerance)
     except BenchmarkError as exc:
         parser.error(str(exc))
 
@@ -739,78 +553,31 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # shard_mode without shards is a no-op; dropping it here keeps the
         # run (and its artifact payload) identical to a plain run.
         overrides["shard_mode"] = args.shard_mode
-    previous_overrides = dict(GRID_SPEC_OVERRIDES)
-    GRID_SPEC_OVERRIDES.clear()
-    GRID_SPEC_OVERRIDES.update(overrides)
-    try:
-        return _run_figures(args, figures, scale, tolerances)
-    finally:
-        # In-process callers (tests, notebooks) must not inherit the CLI's
-        # overrides as ambient state for later run_cells() calls.
-        GRID_SPEC_OVERRIDES.clear()
-        GRID_SPEC_OVERRIDES.update(previous_overrides)
+    return _run_figures(args, figures, scale, overrides)
 
 
 def _run_figures(
     args: argparse.Namespace,
     figures: Sequence[str],
     scale: Scale,
-    tolerances: Sequence[Tuple[str, float]],
+    overrides: Dict[str, Any],
 ) -> int:
-    """Run the selected figures and (optionally) diff against baselines."""
+    """Run the selected figures, writing their artifacts unless told not to."""
     output_dir = None if args.no_artifacts else args.output_dir
     if output_dir is not None:
         os.makedirs(output_dir, exist_ok=True)
-    entries: List[DiffEntry] = []
-    errors: List[str] = []
     for figure in figures:
-        payload = run_figure(
+        run_figure(
             figure,
             scale,
             seed=args.seed,
             jobs=args.jobs,
             output_dir=output_dir,
             print_tables=not args.quiet,
+            overrides=overrides,
         )
-        if args.diff_baseline:
-            figure_entries, figure_errors = diff_against_baseline(
-                figure, payload, args.diff_baseline, tolerances
-            )
-            entries.extend(figure_entries)
-            errors.extend(figure_errors)
-
-    if not args.diff_baseline:
-        return 0
-
-    failing = [e for e in entries if not e.ok]
-    report_path = None
-    if output_dir is not None:
-        # --no-artifacts promises no files; the report is itself an artifact.
-        report_path = os.path.join(output_dir, "BENCH_DIFF.json")
-        write_diff_report(report_path, entries, errors)
-    print(
-        f"baseline diff vs {args.diff_baseline}: {len(entries)} metrics compared, "
-        f"{len(failing)} out of tolerance, {len(errors)} errors"
-        + (f" -> {report_path}" if report_path else "")
-    )
-    for error in errors:
-        print(f"  ERROR {error}")
-    for entry in failing[:20]:
-        print(
-            f"  DRIFT {entry.figure}{entry.path}: baseline={entry.baseline!r} "
-            f"fresh={entry.fresh!r} drift={entry.drift:.3f} tol={entry.tolerance:.3f}"
-        )
-    if len(failing) > 20:
-        where = f" (see {report_path})" if report_path else ""
-        print(f"  ... and {len(failing) - 20} more{where}")
-    return 1 if failing or errors else 0
+    return 0
 
 
 if __name__ == "__main__":
-    # Delegate to the canonically imported module so only one copy of this
-    # module's globals (notably GRID_SPEC_OVERRIDES) is ever live — under
-    # ``python -m`` this file executes as ``__main__`` while the figure
-    # functions import ``repro.bench.runner``.
-    from repro.bench.runner import main as _main
-
-    sys.exit(_main())
+    sys.exit(main())

@@ -8,8 +8,6 @@ values (32 B by default, up to 1 KB for the Derecho comparison).
 * :mod:`repro.workloads.distributions` — uniform and zipfian key pickers.
 * :mod:`repro.workloads.generator` — request mixes (write ratio, RMW ratio,
   value sizes) producing :class:`~repro.types.Operation` streams.
-* :mod:`repro.workloads.ycsb` — the standard YCSB core workload presets
-  expressed as mixes.
 * :mod:`repro.workloads.presets` — the benchmark grid's named mixes,
   including the RMW-heavy scenarios.
 """
@@ -27,7 +25,6 @@ from repro.workloads.presets import (
     preset_spec_kwargs,
     preset_workload,
 )
-from repro.workloads.ycsb import YCSB_PRESETS, ycsb_workload
 
 __all__ = [
     "KeyDistribution",
@@ -36,10 +33,8 @@ __all__ = [
     "WORKLOAD_PRESETS",
     "WorkloadMix",
     "WorkloadPreset",
-    "YCSB_PRESETS",
     "ZipfianKeys",
     "get_preset",
     "preset_spec_kwargs",
     "preset_workload",
-    "ycsb_workload",
 ]

@@ -4,9 +4,8 @@ The paper's figures sweep write ratio and skew directly; the grid in
 :mod:`repro.bench.experiments` additionally speaks in terms of named mixes
 so that RMW-heavy and skewed scenarios are first-class, reusable axes
 (ROADMAP: "grow the grid with open-loop (Poisson) load points and RMW-heavy
-mixes"). The YCSB letter presets in :mod:`repro.workloads.ycsb` remain the
-literature-facing vocabulary; these presets are the repo's own, including
-combinations YCSB does not name (e.g. a uniform RMW-heavy mix).
+mixes"), including combinations YCSB does not name (e.g. a uniform
+RMW-heavy mix).
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.analysis.report import format_series, format_table, ratio
+from repro.analysis.report import format_table
 from repro.analysis.stats import (
     LatencySummary,
     abort_rate,
@@ -284,14 +284,3 @@ def test_format_table_alignment_and_title():
     assert lines[0] == "T"
     assert "| a   | bb |" in lines[1]
     assert all(len(line) == len(lines[1]) for line in lines[2:])
-
-
-def test_format_series_downsamples():
-    series = [(float(i), float(i * 2)) for i in range(200)]
-    text = format_series(series, max_points=20)
-    assert len(text.splitlines()) <= 25
-
-
-def test_ratio_handles_zero_denominator():
-    assert ratio(1.0, 0.0) == 0.0
-    assert ratio(6.0, 3.0) == 2.0

@@ -9,8 +9,8 @@ Covers the reconfiguration paths the unsharded membership tests cannot:
   service (detection → lease expiry → Paxos → m-update);
 * a recovered node stays outside the view (no silent rejoin);
 * the scenario is deterministic (identical artifacts across repeated runs);
-* membership/view-change scenarios combined with parallel shard execution
-  fail with a clear error instead of a deep traceback.
+* the runner CLI rejects membership/view-change scenarios combined with
+  parallel shard execution with a clear error instead of a deep traceback.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import pytest
 from repro.bench.experiments import figure_9_failure
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.failures import FailureEvent, FailureInjector
-from repro.errors import BenchmarkError
 from repro.membership.detector import FailureDetectorConfig
 from repro.membership.service import MembershipConfig
 from repro.types import Operation, OpStatus
@@ -115,17 +114,6 @@ def test_sharded_figure9_scenario_is_deterministic():
     assert first.rows == second.rows
     assert first.data["linearizable"] and first.data["txn_check_ok"]
     assert len(first.data["reconfiguration_times"]) == 1
-
-
-def test_membership_scenarios_reject_parallel_shard_mode():
-    with pytest.raises(BenchmarkError) as err:
-        figure_9_failure(shards=2, shard_mode="parallel")
-    assert "coupled" in str(err.value)
-    from repro.bench.experiments import figure_migrate
-
-    with pytest.raises(BenchmarkError) as err:
-        figure_migrate(shards=2, shard_mode="parallel")
-    assert "coupled" in str(err.value)
 
 
 def test_runner_cli_rejects_parallel_membership_figures():

@@ -1,21 +1,10 @@
-"""Tests for the open-loop grid axis, workload presets and baseline diffing."""
+"""Tests for the open-loop grid axis and workload presets."""
 
 from __future__ import annotations
 
-import json
-import os
-
 import pytest
 
-from repro.bench import runner
-from repro.bench.harness import ExperimentSpec, Scale, run_experiment
-from repro.bench.runner import (
-    DEFAULT_DIFF_TOLERANCES,
-    diff_against_baseline,
-    diff_payloads,
-    parse_tolerance_overrides,
-    run_figure,
-)
+from repro.bench.harness import ExperimentSpec, run_experiment
 from repro.errors import BenchmarkError, WorkloadError
 from repro.types import OpType
 from repro.workloads import (
@@ -111,133 +100,3 @@ def test_unknown_preset_raises():
 def test_all_presets_buildable():
     for name in WORKLOAD_PRESETS:
         assert preset_workload(name, num_keys=10) is not None
-
-
-# ------------------------------------------------------- baseline diffs
-def test_diff_payloads_passes_identical_trees():
-    tree = {"data": {"a": 1.0, "b": [1, 2, 3]}, "figure": "x"}
-    entries = diff_payloads("f", tree, json.loads(json.dumps(tree)))
-    assert entries and all(e.ok for e in entries)
-
-
-def test_diff_payloads_flags_drift_beyond_tolerance():
-    base = {"data": {"throughput": 100.0}}
-    fresh = {"data": {"throughput": 50.0}}
-    entries = diff_payloads("f", base, fresh)
-    assert len(entries) == 1 and not entries[0].ok
-    assert entries[0].drift == pytest.approx(0.5)
-
-
-def test_diff_payloads_accepts_drift_within_tolerance():
-    base = {"data": {"throughput": 100.0}}
-    fresh = {"data": {"throughput": 95.0}}
-    entries = diff_payloads("f", base, fresh)
-    assert entries[0].ok
-
-
-def test_diff_payloads_skips_rows_and_notes():
-    base = {"rows": [["1"]], "notes": "a", "data": {}}
-    fresh = {"rows": [["2"]], "notes": "b", "data": {}}
-    assert diff_payloads("f", base, fresh) == []
-
-
-def test_diff_payloads_structural_mismatch_fails():
-    entries = diff_payloads("f", {"data": {"a": 1}}, {"data": {"b": 1}})
-    assert entries and not any(e.ok for e in entries)
-
-
-def test_diff_payloads_string_leaves_compared_exactly():
-    entries = diff_payloads("f", {"headers": ["x"]}, {"headers": ["y"]})
-    assert len(entries) == 1 and not entries[0].ok
-
-
-def test_parse_tolerance_overrides_prepend_and_validate():
-    rules = parse_tolerance_overrides(["throughput=0.01"])
-    assert rules[0] == ("throughput", 0.01)
-    assert rules[-len(DEFAULT_DIFF_TOLERANCES):] == DEFAULT_DIFF_TOLERANCES
-    with pytest.raises(BenchmarkError):
-        parse_tolerance_overrides(["nonsense"])
-
-
-def test_diff_against_baseline_round_trip(tmp_path):
-    scale = Scale.smoke()
-    payload = run_figure("table2", scale, output_dir=str(tmp_path), print_tables=False)
-    entries, errors = diff_against_baseline("table2", payload, str(tmp_path))
-    assert not errors
-    assert entries and all(e.ok for e in entries)
-
-
-def test_diff_against_baseline_missing_artifact(tmp_path):
-    entries, errors = diff_against_baseline("table2", {"figure": "table2"}, str(tmp_path))
-    assert not entries
-    assert errors and "no baseline artifact" in errors[0]
-
-
-def test_diff_against_baseline_scale_mismatch(tmp_path):
-    scale = Scale.smoke()
-    payload = run_figure("table2", scale, output_dir=str(tmp_path), print_tables=False)
-    other = dict(payload)
-    other["scale"] = "bench"
-    entries, errors = diff_against_baseline("table2", other, str(tmp_path))
-    assert errors and "scale" in errors[0]
-
-
-def test_runner_cli_diff_baseline_exit_codes(tmp_path):
-    baseline_dir = tmp_path / "base"
-    out_dir = tmp_path / "out"
-    assert (
-        runner.main(
-            [
-                "--figure", "table2", "--scale", "smoke", "--quiet",
-                "--output-dir", str(baseline_dir),
-            ]
-        )
-        == 0
-    )
-    assert (
-        runner.main(
-            [
-                "--figure", "table2", "--scale", "smoke", "--quiet",
-                "--output-dir", str(out_dir),
-                "--diff-baseline", str(baseline_dir),
-            ]
-        )
-        == 0
-    )
-    report = json.loads((out_dir / "BENCH_DIFF.json").read_text())
-    assert report["ok"] is True
-
-    # Perturb the committed baseline: the diff must now fail the build.
-    artifact = baseline_dir / "BENCH_table2.json"
-    content = json.loads(artifact.read_text())
-    content["results"][0]["data"]["hermes"]["name"] = "NotHermes"
-    artifact.write_text(json.dumps(content, indent=2, sort_keys=True))
-    assert (
-        runner.main(
-            [
-                "--figure", "table2", "--scale", "smoke", "--quiet",
-                "--output-dir", str(out_dir),
-                "--diff-baseline", str(baseline_dir),
-            ]
-        )
-        == 1
-    )
-    report = json.loads((out_dir / "BENCH_DIFF.json").read_text())
-    assert report["ok"] is False and report["failures"]
-
-
-def test_committed_smoke_baselines_match_current_code(tmp_path):
-    """The committed smoke baselines must diff clean against fresh runs.
-
-    Uses the cheapest figures (table2 runs no simulations; figure 9 is a
-    single run) so the tier-1 suite stays fast; CI's baseline-diff job
-    covers the full grid.
-    """
-    repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    baseline_dir = os.path.join(repo_root, "bench-baselines", "smoke")
-    scale = runner.resolve_scale("smoke")
-    for figure in ("table2", "9"):
-        payload = run_figure(figure, scale, output_dir=str(tmp_path), print_tables=False)
-        entries, errors = diff_against_baseline(figure, payload, baseline_dir)
-        assert not errors
-        assert entries and all(e.ok for e in entries)

@@ -268,9 +268,9 @@ def test_grid_overrides_respect_figure_owned_axes():
 
 
 def test_cli_shards_flag_reaches_the_grids(tmp_path):
-    # Regression: under ``python -m`` the runner executes as ``__main__``
-    # while the figures call the canonically imported module copy — the
-    # --shards override must be visible in both, or it is silently ignored.
+    # End to end under ``python -m``: --shards/--shard-mode travel from the
+    # CLI to every grid cell as arguments (no module state, so the runner
+    # executing as ``__main__`` cannot lose them) and the artifact stamps them.
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     subprocess.run(
         [
@@ -303,6 +303,22 @@ def test_cli_shards_flag_reaches_the_grids(tmp_path):
     # Sharded-parallel write-only throughput must actually differ from the
     # unsharded baseline numbers (the flag did something).
     assert payload["results"][0]["data"] != baseline["results"][0]["data"]
+
+
+def test_shards_override_leaves_the_openloop_figure_unchanged():
+    # The open-loop figure owns its shard axis and calibrates its ladder on
+    # the unsharded protocol: --shards must reach neither its grid nor its
+    # capacity probe, so the data equals the default run's, capacities too.
+    payload = run_figure(
+        "openloop", resolve_scale("smoke"), jobs=1, print_tables=False, overrides={"shards": 4}
+    )
+    assert payload["spec_overrides"] == {"shards": 4}
+    baseline = json.loads(
+        (REPO_ROOT / "bench-baselines" / "smoke" / "BENCH_openloop.json").read_text()
+    )
+    data = payload["results"][0]["data"]
+    assert {f"{protocol},capacity" for protocol in ("hermes", "craq", "zab")} <= set(data)
+    assert data == baseline["results"][0]["data"]
 
 
 # -------------------------------------------------------- baseline byte-compat

@@ -1,4 +1,4 @@
-"""Workload generation: distributions, mixes and YCSB presets."""
+"""Workload generation: distributions and mixes."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.errors import WorkloadError
 from repro.types import OpType
 from repro.workloads.distributions import UniformKeys, ZipfianKeys
 from repro.workloads.generator import WorkloadMix, sized_value_factory
-from repro.workloads.ycsb import YCSB_PRESETS, ycsb_workload
 
 
 # ----------------------------------------------------------- distributions
@@ -131,31 +130,3 @@ def test_mix_validation():
         WorkloadMix.uniform(10, write_ratio=1.5)
     with pytest.raises(WorkloadError):
         WorkloadMix.uniform(10, write_ratio=0.5, value_size=0)
-
-
-# -------------------------------------------------------------------- ycsb
-def test_ycsb_presets_exist():
-    assert {"A", "B", "C", "D", "F"} <= set(YCSB_PRESETS)
-
-
-def test_ycsb_workload_b_is_read_mostly():
-    mix = ycsb_workload("B", num_keys=100)
-    ops = [mix.next_operation(0) for _ in range(1000)]
-    writes = sum(1 for op in ops if op.op_type.is_update)
-    assert writes < 120
-
-
-def test_ycsb_workload_f_uses_rmws():
-    mix = ycsb_workload("F", num_keys=100)
-    ops = [mix.next_operation(0) for _ in range(200)]
-    assert any(op.op_type is OpType.RMW for op in ops)
-
-
-def test_ycsb_workload_c_is_read_only():
-    mix = ycsb_workload("C", num_keys=50)
-    assert all(mix.next_operation(0).op_type is OpType.READ for _ in range(100))
-
-
-def test_ycsb_unknown_preset_rejected():
-    with pytest.raises(WorkloadError):
-        ycsb_workload("Z")
