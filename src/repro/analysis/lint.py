@@ -52,8 +52,9 @@ M002      mutable default fields (``field(default_factory=dict/list/set)``
           bait on the zero-copy delivery path.
 H001      a message class that no dispatcher ever matches
           (``isinstance(msg, X)`` / ``msg.__class__ is X`` /
-          ``type(msg) is X``) anywhere in the linted tree — an unhandled
-          message type silently drops on the floor.
+          ``type(msg) is X`` / a key of a handler-table dict literal
+          ``{X: self._on_x, ...}``) anywhere in the linted tree — an
+          unhandled message type fails (or drops) at delivery.
 ========  ==================================================================
 
 Usage::
@@ -176,6 +177,10 @@ ORDER_INSENSITIVE_CALLS = {
 
 #: Base-class names that mark wire-message hierarchies (M001/M002/H001).
 MESSAGE_BASES = {"MembershipMessage", "TxnMessage", "HermesMessage"}
+
+#: Dict values that make a literal a handler table for H001 (a
+#: ``WIRE_COSTS`` table maps to strings and does not count).
+_HANDLER_EXPRS = (ast.Attribute, ast.Name, ast.Lambda, ast.Call)
 
 #: Attribute names known (cross-module) to hold set/frozenset values.
 #: ``MembershipView.members`` is a ``frozenset`` (membership/view.py).
@@ -649,6 +654,13 @@ class _FileLinter(ast.NodeVisitor):
                     )
                     if left_is_classy:
                         self._collect_class_names(node.comparators[0])
+            elif isinstance(node, ast.Dict) and node.values and all(
+                isinstance(value, _HANDLER_EXPRS) for value in node.values
+            ):
+                # A handler table ({Message: handler, ...}) dispatches its keys.
+                for key in node.keys:
+                    if key is not None:
+                        self._collect_class_names(key)
             elif isinstance(node, ast.Assign):
                 for target in node.targets:
                     if isinstance(target, ast.Name) and target.id == "WIRE_COSTS":
@@ -832,7 +844,8 @@ def lint_paths(paths: Sequence[Path], root: Optional[Path] = None) -> List[Findi
                         col=0,
                         symbol=name,
                         message=f"message type '{name}' is dispatched by no handler "
-                        "(no isinstance/type-is match anywhere in the linted tree)",
+                        "(no isinstance/type-is match or handler-table key anywhere "
+                        "in the linted tree)",
                     )
                 )
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))

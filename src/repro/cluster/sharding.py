@@ -686,11 +686,12 @@ class ShardHost(NodeProcess):
 
     def on_local_work(self, work: Any) -> None:
         if type(work) is not tuple:
-            # A client transaction hand-off for this node's 2PC coordinator
-            # (shard-bound work always arrives as (shard, inner) tuples).
-            from repro.cluster.txn import handle_host_txn_work
+            # A client transaction hand-off (ClientTxnSubmit) for this node's
+            # 2PC coordinator (shard-bound work always arrives as
+            # (shard, inner) tuples).
+            from repro.cluster.txn import coordinator_of
 
-            handle_host_txn_work(self, work)
+            coordinator_of(self).begin(work.txn, work.callback)
             return
         shard, inner = work
         replica = self.shard_replicas[shard]

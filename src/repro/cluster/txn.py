@@ -317,17 +317,6 @@ class TxnParticipant:
         self.write_failures = 0
         self.view_change_aborts = 0
 
-    # ----------------------------------------------------------- dispatch
-    def handle(self, message: TxnMessage) -> None:
-        """Dispatch one participant-bound transaction message."""
-        cls = message.__class__
-        if cls is TxnPrepare:
-            self._on_prepare(message)
-        elif cls is TxnDecision:
-            self._on_decision(message)
-        elif cls is TxnSingle:
-            self._on_single(message)
-
     def park(self, op: Operation, callback: Any) -> None:
         """Queue a plain operation behind the lock on its key."""
         self.ops_parked += 1
@@ -785,16 +774,6 @@ class TxnCoordinator:
             )
 
     # ------------------------------------------------------------ dispatch
-    def handle(self, message: TxnMessage) -> None:
-        """Dispatch one coordinator-bound transaction message."""
-        cls = message.__class__
-        if cls is TxnVote:
-            self._on_vote(message)
-        elif cls is TxnAck:
-            self._on_ack(message)
-        elif cls is TxnSingleReply:
-            self._on_single_reply(message)
-
     def _dispatch(
         self, state: Optional["_CoordinatorTxn"], shard: int, message: TxnMessage, size: int
     ) -> None:
@@ -961,37 +940,39 @@ def coordinator_of(node: Any) -> TxnCoordinator:
     return coordinator
 
 
-def handle_txn_work(replica: Any, work: Any) -> None:
-    """Entry point for non-tuple local work items on a replica.
-
-    Routes a :class:`ClientTxnSubmit` to the node's coordinator and any
-    other transaction message to the participant/coordinator it addresses.
-    """
-    if work.__class__ is ClientTxnSubmit:
-        host = replica._host
-        coordinator_of(host if host is not None else replica).begin(work.txn, work.callback)
-        return
-    handle_txn_message(replica, work)
-
-
-def handle_txn_message(replica: Any, message: TxnMessage) -> None:
-    """Dispatch a transaction message delivered to a replica.
-
-    Participant-bound messages (prepare/decision/fast path) go to the
-    replica's own lock-master participant; coordinator-bound replies go to
-    the coordinator of the replica's *node* (the host on sharded clusters).
-    """
-    cls = message.__class__
-    if cls is TxnPrepare or cls is TxnDecision or cls is TxnSingle:
-        participant_of(replica).handle(message)
-        return
+def _node_of(replica: Any) -> Any:
+    """The simulated node a replica runs on (its host on sharded clusters)."""
     host = replica._host
-    coordinator = (host if host is not None else replica)._txn_coordinator
-    if coordinator is not None:
-        coordinator.handle(message)
+    return host if host is not None else replica
 
 
-def handle_host_txn_work(host: Any, work: Any) -> None:
-    """Entry point for non-tuple local work items on a :class:`ShardHost`."""
-    if work.__class__ is ClientTxnSubmit:
-        coordinator_of(host).begin(work.txn, work.callback)
+def _to_participant(method: Callable[[TxnParticipant, Any], None]):
+    return lambda replica, src, message: method(participant_of(replica), message)
+
+
+def _to_coordinator(method: Callable[[TxnCoordinator, Any], None]):
+    def handler(replica: Any, src: NodeId, message: Any) -> None:
+        coordinator = _node_of(replica)._txn_coordinator
+        if coordinator is not None:
+            method(coordinator, message)
+
+    return handler
+
+
+#: The transaction layer's entries in every replica's dispatch table, called
+#: as ``handler(replica, src, message)``. Participant-bound messages
+#: (prepare, decision, fast path) go to the replica's own lock-master
+#: participant, created on first use. Client hand-offs and coordinator-bound
+#: replies go to the coordinator of the replica's *node*; a reply reaching a
+#: node without a coordinator is ignored.
+TXN_HANDLERS: Dict[type, Callable[[Any, NodeId, Any], None]] = {
+    ClientTxnSubmit: lambda replica, src, work: coordinator_of(_node_of(replica)).begin(
+        work.txn, work.callback
+    ),
+    TxnPrepare: _to_participant(TxnParticipant._on_prepare),
+    TxnDecision: _to_participant(TxnParticipant._on_decision),
+    TxnSingle: _to_participant(TxnParticipant._on_single),
+    TxnVote: _to_coordinator(TxnCoordinator._on_vote),
+    TxnAck: _to_coordinator(TxnCoordinator._on_ack),
+    TxnSingleReply: _to_coordinator(TxnCoordinator._on_single_reply),
+}

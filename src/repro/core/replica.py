@@ -326,20 +326,6 @@ class HermesReplica(ReplicaNode):
         self._ack_set_pool.append(acks)
 
     # -------------------------------------------------------- follower side
-    def protocol_dispatch(self) -> Dict[type, Any]:
-        """Exact-class handlers for direct dispatch (skips both type switches)."""
-        return {Inv: self._on_inv, Ack: self._on_ack, Val: self._on_val}
-
-    def handle_protocol_message(self, src: NodeId, message: Any) -> None:
-        """Dispatch INV / ACK / VAL messages."""
-        if isinstance(message, Inv):
-            self._on_inv(src, message)
-        elif isinstance(message, Ack):
-            self._on_ack(src, message)
-        elif isinstance(message, Val):
-            self._on_val(src, message)
-        # Unknown message types are ignored (forward compatibility).
-
     def _on_inv(self, src: NodeId, inv: Inv) -> None:
         if inv.epoch_id != self.view.epoch_id:
             self.epoch_drops += 1
@@ -602,6 +588,8 @@ class HermesReplica(ReplicaNode):
     def stalled_requests(self) -> int:
         """Number of client requests currently parked on non-Valid keys."""
         return sum(len(v) for v in self._stalled.values())
+
+    HANDLERS = {Inv: _on_inv, Ack: _on_ack, Val: _on_val}
 
 
 register_protocol("hermes", HermesReplica)

@@ -38,6 +38,10 @@ from repro.types import NodeId
 #: Callback invoked when a new view is installed: ``callback(view)``.
 ViewChangeCallback = Callable[[MembershipView], None]
 
+#: Every message class :meth:`MembershipAgent.handle` consumes; a replica's
+#: dispatch table routes exactly these to its agent.
+AGENT_MESSAGES = (Ping, Pong, LeaseGrant, Prepare, Promise, Accept, Accepted, Nack, MUpdate)
+
 #: Function used by the agent to send a message: ``send(dst, message, size)``.
 SendFunction = Callable[[NodeId, MembershipMessage, int], None]
 

@@ -9,10 +9,12 @@ Every protocol in the library (Hermes and the baselines) subclasses
 * membership integration (a per-replica
   :class:`~repro.membership.agent.MembershipAgent`, epoch-tagged message
   filtering, view-change notification),
-* transport integration (direct or Wings-batched sends, message unpacking).
+* one exact-class dispatch table routing every message the replica
+  receives — membership, transaction and protocol traffic, from the
+  network (direct or Wings transport) or from the local-work queue.
 
-Protocols implement :meth:`handle_client_op` and
-:meth:`handle_protocol_message` and describe themselves through
+Protocols implement :meth:`handle_client_op`, list their message handlers
+in :attr:`ReplicaNode.HANDLERS` and describe themselves through
 :class:`ProtocolFeatures` (the data behind the paper's Table 2).
 """
 
@@ -21,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Type
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.kvs.store import KeyValueStore
-from repro.membership.agent import MembershipAgent
+from repro.membership.agent import AGENT_MESSAGES, MembershipAgent
 from repro.membership.messages import MembershipMessage
 from repro.membership.view import MembershipView
 from repro.rpc.wings import DirectTransport, Transport
@@ -31,7 +33,10 @@ from repro.sim.clock import ClockConfig, LooselySynchronizedClock
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.node import NodeProcess, ServiceTimeModel
-from repro.types import Key, NodeId, Operation, OpStatus, OpType, TxnMessage, Value
+from repro.types import Key, NodeId, Operation, OpStatus, OpType, Value
+
+#: A dispatch-table entry: ``handler(replica, src, message)``.
+Handler = Callable[[Any, NodeId, Any], None]
 
 #: Completion callback invoked by a replica when an operation finishes:
 #: ``callback(op, status, value)``.
@@ -94,10 +99,21 @@ class ReplicaConfig:
 class ReplicaNode(NodeProcess):
     """Base class for protocol replicas.
 
-    Subclasses must implement :meth:`handle_client_op`,
-    :meth:`handle_protocol_message` and :meth:`features`, and may override
-    :meth:`on_view_change` to react to membership reconfiguration.
+    Subclasses must implement :meth:`handle_client_op` and :meth:`features`
+    and fill :attr:`HANDLERS`, and may override :meth:`on_view_change` to
+    react to membership reconfiguration.
+
+    Every message reaches its handler through one exact-class table, built
+    once per replica class (:meth:`dispatch_table`): membership messages go
+    to the agent, transaction messages to the 2PC roles
+    (:data:`repro.cluster.txn.TXN_HANDLERS`) and protocol messages to the
+    subclass's :attr:`HANDLERS`. A class with no entry raises
+    :class:`SimulationError`.
     """
+
+    #: The protocol's entries of the dispatch table: message class ->
+    #: ``handler(self, src, message)``.
+    HANDLERS: Dict[type, Handler] = {}
 
     def __init__(
         self,
@@ -174,13 +190,7 @@ class ReplicaNode(NodeProcess):
         # role_ring() cache, invalidated the same way.
         self._ring_view: Optional[MembershipView] = None
         self._ring_cache: Tuple[NodeId, ...] = ()
-        # Per-message-class dispatch cache (direct transport only): resolved
-        # lazily from the isinstance chain on first sight of each class, so
-        # steady-state dispatch is one dict lookup instead of the chain plus
-        # the handle_protocol_message hop. Consulted only under a
-        # DirectTransport (checked per message — the cluster may swap in a
-        # Wings transport after construction), so it never goes stale.
-        self._msg_dispatch: Dict[type, Callable[[NodeId, Any], None]] = {}
+        self._handlers = self.dispatch_table()
         # Flattened client-submit constants: wire sizes and the exact
         # ServiceTimeModel.cost(size, 1.0) values for reads and updates.
         self._read_size = self.config.key_size
@@ -264,11 +274,9 @@ class ReplicaNode(NodeProcess):
     def on_local_work(self, work: Tuple[Operation, ClientCallback]) -> None:
         if type(work) is not tuple:
             # Transaction-layer work item (a client transaction hand-off or
-            # a locally dispatched 2PC message); plain client operations
+            # a locally delivered 2PC message); plain client operations
             # always arrive as (op, callback) tuples.
-            from repro.cluster.txn import handle_txn_work
-
-            handle_txn_work(self, work)
+            self.dispatch(self.node_id, work)
             return
         op, callback = work
         # Inlined is_operational(): the crashed property's host indirection
@@ -314,73 +322,50 @@ class ReplicaNode(NodeProcess):
     def on_message(self, src: NodeId, message: Any) -> None:
         transport = self.transport
         if type(transport) is DirectTransport:
-            # Fast path: unbatched transports pass messages through verbatim
-            # and flush is a no-op. Dispatch by exact message class through
-            # the per-class cache; unseen classes resolve through the
-            # isinstance chain once (see _dispatch_resolve).
-            handler = self._msg_dispatch.get(message.__class__)
-            if handler is not None:
-                handler(src, message)
-            else:
-                self._dispatch_resolve(src, message)
+            # One packet is one message, and flush is a no-op.
+            self.dispatch(src, message)
             return
+        # Wings: every message a packet carries goes through the same table,
+        # then whatever the handlers batched leaves at once.
         for inner, _size in transport.unpack(src, message):
-            if isinstance(inner, MembershipMessage):
-                self.membership_agent.handle(src, inner)
-                self.view = self.membership_agent.view
-            elif isinstance(inner, TxnMessage):
-                self._handle_txn_message(inner)
-            else:
-                self.handle_protocol_message(src, inner)
+            self.dispatch(src, inner)
         transport.flush()
 
-    def _dispatch_resolve(self, src: NodeId, message: Any) -> None:
-        """Resolve and cache the direct-dispatch handler for a message class.
-
-        Protocol subclasses publish exact-class handlers through
-        :meth:`protocol_dispatch`; anything unlisted falls back to
-        :meth:`handle_protocol_message` (which ignores unknown types).
-        """
-        if isinstance(message, MembershipMessage):
-            handler = self._on_membership_message
-        elif isinstance(message, TxnMessage):
-            handler = self._on_txn_message
-        else:
-            handler = self.protocol_dispatch().get(
-                message.__class__, self.handle_protocol_message
+    def dispatch(self, src: NodeId, message: Any) -> None:
+        """Run the table handler registered for ``message``'s exact class."""
+        handler = self._handlers.get(message.__class__)
+        if handler is None:
+            raise SimulationError(
+                f"{type(self).__name__} {self.node_id} has no handler for "
+                f"{type(message).__name__!r}"
             )
-        self._msg_dispatch[message.__class__] = handler
-        handler(src, message)
+        handler(self, src, message)
 
-    def protocol_dispatch(self) -> Dict[type, Callable[[NodeId, Any], None]]:
-        """Exact-class handler table for direct dispatch (subclass hook).
+    @classmethod
+    def dispatch_table(cls) -> Dict[type, Handler]:
+        """This class's message class -> handler table, built on first use.
 
-        Entries let the hot path skip both the ``on_message`` isinstance
-        chain and the ``handle_protocol_message`` type switch. Handlers are
-        invoked on a delivery frame exactly like ``handle_protocol_message``.
+        Entries are plain functions called as ``handler(replica, src,
+        message)``, so every replica of a class shares one table.
         """
-        return {}
+        table = cls.__dict__.get("_dispatch_table")
+        if table is None:
+            from repro.cluster.txn import TXN_HANDLERS  # repro.cluster imports this module
 
-    def _on_membership_message(self, src: NodeId, message: Any) -> None:
+            table = cls._dispatch_table = {
+                **dict.fromkeys(AGENT_MESSAGES, ReplicaNode._on_membership_message),
+                **TXN_HANDLERS,
+                **cls.HANDLERS,
+            }
+        return table
+
+    def _on_membership_message(self, src: NodeId, message: MembershipMessage) -> None:
         self.membership_agent.handle(src, message)
         self.view = self.membership_agent.view
-
-    def _on_txn_message(self, src: NodeId, message: Any) -> None:
-        self._handle_txn_message(message)
-
-    def _handle_txn_message(self, message: TxnMessage) -> None:
-        """Route a transaction-layer message (see :mod:`repro.cluster.txn`)."""
-        from repro.cluster.txn import handle_txn_message
-
-        handle_txn_message(self, message)
 
     # ------------------------------------------------------------ overrides
     def handle_client_op(self, op: Operation, callback: ClientCallback) -> None:
         """Process a client operation. Subclasses implement."""
-        raise NotImplementedError
-
-    def handle_protocol_message(self, src: NodeId, message: Any) -> None:
-        """Process a protocol message from a peer. Subclasses implement."""
         raise NotImplementedError
 
     def on_view_change(self, view: MembershipView) -> None:

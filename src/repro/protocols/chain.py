@@ -176,43 +176,12 @@ class ChainReplicationReplica(ReplicaNode):
         )
 
     # ------------------------------------------------------ protocol messages
-    def protocol_dispatch(self) -> Dict[type, Any]:
-        """Exact-class handlers for direct dispatch (skips the type switch)."""
-        return {
-            CrWriteRequest: self._dispatch_write_request,
-            CrWriteDown: self._dispatch_write_down,
-            CrWriteReply: self._dispatch_reply,
-            CrReadRequest: self._dispatch_read_request,
-            CrReadReply: self._dispatch_reply,
-        }
-
-    def handle_protocol_message(self, src: NodeId, message: Any) -> None:
-        """Dispatch chain traffic."""
-        if isinstance(message, CrWriteRequest):
-            if self.is_head:
-                self._head_accept(message.key, message.value, message.origin, message.op_id)
-        elif isinstance(message, CrWriteDown):
-            self._on_write_down(message)
-        elif isinstance(message, CrWriteReply):
-            self._complete_pending(message.op_id, message.value)
-        elif isinstance(message, CrReadRequest):
-            self._on_read_request(message)
-        elif isinstance(message, CrReadReply):
-            self._complete_pending(message.op_id, message.value)
-
-    # Uniform (src, message) adapters for the dispatch table.
-    def _dispatch_write_request(self, src: NodeId, message: CrWriteRequest) -> None:
+    def _on_write_request(self, src: NodeId, message: CrWriteRequest) -> None:
         if self.is_head:
             self._head_accept(message.key, message.value, message.origin, message.op_id)
 
-    def _dispatch_write_down(self, src: NodeId, message: CrWriteDown) -> None:
-        self._on_write_down(message)
-
-    def _dispatch_reply(self, src: NodeId, message: Any) -> None:
+    def _on_reply(self, src: NodeId, message: Any) -> None:
         self._complete_pending(message.op_id, message.value)
-
-    def _dispatch_read_request(self, src: NodeId, message: CrReadRequest) -> None:
-        self._on_read_request(message)
 
     # --------------------------------------------------------------- internals
     def _head_accept(self, key: Key, value: Value, origin: NodeId, op_id: int) -> None:
@@ -231,7 +200,7 @@ class ChainReplicationReplica(ReplicaNode):
             successor, message, message.size_bytes + self.update_size_bytes(value)
         )
 
-    def _on_write_down(self, message: CrWriteDown) -> None:
+    def _on_write_down(self, src: NodeId, message: CrWriteDown) -> None:
         # Real chain replication runs over FIFO links; the simulated fabric
         # can reorder messages (latency jitter), so apply a write-down only
         # if it is newer than the local version — otherwise replicas could
@@ -261,7 +230,7 @@ class ChainReplicationReplica(ReplicaNode):
             reply = CrWriteReply(op_id=op_id, value=value)
             self.transport.send(origin, reply, reply.size_bytes)
 
-    def _on_read_request(self, message: CrReadRequest) -> None:
+    def _on_read_request(self, src: NodeId, message: CrReadRequest) -> None:
         record = self.store.try_get_record(message.key)
         value = record.value if record is not None else None
         reply = CrReadReply(op_id=message.op_id, value=value)
@@ -283,6 +252,14 @@ class ChainReplicationReplica(ReplicaNode):
         elif record.meta is None:
             record.meta = CrKeyMeta()
         return record.meta
+
+    HANDLERS = {
+        CrWriteRequest: _on_write_request,
+        CrWriteDown: _on_write_down,
+        CrWriteReply: _on_reply,
+        CrReadRequest: _on_read_request,
+        CrReadReply: _on_reply,
+    }
 
 
 register_protocol("cr", ChainReplicationReplica)

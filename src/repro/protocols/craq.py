@@ -250,53 +250,10 @@ class CraqReplica(ReplicaNode):
         request = WriteRequest(key=op.key, value=op.value, origin=self.node_id, op_id=op.op_id)
         self.transport.send(self.head, request, request.size_bytes + self.update_size_bytes(op.value))
 
-    # ------------------------------------------------------ protocol messages
-    def protocol_dispatch(self) -> Dict[type, Any]:
-        """Exact-class handlers for direct dispatch (skips the type switch)."""
-        return {
-            WriteRequest: self._dispatch_write_request,
-            WriteDown: self._dispatch_write_down,
-            AckUp: self._dispatch_ack_up,
-            WriteReply: self._dispatch_write_reply,
-            VersionQuery: self._dispatch_version_query,
-            VersionReply: self._dispatch_version_reply,
-        }
-
-    def handle_protocol_message(self, src: NodeId, message: Any) -> None:
-        """Dispatch CRAQ chain traffic."""
-        if isinstance(message, WriteRequest):
-            self._head_accept_write(message.key, message.value, message.origin, message.op_id)
-        elif isinstance(message, WriteDown):
-            self._on_write_down(message)
-        elif isinstance(message, AckUp):
-            self._on_ack_up(message)
-        elif isinstance(message, WriteReply):
-            self._on_write_reply(message)
-        elif isinstance(message, VersionQuery):
-            self._on_version_query(message)
-        elif isinstance(message, VersionReply):
-            self._on_version_reply(message)
-
-    # Uniform (src, message) adapters for the dispatch table.
-    def _dispatch_write_request(self, src: NodeId, message: "WriteRequest") -> None:
+    # -------------------------------------------------------------- head side
+    def _on_write_request(self, src: NodeId, message: WriteRequest) -> None:
         self._head_accept_write(message.key, message.value, message.origin, message.op_id)
 
-    def _dispatch_write_down(self, src: NodeId, message: "WriteDown") -> None:
-        self._on_write_down(message)
-
-    def _dispatch_ack_up(self, src: NodeId, message: "AckUp") -> None:
-        self._on_ack_up(message)
-
-    def _dispatch_write_reply(self, src: NodeId, message: "WriteReply") -> None:
-        self._on_write_reply(message)
-
-    def _dispatch_version_query(self, src: NodeId, message: "VersionQuery") -> None:
-        self._on_version_query(message)
-
-    def _dispatch_version_reply(self, src: NodeId, message: "VersionReply") -> None:
-        self._on_version_reply(message)
-
-    # -------------------------------------------------------------- head side
     def _head_accept_write(self, key: Key, value: Value, origin: NodeId, op_id: int) -> None:
         meta = self._meta(key)
         version = meta.latest_version + 1
@@ -315,7 +272,7 @@ class CraqReplica(ReplicaNode):
         )
 
     # -------------------------------------------------------- chain traversal
-    def _on_write_down(self, message: WriteDown) -> None:
+    def _on_write_down(self, src: NodeId, message: WriteDown) -> None:
         meta = self._meta(message.key)
         meta.apply(message.version, message.value)
         if self.is_tail:
@@ -344,14 +301,14 @@ class CraqReplica(ReplicaNode):
             ack = AckUp(key=key, version=version)
             self.transport.send(predecessor, ack, ack.size_bytes)
 
-    def _on_ack_up(self, message: AckUp) -> None:
+    def _on_ack_up(self, src: NodeId, message: AckUp) -> None:
         meta = self._meta(message.key)
         meta.commit(message.version)
         predecessor = self.predecessor()
         if predecessor is not None:
             self.transport.send(predecessor, message, message.size_bytes)
 
-    def _on_write_reply(self, message: WriteReply) -> None:
+    def _on_write_reply(self, src: NodeId, message: WriteReply) -> None:
         self._complete_local_write(message.op_id, message.value)
 
     def _complete_local_write(self, op_id: int, value: Value) -> None:
@@ -362,7 +319,7 @@ class CraqReplica(ReplicaNode):
         self.complete(op, callback, OpStatus.OK, value)
 
     # ---------------------------------------------------------- dirty reads
-    def _on_version_query(self, message: VersionQuery) -> None:
+    def _on_version_query(self, src: NodeId, message: VersionQuery) -> None:
         meta = self._meta(message.key)
         reply = VersionReply(
             key=message.key,
@@ -374,7 +331,7 @@ class CraqReplica(ReplicaNode):
             message.origin, reply, reply.size_bytes + self.value_size_of(reply.value)
         )
 
-    def _on_version_reply(self, message: VersionReply) -> None:
+    def _on_version_reply(self, src: NodeId, message: VersionReply) -> None:
         entry = self._pending_reads.pop(message.op_id, None)
         if entry is None:
             return
@@ -414,6 +371,15 @@ class CraqReplica(ReplicaNode):
         if record is None or record.meta is None:
             return self.store.get(key)
         return record.meta.committed_value()
+
+    HANDLERS = {
+        WriteRequest: _on_write_request,
+        WriteDown: _on_write_down,
+        AckUp: _on_ack_up,
+        WriteReply: _on_write_reply,
+        VersionQuery: _on_version_query,
+        VersionReply: _on_version_reply,
+    }
 
 
 register_protocol("craq", CraqReplica)

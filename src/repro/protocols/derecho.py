@@ -157,40 +157,11 @@ class DerechoReplica(ReplicaNode):
             self.sequencer, submit, submit.size_bytes + self.update_size_bytes(op.value)
         )
 
-    # ------------------------------------------------------ protocol messages
-    def protocol_dispatch(self) -> Dict[type, Any]:
-        """Exact-class handlers for direct dispatch (skips the type switch)."""
-        return {
-            SubmitUpdate: self._dispatch_submit_update,
-            OrderedRound: self._dispatch_round,
-            RoundReceived: self._on_round_received,
-            RoundDeliver: self._dispatch_round_deliver,
-        }
-
-    def handle_protocol_message(self, src: NodeId, message: Any) -> None:
-        """Dispatch total-order traffic."""
-        if isinstance(message, SubmitUpdate):
-            if self.is_sequencer:
-                self._enqueue_update(message.key, message.value, message.origin, message.op_id)
-        elif isinstance(message, OrderedRound):
-            self._on_round(message)
-        elif isinstance(message, RoundReceived):
-            self._on_round_received(src, message)
-        elif isinstance(message, RoundDeliver):
-            self._on_round_deliver(message.round_id)
-
-    # Uniform (src, message) adapters for the dispatch table.
-    def _dispatch_submit_update(self, src: NodeId, message: "SubmitUpdate") -> None:
+    # --------------------------------------------------------- sequencer side
+    def _on_submit_update(self, src: NodeId, message: SubmitUpdate) -> None:
         if self.is_sequencer:
             self._enqueue_update(message.key, message.value, message.origin, message.op_id)
 
-    def _dispatch_round(self, src: NodeId, message: "OrderedRound") -> None:
-        self._on_round(message)
-
-    def _dispatch_round_deliver(self, src: NodeId, message: "RoundDeliver") -> None:
-        self._on_round_deliver(message.round_id)
-
-    # --------------------------------------------------------- sequencer side
     def _enqueue_update(self, key: Key, value: Value, origin: NodeId, op_id: int) -> None:
         self._queued_updates.append((key, value, origin, op_id))
         self._maybe_start_round()
@@ -235,10 +206,13 @@ class DerechoReplica(ReplicaNode):
         self._maybe_start_round()
 
     # ----------------------------------------------------------- replica side
-    def _on_round(self, ordered: OrderedRound) -> None:
+    def _on_round(self, src: NodeId, ordered: OrderedRound) -> None:
         self._received_rounds[ordered.round_id] = ordered
         confirm = RoundReceived(round_id=ordered.round_id)
         self.transport.send(self.sequencer, confirm, confirm.size_bytes)
+
+    def _on_deliver_message(self, src: NodeId, message: RoundDeliver) -> None:
+        self._on_round_deliver(message.round_id)
 
     def _on_round_deliver(self, round_id: int) -> None:
         ordered = self._received_rounds.pop(round_id, None)
@@ -254,6 +228,13 @@ class DerechoReplica(ReplicaNode):
                 if entry is not None:
                     op, callback = entry
                     self.complete(op, callback, OpStatus.OK, value)
+
+    HANDLERS = {
+        SubmitUpdate: _on_submit_update,
+        OrderedRound: _on_round,
+        RoundReceived: _on_round_received,
+        RoundDeliver: _on_deliver_message,
+    }
 
 
 register_protocol("derecho", DerechoReplica)

@@ -156,40 +156,11 @@ class ZabReplica(ReplicaNode):
             self.leader, forward, forward.size_bytes + self.update_size_bytes(op.value)
         )
 
-    # ------------------------------------------------------ protocol messages
-    def protocol_dispatch(self) -> Dict[type, Any]:
-        """Exact-class handlers for direct dispatch (skips the type switch)."""
-        return {
-            ForwardWrite: self._dispatch_forward_write,
-            Proposal: self._dispatch_proposal,
-            ProposalAck: self._on_proposal_ack,
-            Commit: self._dispatch_commit,
-        }
-
-    def handle_protocol_message(self, src: NodeId, message: Any) -> None:
-        """Dispatch ZAB traffic."""
-        if isinstance(message, ForwardWrite):
-            if self.is_leader:
-                self._propose(message.key, message.value, message.origin, message.op_id)
-        elif isinstance(message, Proposal):
-            self._on_proposal(message)
-        elif isinstance(message, ProposalAck):
-            self._on_proposal_ack(src, message)
-        elif isinstance(message, Commit):
-            self._on_commit(message.zxid)
-
-    # Uniform (src, message) adapters for the dispatch table.
-    def _dispatch_forward_write(self, src: NodeId, message: "ForwardWrite") -> None:
+    # ------------------------------------------------------------ leader side
+    def _on_forward_write(self, src: NodeId, message: ForwardWrite) -> None:
         if self.is_leader:
             self._propose(message.key, message.value, message.origin, message.op_id)
 
-    def _dispatch_proposal(self, src: NodeId, message: "Proposal") -> None:
-        self._on_proposal(message)
-
-    def _dispatch_commit(self, src: NodeId, message: "Commit") -> None:
-        self._on_commit(message.zxid)
-
-    # ------------------------------------------------------------ leader side
     def _serialization_weight(self) -> float:
         """CPU weight of work pinned to the leader's single ordering thread.
 
@@ -237,13 +208,16 @@ class ZabReplica(ReplicaNode):
         self._proposals.pop(pending.proposal.zxid, None)
 
     # ---------------------------------------------------------- follower side
-    def _on_proposal(self, proposal: Proposal) -> None:
+    def _on_proposal(self, src: NodeId, proposal: Proposal) -> None:
         self._pending_log[proposal.zxid] = proposal
         ack = ProposalAck(zxid=proposal.zxid)
         self.transport.send(self.leader, ack, ack.size_bytes)
         if proposal.zxid in self._commit_backlog:
             self._commit_backlog.discard(proposal.zxid)
             self._apply_in_order(proposal.zxid)
+
+    def _on_commit_message(self, src: NodeId, message: Commit) -> None:
+        self._on_commit(message.zxid)
 
     def _on_commit(self, zxid: int) -> None:
         if zxid not in self._pending_log:
@@ -279,6 +253,13 @@ class ZabReplica(ReplicaNode):
     def applied_zxid(self) -> int:
         """The highest zxid applied locally (in order)."""
         return self._last_applied_zxid
+
+    HANDLERS = {
+        ForwardWrite: _on_forward_write,
+        Proposal: _on_proposal,
+        ProposalAck: _on_proposal_ack,
+        Commit: _on_commit_message,
+    }
 
 
 register_protocol("zab", ZabReplica)

@@ -15,9 +15,12 @@ Both route their actual sends through the owning
 sender's CPU; batching therefore genuinely reduces send overhead, which is
 exactly the benefit the paper ascribes to Wings (§4.2).
 
-Receivers must call :meth:`Transport.unpack` on incoming messages to obtain
-the individual application messages (a single-element list for unbatched
-traffic).
+A receiving replica routes every application message through its one
+exact-class dispatch table (see :class:`repro.protocols.base.ReplicaNode`).
+Under the direct transport each network message is an application message;
+under Wings the replica first opens the packet with
+:meth:`WingsTransport.unpack` and routes each message it carries, then
+flushes what the handlers batched.
 """
 
 from __future__ import annotations
@@ -44,15 +47,6 @@ class Transport:
     def flush(self) -> None:
         """Force any buffered messages onto the wire (no-op if unbuffered)."""
 
-    def unpack(self, src: NodeId, message: Any) -> List[Tuple[Any, int]]:
-        """Turn an incoming network message into application messages.
-
-        Returns a list of ``(message, size_bytes)`` pairs. Control messages
-        consumed by the transport itself (e.g. credit updates) yield an empty
-        list.
-        """
-        raise NotImplementedError
-
 
 class DirectTransport(Transport):
     """Unbatched transport: each message is its own network packet."""
@@ -64,9 +58,6 @@ class DirectTransport(Transport):
         # measurable on the benchmark hot path.
         self.send = node.send
         self.broadcast = node.broadcast
-
-    def unpack(self, src: NodeId, message: Any) -> List[Tuple[Any, int]]:
-        return [(message, getattr(message, "size_bytes", 0))]
 
 
 class WingsTransport(Transport):
@@ -124,6 +115,10 @@ class WingsTransport(Transport):
 
     # -------------------------------------------------------------- receive
     def unpack(self, src: NodeId, message: Any) -> List[Tuple[Any, int]]:
+        """Turn an incoming network message into ``(message, size_bytes)`` pairs.
+
+        Credit updates are consumed here and yield an empty list.
+        """
         if isinstance(message, ExplicitCreditUpdate):
             if self.credit_manager is not None:
                 self.credit_manager.replenish(src, message.credits)

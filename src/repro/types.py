@@ -148,10 +148,8 @@ class Transaction:
 class TxnMessage:
     """Marker base class for transaction-layer messages.
 
-    Lives here (not in :mod:`repro.cluster.txn`) so the protocol base class
-    can recognise transaction traffic with one ``isinstance`` check without
-    importing the cluster package — the concrete message types and the 2PC
-    state machines are defined in :mod:`repro.cluster.txn`.
+    The concrete message types, the 2PC state machines and their entries in
+    each replica's dispatch table are defined in :mod:`repro.cluster.txn`.
     """
 
     __slots__ = ()

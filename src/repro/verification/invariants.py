@@ -23,7 +23,10 @@ from repro.verification.history import History
 
 
 def check_replica_convergence(replicas: Iterable, keys: Optional[Iterable[Key]] = None) -> None:
-    """Assert that all live replicas agree on the value of every key.
+    """Assert that all live replicas agree on the committed value of every key.
+
+    Values are read through ``committed_value``, not the raw record: CRAQ
+    keeps its committed state in per-key metadata.
 
     Args:
         replicas: Replica nodes (crashed ones are skipped).
@@ -43,9 +46,8 @@ def check_replica_convergence(replicas: Iterable, keys: Optional[Iterable[Key]] 
     for key in keys:
         observed: List[Tuple[int, Value]] = []
         for replica in live:
-            record = replica.store.try_get_record(key)
-            if record is not None:
-                observed.append((replica.node_id, record.value))
+            if replica.store.try_get_record(key) is not None:
+                observed.append((replica.node_id, replica.committed_value(key)))
         values = {repr(value) for _, value in observed}
         if len(values) > 1:
             raise VerificationError(
@@ -95,11 +97,12 @@ def check_values_from_history(
     for replica in replicas:
         if replica.crashed:
             continue
-        for key, record in replica.store.items():
+        for key in replica.store.keys():
             allowed = written.get(key)
             if allowed is None:
                 continue
-            if repr(record.value) not in allowed and record.value is not None:
+            value = replica.committed_value(key)
+            if repr(value) not in allowed and value is not None:
                 raise VerificationError(
-                    f"node {replica.node_id} stores unwritten value {record.value!r} for key {key!r}"
+                    f"node {replica.node_id} stores unwritten value {value!r} for key {key!r}"
                 )

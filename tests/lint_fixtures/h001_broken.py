@@ -29,8 +29,40 @@ class Dropped(TxnMessage):  # expect: H001
         return 24
 
 
+@dataclass(slots=True)
+class TableHandled(TxnMessage):
+    key: int = 0
+
+    @property
+    def size_bytes(self) -> int:
+        return 24
+
+
+@dataclass(slots=True)
+class MissingFromTable(TxnMessage):  # expect: H001
+    """Listed in a cost table, but absent from the handler table."""
+
+    key: int = 0
+
+    @property
+    def size_bytes(self) -> int:
+        return 24
+
+
+#: Maps to strings, so it is not a handler table.
+COSTS = {MissingFromTable: "24"}
+
+
 def dispatch(message):
     cls = message.__class__
     if cls is Handled:
         return True
     return False
+
+
+class Replica:
+    def handlers(self):
+        return {TableHandled: self._on_table_handled}
+
+    def _on_table_handled(self, src, message):
+        pass

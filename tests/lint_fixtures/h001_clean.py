@@ -27,6 +27,15 @@ class AlsoHandled(TxnMessage):
         return 24
 
 
+@dataclass(slots=True)
+class TableHandled(TxnMessage):
+    key: int = 0
+
+    @property
+    def size_bytes(self) -> int:
+        return 24
+
+
 def dispatch(message):
     cls = message.__class__
     if cls is Handled:
@@ -34,3 +43,11 @@ def dispatch(message):
     if type(message) is AlsoHandled:
         return True
     return False
+
+
+class Replica:
+    def handlers(self):
+        return {TableHandled: self._on_table_handled}
+
+    def _on_table_handled(self, src, message):
+        pass

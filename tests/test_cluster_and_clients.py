@@ -6,7 +6,7 @@ import pytest
 
 from repro.cluster.client import ClosedLoopClient, OpenLoopClient, run_clients
 from repro.cluster.cluster import Cluster, ClusterConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.membership.detector import FailureDetectorConfig
 from repro.membership.service import MembershipConfig, MembershipService
 from repro.membership.view import MembershipView
@@ -84,6 +84,16 @@ def test_wings_cluster_round_trips():
     run_clients(cluster, clients, max_time=1.0)
     assert clients[0].completed == 30
     assert check_history(history, initial_values=workload.initial_dataset())
+
+
+@pytest.mark.parametrize("use_wings", [False, True])
+def test_replica_rejects_a_message_class_with_no_handler(use_wings):
+    class Stray:
+        size_bytes = 8
+
+    cluster = Cluster(ClusterConfig(protocol="craq", num_replicas=3, use_wings=use_wings))
+    with pytest.raises(SimulationError, match="CraqReplica 1 has no handler for 'Stray'"):
+        cluster.replica(1).on_message(0, Stray())
 
 
 # ----------------------------------------------------------------- clients

@@ -14,6 +14,7 @@ from repro.cluster.client import ClosedLoopClient, run_clients
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.failures import FailureEvent, FailureInjector
 from repro.core.config import HermesConfig
+from repro.errors import VerificationError
 from repro.sim.network import NetworkConfig
 from repro.types import OpStatus
 from repro.verification.history import History
@@ -57,6 +58,40 @@ def test_replicas_converge_after_quiescence(protocol):
     check_values_from_history(
         cluster.replicas.values(), history, initial_dataset=workload.initial_dataset()
     )
+
+
+def test_convergence_checks_read_craq_committed_state():
+    """CRAQ keeps committed values in its per-key version map and never
+    rewrites the raw record value after preload, so both checks must read
+    ``committed_value``: a corrupted committed version has to be caught."""
+    cluster = Cluster(ClusterConfig(protocol="craq", num_replicas=5, seed=4))
+    workload = small_workload(write_ratio=0.3, num_keys=10, seed=4)
+    history, _ = run_workload(cluster, workload, clients=10, ops=20)
+    meta = cluster.replica(4).store.try_get_record(sorted(workload.initial_dataset())[0]).meta
+    meta.versions[meta.committed_version] = b"CORRUPT"
+    with pytest.raises(VerificationError):
+        check_replica_convergence(cluster.replicas.values())
+    with pytest.raises(VerificationError):
+        check_values_from_history(
+            cluster.replicas.values(), history, initial_dataset=workload.initial_dataset()
+        )
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("protocol", ["hermes", "craq", "cr", "zab", "derecho"])
+def test_wings_transport_serves_every_protocol(protocol, shards):
+    """Every protocol runs over Wings batching, sharded or not: each message
+    a packet carries reaches its handler through the replica's one table."""
+    cluster = Cluster(
+        ClusterConfig(protocol=protocol, num_replicas=3, shards=shards, use_wings=True, seed=21)
+    )
+    workload = small_workload(write_ratio=0.5, num_keys=6, seed=21)
+    history, sessions = run_workload(cluster, workload)
+    assert all(s.done for s in sessions)
+    if protocol in ("hermes", "craq", "cr"):
+        # zab and derecho serve sequentially consistent local reads.
+        assert check_history(history, initial_values=workload.initial_dataset())
+    check_replica_convergence(cluster.all_replicas())
 
 
 def test_zab_reads_are_sequentially_consistent_not_linearizable():

@@ -14,7 +14,7 @@ from repro.sim.node import NodeProcess
 
 
 class SinkNode(NodeProcess):
-    """A node collecting unpacked application messages through a transport."""
+    """A node collecting application messages (Wings packets unpacked)."""
 
     def __init__(self, node_id, sim, network, transport_factory=None):
         super().__init__(node_id, sim, network)
@@ -23,7 +23,11 @@ class SinkNode(NodeProcess):
 
     def on_message(self, src, message):
         assert self.transport is not None
-        for inner, size in self.transport.unpack(src, message):
+        if isinstance(self.transport, WingsTransport):
+            unpacked = self.transport.unpack(src, message)
+        else:
+            unpacked = [(message, 0)]
+        for inner, size in unpacked:
             self.received.append((src, inner, size))
 
     def on_local_work(self, work):  # pragma: no cover - unused

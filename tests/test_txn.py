@@ -135,7 +135,7 @@ def test_conflicting_transactions_abort_no_wait_and_locks_release():
     cluster = preloaded(Cluster(ClusterConfig(protocol="hermes", num_replicas=3, seed=9)))
     master = cluster.replica(0)
     # Hold key 4 via a prepared-but-undecided txn from a phantom coordinator.
-    master._handle_txn_message(TxnPrepare(10_001, 2, 0, [Operation.write(4, b"H4")]))
+    master.on_message(2, TxnPrepare(10_001, 2, 0, [Operation.write(4, b"H4")]))
     participant = master._txn_participant
     assert participant.locks == {4: 10_001}
     # A real transaction touching the locked key aborts immediately.
@@ -159,7 +159,7 @@ def test_conflicting_transactions_abort_no_wait_and_locks_release():
 def test_plain_operations_park_behind_transaction_locks():
     cluster = preloaded(Cluster(ClusterConfig(protocol="hermes", num_replicas=3, seed=11)))
     master = cluster.replica(0)
-    master._handle_txn_message(TxnPrepare(10_002, 2, 0, [Operation.write(8, b"H8")]))
+    master.on_message(2, TxnPrepare(10_002, 2, 0, [Operation.write(8, b"H8")]))
     assert master._txn_participant.locks == {8: 10_002}
     done = []
     master.submit(Operation.write(8, b"P8"), lambda o, s, v: done.append((s, cluster.sim.now)))

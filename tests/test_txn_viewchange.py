@@ -25,7 +25,7 @@ def test_participant_aborts_when_coordinator_leaves_the_view():
     cluster = preloaded(Cluster(ClusterConfig(protocol="hermes", num_replicas=3, seed=3)))
     master = cluster.replica(0)
     # Node 2 coordinates a prepare that locks key 4 at node 0.
-    master._handle_txn_message(TxnPrepare(20_001, 2, 0, [Operation.write(4, b"X4")]))
+    master.on_message(2, TxnPrepare(20_001, 2, 0, [Operation.write(4, b"X4")]))
     participant = master._txn_participant
     assert participant.locks == {4: 20_001}
     assert 20_001 in participant.prepared
@@ -42,7 +42,7 @@ def test_participant_releases_locks_when_mastership_moves():
     # Sharded cluster: node 1 is shard 1's lock master (rotated role ring).
     cluster = preloaded(Cluster(ClusterConfig(protocol="hermes", num_replicas=3, shards=2, seed=3)))
     master = cluster.shard_replicas[(1, 1)]
-    master._handle_txn_message(TxnPrepare(20_002, 2, 1, [Operation.write(1, b"X1")]))
+    master.on_message(2, TxnPrepare(20_002, 2, 1, [Operation.write(1, b"X1")]))
     participant = master._txn_participant
     assert participant.locks == {1: 20_002}
 
@@ -60,7 +60,7 @@ def test_participant_releases_locks_when_mastership_moves():
 def test_view_change_abort_resumes_parked_plain_ops():
     cluster = preloaded(Cluster(ClusterConfig(protocol="hermes", num_replicas=3, seed=3)))
     master = cluster.replica(0)
-    master._handle_txn_message(TxnPrepare(20_003, 2, 0, [Operation.write(8, b"X8")]))
+    master.on_message(2, TxnPrepare(20_003, 2, 0, [Operation.write(8, b"X8")]))
     participant = master._txn_participant
     done = []
     master.submit(Operation.write(8, b"P8"), lambda o, s, v: done.append(s))
@@ -181,7 +181,7 @@ def test_demoted_master_replies_failure_for_fastpath_txns():
     cluster = preloaded(Cluster(ClusterConfig(protocol="hermes", num_replicas=3, shards=2, seed=3)))
     master = cluster.shard_replicas[(1, 1)]
     coordinator = coordinator_of(cluster.hosts[2])  # give node 2 a coordinator
-    master._handle_txn_message(TxnSingle(30_001, 2, 1, [Operation.read(1)]))
+    master.on_message(2, TxnSingle(30_001, 2, 1, [Operation.read(1)]))
     # Freeze the reply in flight by aborting via the view change first:
     # removing node 0 demotes node 1 from shard 1's mastership.
     new_view = MembershipView.initial([0, 1, 2]).without(0)
