@@ -19,7 +19,7 @@ sliding window of ``window_ticks`` samples):
   ``txn_conflict_weight`` (a conflicted shard is hotter than its completed
   ops alone suggest).
 * **per-node inbox queue depth** — instantaneous ``queue_depth`` of each
-  host (its inbox length: work awaiting the CPU plus messages in flight to
+  node (its inbox length: work awaiting the CPU plus messages in flight to
   it), used to steer the *target* choice toward genuinely idle nodes.
 
 Decision rule: a shard is *hot* when its windowed load exceeds
@@ -167,7 +167,7 @@ class Autoscaler:
         conflicts: Dict[int, float] = {s: 0.0 for s in range(self.cluster.shards)}
         for (_, shard_id), replica in self.cluster.shard_replicas.items():
             ops[shard_id] += replica.ops_completed
-            participant = getattr(replica, "_txn_participant", None)
+            participant = replica._txn_participant
             if participant is not None:
                 conflicts[shard_id] += participant.conflicts
         return ops, conflicts
@@ -187,12 +187,9 @@ class Autoscaler:
 
     def _home_queue_depth(self, shard: int) -> int:
         """Inbox depth of the shard's home node (head of its rotated ring)."""
-        hosts = self.cluster.hosts
-        if not hosts:
-            return 0
-        node_ids = sorted(hosts)
-        home = node_ids[shard % len(node_ids)]
-        return hosts[home].queue_depth
+        nodes = self.cluster.nodes
+        node_ids = sorted(nodes)
+        return nodes[node_ids[shard % len(node_ids)]].queue_depth
 
     # -------------------------------------------------------------- decision
     def _tick(self) -> None:

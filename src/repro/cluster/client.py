@@ -92,17 +92,18 @@ class ClientSession:
         if replica_id is None:
             replica_id = cluster.node_ids[client_id % len(cluster.node_ids)]
         self.replica_id = replica_id
-        if cluster.sharded:
-            # Key-range sharding: each operation routes to the replica of
-            # the shard owning its key, on this session's bound node. The
-            # bound node's router is epoch-versioned: a live shard
-            # migration re-routes this session exactly when the ``active``
-            # view installs on its node.
-            self._replica = None
-            self._shard_replicas = cluster.replicas_on(replica_id)
-            self._shard_of = cluster.host_router(replica_id).shard_of
+        self._node = cluster.nodes[replica_id]
+        self._shard_replicas = cluster.replicas_on(replica_id)
+        # A node with one replica serves every operation itself; otherwise
+        # each operation routes to the replica of the shard owning its key,
+        # through the bound host's router. That router is epoch-versioned:
+        # a live shard migration re-routes this session exactly when the
+        # ``active`` view installs on its node.
+        self._replica = None
+        if len(self._shard_replicas) == 1:
+            self._replica = self._shard_replicas[0]
         else:
-            self._replica = cluster.replica(replica_id)
+            self._shard_of = self._node.router.shard_of
         self._sim = cluster.sim
         # Per-request completion context, keyed by op/txn id (one id counter
         # feeds both): ``(issue time, response-leg latency, epoch, firing
@@ -175,12 +176,6 @@ class ClientSession:
         return False
 
     # ------------------------------------------------------------ submission
-    def _node(self):
-        """The bound node's process: its replica, or its shard host."""
-        if self._replica is not None:
-            return self._replica
-        return self.cluster.hosts[self.replica_id]
-
     def _submit(
         self,
         op,
@@ -215,7 +210,9 @@ class ClientSession:
         if txn:
             if history is not None:
                 history.invoke_txn(op, issue_time)
-            node = self._node()
+            # Shard 0's replica hands the transaction to the node's 2PC
+            # coordinator (a guest replica adds the shard envelope).
+            node = self._shard_replicas[0]
         else:
             if history is not None:
                 history.invoke(op, issue_time)
@@ -486,7 +483,7 @@ class AggregatedClient(ClientSession):
     def _arrive(self, version: int) -> None:
         """The pump: pre-submit the next batch of arrivals."""
         remaining = self._wave_remaining
-        if version != self._version or remaining <= 0 or self._node().crashed:
+        if version != self._version or remaining <= 0 or self._node.crashed:
             # Superseded by a RECOVER restart, or nothing left, or paused
             # with no backlog: nothing is drawn while the node is down, and
             # a recovery restarts the pump from the recovery instant.

@@ -1,8 +1,9 @@
 """Cluster assembly.
 
 A :class:`Cluster` wires together everything a deployment needs: the
-simulator, the network, one replica per node running the selected protocol,
-optionally the reliable-membership service, and the initial dataset. The
+simulator, the network, one replica per (node, shard) running the selected
+protocol, optionally the reliable-membership service, and the initial
+dataset. The
 benchmark harness, the examples and most integration tests go through this
 class rather than assembling pieces by hand.
 """
@@ -27,7 +28,7 @@ from repro.sim.clock import LooselySynchronizedClock
 from repro.sim.engine import Simulator
 from repro.sim.hostgc import quiet_after_full_collection
 from repro.sim.network import Network, NetworkConfig
-from repro.sim.node import ServiceTimeModel
+from repro.sim.node import NodeProcess, ServiceTimeModel
 from repro.sim.rng import SeededRNG
 from repro.types import Key, NodeId, Value
 
@@ -101,13 +102,22 @@ class ClusterConfig:
                     "autoscale is co-hosted with the membership service; "
                     "set run_membership_service=True"
                 )
-        if self.membership.rejoin and not self.run_membership_service:
-            raise ConfigurationError(
-                "rejoin requires the membership service; set run_membership_service=True"
-            )
+        if self.membership.rejoin:
+            if not self.run_membership_service:
+                raise ConfigurationError(
+                    "rejoin requires the membership service; set run_membership_service=True"
+                )
+            if self.shards < 2:
+                raise ConfigurationError("rejoin is run by the shard host; it requires shards >= 2")
         if self.protocol not in protocol_registry():
             raise ConfigurationError(
                 f"unknown protocol {self.protocol!r}; known: {sorted(protocol_registry())}"
+            )
+        if self.membership.rejoin and not hasattr(
+            protocol_registry()[self.protocol], "export_join_snapshot"
+        ):
+            raise ConfigurationError(
+                f"rejoin needs a join state snapshot, which {self.protocol!r} does not export"
             )
         self.network.validate()
         self.service_model.validate()
@@ -131,21 +141,17 @@ class Cluster:
         self.network = Network(self.sim, config.network, rng=self.rng.stream("network"))
         self.view = MembershipView.initial(range(config.num_replicas))
         self.shards = config.shards
-        self.sharded = config.shards > 1
         self.shard_router = ShardRouter(config.shards)
-        #: Unsharded deployments: node id -> the node's (only) replica.
-        self.replicas: Dict[NodeId, ReplicaNode] = {}
-        #: Sharded deployments: node id -> the node's host process, and
+        #: Node id -> the process that owns the node's CPU, inbox and crash
+        #: flag: the node's replica at ``shards=1``, its shard host above.
+        self.nodes: Dict[NodeId, NodeProcess] = {}
         #: (node id, shard) -> that shard's replica on the node.
-        self.hosts: Dict[NodeId, ShardHost] = {}
         self.shard_replicas: Dict[Tuple[NodeId, int], ReplicaNode] = {}
-        if self.sharded:
-            self._build_sharded_replicas()
-        else:
-            self._build_replicas()
+        self._build_nodes()
         #: Per-node recovery callbacks (see :meth:`on_recover`).
         self._recover_callbacks: Dict[NodeId, List[Callable[[NodeId], None]]] = {}
         self.membership_service: Optional[MembershipService] = None
+        self.autoscaler: Optional["Autoscaler"] = None
         if config.run_membership_service:
             self.membership_service = MembershipService(
                 sim=self.sim,
@@ -154,14 +160,9 @@ class Cluster:
                 config=config.membership,
             )
             self.membership_service.start()
-        self.autoscaler: Optional["Autoscaler"] = None
-        if self.membership_service is not None and self.sharded:
-            if config.membership.rejoin and all(
-                hasattr(replica, "export_join_snapshot")
-                for replica in self.shard_replicas.values()
-            ):
-                for host in self.hosts.values():
-                    host.enable_rejoin(config.membership.join_retry_interval)
+            if config.membership.rejoin:
+                for node in self.nodes.values():
+                    node.enable_rejoin(config.membership.join_retry_interval)
             if config.membership.autoscale is not None:
                 from repro.cluster.autoscale import Autoscaler
 
@@ -212,87 +213,59 @@ class Cluster:
             )
         return replica
 
-    def _build_replicas(self) -> None:
-        clock_rng = self.rng.stream("clocks")
-        for node_id in range(self.config.num_replicas):
-            clock = LooselySynchronizedClock(self.config.replica.clock, rng=clock_rng)
-            replica = self._make_replica(node_id, clock)
-            if self.config.run_membership_service:
-                replica.membership_agent.service_driven = True
-            self.replicas[node_id] = replica
+    def _build_nodes(self) -> None:
+        """Assemble every node process and its shard replicas.
 
-    def _build_sharded_replicas(self) -> None:
-        """Assemble ``shards`` independent protocol groups over shared nodes.
-
-        Each simulated node gets one :class:`ShardHost` (the CPU timeline
-        and network endpoint) plus one guest replica per shard. Shards on a
-        node share the host's CPU/NIC budget and the node's loosely
-        synchronized clock — they are co-located partitions of one machine,
-        not extra machines. With the RM service enabled the host also gets
-        the node's single membership agent, shared by every guest.
+        This is the one place that decides the node shape. At ``shards=1``
+        each node is a standalone replica. Above that each node gets one
+        :class:`ShardHost` (the CPU timeline and network endpoint) plus one
+        guest replica per shard. Shards on a node share the host's CPU/NIC
+        budget and the node's loosely synchronized clock — they are
+        co-located partitions of one machine, not extra machines. With the
+        RM service enabled the host also gets the node's single membership
+        agent, shared by every guest.
         """
+        config = self.config
         clock_rng = self.rng.stream("clocks")
-        for node_id in range(self.config.num_replicas):
-            host = ShardHost(
-                node_id,
-                self.sim,
-                self.network,
-                self.config.service_model,
-                router=ShardRouter(self.config.shards),
-            )
-            self.hosts[node_id] = host
-            clock = LooselySynchronizedClock(self.config.replica.clock, rng=clock_rng)
-            if self.config.run_membership_service:
+        for node_id in range(config.num_replicas):
+            host: Optional[ShardHost] = None
+            if config.shards > 1:
+                host = ShardHost(
+                    node_id,
+                    self.sim,
+                    self.network,
+                    config.service_model,
+                    router=ShardRouter(config.shards),
+                )
+            clock = LooselySynchronizedClock(config.replica.clock, rng=clock_rng)
+            if host is not None and config.run_membership_service:
                 host.enable_membership(
                     self.view,
                     local_clock=(lambda c=clock: c.read(self.sim.now)),
-                    service_node_id=self.config.membership.service_node_id,
+                    service_node_id=config.membership.service_node_id,
                 )
-            for shard in range(self.config.shards):
+            for shard in range(config.shards):
                 replica = self._make_replica(node_id, clock, host=host, shard_id=shard)
-                host.attach(replica)
+                if host is not None:
+                    host.attach(replica)
+                elif config.run_membership_service:
+                    replica.membership_agent.service_driven = True
                 self.shard_replicas[(node_id, shard)] = replica
+            self.nodes[node_id] = replica if host is None else host
 
     # --------------------------------------------------------------- access
     @property
     def node_ids(self) -> List[NodeId]:
         """All replica node ids."""
-        if self.sharded:
-            return sorted(self.hosts)
-        return sorted(self.replicas)
+        return sorted(self.nodes)
 
-    def replica(self, node_id: NodeId) -> ReplicaNode:
-        """The replica with the given node id (unsharded deployments)."""
-        if self.sharded:
-            raise ConfigurationError(
-                "a sharded cluster has one replica per (node, shard); use shard_replica()"
-            )
-        return self.replicas[node_id]
-
-    def shard_replica(self, node_id: NodeId, shard: int = 0) -> ReplicaNode:
-        """The replica serving ``shard`` on ``node_id`` (any deployment)."""
-        if self.sharded:
-            return self.shard_replicas[(node_id, shard)]
-        if shard != 0:
-            raise ConfigurationError(f"unsharded cluster has no shard {shard}")
-        return self.replicas[node_id]
+    def replica(self, node_id: NodeId, shard: int = 0) -> ReplicaNode:
+        """The replica serving ``shard`` on ``node_id``."""
+        return self.shard_replicas[(node_id, shard)]
 
     def replicas_on(self, node_id: NodeId) -> List[ReplicaNode]:
         """All shard replicas hosted on ``node_id``, in shard order."""
-        if self.sharded:
-            return list(self.hosts[node_id].shard_replicas)
-        return [self.replicas[node_id]]
-
-    def host_router(self, node_id: NodeId) -> ShardRouter:
-        """The routing table of ``node_id`` (migration-aware when sharded).
-
-        Clients bound to a node route through its host's router, so a
-        live-migration flip re-routes each node's clients exactly when the
-        ``active`` view installs on that node.
-        """
-        if self.sharded:
-            return self.hosts[node_id].router
-        return self.shard_router
+        return [self.shard_replicas[(node_id, shard)] for shard in range(self.shards)]
 
     @property
     def migration_records(self):
@@ -302,10 +275,8 @@ class Cluster:
         return self.membership_service.migration_records
 
     def all_replicas(self) -> Iterator[ReplicaNode]:
-        """Every protocol replica instance (``nodes x shards`` when sharded)."""
-        if self.sharded:
-            return iter(self.shard_replicas.values())
-        return iter(self.replicas.values())
+        """Every protocol replica instance (``nodes x shards``)."""
+        return iter(self.shard_replicas.values())
 
     def live_replicas(self) -> List[ReplicaNode]:
         """Replicas that have not crashed."""
@@ -315,35 +286,25 @@ class Cluster:
     def preload(self, dataset: Dict[Key, Value]) -> None:
         """Install the initial dataset on every replica (no replication traffic).
 
-        Sharded deployments partition the dataset: each key is preloaded
-        only into the replicas of the shard that owns it, so per-shard
-        stores hold disjoint key ranges.
+        The dataset is partitioned by shard: each key is preloaded only into
+        the replicas of the shard that owns it, so per-shard stores hold
+        disjoint key ranges.
         """
-        if self.sharded:
-            shard_of = self.shard_router.shard_of
-            partitions: List[Dict[Key, Value]] = [{} for _ in range(self.shards)]
-            for key, value in dataset.items():
-                partitions[shard_of(key)][key] = value
-            for (_, shard), replica in self.shard_replicas.items():
-                replica.preload_dataset(partitions[shard])
-            return
-        for replica in self.replicas.values():
-            replica.preload_dataset(dataset)
+        shard_of = self.shard_router.shard_of
+        partitions: List[Dict[Key, Value]] = [{} for _ in range(self.shards)]
+        for key, value in dataset.items():
+            partitions[shard_of(key)][key] = value
+        for (_, shard), replica in self.shard_replicas.items():
+            replica.preload_dataset(partitions[shard])
 
     # --------------------------------------------------------------- faults
     def crash(self, node_id: NodeId) -> None:
         """Crash a node immediately (all of its shard replicas with it)."""
-        if self.sharded:
-            self.hosts[node_id].crash()
-        else:
-            self.replicas[node_id].crash()
+        self.nodes[node_id].crash()
 
     def recover(self, node_id: NodeId) -> None:
         """Clear a node's crashed flag (all of its shard replicas with it)."""
-        if self.sharded:
-            self.hosts[node_id].recover()
-        else:
-            self.replicas[node_id].recover()
+        self.nodes[node_id].recover()
         for callback in self._recover_callbacks.get(node_id, ()):
             callback(node_id)
 
@@ -356,38 +317,22 @@ class Cluster:
         """
         self._recover_callbacks.setdefault(node_id, []).append(callback)
 
-    def _crash_at(self, node_id: NodeId, time: float) -> None:
-        """Schedule a replica crash at an absolute simulated time.
-
-        Internal-only plumbing: experiments and tests describe faults
-        declaratively with :class:`repro.cluster.failures.FailureEvent`
-        lists (armed by a ``FailureInjector`` or passed via
-        ``ExperimentSpec.faults``) rather than wiring crashes by hand.
-        """
-        self.sim.schedule_at(time, self.crash, node_id)
-
     def slow_node(self, node_id: NodeId, factor: float) -> None:
         """Scale CPU costs on ``node_id`` by ``factor`` (gray fault).
 
-        Sharded deployments slow the node's :class:`ShardHost` — every
-        guest shard replica shares that CPU timeline, so all of them see
-        the slowdown, mirroring a genuinely slow machine. ``factor=1.0``
-        restores full speed.
+        Every shard replica on the node shares the node's CPU timeline, so
+        all of them see the slowdown, mirroring a genuinely slow machine.
+        ``factor=1.0`` restores full speed.
         """
-        if self.sharded:
-            self.hosts[node_id].set_cpu_scale(factor)
-        else:
-            self.replicas[node_id].set_cpu_scale(factor)
+        self.nodes[node_id].set_cpu_scale(factor)
 
     def node_clock(self, node_id: NodeId) -> LooselySynchronizedClock:
         """The loosely synchronized clock of ``node_id``.
 
-        Sharded deployments share one clock per node across all of its
-        shard replicas, so shard 0's clock is the node's clock.
+        All shard replicas on a node share one clock, so shard 0's clock
+        is the node's clock.
         """
-        if self.sharded:
-            return self.shard_replicas[(node_id, 0)].clock
-        return self.replicas[node_id].clock
+        return self.shard_replicas[(node_id, 0)].clock
 
     def skew_clock(self, node_id: NodeId, delta: float, bound: Optional[float] = None) -> float:
         """Step ``node_id``'s clock offset by ``delta`` seconds (gray fault).
@@ -426,9 +371,8 @@ class Cluster:
         submitted to (see :mod:`repro.cluster.txn`); nodes that never
         coordinated a transaction contribute zero.
         """
-        nodes = self.hosts.values() if self.sharded else self.replicas.values()
         total = 0
-        for node in nodes:
+        for node in self.nodes.values():
             coordinator = node._txn_coordinator
             if coordinator is not None:
                 total += getattr(coordinator, attribute, 0)

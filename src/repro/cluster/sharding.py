@@ -26,8 +26,8 @@ Two pieces implement it:
   real deployment demultiplexes by key, which already determines the
   shard).
 
-``shards=1`` deployments bypass this module entirely — the cluster builds
-the exact unsharded structure, keeping artifacts byte-identical.
+At ``shards=1`` the cluster builds no host: each node is a standalone
+replica, which keeps the single-partition hot path free of envelopes.
 
 Membership on sharded clusters
 ------------------------------
@@ -53,10 +53,10 @@ target (checked by :mod:`repro.verification.migration`).
 
 Shards are independent protocol groups; *cross-shard* multi-key operations
 are provided by the transaction layer on top (:mod:`repro.cluster.txn`).
-Its messages ride the same ``(shard_id, inner)`` envelopes: participant
-messages dispatch to the owning shard's guest replica like protocol
-traffic, while client transaction hand-offs (which are not tuples) route to
-the host's per-node 2PC coordinator.
+Its messages ride the same ``(shard_id, inner)`` envelopes and dispatch to
+the addressed guest replica like protocol traffic: a client transaction
+hand-off arrives through shard 0's guest, which passes it to the host's
+per-node 2PC coordinator.
 """
 
 from __future__ import annotations
@@ -343,7 +343,7 @@ class ShardHost(NodeProcess):
 
         Requires membership to be enabled and every co-hosted replica to
         export the snapshot hooks (``export_join_snapshot`` /
-        ``apply_join_snapshot``); the cluster gates the call accordingly.
+        ``apply_join_snapshot``); ``ClusterConfig.validate`` checks both.
         """
         if retry_interval <= 0:
             raise ConfigurationError("rejoin retry_interval must be positive")
@@ -685,14 +685,6 @@ class ShardHost(NodeProcess):
             san.end_delivery()
 
     def on_local_work(self, work: Any) -> None:
-        if type(work) is not tuple:
-            # A client transaction hand-off (ClientTxnSubmit) for this node's
-            # 2PC coordinator (shard-bound work always arrives as
-            # (shard, inner) tuples).
-            from repro.cluster.txn import coordinator_of
-
-            coordinator_of(self).begin(work.txn, work.callback)
-            return
         shard, inner = work
         replica = self.shard_replicas[shard]
         san = self._sanitizer

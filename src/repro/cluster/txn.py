@@ -43,7 +43,8 @@ Cross-shard transactions run two-phase commit:
    YES-voters release their locks and nothing is applied.
 
 Messages between coordinator and participants ride the existing transports:
-on sharded clusters they travel as ``(shard, message)`` envelopes over the
+each leaves through a replica of the target shard on the sending node, so
+on a shard host it travels as a ``(shard, message)`` envelope over the
 per-node inbox exactly like protocol traffic (see
 :class:`repro.cluster.sharding.ShardHost`); a participant co-located with
 the coordinator is reached through the node's local-work queue (CPU charged,
@@ -355,7 +356,8 @@ class TxnParticipant:
                     # (the coordinator cannot tell an aborted visit from
                     # one whose reply was lost): tell the coordinator the
                     # visit applied nothing.
-                    self._send_to(
+                    _send(
+                        replica,
                         state.coordinator,
                         TxnSingleReply(state.txn_id, False),
                         _CONTROL_BYTES,
@@ -387,11 +389,11 @@ class TxnParticipant:
             or not self._is_lock_master()
             or self._frozen_conflict(msg.ops)
         ):
-            self._send_to(msg.coordinator, TxnVote(txn_id, msg.shard, False), _CONTROL_BYTES)
+            _send(replica, msg.coordinator, TxnVote(txn_id, msg.shard, False), _CONTROL_BYTES)
             return
         keys = self._try_lock(txn_id, msg.ops)
         if keys is None:
-            self._send_to(msg.coordinator, TxnVote(txn_id, msg.shard, False), _CONTROL_BYTES)
+            _send(replica, msg.coordinator, TxnVote(txn_id, msg.shard, False), _CONTROL_BYTES)
             return
         state = _ParticipantTxn(txn_id, msg.coordinator, msg.shard, keys)
         state.writes = [op for op in msg.ops if op.op_type is not OpType.READ]
@@ -430,14 +432,15 @@ class TxnParticipant:
                 if state.single
                 else TxnVote(state.txn_id, state.shard, False)
             )
-            self._send_to(state.coordinator, reply, _CONTROL_BYTES)
+            _send(self.replica, state.coordinator, reply, _CONTROL_BYTES)
             return
         if state.single:
             self._start_writes(state)
             return
-        config = self.replica.config
-        size = _CONTROL_BYTES + len(state.values) * config.value_size
-        self._send_to(
+        replica = self.replica
+        size = _CONTROL_BYTES + len(state.values) * replica.config.value_size
+        _send(
+            replica,
             state.coordinator,
             TxnVote(state.txn_id, state.shard, True, dict(state.values)),
             size,
@@ -460,7 +463,8 @@ class TxnParticipant:
             return
         if not msg.commit:
             self._teardown(state)
-            self._send_to(state.coordinator, TxnAck(state.txn_id, state.shard, False), _CONTROL_BYTES)
+            ack = TxnAck(state.txn_id, state.shard, False)
+            _send(self.replica, state.coordinator, ack, _CONTROL_BYTES)
             return
         self._start_writes(state)
 
@@ -500,9 +504,10 @@ class TxnParticipant:
             reply = TxnSingleReply(
                 state.txn_id, True, dict(state.values), dict(state.commit_times)
             )
-            self._send_to(state.coordinator, reply, size + len(state.values) * 8)
+            _send(self.replica, state.coordinator, reply, size + len(state.values) * 8)
         else:
-            self._send_to(
+            _send(
+                self.replica,
                 state.coordinator,
                 TxnAck(state.txn_id, state.shard, True, dict(state.commit_times)),
                 size,
@@ -517,11 +522,11 @@ class TxnParticipant:
             or not self._is_lock_master()
             or self._frozen_conflict(msg.ops)
         ):
-            self._send_to(msg.coordinator, TxnSingleReply(msg.txn_id, False), _CONTROL_BYTES)
+            _send(replica, msg.coordinator, TxnSingleReply(msg.txn_id, False), _CONTROL_BYTES)
             return
         keys = self._try_lock(msg.txn_id, msg.ops)
         if keys is None:
-            self._send_to(msg.coordinator, TxnSingleReply(msg.txn_id, False), _CONTROL_BYTES)
+            _send(replica, msg.coordinator, TxnSingleReply(msg.txn_id, False), _CONTROL_BYTES)
             return
         state = _ParticipantTxn(msg.txn_id, msg.coordinator, msg.shard, keys)
         state.single = True
@@ -603,18 +608,6 @@ class TxnParticipant:
                 replica.handle_client_op(op, callback)
         self._flush()
 
-    def _send_to(self, dst: NodeId, message: TxnMessage, size: int) -> None:
-        """Send to a node; a self-send goes through the local work queue.
-
-        ``replica.send``/``submit_local`` transparently add the
-        ``(shard, message)`` envelope on sharded clusters (guest mode).
-        """
-        replica = self.replica
-        if dst == replica.node_id:
-            replica.submit_local(message, size_bytes=size)
-        else:
-            replica.send(dst, message, size_bytes=size)
-
     def _flush(self) -> None:
         transport = self.replica.transport
         if type(transport) is not DirectTransport:
@@ -668,36 +661,34 @@ class TxnCoordinator:
     """Per-node two-phase-commit coordinator for client transactions.
 
     Constructed lazily (:func:`coordinator_of`) on the node a transaction
-    is first submitted to — a :class:`~repro.cluster.sharding.ShardHost` on
-    sharded clusters, the replica itself on unsharded ones.
+    is first submitted to, and bound to the node's replicas in shard order.
+    Every message to a lock master leaves through the node's replica of the
+    target shard, so a shard host's guest adds the shard envelope exactly
+    like protocol traffic. Transactions route through the node's
+    epoch-versioned router, so they follow live shard migrations the
+    instant the routing flip installs on this node.
     """
 
-    def __init__(self, node: Any, timeout: float = DEFAULT_COORDINATOR_TIMEOUT) -> None:
+    def __init__(
+        self,
+        node: Any,
+        replicas: List[Any],
+        router: ShardRouter,
+        timeout: float = DEFAULT_COORDINATOR_TIMEOUT,
+    ) -> None:
         self.node = node
         self.timeout = timeout
-        guests = getattr(node, "shard_replicas", None)
-        if isinstance(guests, list) and guests:
-            self._sharded = True
-            reference = guests[0]
-            self.num_shards = len(guests)
-        else:
-            self._sharded = False
-            reference = node
-            self.num_shards = 1
-        # Sharded nodes route through their host's epoch-versioned router
-        # so transactions follow live shard migrations the instant the
-        # routing flip installs on this node.
-        router = getattr(node, "router", None)
-        self._router = router if router is not None else ShardRouter(self.num_shards)
-        self._reference = reference
+        self._replicas = replicas
+        self.num_shards = len(replicas)
+        self._router = router
         # masters cache, invalidated by view-object identity (views are
         # frozen; every membership change installs a new one) — all
         # coordinators therefore agree on lock placement for a given view,
         # whenever they were created.
         self._masters_view = None
         self._masters: List[NodeId] = []
-        self._key_size = reference.config.key_size
-        self._value_size = reference.config.value_size
+        self._key_size = replicas[0].config.key_size
+        self._value_size = replicas[0].config.value_size
         self._active: Dict[int, _CoordinatorTxn] = {}
         # Statistics (summed across nodes by ``Cluster.txn_stat``).
         self.txns_started = 0
@@ -716,9 +707,9 @@ class TxnCoordinator:
         ``ReplicaNode.role_ring``), so lock mastership spreads across nodes
         exactly like the protocols' placed roles — and moves with them on a
         membership change. Transactions in flight across a view change are
-        resolved by the timeouts (the old master's prepared state aborts).
+        resolved by :meth:`on_view_change`.
         """
-        view = self._reference.view
+        view = self._replicas[0].view
         if view is not self._masters_view:
             self._masters_view = view
             members = sorted(view.members)
@@ -774,21 +765,19 @@ class TxnCoordinator:
             )
 
     # ------------------------------------------------------------ dispatch
-    def _dispatch(
-        self, state: Optional["_CoordinatorTxn"], shard: int, message: TxnMessage, size: int
-    ) -> None:
-        master = self.masters[shard]
-        if state is not None:
-            state.masters[shard] = master
-        self._dispatch_to(master, shard, message, size)
+    def _dispatch(self, state: _CoordinatorTxn, shard: int, message: TxnMessage, size: int) -> None:
+        master = state.masters[shard] = self.masters[shard]
+        _send(self._replicas[shard], master, message, size)
 
-    def _dispatch_to(self, master: NodeId, shard: int, message: TxnMessage, size: int) -> None:
-        node = self.node
-        payload: Any = (shard, message) if self._sharded else message
-        if master == node.node_id:
-            node.submit_local(payload, size_bytes=size)
-        else:
-            node.send(master, payload, size_bytes=size)
+    def _decide(self, state: _CoordinatorTxn, commit: bool, members: Any = None) -> None:
+        """Send the decision to every dispatch-time master (only to those
+        in ``members``, when given): the nodes that hold the prepared state,
+        even if a view change has since moved the mastership."""
+        txn_id = state.txn.txn_id
+        for shard, master in state.masters.items():
+            if members is None or master in members:
+                decision = TxnDecision(txn_id, shard, commit)
+                _send(self._replicas[shard], master, decision, _CONTROL_BYTES)
 
     # ---------------------------------------------------------------- 2PC
     def _on_vote(self, msg: TxnVote) -> None:
@@ -805,17 +794,13 @@ class TxnCoordinator:
         if state.no_vote:
             # Abort: release YES-voters. NO-voters hold no locks. The acks
             # for aborts carry nothing the client needs, so the transaction
-            # completes now. Decisions go to the dispatch-time masters —
-            # the nodes that actually hold the prepared state, even if a
-            # view change has since moved the mastership.
-            for shard, master in state.masters.items():
-                self._dispatch_to(master, shard, TxnDecision(msg.txn_id, shard, False), _CONTROL_BYTES)
+            # completes now.
+            self._decide(state, False)
             self._complete(state, OpStatus.ABORTED)
             return
         state.decided_commit = True
         state.awaiting_acks = set(state.by_shard)
-        for shard, master in state.masters.items():
-            self._dispatch_to(master, shard, TxnDecision(msg.txn_id, shard, True), _CONTROL_BYTES)
+        self._decide(state, True)
 
     def _on_ack(self, msg: TxnAck) -> None:
         state = self._active.get(msg.txn_id)
@@ -843,10 +828,8 @@ class TxnCoordinator:
             return
         if not state.decided_commit:
             # No commit was ever decided: YES-voters release their locks
-            # and nothing was applied anywhere. Aborts go to the
-            # dispatch-time masters (where the prepares went).
-            for shard, master in state.masters.items():
-                self._dispatch_to(master, shard, TxnDecision(txn_id, shard, False), _CONTROL_BYTES)
+            # and nothing was applied anywhere.
+            self._decide(state, False)
         # Either way the outcome is TIMEOUT, not OK: with a commit decided
         # but unacked, a crashed lock master may never have applied its
         # writes, so the transaction cannot be reported atomically
@@ -907,11 +890,7 @@ class TxnCoordinator:
                 # the dispatch-time masters, which finish and ack normally.
                 continue
             self.txns_view_aborted += 1
-            for shard, master in state.masters.items():
-                if master in members:
-                    self._dispatch_to(
-                        master, shard, TxnDecision(txn_id, shard, False), _CONTROL_BYTES
-                    )
+            self._decide(state, False, members)
             self._complete(state, OpStatus.ABORTED)
 
     def _complete(self, state: _CoordinatorTxn, status: OpStatus) -> None:
@@ -932,18 +911,33 @@ class TxnCoordinator:
         return len(self._active)
 
 
-def coordinator_of(node: Any) -> TxnCoordinator:
-    """The node's transaction coordinator, created on first use."""
-    coordinator = node._txn_coordinator
-    if coordinator is None:
-        coordinator = node._txn_coordinator = TxnCoordinator(node)
-    return coordinator
+def _send(replica: Any, dst: NodeId, message: TxnMessage, size: int) -> None:
+    """Send from ``replica`` to node ``dst``; a self-send goes through the
+    local work queue (CPU charged, no wire bytes). A guest replica's
+    ``send``/``submit_local`` add its ``(shard, message)`` envelope."""
+    if dst == replica.node_id:
+        replica.submit_local(message, size_bytes=size)
+    else:
+        replica.send(dst, message, size_bytes=size)
 
 
 def _node_of(replica: Any) -> Any:
-    """The simulated node a replica runs on (its host on sharded clusters)."""
+    """The simulated node a replica runs on (its shard host, if it has one)."""
     host = replica._host
     return host if host is not None else replica
+
+
+def coordinator_of(replica: Any) -> TxnCoordinator:
+    """The coordinator of the node ``replica`` runs on, created on first use."""
+    node = _node_of(replica)
+    coordinator = node._txn_coordinator
+    if coordinator is None:
+        if node is replica:  # a standalone replica is its node's only shard
+            coordinator = TxnCoordinator(node, [replica], ShardRouter(1))
+        else:
+            coordinator = TxnCoordinator(node, node.shard_replicas, node.router)
+        node._txn_coordinator = coordinator
+    return coordinator
 
 
 def _to_participant(method: Callable[[TxnParticipant, Any], None]):
@@ -966,7 +960,7 @@ def _to_coordinator(method: Callable[[TxnCoordinator, Any], None]):
 #: replies go to the coordinator of the replica's *node*; a reply reaching a
 #: node without a coordinator is ignored.
 TXN_HANDLERS: Dict[type, Callable[[Any, NodeId, Any], None]] = {
-    ClientTxnSubmit: lambda replica, src, work: coordinator_of(_node_of(replica)).begin(
+    ClientTxnSubmit: lambda replica, src, work: coordinator_of(replica).begin(
         work.txn, work.callback
     ),
     TxnPrepare: _to_participant(TxnParticipant._on_prepare),

@@ -142,7 +142,7 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=None,
         help="chance a sharded cell runs the elastic resharding policy "
-        "(plus node rejoin) alongside its faults (default: 0)",
+        "(plus node rejoin on Hermes) alongside its faults (default: 0)",
     )
 
 

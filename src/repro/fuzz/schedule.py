@@ -45,7 +45,8 @@ def fuzz_membership_config(autoscale: bool = False) -> MembershipConfig:
     elastic-resharding policy loop rides along (see
     :func:`fuzz_autoscale_config`) together with node rejoin, so recovered
     nodes re-enter mid-trial and policy-driven migrations interleave with
-    the scheduled faults.
+    the scheduled faults (:meth:`FuzzSchedule.to_spec` drops the rejoin on
+    protocols without a join state snapshot).
     """
     return MembershipConfig(
         lease_duration=5e-3,
@@ -128,7 +129,8 @@ class FuzzConfig:
             fuzz lease duration so leases stay sound.
         migration_probability: Chance a sharded cell plans one migration.
         autoscale_probability: Chance a sharded cell runs the elastic
-            resharding policy (plus node rejoin) alongside its faults.
+            resharding policy alongside its faults (plus node rejoin on
+            Hermes cells).
             Default 0 — the standard campaign's schedules stay exactly as
             before; the nightly campaign's dedicated cell turns it on.
         max_sim_time: Safety cap on simulated seconds per trial.
@@ -196,8 +198,9 @@ class FuzzSchedule:
     max_sim_time: float
     events: List[FailureEvent] = field(default_factory=list)
     migrations: List[PlannedMigration] = field(default_factory=list)
-    #: Run the elastic resharding policy (and node rejoin) during the trial.
-    #: Only meaningful on sharded cells; ignored when ``shards < 2``.
+    #: Run the elastic resharding policy (and, on Hermes, node rejoin)
+    #: during the trial. Only meaningful on sharded cells; ignored when
+    #: ``shards < 2``.
     autoscale: bool = False
 
     def to_spec(self) -> ExperimentSpec:
@@ -213,9 +216,13 @@ class FuzzSchedule:
         Autoscale cells run the zipfian workload (the paper's 0.99 skew):
         uniform load never crosses the policy's imbalance threshold, and a
         policy that never fires would leave the autoscale × faults product
-        space untested.
+        space untested. Node rejoin rides along on Hermes cells only, the
+        one protocol that exports the join state snapshot.
         """
         autoscale = self.autoscale and self.shards >= 2
+        membership = fuzz_membership_config(autoscale=autoscale)
+        if self.protocol != "hermes":
+            membership.rejoin = False
         return ExperimentSpec(
             protocol=self.protocol,
             num_replicas=self.num_replicas,
@@ -236,7 +243,7 @@ class FuzzSchedule:
             faults=tuple(self.events),
             run_membership=True,
             migrations=tuple(self.migrations),
-            membership=fuzz_membership_config(autoscale=autoscale),
+            membership=membership,
             zipfian_exponent=0.99 if autoscale else None,
             allow_incomplete=True,
         )

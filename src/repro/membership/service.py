@@ -115,9 +115,10 @@ class MembershipConfig:
         service_node_id: Node id used by the RM service on the network.
         migrations: Planned live shard migrations (sharded clusters only).
         rejoin: Whether restarted nodes re-enter the view via a join
-            request + state-transfer snapshot (sharded clusters whose
-            protocol exports snapshot hooks). Off by default: pre-existing
-            scenarios model a restarted node staying outside the view.
+            request + state-transfer snapshot. Needs a sharded cluster
+            whose protocol exports the snapshot hooks (``ClusterConfig``
+            rejects it otherwise). Off by default: pre-existing scenarios
+            model a restarted node staying outside the view.
         join_timeout: Watchdog on the join snapshot handshake — a join
             whose copy has not completed within this window is cancelled
             (the joiner is evicted again; its host retries).

@@ -221,7 +221,6 @@ class LinearizabilityChecker:
         invoke = [record.invoke_time for record in records]
         response = [_INF if r.response_time is None else r.response_time for r in records]
         observed = [_observed_value(record) for record in records]
-        skippable = [not r.completed and r.op.op_type.is_update for r in records]
         rank = _zone_ranks(records, observed, response)
         apply = self._apply
         max_states = self.max_states
@@ -235,19 +234,18 @@ class LinearizabilityChecker:
         stack: List[Tuple[Tuple[int, int, object], Iterator[Tuple[int, int, Value]]]] = []
 
         def successors(lo: int, mask: int, value: Value, candidates: List[int]):
-            # Every candidate linearized next, then every pending update in
-            # the window left out for good (it may never have taken effect).
+            # Every candidate linearized next. A pending update needs no
+            # "never took effect" branch: its response is at infinity and it
+            # is never impossible, so placing it last is always legal and
+            # leaves every other operation exactly where skipping it would.
             for index in sorted(candidates, key=rank.__getitem__):
                 outcome = apply(records[index], value)
                 if outcome is not _IMPOSSIBLE:
                     yield lo, mask | 1 << (index - lo), outcome
-            for index in candidates:
-                if skippable[index]:
-                    yield lo, mask | 1 << (index - lo), value
 
         # A state is ``(lo, mask, value)``: ``lo`` is the earliest-invoked
         # operation not yet placed, bit ``j`` of ``mask`` says operation
-        # ``lo + j`` is already placed (or skipped), ``value`` is the register.
+        # ``lo + j`` is already placed, ``value`` is the register.
         state: Optional[Tuple[int, int, Value]] = (0, 0, initial_value)
         while True:
             if state is not None:

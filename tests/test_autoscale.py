@@ -63,6 +63,8 @@ def test_cluster_config_validates_autoscale():
 class _StubReplica:
     def __init__(self) -> None:
         self.ops_completed = 0
+        self._txn_participant = None
+        self.queue_depth = 0
 
 
 class _StubSim:
@@ -97,7 +99,7 @@ class _StubCluster:
             for node in range(nodes)
             for shard in range(shards)
         }
-        self.hosts = {}
+        self.nodes = {node: _StubReplica() for node in range(nodes)}
 
 
 def _scaler(shards: int = 4, **overrides) -> Autoscaler:
@@ -253,9 +255,9 @@ def run_autoscale_scenario(
     # Sample every node's router epoch on a fixed simulated-time grid: the
     # property under test is that no router ever steps backwards, however
     # many rounds chain (or get cancelled and retried) in between.
-    epoch_series = {node_id: [] for node_id in cluster.hosts}
+    epoch_series = {node_id: [] for node_id in cluster.nodes}
     def sample_epochs() -> None:
-        for node_id, host in cluster.hosts.items():
+        for node_id, host in cluster.nodes.items():
             epoch_series[node_id].append(host.router.epoch)
     ticks = int(until / epoch_sample_interval)
     for tick in range(1, ticks + 1):
@@ -290,7 +292,7 @@ def test_autoscale_balances_hot_shard_end_to_end():
     # Every surviving router converged to the service's applied chain.
     chain = cluster.membership_service._applied_migrations()
     assert len(chain) == len(records)
-    for host in cluster.hosts.values():
+    for host in cluster.nodes.values():
         for key in range(64):
             assert host.router.shard_of(key) == routed_shard(key, 4, chain)
 
@@ -324,7 +326,7 @@ def test_autoscale_epoch_monotonic_across_cancelled_then_retried_round():
 
     chain = service._applied_migrations()
     assert len(chain) == len(records)
-    for node_id, host in cluster.hosts.items():
+    for node_id, host in cluster.nodes.items():
         if node_id == 2:
             continue  # crashed node's router is frozen in the past
         for key in range(64):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster.client import ClosedLoopClient, OpenLoopClient, run_clients
 from repro.cluster.cluster import Cluster, ClusterConfig
+from repro.cluster.failures import FailureEvent, FailureInjector
 from repro.errors import ConfigurationError, SimulationError
 from repro.membership.detector import FailureDetectorConfig
 from repro.membership.service import MembershipConfig, MembershipService
@@ -22,7 +23,7 @@ from tests.conftest import make_cluster, small_workload
 # ----------------------------------------------------------------- cluster
 def test_cluster_builds_requested_number_of_replicas():
     cluster = make_cluster("hermes", 7)
-    assert len(cluster.replicas) == 7
+    assert len(cluster.nodes) == 7
     assert cluster.node_ids == list(range(7))
 
 
@@ -49,7 +50,7 @@ def test_cluster_rejects_config_plus_overrides():
 def test_preload_reaches_every_replica():
     cluster = make_cluster("hermes", 3)
     cluster.preload({"a": 1, "b": 2})
-    for replica in cluster.replicas.values():
+    for replica in cluster.all_replicas():
         assert replica.store.get("a") == 1
         assert replica.store.get("b") == 2
 
@@ -61,9 +62,9 @@ def test_crash_and_live_replicas():
     assert len(cluster.live_replicas()) == 2
 
 
-def test_crash_at_schedules_future_crash():
+def test_injected_crash_takes_effect_at_its_time():
     cluster = make_cluster("hermes", 3)
-    cluster._crash_at(1, 1e-3)
+    FailureInjector(cluster, [FailureEvent.crash(1e-3, 1)]).arm()
     cluster.run(until=0.5e-3)
     assert not cluster.replica(1).crashed
     cluster.run(until=2e-3)

@@ -32,7 +32,7 @@ def test_write_propagates_down_whole_chain(craq_cluster):
     status, _ = submit_and_run(craq_cluster, 1, Operation.write("k", "v1"))
     assert status is OpStatus.OK
     craq_cluster.run(until=craq_cluster.sim.now + 0.001)
-    for replica in craq_cluster.replicas.values():
+    for replica in craq_cluster.all_replicas():
         meta = replica.store.get_record("k").meta
         assert meta.committed_value() == "v1"
         assert not meta.dirty
@@ -93,7 +93,7 @@ def test_writes_from_any_node_serialize_through_head(craq_cluster):
     craq_cluster.run(until=craq_cluster.sim.now + 0.001)
     head_meta = craq_cluster.replica(0).store.get_record("k").meta
     assert head_meta.committed_version == 5
-    values = {r.store.get_record("k").meta.committed_value() for r in craq_cluster.replicas.values()}
+    values = {r.store.get_record("k").meta.committed_value() for r in craq_cluster.all_replicas()}
     assert values == {4}
 
 
@@ -150,5 +150,5 @@ def test_committed_value_tracks_writes_not_preload(craq_cluster):
     craq_cluster.preload({"k": "initial"})
     submit_and_run(craq_cluster, 0, Operation.write("k", "current"))
     craq_cluster.run(until=craq_cluster.sim.now + 1e-3)
-    for replica in craq_cluster.replicas.values():
+    for replica in craq_cluster.all_replicas():
         assert replica.committed_value("k") == "current"

@@ -219,26 +219,34 @@ def test_shrinker_coarsens_times_and_parameters():
 
 
 # ---------------------------------------------------------------- gray faults
-def test_slow_node_scales_private_model_and_restores():
-    cluster = make_cluster("hermes", 3)
-    base = cluster.replica(1).service_model
+@pytest.mark.parametrize("shards", [1, 2])
+def test_slow_node_scales_private_model_and_restores(shards):
+    # The node process owns the CPU: the replica at S=1, the shard host
+    # (whose guests all share its timeline) at S=2.
+    cluster = make_cluster("hermes", 3, shards=shards)
+    node = cluster.nodes[1]
+    base = node.service_model
     cluster.slow_node(1, 4.0)
-    assert cluster.replica(1).cpu_scale == 4.0
-    assert cluster.replica(1).service_model.base == pytest.approx(base.base * 4.0)
+    assert node.cpu_scale == 4.0
+    assert node.service_model.base == pytest.approx(base.base * 4.0)
     # The shared base model is never mutated: other nodes are unaffected.
-    assert cluster.replica(0).cpu_scale == 1.0
-    assert cluster.replica(0).service_model.base == pytest.approx(base.base)
+    assert cluster.nodes[0].cpu_scale == 1.0
+    assert cluster.nodes[0].service_model.base == pytest.approx(base.base)
     cluster.slow_node(1, 1.0)
-    assert cluster.replica(1).service_model is base
+    assert node.service_model is base
 
 
-def test_clock_skew_events_stay_within_bound():
-    cluster = make_cluster("hermes", 3)
+@pytest.mark.parametrize("shards", [1, 2])
+def test_clock_skew_events_stay_within_bound(shards):
+    cluster = make_cluster("hermes", 3, shards=shards)
     bound = 1e-3
     events = [FailureEvent.clock_skew(t * 1e-4, 1, 0.8e-3, bound=bound) for t in (1, 2, 3)]
     FailureInjector(cluster, events).arm()
     cluster.run(until=1e-3)
-    assert abs(cluster.node_clock(1).offset) <= bound
+    clock = cluster.node_clock(1)
+    assert abs(clock.offset) <= bound
+    # Every shard replica on the node reads the node's one clock.
+    assert all(replica.clock is clock for replica in cluster.replicas_on(1))
 
 
 def test_slow_link_events_degrade_and_heal_through_injector():

@@ -61,7 +61,7 @@ def test_write_commits_and_is_visible_everywhere(hermes_cluster):
     status, value = submit_and_run(hermes_cluster, 1, Operation.write("k", "v1"))
     assert status is OpStatus.OK
     hermes_cluster.run(until=hermes_cluster.sim.now + 0.001)
-    for replica in hermes_cluster.replicas.values():
+    for replica in hermes_cluster.all_replicas():
         assert replica.store.get("k") == "v1"
         assert replica.key_state("k") is KeyState.VALID
 
@@ -72,7 +72,7 @@ def test_any_replica_can_coordinate_writes(five_node_hermes):
         status, _ = submit_and_run(five_node_hermes, node_id, Operation.write("k", node_id))
         assert status is OpStatus.OK
     five_node_hermes.run(until=five_node_hermes.sim.now + 0.001)
-    values = {r.store.get("k") for r in five_node_hermes.replicas.values()}
+    values = {r.store.get("k") for r in five_node_hermes.all_replicas()}
     assert values == {five_node_hermes.node_ids[-1]}
 
 

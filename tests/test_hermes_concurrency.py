@@ -32,9 +32,9 @@ def test_concurrent_writes_converge_to_highest_cid(hermes_cluster):
     hermes_cluster.sim.schedule(0.0, start_write, hermes_cluster, 0, "k", "from-0", done)
     hermes_cluster.sim.schedule(0.0, start_write, hermes_cluster, 2, "k", "from-2", done)
     hermes_cluster.run(until=0.01)
-    values = {r.store.get("k") for r in hermes_cluster.replicas.values()}
+    values = {r.store.get("k") for r in hermes_cluster.all_replicas()}
     assert values == {"from-2"}
-    states = {r.key_state("k") for r in hermes_cluster.replicas.values()}
+    states = {r.key_state("k") for r in hermes_cluster.all_replicas()}
     assert states == {KeyState.VALID}
 
 
@@ -90,7 +90,7 @@ def test_many_interleaved_writers_converge(five_node_hermes):
             )
     five_node_hermes.run(until=0.05)
     assert len(done) == 20
-    values = {repr(r.store.get("k")) for r in five_node_hermes.replicas.values()}
+    values = {repr(r.store.get("k")) for r in five_node_hermes.all_replicas()}
     assert len(values) == 1
 
 

@@ -33,7 +33,7 @@ def test_write_completes_despite_heavy_message_loss():
     assert status is OpStatus.OK
     assert cluster.total_stat("inv_retransmissions") >= 0
     cluster.run(until=cluster.sim.now + 0.01)
-    assert all(r.store.get("k") == 1 for r in cluster.replicas.values())
+    assert all(r.store.get("k") == 1 for r in cluster.all_replicas())
 
 
 def test_duplicated_messages_are_harmless():
@@ -43,7 +43,7 @@ def test_duplicated_messages_are_harmless():
         status, _ = submit_and_run(cluster, i % 3, Operation.write("k", i), timeout=0.5)
         assert status is OpStatus.OK
     cluster.run(until=cluster.sim.now + 0.01)
-    values = {r.store.get("k") for r in cluster.replicas.values()}
+    values = {r.store.get("k") for r in cluster.all_replicas()}
     assert values == {4}
 
 
@@ -55,7 +55,7 @@ def test_reordered_messages_preserve_convergence():
         cluster.replica(i % 3).submit(Operation.write("k", i), lambda o, s, v: done.append(s))
     cluster.run_until(lambda: len(done) == 6, check_interval=1e-4, max_time=1.0)
     cluster.run(until=cluster.sim.now + 0.01)
-    values = {r.store.get("k") for r in cluster.replicas.values()}
+    values = {r.store.get("k") for r in cluster.all_replicas()}
     assert len(values) == 1
 
 

@@ -15,7 +15,7 @@ def test_rmw_commits_without_contention(hermes_cluster):
     assert status is OpStatus.OK
     assert value == "held"
     hermes_cluster.run(until=hermes_cluster.sim.now + 0.001)
-    assert all(r.store.get("lock") == "held" for r in hermes_cluster.replicas.values())
+    assert all(r.store.get("lock") == "held" for r in hermes_cluster.all_replicas())
 
 
 def test_rmw_compare_failure_returns_current_value(hermes_cluster):
@@ -52,7 +52,7 @@ def test_write_racing_rmw_aborts_the_rmw(hermes_cluster):
     assert outcomes["write"][0] is OpStatus.OK
     assert outcomes["rmw"][0] is OpStatus.ABORTED
     hermes_cluster.run(until=hermes_cluster.sim.now + 0.001)
-    values = {r.store.get("k") for r in hermes_cluster.replicas.values()}
+    values = {r.store.get("k") for r in hermes_cluster.all_replicas()}
     assert values == {"write-value"}
 
 
@@ -77,7 +77,7 @@ def test_concurrent_rmws_at_most_one_commits(five_node_hermes):
     assert len(committed) + len(aborted) == 5
     if committed:
         five_node_hermes.run(until=five_node_hermes.sim.now + 0.001)
-        values = {r.store.get("counter") for r in five_node_hermes.replicas.values()}
+        values = {r.store.get("counter") for r in five_node_hermes.all_replicas()}
         assert values == {f"winner-{committed[0]}"}
 
 

@@ -52,7 +52,7 @@ def test_crash_reconfigures_every_shard_replica():
     service = cluster.membership_service
     assert service.reconfigurations == 1
     assert service.view.members == frozenset({0, 1, 2, 4})
-    for node_id, host in cluster.hosts.items():
+    for node_id, host in cluster.nodes.items():
         if node_id == 3:
             continue
         assert host.membership_agent.view.epoch_id == 2

@@ -165,7 +165,7 @@ def test_migration_end_to_end():
     migrated = [k for k in range(100) if record.migration.matches(k, 2)]
     assert sorted(record.values) == migrated
 
-    for host in cluster.hosts.values():
+    for host in cluster.nodes.values():
         # Every node flipped its router and released its parked operations;
         # the freeze filter stays installed in forwarding mode so late
         # arrivals redirect to the new owner instead of the stale copy.
@@ -178,7 +178,7 @@ def test_migration_end_to_end():
             assert host._txn_coordinator._router is host.router
 
     # The target shard's replicas hold the migrated values.
-    for node_id in cluster.hosts:
+    for node_id in cluster.nodes:
         target = cluster.shard_replicas[(node_id, 1)]
         for key in migrated:
             assert key in target.store
@@ -237,7 +237,7 @@ def test_migration_with_slow_clients_stays_linearizable():
         assert not bad, (seed, [c.key for c in bad])
         assert check_migration(history, record).ok
         # The forwarded path leaves the source stores untouched post-copy.
-        for node_id in cluster.hosts:
+        for node_id in cluster.nodes:
             source = cluster.shard_replicas[(node_id, 0)]
             for key, frozen_value in record.values.items():
                 assert source.store.get(key) == frozen_value
@@ -274,7 +274,7 @@ def test_crash_during_migration_cancels_and_recovers():
     assert service.reconfigurations >= 1
     assert service.view.members == frozenset({0, 1})
     # Routing never moved; no node stayed frozen.
-    for node_id, host in cluster.hosts.items():
+    for node_id, host in cluster.nodes.items():
         if node_id == 2:
             continue
         assert host.router.epoch == 0

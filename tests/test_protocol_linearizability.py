@@ -46,7 +46,7 @@ def test_protocol_history_is_linearizable_under_contention(protocol):
     history, sessions = run_workload(cluster, workload)
     assert all(s.done for s in sessions)
     assert check_history(history, initial_values=workload.initial_dataset())
-    check_replica_convergence(cluster.replicas.values())
+    check_replica_convergence(cluster.all_replicas())
 
 
 @pytest.mark.parametrize("protocol", ["hermes", "craq", "zab", "cr", "derecho"])
@@ -54,9 +54,9 @@ def test_replicas_converge_after_quiescence(protocol):
     cluster = Cluster(ClusterConfig(protocol=protocol, num_replicas=5, seed=4))
     workload = small_workload(write_ratio=0.3, num_keys=10, seed=4)
     history, _ = run_workload(cluster, workload, clients=10, ops=20)
-    check_replica_convergence(cluster.replicas.values())
+    check_replica_convergence(cluster.all_replicas())
     check_values_from_history(
-        cluster.replicas.values(), history, initial_dataset=workload.initial_dataset()
+        cluster.all_replicas(), history, initial_dataset=workload.initial_dataset()
     )
 
 
@@ -70,10 +70,10 @@ def test_convergence_checks_read_craq_committed_state():
     meta = cluster.replica(4).store.try_get_record(sorted(workload.initial_dataset())[0]).meta
     meta.versions[meta.committed_version] = b"CORRUPT"
     with pytest.raises(VerificationError):
-        check_replica_convergence(cluster.replicas.values())
+        check_replica_convergence(cluster.all_replicas())
     with pytest.raises(VerificationError):
         check_values_from_history(
-            cluster.replicas.values(), history, initial_dataset=workload.initial_dataset()
+            cluster.all_replicas(), history, initial_dataset=workload.initial_dataset()
         )
 
 
@@ -102,7 +102,7 @@ def test_zab_reads_are_sequentially_consistent_not_linearizable():
     workload = small_workload(write_ratio=0.5, num_keys=4, seed=8)
     history, sessions = run_workload(cluster, workload)
     assert all(s.done for s in sessions)
-    check_replica_convergence(cluster.replicas.values())
+    check_replica_convergence(cluster.all_replicas())
 
 
 def test_hermes_linearizable_under_message_loss_and_reordering():
@@ -119,8 +119,8 @@ def test_hermes_linearizable_under_message_loss_and_reordering():
     history, sessions = run_workload(cluster, workload, clients=6, ops=30, max_time=5.0)
     assert all(s.done for s in sessions)
     assert check_history(history, initial_values=workload.initial_dataset())
-    check_replica_convergence(cluster.replicas.values())
-    check_no_pending_updates(cluster.replicas.values())
+    check_replica_convergence(cluster.all_replicas())
+    check_no_pending_updates(cluster.all_replicas())
 
 
 def test_hermes_linearizable_with_rmws_in_the_mix():
@@ -167,4 +167,4 @@ def test_hermes_linearizable_across_a_crash_and_reconfiguration():
     completed = [r for s in sessions for r in s.results]
     assert all(r.status is OpStatus.OK for r in completed)
     assert check_history(history, initial_values=workload.initial_dataset())
-    check_replica_convergence(cluster.replicas.values())
+    check_replica_convergence(cluster.all_replicas())

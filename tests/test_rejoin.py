@@ -13,11 +13,16 @@ merge never regresses state the joiner replicated after re-admission.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.cluster.client import ClosedLoopClient
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.failures import FailureEvent, FailureInjector
 from repro.core.state import KeyState
 from repro.core.timestamps import Timestamp
+from repro.errors import ConfigurationError
+from repro.fuzz import generate_schedule
+from repro.fuzz.schedule import FuzzConfig
 from repro.membership.detector import FailureDetectorConfig
 from repro.membership.service import MembershipConfig
 from repro.types import Operation, OpStatus
@@ -79,6 +84,28 @@ def run_rejoin_scenario(
     FailureInjector(cluster, faults).arm()
     cluster.run(until=until)
     return workload, history, clients, late_client
+
+
+@pytest.mark.parametrize("protocol, shards", [("hermes", 1), ("cr", 2), ("craq", 2)])
+def test_rejoin_that_cannot_run_is_rejected(protocol, shards):
+    # Rejoin is run by the shard host and needs the protocol's join state
+    # snapshot: anywhere else a restarted node would silently stay out.
+    config = ClusterConfig(
+        protocol=protocol,
+        shards=shards,
+        run_membership_service=True,
+        membership=MembershipConfig(rejoin=True),
+    )
+    with pytest.raises(ConfigurationError, match="rejoin"):
+        config.validate()
+
+
+def test_fuzz_cells_ask_for_rejoin_only_where_it_runs():
+    for protocol in ("hermes", "cr", "craq"):
+        config = FuzzConfig(protocols=(protocol,), shard_counts=(2,), autoscale_probability=1.0)
+        spec = generate_schedule(5, config).to_spec()
+        assert spec.membership.autoscale is not None
+        assert spec.membership.rejoin is (protocol == "hermes")
 
 
 def test_rejoined_node_serves_verified_traffic():

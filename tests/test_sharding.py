@@ -233,7 +233,7 @@ def test_membership_service_supported_on_sharded_clusters():
     cluster = Cluster(
         ClusterConfig(protocol="hermes", num_replicas=3, shards=2, run_membership_service=True)
     )
-    for node_id, host in cluster.hosts.items():
+    for node_id, host in cluster.nodes.items():
         assert host.membership_agent is not None
         for replica in host.shard_replicas:
             assert replica.membership_agent is host.membership_agent

@@ -62,8 +62,9 @@ def run_txn(cluster: Cluster, node_id: int, ops, max_time: float = 0.05):
     """Submit one transaction at a node and run until it completes."""
     done = []
     txn = Transaction(ops=list(ops))
-    node = cluster.hosts[node_id] if cluster.sharded else cluster.replica(node_id)
-    node.submit_local(ClientTxnSubmit(txn, lambda t, o: done.append(o)), size_bytes=64)
+    cluster.replica(node_id).submit_local(
+        ClientTxnSubmit(txn, lambda t, o: done.append(o)), size_bytes=64
+    )
     cluster.run_until(lambda: bool(done), check_interval=1e-5, max_time=max_time)
     assert done, "transaction never completed"
     return txn, done[0]
@@ -101,7 +102,7 @@ def test_single_shard_transactions_use_the_fast_path():
         cluster, 0, [Operation.read(1), Operation.write(5, b"W5"), Operation.read(9)]
     )
     assert outcome.status is OpStatus.OK
-    coordinator = cluster.hosts[0]._txn_coordinator
+    coordinator = cluster.nodes[0]._txn_coordinator
     assert coordinator.txns_fastpath == 1
     assert coordinator.txns_cross_shard == 0
     # Shard 1's lock master is node 1 (rotated role ring).
@@ -116,7 +117,7 @@ def test_cross_shard_transaction_runs_two_phase_commit():
         cluster, 2, [Operation.write(0, b"X0"), Operation.write(1, b"X1"), Operation.read(2)]
     )
     assert outcome.status is OpStatus.OK
-    coordinator = cluster.hosts[2]._txn_coordinator
+    coordinator = cluster.nodes[2]._txn_coordinator
     assert coordinator.txns_cross_shard == 1
     assert coordinator.txns_committed == 1
     # Both writes carry their lock masters' commit instants.
@@ -202,11 +203,11 @@ def test_lock_masters_follow_the_membership_view():
     from repro.membership.view import MembershipView
 
     cluster = preloaded(Cluster(ClusterConfig(protocol="hermes", num_replicas=3, shards=4, seed=19)))
-    coordinator = coordinator_of(cluster.hosts[0])
+    coordinator = coordinator_of(cluster.replica(0))
     assert coordinator.masters == [0, 1, 2, 0]
     # A new view (node 0 removed) recomputes every shard's lock master, so
     # coordinators created before and after the change agree on placement.
-    reference = cluster.hosts[0].shard_replicas[0]
+    reference = cluster.replica(0)
     reference.view = MembershipView.initial([1, 2])
     assert coordinator.masters == [1, 2, 1, 2]
 

@@ -81,13 +81,13 @@ def test_view_change_abort_resumes_parked_plain_ops():
 
 def test_coordinator_aborts_instead_of_waiting_for_timeout():
     cluster = preloaded(Cluster(ClusterConfig(protocol="hermes", num_replicas=3, shards=2, seed=3)))
-    host = cluster.hosts[0]
+    shard0 = cluster.replica(0)
     outcomes = []
     txn = Transaction(ops=[Operation.write(0, b"C0"), Operation.write(1, b"C1")])
-    host.submit_local(ClientTxnSubmit(txn, lambda t, o: outcomes.append(o)), size_bytes=64)
+    shard0.submit_local(ClientTxnSubmit(txn, lambda t, o: outcomes.append(o)), size_bytes=64)
     # Deliver the hand-off but stop before any vote can arrive.
     cluster.run(until=2e-6)
-    coordinator = coordinator_of(host)
+    coordinator = coordinator_of(shard0)
     assert coordinator.active_txns == 1
     state = coordinator._active[txn.txn_id]
     assert state.masters == {0: 0, 1: 1}
@@ -102,20 +102,19 @@ def test_coordinator_aborts_instead_of_waiting_for_timeout():
 
     # The abort decisions released the surviving participants' locks.
     cluster.run(until=cluster.sim.now + 0.01)
-    for node_id in cluster.hosts:
-        for replica in cluster.hosts[node_id].shard_replicas:
-            participant = replica._txn_participant
-            if participant is not None:
-                assert participant.locks == {}
+    for replica in cluster.all_replicas():
+        participant = replica._txn_participant
+        if participant is not None:
+            assert participant.locks == {}
 
 
 def test_coordinator_reports_timeout_when_commit_was_decided():
     cluster = preloaded(Cluster(ClusterConfig(protocol="hermes", num_replicas=3, shards=2, seed=3)))
-    host = cluster.hosts[0]
+    shard0 = cluster.replica(0)
     outcomes = []
     txn = Transaction(ops=[Operation.write(0, b"D0"), Operation.write(1, b"D1")])
-    host.submit_local(ClientTxnSubmit(txn, lambda t, o: outcomes.append(o)), size_bytes=64)
-    coordinator = coordinator_of(host)
+    shard0.submit_local(ClientTxnSubmit(txn, lambda t, o: outcomes.append(o)), size_bytes=64)
+    coordinator = coordinator_of(shard0)
     # Run until the commit decision went out but force the view change
     # before the acks resolve it.
     cluster.run_until(
@@ -138,12 +137,12 @@ def test_fastpath_with_dead_master_resolves_as_timeout():
     # outcome must be the indeterminate TIMEOUT — never ABORTED (the
     # writes may be replicated and visible).
     cluster = preloaded(Cluster(ClusterConfig(protocol="hermes", num_replicas=3, shards=2, seed=3)))
-    host = cluster.hosts[0]
+    shard0 = cluster.replica(0)
     outcomes = []
     txn = Transaction(ops=[Operation.write(1, b"F1"), Operation.write(3, b"F3")])  # both shard 1
-    host.submit_local(ClientTxnSubmit(txn, lambda t, o: outcomes.append(o)), size_bytes=64)
+    shard0.submit_local(ClientTxnSubmit(txn, lambda t, o: outcomes.append(o)), size_bytes=64)
     cluster.run(until=2e-6)
-    coordinator = coordinator_of(host)
+    coordinator = coordinator_of(shard0)
     assert coordinator._active[txn.txn_id].masters == {1: 1}
     coordinator.on_view_change(MembershipView.initial([0, 1, 2]).without(1))
     assert outcomes and outcomes[0].status is OpStatus.TIMEOUT
@@ -157,15 +156,15 @@ def test_moved_mastership_aborts_undecided_cross_shard_txn():
     # resolves it as a clean abort instead of deciding a commit no one
     # can apply.
     cluster = preloaded(Cluster(ClusterConfig(protocol="hermes", num_replicas=3, shards=2, seed=3)))
-    host = cluster.hosts[1]
+    shard0 = cluster.replica(1)
     outcomes = []
     txn = Transaction(ops=[Operation.write(0, b"M0"), Operation.write(1, b"M1")])
-    host.submit_local(ClientTxnSubmit(txn, lambda t, o: outcomes.append(o)), size_bytes=64)
+    shard0.submit_local(ClientTxnSubmit(txn, lambda t, o: outcomes.append(o)), size_bytes=64)
     cluster.run(until=2e-6)
-    coordinator = coordinator_of(host)
+    coordinator = coordinator_of(shard0)
     assert coordinator._active[txn.txn_id].masters == {0: 0, 1: 1}
     new_view = MembershipView.initial([0, 1, 2]).without(0)
-    for replica in cluster.hosts[1].shard_replicas:
+    for replica in cluster.replicas_on(1):
         replica._view_changed(new_view)
     coordinator.on_view_change(new_view)
     assert outcomes and outcomes[0].status is OpStatus.ABORTED
@@ -180,7 +179,7 @@ def test_demoted_master_replies_failure_for_fastpath_txns():
 
     cluster = preloaded(Cluster(ClusterConfig(protocol="hermes", num_replicas=3, shards=2, seed=3)))
     master = cluster.shard_replicas[(1, 1)]
-    coordinator = coordinator_of(cluster.hosts[2])  # give node 2 a coordinator
+    coordinator = coordinator_of(cluster.replica(2))  # give node 2 a coordinator
     master.on_message(2, TxnSingle(30_001, 2, 1, [Operation.read(1)]))
     # Freeze the reply in flight by aborting via the view change first:
     # removing node 0 demotes node 1 from shard 1's mastership.
@@ -194,18 +193,18 @@ def test_demoted_master_replies_failure_for_fastpath_txns():
 
 def test_new_lock_master_serves_transactions_after_view_change():
     cluster = preloaded(Cluster(ClusterConfig(protocol="hermes", num_replicas=3, shards=2, seed=3)))
-    host = cluster.hosts[0]
-    coordinator = coordinator_of(host)
+    shard0 = cluster.replica(0)
+    coordinator = coordinator_of(shard0)
     # Install the post-failure view everywhere (as an m-update would).
     new_view = MembershipView.initial([0, 1, 2]).without(1)
     for node_id in (0, 2):
-        for replica in cluster.hosts[node_id].shard_replicas:
+        for replica in cluster.replicas_on(node_id):
             replica._view_changed(new_view)
     # Shard 1's lock master is now node 2; a fresh transaction commits there.
     assert coordinator.masters[1] == 2
     outcomes = []
     txn = Transaction(ops=[Operation.write(0, b"N0"), Operation.write(1, b"N1")])
-    host.submit_local(ClientTxnSubmit(txn, lambda t, o: outcomes.append(o)), size_bytes=64)
+    shard0.submit_local(ClientTxnSubmit(txn, lambda t, o: outcomes.append(o)), size_bytes=64)
     cluster.run_until(lambda: bool(outcomes), check_interval=1e-5, max_time=0.05)
     assert outcomes[0].status is OpStatus.OK
     new_master = cluster.shard_replicas[(2, 1)]

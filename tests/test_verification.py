@@ -411,15 +411,15 @@ def test_convergence_check_passes_after_quiescence(hermes_cluster):
     hermes_cluster.preload({"k": 0})
     submit_and_run(hermes_cluster, 0, Operation.write("k", 1))
     hermes_cluster.run(until=hermes_cluster.sim.now + 0.001)
-    check_replica_convergence(hermes_cluster.replicas.values())
-    check_no_pending_updates(hermes_cluster.replicas.values())
+    check_replica_convergence(hermes_cluster.all_replicas())
+    check_no_pending_updates(hermes_cluster.all_replicas())
 
 
 def test_convergence_check_detects_divergence(hermes_cluster):
     hermes_cluster.preload({"k": 0})
     hermes_cluster.replica(0).store.put("k", "tampered")
     with pytest.raises(VerificationError):
-        check_replica_convergence(hermes_cluster.replicas.values())
+        check_replica_convergence(hermes_cluster.all_replicas())
 
 
 def test_values_from_history_check(hermes_cluster):
@@ -433,12 +433,12 @@ def test_values_from_history_check(hermes_cluster):
     hermes_cluster.run(until=hermes_cluster.sim.now + 0.001)
     history.respond(op, hermes_cluster.sim.now, OpStatus.OK, "legit")
     check_values_from_history(
-        hermes_cluster.replicas.values(), history, initial_dataset={"k": "init"}
+        hermes_cluster.all_replicas(), history, initial_dataset={"k": "init"}
     )
     hermes_cluster.replica(1).store.put("k", "corrupted")
     with pytest.raises(VerificationError):
         check_values_from_history(
-            hermes_cluster.replicas.values(), history, initial_dataset={"k": "init"}
+            hermes_cluster.all_replicas(), history, initial_dataset={"k": "init"}
         )
 
 

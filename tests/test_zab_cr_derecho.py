@@ -28,7 +28,7 @@ def test_zab_write_commits_everywhere(zab_cluster):
     status, _ = submit_and_run(zab_cluster, 2, Operation.write("k", "v"))
     assert status is OpStatus.OK
     zab_cluster.run(until=zab_cluster.sim.now + 0.001)
-    assert all(r.store.get("k") == "v" for r in zab_cluster.replicas.values())
+    assert all(r.store.get("k") == "v" for r in zab_cluster.all_replicas())
 
 
 def test_zab_reads_are_local_and_need_no_messages(zab_cluster):
@@ -47,7 +47,7 @@ def test_zab_zxids_applied_in_order(zab_cluster):
         )
     zab_cluster.run_until(lambda: len(done) == 6, check_interval=1e-5, max_time=0.1)
     zab_cluster.run(until=zab_cluster.sim.now + 0.001)
-    for replica in zab_cluster.replicas.values():
+    for replica in zab_cluster.all_replicas():
         assert replica.applied_zxid == 6
 
 
@@ -106,7 +106,7 @@ def test_cr_write_applies_on_every_node(cr_cluster):
     cr_cluster.preload({"k": 0})
     submit_and_run(cr_cluster, 2, Operation.write("k", 9))
     cr_cluster.run(until=cr_cluster.sim.now + 0.001)
-    assert all(r.store.get("k") == 9 for r in cr_cluster.replicas.values())
+    assert all(r.store.get("k") == 9 for r in cr_cluster.all_replicas())
 
 
 # -------------------------------------------------------------------- Derecho
@@ -120,7 +120,7 @@ def test_derecho_write_commits_everywhere(derecho_cluster):
     status, _ = submit_and_run(derecho_cluster, 2, Operation.write("k", "v"))
     assert status is OpStatus.OK
     derecho_cluster.run(until=derecho_cluster.sim.now + 0.001)
-    assert all(r.store.get("k") == "v" for r in derecho_cluster.replicas.values())
+    assert all(r.store.get("k") == "v" for r in derecho_cluster.all_replicas())
 
 
 def test_derecho_reads_are_local(derecho_cluster):
@@ -158,7 +158,7 @@ def test_derecho_total_order_identical_on_all_replicas(derecho_cluster):
         derecho_cluster.replica(i % 3).submit(Operation.write("k", i), lambda o, s, v: done.append(s))
     derecho_cluster.run_until(lambda: len(done) == 5, check_interval=1e-5, max_time=0.1)
     derecho_cluster.run(until=derecho_cluster.sim.now + 0.001)
-    values = {r.store.get("k") for r in derecho_cluster.replicas.values()}
+    values = {r.store.get("k") for r in derecho_cluster.all_replicas()}
     assert len(values) == 1
 
 
