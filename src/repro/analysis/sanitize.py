@@ -288,7 +288,7 @@ class Sanitizer:
                 "state may only be reached through messages"
             )
 
-        for name in ("get", "get_record", "try_get_record", "put", "update_meta", "delete"):
+        for name in ("get", "try_get_record", "peek_record", "put"):
             original = getattr(store, name)
 
             def guarded(*args: Any, _original: Callable[..., Any] = original, **kwargs: Any) -> Any:

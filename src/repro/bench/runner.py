@@ -32,7 +32,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -139,6 +138,10 @@ def parallel_map(
         jobs = default_jobs()
     if jobs <= 1 or len(tasks) <= 1:
         return [worker(task) for task in tasks]
+    # Imported here: the pool machinery (multiprocessing, sockets, logging)
+    # costs every serial run and every importer of this module otherwise.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(worker, tasks))
 

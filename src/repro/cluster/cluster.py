@@ -288,14 +288,17 @@ class Cluster:
 
         The dataset is partitioned by shard: each key is preloaded only into
         the replicas of the shard that owns it, so per-shard stores hold
-        disjoint key ranges.
+        disjoint key ranges. Each partition is a fresh dict (the caller's
+        mapping is never aliased) handed to every replica of its shard as
+        their shared read-only base; a replica creates its own record for a
+        key only when it first writes it (see :mod:`repro.kvs.store`).
         """
         shard_of = self.shard_router.shard_of
         partitions: List[Dict[Key, Value]] = [{} for _ in range(self.shards)]
         for key, value in dataset.items():
             partitions[shard_of(key)][key] = value
         for (_, shard), replica in self.shard_replicas.items():
-            replica.preload_dataset(partitions[shard])
+            replica.store.load(partitions[shard])
 
     # --------------------------------------------------------------- faults
     def crash(self, node_id: NodeId) -> None:

@@ -40,6 +40,9 @@ from repro.protocols.base import (
 )
 from repro.types import Key, NodeId, Operation, OpStatus, OpType, Value
 
+#: ``base.get``'s default on the read fast path: the key is not preloaded.
+_ABSENT: Any = object()
+
 
 class HermesReplica(ReplicaNode):
     """A replica running the Hermes protocol."""
@@ -65,7 +68,9 @@ class HermesReplica(ReplicaNode):
         #: sets removes that churn from the per-write hot path.
         self._ack_set_pool: List[Set[NodeId]] = []
         # Bound store-dict access once: _record() runs for every read, INV,
-        # ACK and VAL (the store's record dict is never reassigned).
+        # ACK and VAL (the store's record dict is never reassigned). A miss
+        # means the key is either untouched in the preloaded base (Valid,
+        # no metadata) or absent.
         self._records_get = self.store._records.get
         # Expected-acker cache, invalidated by view-object identity.
         self._ackers_view: Optional[MembershipView] = None
@@ -108,18 +113,24 @@ class HermesReplica(ReplicaNode):
         """Dispatch a client read / write / RMW."""
         if op.op_type is OpType.READ:
             # Inlined read fast path: local reads dominate most
-            # workloads and this dispatch runs once per operation. A
-            # record no write has touched carries no metadata and is Valid
-            # by definition, so it is served without allocating any.
+            # workloads and this dispatch runs once per operation. A key
+            # no write has touched carries no metadata and is Valid by
+            # definition: it is served from the shared preloaded base
+            # without allocating a record or metadata.
             record = self._records_get(op.key)
-            if record is None:
-                record, meta = self._record(op.key)
-            else:
+            if record is not None:
                 meta = record.meta
+                value = record.value
+            else:
+                meta = None
+                value = self.store.base.get(op.key, _ABSENT)
+                if value is _ABSENT:
+                    record, meta = self._record(op.key)
+                    value = record.value
             if meta is None or meta.state is KeyState.VALID:
                 self.reads_served_locally += 1
                 self.ops_completed += 1
-                callback(op, OpStatus.OK, record.value)
+                callback(op, OpStatus.OK, value)
                 return
             self._stall(op, callback, meta)
         elif op.op_type is OpType.WRITE:
@@ -449,7 +460,7 @@ class HermesReplica(ReplicaNode):
 
     def _follower_mlt_expired(self, key: Key, ts_at_stall: Timestamp) -> None:
         """Suspect a lost VAL: trigger a write replay if nothing changed (§3.4)."""
-        record = self.store.try_get_record(key)
+        record = self._records_get(key)
         if record is None or record.meta is None or key not in self._stalled:
             return
         meta: KeyMeta = record.meta
@@ -508,9 +519,9 @@ class HermesReplica(ReplicaNode):
         entries = []
         for key in sorted(self.store.keys()):
             record = self._records_get(key)
-            meta = record.meta
+            meta = None if record is None else record.meta
             if meta is None:
-                entries.append((key, record.value, 0, 0, True, False))
+                entries.append((key, self.store.get(key), 0, 0, True, False))
             else:
                 entries.append(
                     (
@@ -559,7 +570,11 @@ class HermesReplica(ReplicaNode):
         """Fetch (creating if needed) the record and protocol metadata of a key."""
         record = self._records_get(key)
         if record is None:
-            record = self.store.put(key, None, meta=KeyMeta())
+            # First use of a base key copies its value; an absent key starts
+            # empty.
+            record = self.store.try_get_record(key)
+            if record is None:
+                record = self.store.put(key, None, meta=KeyMeta())
         meta = record.meta
         if meta is None:
             meta = record.meta = KeyMeta()
@@ -567,14 +582,14 @@ class HermesReplica(ReplicaNode):
 
     def key_state(self, key: Key) -> KeyState:
         """Protocol state of ``key`` at this replica (Valid for unknown keys)."""
-        record = self.store.try_get_record(key)
+        record = self._records_get(key)
         if record is None or record.meta is None:
             return KeyState.VALID
         return record.meta.state
 
     def key_timestamp(self, key: Key) -> Timestamp:
         """Highest timestamp this replica has observed for ``key``."""
-        record = self.store.try_get_record(key)
+        record = self._records_get(key)
         if record is None or record.meta is None:
             return Timestamp.ZERO
         return record.meta.timestamp

@@ -1,22 +1,42 @@
-"""Versioned in-memory key-value store.
+"""In-memory key-value store with a shared read-only base.
 
 This is the authoritative per-replica datastore used by every protocol in
-the library. Each record carries the value, an opaque per-protocol metadata
-slot (Hermes stores its per-key timestamp and state here; CRAQ stores its
-clean/dirty version list; ZAB stores the last applied zxid), and a
-store-level version bumped on every put — the sequence a ccKVS seqlock would
-carry. The simulation is single-threaded, so there is no lock object: a
-replica retains one record per key for the whole run, and every extra
-object per record is one more the host's cyclic collector walks.
+the library. Each record carries the value and an opaque per-protocol
+metadata slot (Hermes stores its per-key timestamp and state here; CRAQ
+stores its clean/dirty version list; CR its chain version).
+
+Every replica of a shard starts from the same preloaded dataset and
+diverges only through writes (paper §3). :meth:`KeyValueStore.load`
+therefore installs the dataset as the store's *base*, a read-only
+:class:`types.MappingProxyType` that all replicas of a shard share, and a
+replica creates its own record for a key only the first time a write or a
+protocol's metadata needs it — in exactly the state a preload ``put``
+would have left (metadata ``None``). Reads of an untouched key are served
+from the base and allocate nothing. The simulation is single-threaded, so
+there is no lock object, and every record a replica does not create is one
+less object for the host's cyclic collector to walk.
+
+:class:`~repro.core.replica.HermesReplica` relies on this layout for
+speed: its per-operation paths call the bound ``_records.get`` and its read
+fast path falls back to one ``base.get``. Everything else goes through the
+methods below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Optional, Tuple
+from types import MappingProxyType
+from typing import Any, Dict, Iterator, Mapping, Optional
 
 from repro.errors import KeyNotFound
 from repro.types import Key, Value
+
+#: The base of a store nothing was loaded into.
+_EMPTY: Mapping[Key, Value] = MappingProxyType({})
+
+#: An absent key: ``get``'s default meaning "raise ``KeyNotFound``", and the
+#: miss marker of a base lookup.
+_REQUIRED: Any = object()
 
 
 @dataclass(slots=True)
@@ -26,63 +46,71 @@ class ValueRecord:
     Attributes:
         value: The application value.
         meta: Protocol-specific metadata (opaque to the store).
-        version: Monotonic store-level version, incremented on every put.
     """
 
     value: Value
     meta: Any = None
-    version: int = 0
 
 
 class KeyValueStore:
-    """A replica-local, unbounded key-value store."""
+    """A replica-local, unbounded key-value store over a shared base."""
 
     def __init__(self) -> None:
         self._records: Dict[Key, ValueRecord] = {}
-        self.reads = 0
-        self.writes = 0
+        #: The preloaded dataset, read-only and shared by every replica of
+        #: the shard. A key's record, once created, shadows its base value.
+        self.base: Mapping[Key, Value] = _EMPTY
 
     # ---------------------------------------------------------------- basic
-    def __len__(self) -> int:
-        return len(self._records)
-
     def __contains__(self, key: Key) -> bool:
-        return key in self._records
+        return key in self._records or key in self.base
 
     def keys(self) -> Iterator[Key]:
-        """Iterate over the stored keys."""
-        return iter(self._records.keys())
+        """Iterate over the stored keys: the base's, then those written since.
 
-    def items(self) -> Iterator[Tuple[Key, ValueRecord]]:
-        """Iterate over ``(key, record)`` pairs."""
-        return iter(self._records.items())
+        While iterating, a caller may create the record of a key it has been
+        handed (``try_get_record``) but may not add keys.
+        """
+        base = self.base
+        yield from base
+        for key in self._records:
+            if key not in base:
+                yield key
 
     # ----------------------------------------------------------------- read
-    def get(self, key: Key) -> Value:
-        """Return the value stored for ``key``.
+    def get(self, key: Key, default: Any = _REQUIRED) -> Value:
+        """Return the value stored for ``key`` (or ``default`` if given).
 
         Raises:
-            KeyNotFound: if the key is not present.
+            KeyNotFound: if the key is not present and no default is given.
         """
         record = self._records.get(key)
-        if record is None:
+        if record is not None:
+            return record.value
+        value = self.base.get(key, default)
+        if value is _REQUIRED:
             raise KeyNotFound(repr(key))
-        self.reads += 1
-        return record.value
-
-    def get_record(self, key: Key) -> ValueRecord:
-        """Return the full record (value + metadata) for ``key``.
-
-        Raises:
-            KeyNotFound: if the key is not present.
-        """
-        record = self._records.get(key)
-        if record is None:
-            raise KeyNotFound(repr(key))
-        return record
+        return value
 
     def try_get_record(self, key: Key) -> Optional[ValueRecord]:
-        """Return the record for ``key`` or ``None`` if absent."""
+        """Return the record for ``key`` or ``None`` if absent.
+
+        A base key gets its own record here, on first use, so the caller
+        may set its metadata without touching any other replica.
+        """
+        record = self._records.get(key)
+        if record is None:
+            value = self.base.get(key, _REQUIRED)
+            if value is not _REQUIRED:
+                record = self._records[key] = ValueRecord(value)
+        return record
+
+    def peek_record(self, key: Key) -> Optional[ValueRecord]:
+        """Return the record this store created for ``key``, or ``None``.
+
+        Unlike :meth:`try_get_record` it never creates one: ``None`` means
+        the key is untouched in the base (read it with :meth:`get`) or absent.
+        """
         return self._records.get(key)
 
     # ---------------------------------------------------------------- write
@@ -90,54 +118,23 @@ class KeyValueStore:
         """Insert or update ``key`` with ``value`` (and optional metadata)."""
         record = self._records.get(key)
         if record is None:
-            record = ValueRecord(value=value, meta=meta)
-            self._records[key] = record
+            record = self._records[key] = ValueRecord(value, meta)
         else:
             record.value = value
             if meta is not None:
                 record.meta = meta
-        record.version += 1
-        self.writes += 1
         return record
 
-    def update_meta(self, key: Key, meta: Any) -> ValueRecord:
-        """Replace the metadata slot for an existing key."""
-        record = self.get_record(key)
-        record.meta = meta
-        return record
+    def load(self, dataset: Mapping[Key, Value]) -> None:
+        """Install ``dataset`` as this store's initial contents.
 
-    def delete(self, key: Key) -> bool:
-        """Remove ``key``; returns whether it was present."""
-        return self._records.pop(key, None) is not None
-
-    # ------------------------------------------------------------- bulk ops
-    def snapshot(self) -> Dict[Key, Value]:
-        """Return a shallow copy of the key → value mapping."""
-        return {key: record.value for key, record in self._records.items()}
-
-    def load(self, items: Dict[Key, Value], meta_factory=None) -> None:
-        """Bulk-load a mapping of keys to values (used for dataset setup).
-
-        Args:
-            items: Mapping of keys to initial values.
-            meta_factory: Optional zero-argument callable producing the
-                initial metadata for each key.
+        An empty store takes ``dataset`` as its read-only base without
+        copying it: the caller must not mutate it afterwards, and may hand
+        the same mapping to every replica of a shard. A store that already
+        holds data applies ``dataset`` as a sequence of :meth:`put` calls.
         """
-        for key, value in items.items():
-            meta = meta_factory() if meta_factory is not None else None
-            self.put(key, value, meta=meta)
-
-    def chunks(self, chunk_size: int = 256) -> Iterator[Dict[Key, Value]]:
-        """Yield the dataset in chunks of at most ``chunk_size`` keys.
-
-        Models the chunked state transfer used when a new (shadow) replica
-        reconstructs the datastore from live replicas (paper §3.4 Recovery).
-        """
-        chunk: Dict[Key, Value] = {}
-        for key, record in self._records.items():
-            chunk[key] = record.value
-            if len(chunk) >= chunk_size:
-                yield chunk
-                chunk = {}
-        if chunk:
-            yield chunk
+        if self._records or self.base:
+            for key, value in dataset.items():
+                self.put(key, value)
+        else:
+            self.base = MappingProxyType(dataset)

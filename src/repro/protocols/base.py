@@ -425,10 +425,6 @@ class ReplicaNode(NodeProcess):
             self._ring_cache = tuple(members[rotation:] + members[:rotation])
         return self._ring_cache
 
-    def preload_dataset(self, dataset: Dict[Key, Value]) -> None:
-        """Install initial values during dataset loading (no replication)."""
-        self.store.load(dataset)
-
     def committed_value(self, key: Key) -> Value:
         """The latest locally committed value of ``key``.
 

@@ -158,8 +158,7 @@ class ChainReplicationReplica(ReplicaNode):
         if op.op_type is OpType.READ:
             if self.is_tail:
                 self.reads_served_locally += 1
-                record = self.store.try_get_record(op.key)
-                self.complete(op, callback, OpStatus.OK, record.value if record else None)
+                self.complete(op, callback, OpStatus.OK, self.store.get(op.key, None))
                 return
             self.reads_served_remotely += 1
             self._pending_ops[op.op_id] = (op, callback)
@@ -231,8 +230,7 @@ class ChainReplicationReplica(ReplicaNode):
             self.transport.send(origin, reply, reply.size_bytes)
 
     def _on_read_request(self, src: NodeId, message: CrReadRequest) -> None:
-        record = self.store.try_get_record(message.key)
-        value = record.value if record is not None else None
+        value = self.store.get(message.key, None)
         reply = CrReadReply(op_id=message.op_id, value=value)
         self.transport.send(
             message.origin, reply, reply.size_bytes + self.value_size_of(value)

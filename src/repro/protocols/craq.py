@@ -355,11 +355,6 @@ class CraqReplica(ReplicaNode):
             record.meta.versions[0] = record.value
         return record.meta
 
-    def preload_dataset(self, dataset: Dict[Key, Value]) -> None:
-        """Install initial committed values (dataset loading)."""
-        for key, value in dataset.items():
-            self.store.put(key, value, meta=CraqKeyMeta()).meta.versions[0] = value
-
     def committed_value(self, key: Key) -> Value:
         """Latest committed value — from the version map, not the record.
 
@@ -367,7 +362,7 @@ class CraqReplica(ReplicaNode):
         state lives in :class:`CraqKeyMeta`), so the base implementation
         would return the preload-era value forever.
         """
-        record = self.store.try_get_record(key)
+        record = self.store.peek_record(key)
         if record is None or record.meta is None:
             return self.store.get(key)
         return record.meta.committed_value()

@@ -145,8 +145,7 @@ class DerechoReplica(ReplicaNode):
         """Serve reads locally; route updates through the total order."""
         if op.op_type is OpType.READ:
             self.reads_served_locally += 1
-            record = self.store.try_get_record(op.key)
-            self.complete(op, callback, OpStatus.OK, record.value if record else None)
+            self.complete(op, callback, OpStatus.OK, self.store.get(op.key, None))
             return
         self._local_ops[op.op_id] = (op, callback)
         if self.is_sequencer:

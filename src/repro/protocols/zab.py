@@ -142,9 +142,7 @@ class ZabReplica(ReplicaNode):
         """Serve reads locally; forward updates to the leader."""
         if op.op_type is OpType.READ:
             self.reads_served_locally += 1
-            record = self.store.try_get_record(op.key)
-            value = record.value if record is not None else None
-            self.complete(op, callback, OpStatus.OK, value)
+            self.complete(op, callback, OpStatus.OK, self.store.get(op.key, None))
             return
         # Writes and RMWs are totally ordered through the leader.
         self._local_writes[op.op_id] = (op, callback)

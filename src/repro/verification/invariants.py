@@ -46,7 +46,7 @@ def check_replica_convergence(replicas: Iterable, keys: Optional[Iterable[Key]] 
     for key in keys:
         observed: List[Tuple[int, Value]] = []
         for replica in live:
-            if replica.store.try_get_record(key) is not None:
+            if key in replica.store:
                 observed.append((replica.node_id, replica.committed_value(key)))
         values = {repr(value) for _, value in observed}
         if len(values) > 1:

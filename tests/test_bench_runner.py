@@ -181,3 +181,25 @@ def test_benchmark_suite_collects_cleanly():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "error" not in proc.stdout.lower()
+
+
+def test_runner_import_leaves_the_process_pool_unloaded():
+    """The pool machinery is imported only where a pool is opened: a serial
+    run, or any importer of the runner, never pays for it."""
+    env = dict(os.environ)
+    src = str(REPO_ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    probe = (
+        "import sys, repro, repro.bench.runner; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=REPO_ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

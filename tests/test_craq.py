@@ -33,7 +33,7 @@ def test_write_propagates_down_whole_chain(craq_cluster):
     assert status is OpStatus.OK
     craq_cluster.run(until=craq_cluster.sim.now + 0.001)
     for replica in craq_cluster.all_replicas():
-        meta = replica.store.get_record("k").meta
+        meta = replica.store.try_get_record("k").meta
         assert meta.committed_value() == "v1"
         assert not meta.dirty
 
@@ -91,9 +91,9 @@ def test_writes_from_any_node_serialize_through_head(craq_cluster):
         status, _ = submit_and_run(craq_cluster, node, Operation.write("k", i))
         assert status is OpStatus.OK
     craq_cluster.run(until=craq_cluster.sim.now + 0.001)
-    head_meta = craq_cluster.replica(0).store.get_record("k").meta
+    head_meta = craq_cluster.replica(0).store.try_get_record("k").meta
     assert head_meta.committed_version == 5
-    values = {r.store.get_record("k").meta.committed_value() for r in craq_cluster.all_replicas()}
+    values = {r.store.try_get_record("k").meta.committed_value() for r in craq_cluster.all_replicas()}
     assert values == {4}
 
 

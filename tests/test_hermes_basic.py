@@ -30,7 +30,8 @@ def test_read_of_untouched_key_allocates_no_metadata_and_still_invalidates(herme
     status, value = submit_and_run(hermes_cluster, 1, Operation.read("k"))
     assert (status, value) == (OpStatus.OK, "v0")
     assert follower.reads_served_locally == 1
-    assert follower.store.get_record("k").meta is None
+    assert follower.key_state("k") is KeyState.VALID
+    assert "k" not in follower.store._records  # served from the shared base
 
     read_result = []
     hermes_cluster.sim.schedule(
@@ -46,7 +47,7 @@ def test_read_of_untouched_key_allocates_no_metadata_and_still_invalidates(herme
     hermes_cluster.run(until=hermes_cluster.sim.now + 0.01)
     assert follower.stall_events == 1
     assert read_result == [(OpStatus.OK, "v1")]
-    assert follower.store.get_record("k").meta.state is KeyState.VALID
+    assert follower.store.try_get_record("k").meta.state is KeyState.VALID
     assert follower.reads_served_locally == 2
 
 

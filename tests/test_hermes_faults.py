@@ -71,7 +71,7 @@ def test_lost_val_triggers_write_replay_on_read():
     cluster.run(until=cluster.sim.now + 0.001)
     # Simulate the VAL having been lost: force the follower back to Invalid.
     follower = cluster.replica(1)
-    record = follower.store.get_record("k")
+    record = follower.store.try_get_record("k")
     if record.meta.state is KeyState.VALID:
         record.meta.transition(KeyState.INVALID)
     reads = []
@@ -90,7 +90,7 @@ def test_replay_uses_original_timestamp():
     cluster.run(until=cluster.sim.now + 0.001)
     ts_before = cluster.replica(1).key_timestamp("k")
     follower = cluster.replica(1)
-    record = follower.store.get_record("k")
+    record = follower.store.try_get_record("k")
     if record.meta.state is KeyState.VALID:
         record.meta.transition(KeyState.INVALID)
     reads = []

@@ -1,11 +1,14 @@
-"""Unit tests for the KVS substrate: the versioned store."""
+"""Unit tests for the KVS substrate: the store and its shared read-only base."""
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import KeyNotFound
-from repro.kvs.store import KeyValueStore, ValueRecord
+from repro.kvs.store import KeyValueStore
 
 
 # ------------------------------------------------------------------- store
@@ -19,6 +22,7 @@ def test_get_missing_key_raises():
     store = KeyValueStore()
     with pytest.raises(KeyNotFound):
         store.get("missing")
+    assert store.get("missing", None) is None
 
 
 def test_put_overwrites_value():
@@ -28,77 +32,167 @@ def test_put_overwrites_value():
     assert store.get("a") == 2
 
 
-def test_put_increments_version():
-    store = KeyValueStore()
-    record = store.put("a", 1)
-    assert record.version == 1
-    store.put("a", 2)
-    assert record.version == 2
-
-
 def test_meta_is_preserved_when_not_supplied():
     store = KeyValueStore()
     store.put("a", 1, meta={"state": "valid"})
     store.put("a", 2)
-    assert store.get_record("a").meta == {"state": "valid"}
+    assert store.try_get_record("a").meta == {"state": "valid"}
 
 
 def test_update_meta():
     store = KeyValueStore()
     store.put("a", 1)
-    store.update_meta("a", "m")
-    assert store.get_record("a").meta == "m"
-
-
-def test_delete():
-    store = KeyValueStore()
-    store.put("a", 1)
-    assert store.delete("a") is True
-    assert store.delete("a") is False
-    assert "a" not in store
+    store.try_get_record("a").meta = "m"
+    store.put("a", 2)
+    assert store.try_get_record("a").meta == "m"
 
 
 def test_contains_and_len():
     store = KeyValueStore()
     store.put("a", 1)
     store.put("b", 2)
-    assert "a" in store and "b" in store
-    assert len(store) == 2
-
-
-def test_snapshot_and_load():
-    store = KeyValueStore()
-    store.load({"a": 1, "b": 2})
-    assert store.snapshot() == {"a": 1, "b": 2}
-
-
-def test_load_with_meta_factory():
-    store = KeyValueStore()
-    store.load({"a": 1}, meta_factory=dict)
-    assert store.get_record("a").meta == {}
-
-
-def test_chunks_cover_dataset():
-    store = KeyValueStore()
-    store.load({i: i * 10 for i in range(25)})
-    chunks = list(store.chunks(chunk_size=10))
-    assert sum(len(c) for c in chunks) == 25
-    assert all(len(c) <= 10 for c in chunks)
-    merged = {}
-    for chunk in chunks:
-        merged.update(chunk)
-    assert merged == store.snapshot()
-
-
-def test_read_write_counters():
-    store = KeyValueStore()
-    store.put("a", 1)
-    store.get("a")
-    store.get("a")
-    assert store.reads == 2
-    assert store.writes == 1
+    assert "a" in store and "b" in store and "c" not in store
+    assert len(list(store.keys())) == 2
 
 
 def test_try_get_record_returns_none_for_missing():
     store = KeyValueStore()
     assert store.try_get_record("nope") is None
+
+
+# ------------------------------------------------------------- shared base
+def test_load_installs_dataset_as_read_only_base():
+    dataset = {"a": 1, "b": 2}
+    store = KeyValueStore()
+    store.load(dataset)
+    assert isinstance(store.base, MappingProxyType)
+    with pytest.raises(TypeError):
+        store.base["a"] = 3
+    assert {key: store.get(key) for key in store.keys()} == dataset
+    assert "a" in store and "c" not in store
+    assert store.peek_record("a") is None and not store._records
+
+
+def test_loaded_records_start_without_meta():
+    store = KeyValueStore()
+    store.load({"a": 1})
+    record = store.try_get_record("a")
+    assert (record.value, record.meta) == (1, None)
+    assert store.try_get_record("a") is record
+    assert store.peek_record("a") is record
+
+
+def test_stores_sharing_a_base_diverge_only_through_their_own_writes():
+    dataset = {"a": 1, "b": 2}
+    one, two = KeyValueStore(), KeyValueStore()
+    one.load(dataset)
+    two.load(dataset)
+    one.put("a", 10)
+    one.try_get_record("b").meta = "m"
+    assert (one.get("a"), two.get("a")) == (10, 1)
+    assert two.try_get_record("b").meta is None
+    assert dataset == {"a": 1, "b": 2}
+
+
+def test_keys_list_base_keys_then_new_keys():
+    store = KeyValueStore()
+    store.load({"a": 1, "b": 2})
+    store.put("c", 3)
+    store.put("a", 4)
+    assert list(store.keys()) == ["a", "b", "c"]
+    # Creating the record of the key just handed out is allowed mid-iteration.
+    assert [store.try_get_record(key).value for key in store.keys()] == [4, 2, 3]
+
+
+def test_second_load_is_a_sequence_of_puts():
+    store = KeyValueStore()
+    store.load({"a": 1, "b": 2})
+    store.put("a", 5, meta="m")
+    store.load({"a": 6, "c": 3})
+    assert [(key, store.get(key)) for key in store.keys()] == [("a", 6), ("b", 2), ("c", 3)]
+    assert store.try_get_record("a").meta == "m"
+
+
+# ------------------------------------------------- differential (hypothesis)
+KEYS = st.integers(0, 5)
+VALUES = st.none() | st.integers(0, 9)
+METAS = st.none() | st.sampled_from(["m1", "m2"])
+DATASETS = st.dictionaries(KEYS, VALUES, max_size=6)
+STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("get"), KEYS),
+        st.tuples(st.just("try_get_record"), KEYS, METAS),
+        st.tuples(st.just("peek_record"), KEYS),
+        st.tuples(st.just("put"), KEYS, VALUES, METAS),
+        st.tuples(st.just("keys")),
+        st.tuples(st.just("contains"), KEYS),
+        st.tuples(st.just("load"), DATASETS),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DATASETS, STEPS)
+def test_store_with_a_base_matches_a_plain_dict_model(dataset, steps):
+    """A store over a shared base behaves as if the dataset had been put key
+    by key into a plain dict: same values, metadata, membership and key
+    order; its sibling over the same base and the dataset itself never
+    observe its writes. A record exists only for a key that was put, whose
+    record was asked for, or that a second load wrote."""
+    original = dict(dataset)
+    store, sibling = KeyValueStore(), KeyValueStore()
+    store.load(dataset)
+    sibling.load(dataset)
+    model = {key: [value, None] for key, value in dataset.items()}
+    materialized = set()
+    for step in steps:
+        op = step[0]
+        if op == "get":
+            key = step[1]
+            if key in model:
+                assert store.get(key) == model[key][0]
+            else:
+                with pytest.raises(KeyNotFound):
+                    store.get(key)
+            assert store.get(key, "absent") == (model[key][0] if key in model else "absent")
+        elif op == "try_get_record":
+            _, key, meta = step
+            record = store.try_get_record(key)
+            if key not in model:
+                assert record is None
+                continue
+            assert [record.value, record.meta] == model[key]
+            materialized.add(key)
+            if meta is not None:
+                record.meta = model[key][1] = meta
+        elif op == "put":
+            _, key, value, meta = step
+            record = store.put(key, value, meta=meta)
+            entry = model.setdefault(key, [None, None])
+            entry[0] = value
+            materialized.add(key)
+            if meta is not None:
+                entry[1] = meta
+            assert [record.value, record.meta] == entry
+        elif op == "peek_record":
+            record = store.peek_record(step[1])
+            if step[1] in materialized:
+                assert [record.value, record.meta] == model[step[1]]
+            else:
+                assert record is None
+        elif op == "keys":
+            assert list(store.keys()) == list(model)
+        elif op == "contains":
+            assert (step[1] in store) == (step[1] in model)
+        else:
+            if model:  # a load over data is a sequence of puts
+                materialized.update(step[1])
+            for key, value in step[1].items():
+                model.setdefault(key, [None, None])[0] = value
+            store.load(step[1])
+    assert list(store.keys()) == list(model)
+    assert sorted(store._records) == sorted(materialized)
+    assert dataset == original
+    assert {key: sibling.get(key) for key in sibling.keys()} == original
+    assert not sibling._records

@@ -149,20 +149,14 @@ class _DummyStore:
     def get(self, key):
         return self.data.get(key)
 
-    def get_record(self, key):
-        return self.data[key]
-
     def try_get_record(self, key):
+        return self.data.get(key)
+
+    def peek_record(self, key):
         return self.data.get(key)
 
     def put(self, key, value):
         self.data[key] = value
-
-    def update_meta(self, key, meta):
-        pass
-
-    def delete(self, key):
-        self.data.pop(key, None)
 
 
 class _Token:

@@ -109,7 +109,7 @@ def test_router_and_preload_partitions_agree():
         assert cluster.shard_router.shard_of(key) == shard
         for node_id in cluster.node_ids:
             for s in range(4):
-                holds = key in cluster.shard_replicas[(node_id, s)].store._records
+                holds = key in cluster.shard_replicas[(node_id, s)].store
                 assert holds == (s == shard), (key, node_id, s)
 
 
@@ -195,7 +195,7 @@ def test_sharded_cluster_partitions_stores_and_crashes_whole_nodes():
     cluster = Cluster(ClusterConfig(protocol="hermes", num_replicas=3, shards=4, seed=2))
     workload = WorkloadMix.uniform(100, 0.2, seed=2)
     cluster.preload(workload.initial_dataset())
-    sizes = [len(cluster.shard_replicas[(0, s)].store._records) for s in range(4)]
+    sizes = [len(list(cluster.shard_replicas[(0, s)].store.keys())) for s in range(4)]
     assert sum(sizes) == 100
     assert all(size > 0 for size in sizes)
     assert len(list(cluster.all_replicas())) == 12
