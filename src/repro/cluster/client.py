@@ -107,10 +107,11 @@ class ClientSession:
         self._sim = cluster.sim
         # Per-request completion context, keyed by op/txn id (one id counter
         # feeds both): ``(issue time, response-leg latency, epoch, firing
-        # session)``. Completion callbacks are the bound methods below —
-        # allocated once per session instead of one functools.partial per
-        # operation (a named hot-path allocation; ``cluster.client.self_share``
-        # in perf/).
+        # session)``, so the completion callback is a plain bound method
+        # (``self._record``) instead of one functools.partial per operation.
+        # It is bound per submit, never stored on the session: a session
+        # holding a bound method of itself is a reference cycle, and then a
+        # finished cell's op records wait for a full GC pass to be freed.
         self._inflight: Dict[int, Tuple[float, float, int, int]] = {}
         # Crash/recovery bookkeeping. ``_stalled`` is set when a submission
         # is skipped because the bound node is crashed. ``_epoch`` is bumped
@@ -135,7 +136,6 @@ class ClientSession:
         # Hot-path binds: one bound-method/attribute lookup per operation
         # each, amortized to a single allocation here (none of the bound
         # containers are ever reassigned).
-        self._record_cb = self._record
         self._next_op = workload.next_operation
         self.results: List[OperationResult] = []
         self._results_append = self.results.append
@@ -233,7 +233,7 @@ class ClientSession:
             )
         else:
             self._inflight[op.op_id] = (issue_time, response_lat, self._epoch, session)
-            node.submit_at(arrival, op, self._record_cb)
+            node.submit_at(arrival, op, self._record)
 
     # ------------------------------------------------------------- recording
     def _record(self, op: Operation, status: OpStatus, value: Value) -> None:
@@ -385,7 +385,10 @@ class OpenLoopClient(ClientSession):
         if self.issued >= self.max_ops:
             return
         self._submit(self._next_op(self.client_id), self._sim._now)
-        self._sim.schedule(self._rng.expovariate(self.rate), self._arrive, version)
+        # No arrival past the budget: it would do nothing, and a pending
+        # event would keep the session (and its cell) alive in the engine.
+        if self.issued < self.max_ops:
+            self._sim.schedule(self._rng.expovariate(self.rate), self._arrive, version)
 
 
 class AggregatedClient(ClientSession):

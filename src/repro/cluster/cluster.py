@@ -10,6 +10,7 @@ class rather than assembling pieces by hand.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Type
 
@@ -148,8 +149,8 @@ class Cluster:
         #: (node id, shard) -> that shard's replica on the node.
         self.shard_replicas: Dict[Tuple[NodeId, int], ReplicaNode] = {}
         self._build_nodes()
-        #: Per-node recovery callbacks (see :meth:`on_recover`).
-        self._recover_callbacks: Dict[NodeId, List[Callable[[NodeId], None]]] = {}
+        #: Per-node recovery hooks, weakly held (see :meth:`on_recover`).
+        self._recover_callbacks: Dict[NodeId, List[weakref.WeakMethod]] = {}
         self.membership_service: Optional[MembershipService] = None
         self.autoscaler: Optional["Autoscaler"] = None
         if config.run_membership_service:
@@ -308,8 +309,10 @@ class Cluster:
     def recover(self, node_id: NodeId) -> None:
         """Clear a node's crashed flag (all of its shard replicas with it)."""
         self.nodes[node_id].recover()
-        for callback in self._recover_callbacks.get(node_id, ()):
-            callback(node_id)
+        for hook in self._recover_callbacks.get(node_id, ()):
+            callback = hook()
+            if callback is not None:
+                callback(node_id)
 
     def on_recover(self, node_id: NodeId, callback: Callable[[NodeId], None]) -> None:
         """Register ``callback(node_id)`` to run whenever ``node_id`` recovers.
@@ -317,8 +320,14 @@ class Cluster:
         Used by client sessions to resume submissions to a node they had
         been skipping while it was crashed. Callbacks run synchronously at
         the end of :meth:`recover`, in registration order.
+
+        ``callback`` must be a bound method, and the cluster holds it only
+        weakly: the cluster does not keep its owner alive, and a dropped
+        owner's hook is skipped. A session already points at its cluster,
+        so a strong hook would close a reference cycle through every one of
+        its op records, which only a full GC pass could free.
         """
-        self._recover_callbacks.setdefault(node_id, []).append(callback)
+        self._recover_callbacks.setdefault(node_id, []).append(weakref.WeakMethod(callback))
 
     def slow_node(self, node_id: NodeId, factor: float) -> None:
         """Scale CPU costs on ``node_id`` by ``factor`` (gray fault).

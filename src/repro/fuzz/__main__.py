@@ -72,8 +72,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         for schedule in result.minimized:
             path = save_schedule(schedule, out_dir / f"minimized_seed_{schedule.seed}.json")
             print(f"violations: wrote {path}")
-    for outcome in result.violations:
-        print(f"VIOLATION: {outcome.describe()}")
     return 0 if result.ok else 1
 
 

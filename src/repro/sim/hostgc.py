@@ -1,17 +1,21 @@
 """Host garbage-collector governor for simulation runs.
 
-A run retains every completed operation's record (and every key's store
-record) until the caller drops the cluster, and the event loop allocates no
-reference cycles (``tests/test_gc_discipline.py`` holds it to that). CPython's
-cyclic collector still re-walks that growing, cycle-free heap: each full
+A run retains every completed operation's record until the caller drops
+the client sessions (and every key's store record until it drops the
+cluster), and the event loop allocates no reference cycles
+(``tests/test_gc_discipline.py`` holds it to that). CPython's cyclic
+collector still re-walks that growing, cycle-free heap: each full
 (generation-2) collection traverses every tracked object and frees nothing.
 
-The one full collection that does find garbage is the first of a run: in a
-multi-cell process the previous cell's dropped cluster *is* cyclic, and only
-a full pass frees it. So the rule is to leave the collector alone until its
-first full collection inside a run has finished, then pause automatic
-collection until the run ends. No threshold changes, no forced collection,
-nothing frozen; reference counting keeps freeing acyclic garbage throughout.
+The one full collection that does find garbage is the first of a run. A
+dropped cell's cluster, client sessions and op records are freed by
+reference counting, but its replica skeleton (the network registry and the
+nodes it reaches, transports, membership callbacks) *is* cyclic, and in a
+multi-cell process only a full pass frees the previous cells' skeletons. So
+the rule is to leave the collector alone until its first full collection
+inside a run has finished, then pause automatic collection until the run
+ends. No threshold changes, no forced collection, nothing frozen; reference
+counting keeps freeing acyclic garbage throughout.
 
 This is host bookkeeping only: collector timing cannot reach simulated
 time, event order or any artifact. See ARCHITECTURE.md, "Host cost of

@@ -132,7 +132,7 @@ def _spec_cell(**spec_kwargs):
         ),
         pytest.param(
             lambda: _spec_cell(client_model="open", offered_load=1e6),
-            (767, 240, 188, "1829f5c00dfdcc687207777614e8401b473caec2a5b4cc1c37af7f97a8f90058"),
+            (761, 240, 188, "1829f5c00dfdcc687207777614e8401b473caec2a5b4cc1c37af7f97a8f90058"),
             id="open-crash-recover",
         ),
         pytest.param(

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+import repro.fuzz.__main__ as fuzz_cli
+import repro.fuzz.campaign as campaign
 import repro.protocols.chain as chain
 from repro.cluster.failures import FailureEvent, FailureInjector
 from repro.errors import ConfigurationError
 from repro.fuzz import (
     FuzzConfig,
     FuzzSchedule,
+    TrialOutcome,
     derive_trial_seed,
     generate_schedule,
     is_one_minimal,
@@ -300,6 +303,20 @@ def test_campaign_parallel_and_serial_runs_agree():
     assert [o.artifact_digest for o in serial.outcomes] == [
         o.artifact_digest for o in parallel.outcomes
     ]
+
+
+def test_campaign_cli_prints_each_violation_once(monkeypatch, capsys):
+    # The trial fan-out is stubbed; the real campaign logs the violation.
+    outcomes = []
+
+    def one_violation(run, schedules, jobs):
+        outcomes.append(TrialOutcome(schedule=schedules[0], ok=False, violations=["stale read"]))
+        return outcomes
+
+    monkeypatch.setattr(campaign, "parallel_map", one_violation)
+    status = fuzz_cli.main(["campaign", "--seed", "7", "--trials", "1", "--no-shrink"])
+    assert status == 1
+    assert capsys.readouterr().out.count(outcomes[0].describe()) == 1
 
 
 def test_injected_stale_write_down_bug_is_caught_and_shrunk(monkeypatch):

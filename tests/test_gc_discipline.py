@@ -4,9 +4,11 @@
 the run's first full collection is done. That is only sound because a run
 allocates **no reference cycles**: everything it drops is freed by reference
 counting, so the later collections it skips could not have freed anything.
-The first half of this file holds every protocol and client model to that
-(a count, never a wall-clock number); the second half checks the governor
-leaves the process's GC state exactly as it found it on every exit path.
+The first half of this file holds every protocol and client model to that,
+and a finished cell's sessions and op records to being freed by reference
+counting alone (counts, never a wall-clock number); the second half checks
+the governor leaves the process's GC state exactly as it found it on every
+exit path.
 """
 
 from __future__ import annotations
@@ -22,12 +24,13 @@ from pathlib import Path
 import pytest
 
 from repro.bench.harness import ExperimentSpec, build_clients, build_cluster, build_workload
-from repro.cluster.client import run_clients
+from repro.cluster.client import ClientSession, run_clients
 from repro.cluster.cluster import Cluster
 from repro.cluster.failures import FailureInjector
 from repro.errors import SimulationDeadlock
 from repro.fuzz import load_schedule
 from repro.sim.hostgc import quiet_after_full_collection
+from repro.types import Operation, OperationResult
 from repro.verification import History
 
 REPO = Path(__file__).resolve().parent.parent
@@ -42,6 +45,9 @@ SPECS = {
     "coupled-txn": ExperimentSpec(shards=4, txn_fraction=0.1, txn_cross_shard=0.5, **_CELL),
     "aggregated": ExperimentSpec(
         client_model="aggregated", sessions=10_000, offered_load=2e5, **_CELL
+    ),
+    "open-loop": ExperimentSpec(
+        client_model="open", offered_load=2e5, record_history=True, **_CELL
     ),
     # craq, 2 shards: crash + recover, partition + heal, degraded link, clock skew.
     "faulted-craq": load_schedule(CORPUS_DIR / "seed_1674203090.json").to_spec(),
@@ -87,6 +93,41 @@ def test_run_creates_no_cyclic_garbage(name, gc_state):
         gc.enable()
     assert sum(client.completed for client in clients) > 0
     assert unreachable == 0
+
+
+# ------------------------------------- a finished cell is freed by refcount
+#: What a run allocates per cell and per operation. None of it may sit in a
+#: reference cycle: only the replica skeleton (network registry <-> nodes,
+#: transports, membership callbacks) is cyclic, and it holds none of these.
+_REFCOUNTED = (Cluster, ClientSession, OperationResult, Operation, History)
+
+
+@pytest.mark.parametrize("name", [name for name, spec in SPECS.items() if not spec.faults])
+def test_finished_cell_is_freed_by_reference_counting(name, gc_state):
+    spec = SPECS[name]
+    gc.collect()
+    gc.disable()
+    try:
+        # Held so that no id below can be reused by an object of this cell.
+        before = [obj for obj in gc.get_objects() if isinstance(obj, _REFCOUNTED)]
+        known = {id(obj) for obj in before}
+        cluster = build_cluster(spec)
+        workload = build_workload(spec)
+        cluster.preload(workload.initial_dataset())
+        history = History() if spec.record_history else None
+        clients = build_clients(spec, cluster, workload, history)
+        run_clients(cluster, clients, max_time=spec.max_sim_time)
+        completed = sum(client.completed for client in clients)
+        del cluster, workload, history, clients
+        left = sorted(
+            type(obj).__name__
+            for obj in gc.get_objects()
+            if isinstance(obj, _REFCOUNTED) and id(obj) not in known
+        )
+    finally:
+        gc.enable()
+    assert completed == spec.num_replicas * spec.clients_per_replica * spec.ops_per_client
+    assert left == []
 
 
 # ------------------------------------------------- state restored on every exit
@@ -174,7 +215,7 @@ def cell(ops_per_client):
 # too short for the process's first full collection.
 cluster, clients = cell(200)
 run_clients(cluster, clients)
-first = weakref.ref(cluster)
+first = weakref.ref(cluster.nodes[0])  # the cell's cyclic remainder
 del cluster, clients
 
 cluster, clients = cell(1500)
@@ -208,8 +249,9 @@ def test_first_full_pass_of_a_run_is_kept_and_later_collections_are_not():
     assert report["enabled_after"] and report["callbacks_after"] == 0
     if not report["full_passes"] and sys.version_info >= (3, 13):
         pytest.skip("this interpreter's collector reported no generation-2 pass")
-    # The dropped first cluster is cyclic garbage in the oldest generation:
-    # it outlives its `del`, is still there when the second run's full pass
+    # The first cell's replica skeleton (its sessions and records went at the
+    # `del`, by refcount) is cyclic garbage in the oldest generation: it
+    # outlives its `del`, is still there when the second run's full pass
     # starts, and is gone afterwards. That pass is the run's last collection
     # of any generation (an ungoverned 45k-op run makes dozens more); the one
     # allowed here is the deferred young pass that re-enabling triggers.
