@@ -251,11 +251,6 @@ class Sanitizer:
         """Leave the innermost handler context."""
         self._owners.pop()
 
-    @property
-    def in_handler(self) -> bool:
-        """Whether any handler is currently executing."""
-        return bool(self._owners)
-
     # ---------------------------------------------------------- store guard
     def guard_store(self, store: Any, owner: Any, host: Any) -> None:
         """Wrap ``store``'s access methods with a cross-replica check.

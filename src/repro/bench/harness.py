@@ -312,11 +312,6 @@ class ExperimentResult:
     cluster_stats: Dict[str, int] = field(default_factory=dict)
     migration_records: List[MigrationRecord] = field(default_factory=list)
 
-    @property
-    def mreqs_per_sec(self) -> float:
-        """Throughput in millions of requests per simulated second."""
-        return self.throughput / 1e6
-
 
 def build_cluster(spec: ExperimentSpec) -> Cluster:
     """Construct the cluster described by an experiment spec.

@@ -58,10 +58,6 @@ class PendingUpdate:
     mlt_timer: Optional[EventHandle] = None
     inv_broadcasts: int = 0
 
-    def acked_by_all(self, expected: Set[NodeId]) -> bool:
-        """Whether every node in ``expected`` has acknowledged."""
-        return expected.issubset(self.acks)
-
     def missing(self, expected: Set[NodeId]) -> Set[NodeId]:
         """Nodes in ``expected`` that have not acknowledged yet."""
         return expected - self.acks

@@ -32,18 +32,6 @@ class InvalidTransition(ProtocolError):
     """A per-key state machine was asked to make an illegal transition."""
 
 
-class NotCoordinator(ProtocolError):
-    """An operation that requires coordinator role was invoked on a follower."""
-
-
-class StaleEpoch(ProtocolError):
-    """A message from an older membership epoch was processed where it must not be."""
-
-
-class RMWAborted(ProtocolError):
-    """A read-modify-write lost to a concurrent conflicting update (paper §3.6)."""
-
-
 class MembershipError(ReproError):
     """Base class for reliable-membership errors."""
 
@@ -56,10 +44,6 @@ class NotInMembership(MembershipError):
     """A node that is not part of the current membership attempted an operation."""
 
 
-class NoQuorum(MembershipError):
-    """A majority-based membership update could not gather a quorum."""
-
-
 class KVSError(ReproError):
     """Base class for key-value store errors."""
 
@@ -70,10 +54,6 @@ class KeyNotFound(KVSError):
 
 class VerificationError(ReproError):
     """Base class for history / invariant verification errors."""
-
-
-class LinearizabilityViolation(VerificationError):
-    """A recorded history is not linearizable."""
 
 
 class HistoryError(VerificationError):

@@ -73,7 +73,3 @@ class FailureDetector:
             for node, last in self._last_heard.items()
             if time - last > timeout
         }
-
-    def last_heard(self, node: NodeId) -> float:
-        """Last heartbeat time recorded for ``node``."""
-        return self._last_heard[node]

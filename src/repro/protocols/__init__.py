@@ -5,10 +5,11 @@ and the baselines it is evaluated against, all over the same simulated
 substrate and KVS so that performance differences isolate the protocol
 itself (paper §5.1):
 
-* :mod:`repro.protocols.base` — shared replica-node machinery and the
-  feature descriptors behind Table 2.
+* :mod:`repro.protocols.base` — shared replica-node machinery, the one
+  forwarded-write path of the orderer-based baselines, and the feature
+  descriptors behind Table 2.
 * :mod:`repro.protocols.craq` — CRAQ: chain replication with apportioned
-  queries (local reads, chain writes).
+  queries (CR plus local reads of clean keys).
 * :mod:`repro.protocols.chain` — plain Chain Replication (CR): tail-only
   reads, chain writes.
 * :mod:`repro.protocols.zab` — ZAB-style leader-based atomic broadcast.

@@ -16,6 +16,11 @@ Every protocol in the library (Hermes and the baselines) subclasses
 Protocols implement :meth:`handle_client_op`, list their message handlers
 in :attr:`ReplicaNode.HANDLERS` and describe themselves through
 :class:`ProtocolFeatures` (the data behind the paper's Table 2).
+
+The baselines that serialize every update through one node (CR and CRAQ's
+chain head, ZAB's leader, Derecho's sequencer) share one write path,
+:class:`OrderedReplica`: one forwarded write, one handler that only the
+current orderer acts on, and one completion step at the origin.
 """
 
 from __future__ import annotations
@@ -41,6 +46,10 @@ Handler = Callable[[Any, NodeId, Any], None]
 #: Completion callback invoked by a replica when an operation finishes:
 #: ``callback(op, status, value)``.
 ClientCallback = Callable[[Operation, OpStatus, Value], None]
+
+#: Wire overhead of a baseline protocol message's control fields (versions,
+#: sequence numbers, ids).
+HEADER_BYTES = 16
 
 
 @dataclass(frozen=True)
@@ -478,6 +487,87 @@ class ReplicaNode(NodeProcess):
         ``ShardHost._cancel_freeze``).
         """
         self._frozen = frozen
+
+
+# Plain slotted dataclass compared by identity, not frozen: see the note in
+# repro.core.messages (a frozen __init__ costs ~4x; the sanitizer and lint
+# M-rules guard mutation instead).
+@dataclass(eq=False, slots=True)
+class ForwardedWrite:
+    """A client update forwarded from the replica that took it to the orderer."""
+
+    key: Key
+    value: Value
+    origin: NodeId
+    op_id: int
+    size_bytes: int = HEADER_BYTES
+
+
+class OrderedReplica(ReplicaNode):
+    """A replica of a protocol that serializes every update at one orderer.
+
+    The orderer is CR and CRAQ's chain head, ZAB's leader or Derecho's
+    sequencer. A client update (RMWs included) stays in :attr:`_awaiting`
+    at the replica that took it, its origin, and goes to the orderer: by a
+    direct call when the origin is the orderer, otherwise as one
+    :class:`ForwardedWrite`. A forward that reaches any replica other than
+    the current orderer is dropped. The protocol orders the update in
+    :meth:`_accept` and, once the update is durable at the origin, completes
+    it there with :meth:`_complete_awaited`.
+
+    Subclasses supply :attr:`orderer` and :meth:`_accept`; reads are served
+    from the local store unless they override :meth:`_read` (a read that
+    waits on a remote reply, as at CR's non-tail nodes, waits in
+    :attr:`_awaiting` too: op ids are unique).
+    """
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        #: Client operations this replica took and has not completed yet,
+        #: keyed by op id.
+        self._awaiting: Dict[int, Tuple[Operation, ClientCallback]] = {}
+
+    @property
+    def orderer(self) -> NodeId:
+        """The node that currently orders updates. Subclasses implement."""
+        raise NotImplementedError
+
+    def _accept(self, key: Key, value: Value, origin: NodeId, op_id: int) -> None:
+        """Order an update at the orderer. Subclasses implement."""
+        raise NotImplementedError
+
+    def handle_client_op(self, op: Operation, callback: ClientCallback) -> None:
+        """Serve reads with :meth:`_read`; hand updates to the orderer."""
+        if op.op_type is OpType.READ:
+            self._read(op, callback)
+            return
+        self._awaiting[op.op_id] = (op, callback)
+        orderer = self.orderer
+        if orderer == self.node_id:
+            self._accept(op.key, op.value, self.node_id, op.op_id)
+            return
+        forward = ForwardedWrite(key=op.key, value=op.value, origin=self.node_id, op_id=op.op_id)
+        self.transport.send(
+            orderer, forward, forward.size_bytes + self.update_size_bytes(op.value)
+        )
+
+    def _read(self, op: Operation, callback: ClientCallback) -> None:
+        """Serve a read from the local store."""
+        self.reads_served_locally += 1
+        self.complete(op, callback, OpStatus.OK, self.store.get(op.key, None))
+
+    def _on_forwarded_write(self, src: NodeId, message: ForwardedWrite) -> None:
+        if self.orderer == self.node_id:
+            self._accept(message.key, message.value, message.origin, message.op_id)
+
+    def _complete_awaited(self, op_id: int, value: Value) -> None:
+        """Complete the awaited client operation ``op_id``, if it is still here."""
+        entry = self._awaiting.pop(op_id, None)
+        if entry is not None:
+            op, callback = entry
+            self.complete(op, callback, OpStatus.OK, value)
+
+    HANDLERS = {ForwardedWrite: _on_forwarded_write}
 
 
 #: Registry mapping protocol names to replica classes, for the bench harness.

@@ -5,29 +5,28 @@ head and commit at the tail, and — unlike CRAQ — *all* linearizable reads
 must be served by the tail. The protocol is included as an additional
 baseline and as the substrate the paper's related-work discussion builds on;
 it makes the value of CRAQ's apportioned queries (and of Hermes' local reads)
-measurable.
+measurable. :class:`~repro.protocols.craq.CraqReplica` is this chain plus
+apportioned reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, List, Optional
 
 from repro.membership.view import MembershipView
 from repro.protocols.base import (
+    HEADER_BYTES,
     ClientCallback,
+    OrderedReplica,
     ProtocolFeatures,
-    ReplicaNode,
     register_protocol,
 )
-from repro.types import Key, NodeId, Operation, OpStatus, OpType, Value
-
-#: Small constant wire overhead of CR control fields.
-CR_HEADER_BYTES = 16
+from repro.types import Key, NodeId, Operation, Value
 
 #: Whether replicas apply a write-down only when its version exceeds the
 #: local one. The guard is what keeps replicas convergent when the fabric
-#: reorders write-downs (see :meth:`ChainReplicationReplica._on_write_down`);
+#: reorders write-downs (see :meth:`ChainReplicationReplica._install`);
 #: it must stay True in any real run. The fuzzing harness's self-test
 #: (tests/test_fuzz.py) monkeypatches it to False to demonstrate that a
 #: deliberately reintroduced safety bug is caught by the checker oracles
@@ -39,26 +38,15 @@ WRITE_DOWN_VERSION_GUARD = True
 # repro.core.messages (a frozen __init__ costs ~4x; the sanitizer and lint
 # M-rules guard mutation instead).
 @dataclass(eq=False, slots=True)
-class CrWriteRequest:
-    """A write forwarded from the receiving node to the head."""
-
-    key: Key
-    value: Value
-    origin: NodeId
-    op_id: int
-    size_bytes: int = CR_HEADER_BYTES
-
-
-@dataclass(eq=False, slots=True)
 class CrWriteDown:
-    """A write propagating down the chain."""
+    """A versioned write propagating down the chain (head towards tail)."""
 
     key: Key
     version: int
     value: Value
     origin: NodeId
     op_id: int
-    size_bytes: int = CR_HEADER_BYTES
+    size_bytes: int = HEADER_BYTES
 
 
 @dataclass(eq=False, slots=True)
@@ -67,7 +55,7 @@ class CrWriteReply:
 
     op_id: int
     value: Value
-    size_bytes: int = CR_HEADER_BYTES
+    size_bytes: int = HEADER_BYTES
 
 
 @dataclass(eq=False, slots=True)
@@ -77,7 +65,7 @@ class CrReadRequest:
     key: Key
     origin: NodeId
     op_id: int
-    size_bytes: int = CR_HEADER_BYTES
+    size_bytes: int = HEADER_BYTES
 
 
 @dataclass(eq=False, slots=True)
@@ -86,7 +74,7 @@ class CrReadReply:
 
     op_id: int
     value: Value
-    size_bytes: int = CR_HEADER_BYTES
+    size_bytes: int = HEADER_BYTES
 
 
 @dataclass(slots=True)
@@ -96,8 +84,8 @@ class CrKeyMeta:
     version: int = 0
 
 
-class ChainReplicationReplica(ReplicaNode):
-    """A node of a plain Chain Replication chain."""
+class ChainReplicationReplica(OrderedReplica):
+    """A node of a plain Chain Replication chain; the head orders writes."""
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
@@ -105,7 +93,6 @@ class ChainReplicationReplica(ReplicaNode):
         # shard 0 (the unsharded layout), rotated per shard so head and tail
         # duties spread across nodes in partitioned deployments.
         self._chain: List[NodeId] = list(self.role_ring())
-        self._pending_ops: Dict[int, Tuple[Operation, ClientCallback]] = {}
         self.writes_committed = 0
 
     # ------------------------------------------------------------- features
@@ -124,13 +111,20 @@ class ChainReplicationReplica(ReplicaNode):
 
     # ------------------------------------------------------- chain topology
     @property
+    def chain(self) -> List[NodeId]:
+        """Current chain order (the shard's role ring over the live view)."""
+        return list(self._chain)
+
+    @property
     def head(self) -> NodeId:
-        """Head of the chain."""
+        """Head of the chain (orders every write)."""
         return self._chain[0]
+
+    orderer = head
 
     @property
     def tail(self) -> NodeId:
-        """Tail of the chain."""
+        """Tail of the chain (the commit point)."""
         return self._chain[-1]
 
     @property
@@ -153,81 +147,15 @@ class ChainReplicationReplica(ReplicaNode):
         self._chain = list(self.role_ring(view))
 
     # ------------------------------------------------------------ client ops
-    def handle_client_op(self, op: Operation, callback: ClientCallback) -> None:
-        """Forward reads to the tail and updates to the head."""
-        if op.op_type is OpType.READ:
-            if self.is_tail:
-                self.reads_served_locally += 1
-                self.complete(op, callback, OpStatus.OK, self.store.get(op.key, None))
-                return
-            self.reads_served_remotely += 1
-            self._pending_ops[op.op_id] = (op, callback)
-            request = CrReadRequest(key=op.key, origin=self.node_id, op_id=op.op_id)
-            self.transport.send(self.tail, request, request.size_bytes)
-            return
-        self._pending_ops[op.op_id] = (op, callback)
-        if self.is_head:
-            self._head_accept(op.key, op.value, self.node_id, op.op_id)
-            return
-        request = CrWriteRequest(key=op.key, value=op.value, origin=self.node_id, op_id=op.op_id)
-        self.transport.send(
-            self.head, request, request.size_bytes + self.update_size_bytes(op.value)
-        )
-
-    # ------------------------------------------------------ protocol messages
-    def _on_write_request(self, src: NodeId, message: CrWriteRequest) -> None:
-        if self.is_head:
-            self._head_accept(message.key, message.value, message.origin, message.op_id)
-
-    def _on_reply(self, src: NodeId, message: Any) -> None:
-        self._complete_pending(message.op_id, message.value)
-
-    # --------------------------------------------------------------- internals
-    def _head_accept(self, key: Key, value: Value, origin: NodeId, op_id: int) -> None:
-        meta = self._meta(key)
-        meta.version += 1
-        self.store.put(key, value, meta=meta)
-        self._forward_down(key, meta.version, value, origin, op_id)
-
-    def _forward_down(self, key: Key, version: int, value: Value, origin: NodeId, op_id: int) -> None:
-        successor = self.successor()
-        if successor is None:
-            self._tail_commit(key, version, value, origin, op_id)
-            return
-        message = CrWriteDown(key=key, version=version, value=value, origin=origin, op_id=op_id)
-        self.transport.send(
-            successor, message, message.size_bytes + self.update_size_bytes(value)
-        )
-
-    def _on_write_down(self, src: NodeId, message: CrWriteDown) -> None:
-        # Real chain replication runs over FIFO links; the simulated fabric
-        # can reorder messages (latency jitter), so apply a write-down only
-        # if it is newer than the local version — otherwise replicas could
-        # permanently diverge when two writes to one key swap on a link.
-        # Stale write-downs are still forwarded/committed so their origin
-        # receives a reply.
-        meta = self._meta(message.key)
-        if message.version > meta.version or not WRITE_DOWN_VERSION_GUARD:
-            meta.version = message.version
-            self.store.put(message.key, message.value, meta=meta)
+    def _read(self, op: Operation, callback: ClientCallback) -> None:
+        """Serve a read at the tail; other nodes forward it there."""
         if self.is_tail:
-            self._tail_commit(message.key, message.version, message.value, message.origin, message.op_id)
-        else:
-            self._forward_down(
-                message.key, message.version, message.value, message.origin, message.op_id
-            )
-
-    def _tail_commit(self, key: Key, version: int, value: Value, origin: NodeId, op_id: int) -> None:
-        meta = self._meta(key)
-        if version > meta.version or not WRITE_DOWN_VERSION_GUARD:
-            meta.version = version
-            self.store.put(key, value, meta=meta)
-        self.writes_committed += 1
-        if origin == self.node_id:
-            self._complete_pending(op_id, value)
-        else:
-            reply = CrWriteReply(op_id=op_id, value=value)
-            self.transport.send(origin, reply, reply.size_bytes)
+            super()._read(op, callback)
+            return
+        self.reads_served_remotely += 1
+        self._awaiting[op.op_id] = (op, callback)
+        request = CrReadRequest(key=op.key, origin=self.node_id, op_id=op.op_id)
+        self.transport.send(self.tail, request, request.size_bytes)
 
     def _on_read_request(self, src: NodeId, message: CrReadRequest) -> None:
         value = self.store.get(message.key, None)
@@ -236,12 +164,63 @@ class ChainReplicationReplica(ReplicaNode):
             message.origin, reply, reply.size_bytes + self.value_size_of(value)
         )
 
-    def _complete_pending(self, op_id: int, value: Value) -> None:
-        entry = self._pending_ops.pop(op_id, None)
-        if entry is None:
+    def _on_reply(self, src: NodeId, message: Any) -> None:
+        self._complete_awaited(message.op_id, message.value)
+
+    # ---------------------------------------------------------- chain writes
+    def _accept(self, key: Key, value: Value, origin: NodeId, op_id: int) -> None:
+        self._forward_down(key, self._next_version(key, value), value, origin, op_id)
+
+    def _forward_down(self, key: Key, version: int, value: Value, origin: NodeId, op_id: int) -> None:
+        successor = self.successor()
+        if successor is None:
+            # Single-node chain: the head is also the tail.
+            self._tail_commit(key, version, value, origin, op_id)
             return
-        op, callback = entry
-        self.complete(op, callback, OpStatus.OK, value)
+        message = CrWriteDown(key=key, version=version, value=value, origin=origin, op_id=op_id)
+        self.transport.send(
+            successor, message, message.size_bytes + self.update_size_bytes(value)
+        )
+
+    def _on_write_down(self, src: NodeId, message: CrWriteDown) -> None:
+        self._install(message.key, message.version, message.value)
+        if self.is_tail:
+            self._tail_commit(message.key, message.version, message.value, message.origin, message.op_id)
+        else:
+            self._forward_down(
+                message.key, message.version, message.value, message.origin, message.op_id
+            )
+
+    def _tail_commit(self, key: Key, version: int, value: Value, origin: NodeId, op_id: int) -> None:
+        self.writes_committed += 1
+        if origin == self.node_id:
+            self._complete_awaited(op_id, value)
+        else:
+            reply = CrWriteReply(op_id=op_id, value=value)
+            self.transport.send(origin, reply, reply.size_bytes)
+
+    # -------------------------------------------------------- per-key state
+    def _next_version(self, key: Key, value: Value) -> int:
+        """At the head: give ``value`` the key's next version and install it."""
+        meta = self._meta(key)
+        meta.version += 1
+        self.store.put(key, value, meta=meta)
+        return meta.version
+
+    def _install(self, key: Key, version: int, value: Value) -> None:
+        """Apply a write-down at a node below the head.
+
+        Real chain replication runs over FIFO links; the simulated fabric
+        can reorder messages (latency jitter), so apply a write-down only if
+        it is newer than the local version — otherwise replicas could
+        permanently diverge when two writes to one key swap on a link. Stale
+        write-downs are still forwarded/committed so their origin receives a
+        reply.
+        """
+        meta = self._meta(key)
+        if version > meta.version or not WRITE_DOWN_VERSION_GUARD:
+            meta.version = version
+            self.store.put(key, value, meta=meta)
 
     def _meta(self, key: Key) -> CrKeyMeta:
         record = self.store.try_get_record(key)
@@ -252,7 +231,7 @@ class ChainReplicationReplica(ReplicaNode):
         return record.meta
 
     HANDLERS = {
-        CrWriteRequest: _on_write_request,
+        **OrderedReplica.HANDLERS,
         CrWriteDown: _on_write_down,
         CrWriteReply: _on_reply,
         CrReadRequest: _on_read_request,

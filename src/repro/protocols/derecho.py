@@ -22,15 +22,12 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.protocols.base import (
-    ClientCallback,
+    HEADER_BYTES,
+    OrderedReplica,
     ProtocolFeatures,
-    ReplicaNode,
     register_protocol,
 )
-from repro.types import Key, NodeId, Operation, OpStatus, OpType, Value
-
-#: Small constant wire overhead of Derecho-style control fields.
-DERECHO_HEADER_BYTES = 16
+from repro.types import Key, NodeId, Value
 
 
 # --------------------------------------------------------------------------
@@ -40,23 +37,12 @@ DERECHO_HEADER_BYTES = 16
 # repro.core.messages (a frozen __init__ costs ~4x; the sanitizer and lint
 # M-rules guard mutation instead).
 @dataclass(eq=False, slots=True)
-class SubmitUpdate:
-    """An update forwarded from the receiving replica to the sequencer."""
-
-    key: Key
-    value: Value
-    origin: NodeId
-    op_id: int
-    size_bytes: int = DERECHO_HEADER_BYTES
-
-
-@dataclass(eq=False, slots=True)
 class OrderedRound:
     """A sequenced round (ordered batch) of updates multicast to all replicas."""
 
     round_id: int
     updates: Tuple[Tuple[Key, Value, NodeId, int], ...]
-    size_bytes: int = DERECHO_HEADER_BYTES
+    size_bytes: int = HEADER_BYTES
 
 
 @dataclass(eq=False, slots=True)
@@ -64,7 +50,7 @@ class RoundReceived:
     """A replica's confirmation that it received the whole round."""
 
     round_id: int
-    size_bytes: int = DERECHO_HEADER_BYTES
+    size_bytes: int = HEADER_BYTES
 
 
 @dataclass(eq=False, slots=True)
@@ -72,7 +58,7 @@ class RoundDeliver:
     """The sequencer's instruction to deliver (apply) a stable round."""
 
     round_id: int
-    size_bytes: int = DERECHO_HEADER_BYTES
+    size_bytes: int = HEADER_BYTES
 
 
 @dataclass
@@ -95,8 +81,8 @@ class DerechoConfig:
             raise ConfigurationError("max_round_updates must be >= 1")
 
 
-class DerechoReplica(ReplicaNode):
-    """A replica of the Derecho-style lock-step total-order protocol."""
+class DerechoReplica(OrderedReplica):
+    """A replica of the Derecho-style lock-step total order; the sequencer orders updates."""
 
     def __init__(self, *args: Any, derecho_config: Optional[DerechoConfig] = None, **kwargs: Any):
         super().__init__(*args, **kwargs)
@@ -110,7 +96,6 @@ class DerechoReplica(ReplicaNode):
         # Replica state.
         self._received_rounds: Dict[int, OrderedRound] = {}
         self._delivered_round = 0
-        self._local_ops: Dict[int, Tuple[Operation, ClientCallback]] = {}
         self.rounds_delivered = 0
         self.writes_committed = 0
 
@@ -135,33 +120,11 @@ class DerechoReplica(ReplicaNode):
         the lowest view member for unsharded groups, rotated per shard)."""
         return self.role_ring()[0]
 
-    @property
-    def is_sequencer(self) -> bool:
-        """Whether this replica sequences rounds."""
-        return self.node_id == self.sequencer
-
-    # ------------------------------------------------------------ client ops
-    def handle_client_op(self, op: Operation, callback: ClientCallback) -> None:
-        """Serve reads locally; route updates through the total order."""
-        if op.op_type is OpType.READ:
-            self.reads_served_locally += 1
-            self.complete(op, callback, OpStatus.OK, self.store.get(op.key, None))
-            return
-        self._local_ops[op.op_id] = (op, callback)
-        if self.is_sequencer:
-            self._enqueue_update(op.key, op.value, self.node_id, op.op_id)
-            return
-        submit = SubmitUpdate(key=op.key, value=op.value, origin=self.node_id, op_id=op.op_id)
-        self.transport.send(
-            self.sequencer, submit, submit.size_bytes + self.update_size_bytes(op.value)
-        )
+    orderer = sequencer
 
     # --------------------------------------------------------- sequencer side
-    def _on_submit_update(self, src: NodeId, message: SubmitUpdate) -> None:
-        if self.is_sequencer:
-            self._enqueue_update(message.key, message.value, message.origin, message.op_id)
-
-    def _enqueue_update(self, key: Key, value: Value, origin: NodeId, op_id: int) -> None:
+    def _accept(self, key: Key, value: Value, origin: NodeId, op_id: int) -> None:
+        """Queue the update for the next round."""
         self._queued_updates.append((key, value, origin, op_id))
         self._maybe_start_round()
 
@@ -223,13 +186,10 @@ class DerechoReplica(ReplicaNode):
             self.store.put(key, value)
             self.writes_committed += 1
             if origin == self.node_id:
-                entry = self._local_ops.pop(op_id, None)
-                if entry is not None:
-                    op, callback = entry
-                    self.complete(op, callback, OpStatus.OK, value)
+                self._complete_awaited(op_id, value)
 
     HANDLERS = {
-        SubmitUpdate: _on_submit_update,
+        **OrderedReplica.HANDLERS,
         OrderedRound: _on_round,
         RoundReceived: _on_round_received,
         RoundDeliver: _on_deliver_message,

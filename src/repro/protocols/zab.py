@@ -16,19 +16,16 @@ leader's CPU (Figures 5a, 5b, 7).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Set
 
 from repro.membership.view import MembershipView
 from repro.protocols.base import (
-    ClientCallback,
+    HEADER_BYTES,
+    OrderedReplica,
     ProtocolFeatures,
-    ReplicaNode,
     register_protocol,
 )
-from repro.types import Key, NodeId, Operation, OpStatus, OpType, Value
-
-#: Small constant wire overhead of ZAB control fields (zxid, ids).
-ZAB_HEADER_BYTES = 16
+from repro.types import Key, NodeId, Value
 
 
 # --------------------------------------------------------------------------
@@ -38,17 +35,6 @@ ZAB_HEADER_BYTES = 16
 # repro.core.messages (a frozen __init__ costs ~4x; the sanitizer and lint
 # M-rules guard mutation instead).
 @dataclass(eq=False, slots=True)
-class ForwardWrite:
-    """A write forwarded from the receiving replica to the leader."""
-
-    key: Key
-    value: Value
-    origin: NodeId
-    op_id: int
-    size_bytes: int = ZAB_HEADER_BYTES
-
-
-@dataclass(eq=False, slots=True)
 class Proposal:
     """A leader proposal assigning ``zxid`` to a write."""
 
@@ -57,7 +43,7 @@ class Proposal:
     value: Value
     origin: NodeId
     op_id: int
-    size_bytes: int = ZAB_HEADER_BYTES
+    size_bytes: int = HEADER_BYTES
 
 
 @dataclass(eq=False, slots=True)
@@ -65,7 +51,7 @@ class ProposalAck:
     """A follower acknowledgement of a proposal."""
 
     zxid: int
-    size_bytes: int = ZAB_HEADER_BYTES
+    size_bytes: int = HEADER_BYTES
 
 
 @dataclass(eq=False, slots=True)
@@ -73,7 +59,7 @@ class Commit:
     """A leader commit notification for ``zxid``."""
 
     zxid: int
-    size_bytes: int = ZAB_HEADER_BYTES
+    size_bytes: int = HEADER_BYTES
 
 
 @dataclass(slots=True)
@@ -85,8 +71,8 @@ class PendingProposal:
     committed: bool = False
 
 
-class ZabReplica(ReplicaNode):
-    """A replica running the ZAB-style protocol (leader or follower)."""
+class ZabReplica(OrderedReplica):
+    """A replica running the ZAB-style protocol; the leader orders writes."""
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
@@ -98,8 +84,6 @@ class ZabReplica(ReplicaNode):
         #: Commits received ahead of their proposals or out of order.
         self._commit_backlog: Set[int] = set()
         self._last_applied_zxid = 0
-        #: Client writes originated at this node, keyed by op id.
-        self._local_writes: Dict[int, Tuple[Operation, ClientCallback]] = {}
         self.writes_committed = 0
 
     # ------------------------------------------------------------- features
@@ -127,6 +111,8 @@ class ZabReplica(ReplicaNode):
         """
         return self.role_ring()[0]
 
+    orderer = leader
+
     @property
     def is_leader(self) -> bool:
         """Whether this replica is the leader."""
@@ -137,28 +123,7 @@ class ZabReplica(ReplicaNode):
         # In-flight proposals from a deposed leader are simply dropped; the
         # paper does not evaluate ZAB recovery and neither do the benchmarks.
 
-    # ------------------------------------------------------------ client ops
-    def handle_client_op(self, op: Operation, callback: ClientCallback) -> None:
-        """Serve reads locally; forward updates to the leader."""
-        if op.op_type is OpType.READ:
-            self.reads_served_locally += 1
-            self.complete(op, callback, OpStatus.OK, self.store.get(op.key, None))
-            return
-        # Writes and RMWs are totally ordered through the leader.
-        self._local_writes[op.op_id] = (op, callback)
-        if self.is_leader:
-            self._propose(op.key, op.value, self.node_id, op.op_id)
-            return
-        forward = ForwardWrite(key=op.key, value=op.value, origin=self.node_id, op_id=op.op_id)
-        self.transport.send(
-            self.leader, forward, forward.size_bytes + self.update_size_bytes(op.value)
-        )
-
     # ------------------------------------------------------------ leader side
-    def _on_forward_write(self, src: NodeId, message: ForwardWrite) -> None:
-        if self.is_leader:
-            self._propose(message.key, message.value, message.origin, message.op_id)
-
     def _serialization_weight(self) -> float:
         """CPU weight of work pinned to the leader's single ordering thread.
 
@@ -170,7 +135,8 @@ class ZabReplica(ReplicaNode):
         """
         return float(self.service_model.worker_threads)
 
-    def _propose(self, key: Key, value: Value, origin: NodeId, op_id: int) -> None:
+    def _accept(self, key: Key, value: Value, origin: NodeId, op_id: int) -> None:
+        """Propose the update under the next zxid."""
         zxid = self._next_zxid
         self._next_zxid += 1
         proposal = Proposal(zxid=zxid, key=key, value=value, origin=origin, op_id=op_id)
@@ -241,10 +207,7 @@ class ZabReplica(ReplicaNode):
         self.store.put(proposal.key, proposal.value)
         self.writes_committed += 1
         if proposal.origin == self.node_id:
-            entry = self._local_writes.pop(proposal.op_id, None)
-            if entry is not None:
-                op, callback = entry
-                self.complete(op, callback, OpStatus.OK, proposal.value)
+            self._complete_awaited(proposal.op_id, proposal.value)
 
     # --------------------------------------------------------------- helpers
     @property
@@ -253,7 +216,7 @@ class ZabReplica(ReplicaNode):
         return self._last_applied_zxid
 
     HANDLERS = {
-        ForwardWrite: _on_forward_write,
+        **OrderedReplica.HANDLERS,
         Proposal: _on_proposal,
         ProposalAck: _on_proposal_ack,
         Commit: _on_commit_message,

@@ -67,10 +67,6 @@ class CreditManager:
         self.stalls = 0
 
     # ---------------------------------------------------------------- sender
-    def can_send(self, dst: NodeId) -> bool:
-        """Whether at least one credit is available toward ``dst``."""
-        return self._available.get(dst, 0) > 0
-
     def consume(self, dst: NodeId, count: int = 1) -> bool:
         """Consume ``count`` credits toward ``dst``.
 

@@ -272,10 +272,6 @@ class Network:
         """Clear the crashed flag for a node."""
         self._crashed.discard(node_id)
 
-    def is_crashed(self, node_id: NodeId) -> bool:
-        """Whether the node is currently marked crashed."""
-        return node_id in self._crashed
-
     def set_partition(self, partition: Optional[Partition]) -> None:
         """Install (or clear, with ``None``) a network partition."""
         self._partition = partition

@@ -8,6 +8,11 @@ that runs in a second. Each cell pins engine events executed, requests
 issued/completed, and a digest of every per-op record (in the order the
 clients appended them) and of the recorded history (in invocation order).
 A client-model change that moves any of them changed the simulation.
+
+The same recipe pins the four protocols that serialize updates through one
+orderer (CR, CRAQ, ZAB, Derecho): closed loops with a recorded history at
+S=1 and at S=2 (coupled), and a crash of the orderer under the RM service,
+after which the chain head, leader or sequencer moves to a survivor.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from repro.bench.harness import ExperimentSpec, build_clients, build_cluster, bu
 from repro.cluster.client import ClientSession, ClosedLoopClient, run_clients
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.failures import FailureEvent, FailureInjector
+from repro.membership.detector import FailureDetectorConfig
+from repro.membership.service import MembershipConfig
 from repro.verification.history import History
 from repro.workloads.distributions import UniformKeys
 from repro.workloads.generator import WorkloadMix
@@ -83,10 +90,19 @@ def _closed_think(record_history: bool):
     return _fingerprint(cluster, clients, history)
 
 
-def _spec_cell(**spec_kwargs):
-    """One spec-built cell whose node 0 crashes at 60 us and recovers at 160 us."""
-    spec = ExperimentSpec(
-        protocol="hermes",
+#: Membership timing that detects a crash and installs the next view within
+#: a few hundred simulated microseconds, well inside a cell's 2 ms budget.
+_FAST_MEMBERSHIP = MembershipConfig(
+    lease_duration=200e-6,
+    renewal_interval=50e-6,
+    detection=FailureDetectorConfig(ping_interval=50e-6, detection_timeout=200e-6),
+)
+
+
+def _spec_cell(protocol: str, **overrides):
+    """One spec-built cell; by default node 0 crashes at 60 us and recovers at 160 us."""
+    fields = dict(
+        protocol=protocol,
         num_replicas=3,
         num_keys=60,
         write_ratio=0.2,
@@ -100,8 +116,9 @@ def _spec_cell(**spec_kwargs):
         faults=(FailureEvent.crash(60e-6, 0), FailureEvent.recover(160e-6, 0)),
         allow_incomplete=True,
         max_sim_time=2e-3,
-        **spec_kwargs,
     )
+    fields.update(overrides)
+    spec = ExperimentSpec(**fields)
     cluster = build_cluster(spec)
     workload = build_workload(spec)
     cluster.preload(workload.initial_dataset())
@@ -109,7 +126,21 @@ def _spec_cell(**spec_kwargs):
     history = History()
     clients = build_clients(spec, cluster, workload, history)
     run_clients(cluster, clients, max_time=spec.max_sim_time, allow_incomplete=True)
+    if spec.run_membership:
+        # The crashed node 0 left the view, so every shard's orderer (chain
+        # head, leader or sequencer) that it held has moved to a survivor.
+        assert sorted(cluster.replica(1).view.members) == [1, 2]
     return _fingerprint(cluster, clients, history)
+
+
+def _orderer_crash(protocol: str):
+    """Node 0, shard 0's orderer, crashes for good under the RM service."""
+    return _spec_cell(
+        protocol,
+        faults=(FailureEvent.crash(60e-6, 0),),
+        run_membership=True,
+        membership=_FAST_MEMBERSHIP,
+    )
 
 
 @pytest.mark.parametrize(
@@ -126,24 +157,88 @@ def _spec_cell(**spec_kwargs):
             id="closed-think-history",
         ),
         pytest.param(
-            lambda: _spec_cell(client_model="closed"),
+            lambda: _spec_cell("hermes", client_model="closed"),
             (707, 191, 187, "91aca8d91ff45c4b70268fc4b77457da4a408e6e5575e82023083933b0afe134"),
             id="closed-crash-recover",
         ),
         pytest.param(
-            lambda: _spec_cell(client_model="open", offered_load=1e6),
+            lambda: _spec_cell("hermes", client_model="open", offered_load=1e6),
             (761, 240, 188, "1829f5c00dfdcc687207777614e8401b473caec2a5b4cc1c37af7f97a8f90058"),
             id="open-crash-recover",
         ),
         pytest.param(
-            lambda: _spec_cell(client_model="aggregated", sessions=500, session_think_time=1e-4),
+            lambda: _spec_cell(
+                "hermes", client_model="aggregated", sessions=500, session_think_time=1e-4
+            ),
             (727, 288, 268, "852cd75f2dc471cb79e7791bad02cacc047e0afa13f0ffd53f598a5cc0fea8db"),
             id="aggregated-closed-crash-recover",
         ),
         pytest.param(
-            lambda: _spec_cell(client_model="aggregated", sessions=10_000, offered_load=1e6),
+            lambda: _spec_cell(
+                "hermes", client_model="aggregated", sessions=10_000, offered_load=1e6
+            ),
             (632, 240, 203, "ed61794eaadec40aa2c490173ef9018825ac49b3436d41b920a768e6bfe4a27e"),
             id="aggregated-open-crash-recover",
+        ),
+        pytest.param(
+            lambda: _spec_cell("cr", shards=1, faults=()),
+            (1084, 240, 240, "33da1271d41abd2c84c805790619bee1b5bc6631c8788a6b8f3631983fb1a47d"),
+            id="cr-closed-s1",
+        ),
+        pytest.param(
+            lambda: _spec_cell("cr", faults=()),
+            (1152, 240, 240, "58c091aca638ab650a77c3e5d1a10f3046862dda29afc96a071657e7f56d1a83"),
+            id="cr-closed-s2",
+        ),
+        pytest.param(
+            lambda: _orderer_crash("cr"),
+            (708, 75, 69, "f1ebf8b23b6d20b086f2a9c598faa6e1ed0fa089844d97680fa7126ff5b2883a"),
+            id="cr-orderer-crash",
+        ),
+        pytest.param(
+            lambda: _spec_cell("craq", shards=1, faults=()),
+            (872, 240, 240, "ea1363083b823d4704b7823100432c97e3f15c82ef08f8019aa70c0858547e9a"),
+            id="craq-closed-s1",
+        ),
+        pytest.param(
+            lambda: _spec_cell("craq", faults=()),
+            (887, 240, 240, "96100cfa373dc7bbbc86d0596e6f5aaf8e0986ef7399fb665345f18bfd9d344f"),
+            id="craq-closed-s2",
+        ),
+        pytest.param(
+            lambda: _orderer_crash("craq"),
+            (1027, 183, 180, "9e142e640f309fbe3241b0e97460a9bacbe0c2edc3e271deb51f2a3444327931"),
+            id="craq-orderer-crash",
+        ),
+        pytest.param(
+            lambda: _spec_cell("zab", shards=1, faults=()),
+            (924, 240, 240, "9ff240af20f7c92c2efc4897b52f1c6a0d0f72466bdd3a2c809168f884b7cbcb"),
+            id="zab-closed-s1",
+        ),
+        pytest.param(
+            lambda: _spec_cell("zab", faults=()),
+            (914, 240, 240, "6a37d6e8eb77251ccf8feb0de454c9b37ff53ec94585bc642293b9d6dfd5b94f"),
+            id="zab-closed-s2",
+        ),
+        pytest.param(
+            lambda: _orderer_crash("zab"),
+            (954, 157, 151, "8e55d96da317bd86277113f2002e445653bc9bc4af1ed66c3d2b89137e9cf4e4"),
+            id="zab-orderer-crash",
+        ),
+        pytest.param(
+            lambda: _spec_cell("derecho", shards=1, faults=()),
+            (945, 240, 240, "c3bd8fc64f53c4a627e2ab4560a65b883d29f21359728f6f1687efff27abfd19"),
+            id="derecho-closed-s1",
+        ),
+        pytest.param(
+            lambda: _spec_cell("derecho", faults=()),
+            (950, 240, 240, "e2ae2c993306e3595054e753a6764e4fe3d685aa1fe4af3367c23bbf88ac1500"),
+            id="derecho-closed-s2",
+        ),
+        pytest.param(
+            lambda: _orderer_crash("derecho"),
+            (868, 135, 129, "d0f35fa593e52c05c51eaa940228169d704d6dfc1e64d49eb8a49d44178d61dd"),
+            id="derecho-orderer-crash",
         ),
     ],
 )

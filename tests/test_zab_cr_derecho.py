@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.protocols.base import ForwardedWrite
 from repro.protocols.chain import ChainReplicationReplica
 from repro.protocols.derecho import DerechoConfig, DerechoReplica
 from repro.protocols.zab import ZabReplica
@@ -166,3 +167,21 @@ def test_derecho_features():
     features = DerechoReplica.features()
     assert not features.inter_key_concurrent_writes
     assert features.local_reads
+
+
+# ------------------------------------------------------ forwards to the orderer
+@pytest.mark.parametrize("protocol", ["cr", "craq", "zab", "derecho"])
+def test_forwarded_write_at_a_non_orderer_is_dropped(protocol):
+    # Only the current orderer (chain head, leader, sequencer) may accept a
+    # forwarded write; a stale one reaching any other replica changes no
+    # store and sends nothing.
+    cluster = make_cluster(protocol, 3)
+    cluster.preload({7: "v0"})
+    stray = cluster.replica(2)
+    assert stray.orderer == 0
+    stray.dispatch(1, ForwardedWrite(key=7, value="stray", origin=1, op_id=1))
+    cluster.run(until=cluster.sim.now + 0.001)
+    assert cluster.network.stats.messages_sent == 0
+    for replica in cluster.all_replicas():
+        assert replica.store.peek_record(7) is None
+        assert replica.committed_value(7) == "v0"
