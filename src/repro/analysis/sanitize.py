@@ -283,7 +283,7 @@ class Sanitizer:
                 "state may only be reached through messages"
             )
 
-        for name in ("get", "try_get_record", "peek_record", "put"):
+        for name in ("get", "try_get_record", "record", "peek_record", "put"):
             original = getattr(store, name)
 
             def guarded(*args: Any, _original: Callable[..., Any] = original, **kwargs: Any) -> Any:

@@ -58,10 +58,6 @@ class PendingUpdate:
     mlt_timer: Optional[EventHandle] = None
     inv_broadcasts: int = 0
 
-    def missing(self, expected: Set[NodeId]) -> Set[NodeId]:
-        """Nodes in ``expected`` that have not acknowledged yet."""
-        return expected - self.acks
-
     def cancel_timer(self) -> None:
         """Cancel the retransmission timer if armed."""
         if self.mlt_timer is not None:

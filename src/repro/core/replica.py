@@ -28,9 +28,8 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.core.config import HermesConfig
 from repro.core.messages import Ack, Inv, Val
 from repro.core.pending import PendingUpdate, StalledRequest
-from repro.core.state import KeyMeta, KeyState
+from repro.core.state import HermesRecord, KeyState
 from repro.core.timestamps import Timestamp, VirtualNodeIds
-from repro.kvs.store import ValueRecord
 from repro.membership.view import MembershipView
 from repro.protocols.base import (
     ClientCallback,
@@ -69,8 +68,8 @@ class HermesReplica(ReplicaNode):
         self._ack_set_pool: List[Set[NodeId]] = []
         # Bound store-dict access once: _record() runs for every read, INV,
         # ACK and VAL (the store's record dict is never reassigned). A miss
-        # means the key is either untouched in the preloaded base (Valid,
-        # no metadata) or absent.
+        # means the key is either untouched in the preloaded base (Valid at
+        # timestamp zero) or absent.
         self._records_get = self.store._records.get
         # Expected-acker cache, invalidated by view-object identity.
         self._ackers_view: Optional[MembershipView] = None
@@ -114,25 +113,22 @@ class HermesReplica(ReplicaNode):
         if op.op_type is OpType.READ:
             # Inlined read fast path: local reads dominate most
             # workloads and this dispatch runs once per operation. A key
-            # no write has touched carries no metadata and is Valid by
+            # no write has touched has no record and is Valid by
             # definition: it is served from the shared preloaded base
-            # without allocating a record or metadata.
+            # without allocating one.
             record = self._records_get(op.key)
-            if record is not None:
-                meta = record.meta
-                value = record.value
-            else:
-                meta = None
+            if record is None:
                 value = self.store.base.get(op.key, _ABSENT)
                 if value is _ABSENT:
-                    record, meta = self._record(op.key)
-                    value = record.value
-            if meta is None or meta.state is KeyState.VALID:
-                self.reads_served_locally += 1
-                self.ops_completed += 1
-                callback(op, OpStatus.OK, value)
+                    value = self._record(op.key).value
+            elif record.state is KeyState.VALID:
+                value = record.value
+            else:
+                self._stall(op, callback, record)
                 return
-            self._stall(op, callback, meta)
+            self.reads_served_locally += 1
+            self.ops_completed += 1
+            callback(op, OpStatus.OK, value)
         elif op.op_type is OpType.WRITE:
             self._handle_write(op, callback)
         elif op.op_type is OpType.RMW:
@@ -141,9 +137,9 @@ class HermesReplica(ReplicaNode):
             raise ValueError(f"unsupported operation type {op.op_type}")
 
     def _handle_write(self, op: Operation, callback: ClientCallback) -> None:
-        record, meta = self._record(op.key)
-        if meta.state is not KeyState.VALID or op.key in self._pending:
-            self._stall(op, callback, meta)
+        record = self._record(op.key)
+        if record.state is not KeyState.VALID or op.key in self._pending:
+            self._stall(op, callback, record)
             return
         self._start_update(op.key, op.value, is_rmw=False, op=op, callback=callback)
 
@@ -152,9 +148,9 @@ class HermesReplica(ReplicaNode):
             # Without RMW support the operation degrades to a plain write.
             self._handle_write(op, callback)
             return
-        record, meta = self._record(op.key)
-        if meta.state is not KeyState.VALID or op.key in self._pending:
-            self._stall(op, callback, meta)
+        record = self._record(op.key)
+        if record.state is not KeyState.VALID or op.key in self._pending:
+            self._stall(op, callback, record)
             return
         if op.compare is not None and record.value != op.compare:
             # Compare failed: linearizable read of the current value, no update.
@@ -173,18 +169,17 @@ class HermesReplica(ReplicaNode):
         callback: Optional[ClientCallback],
     ) -> None:
         """CTS + CINV: assign a timestamp, invalidate all replicas."""
-        record, meta = self._record(key)
+        record = self._record(key)
         increment = (
             self.hermes_config.rmw_version_increment
             if is_rmw
             else self.hermes_config.write_version_increment
         )
-        ts = meta.timestamp.increment(cid=self._vids.pick(), by=increment)
+        ts = record.timestamp.increment(cid=self._vids.pick(), by=increment)
         record.value = value
-        meta.timestamp = ts
-        meta.rmw_flag = is_rmw
-        meta.last_writer = self.node_id
-        meta.transition(KeyState.WRITE)
+        record.timestamp = ts
+        record.rmw_flag = is_rmw
+        record.transition(KeyState.WRITE)
         pool = self._ack_set_pool
         pending = PendingUpdate(
             key=key,
@@ -201,16 +196,16 @@ class HermesReplica(ReplicaNode):
 
     def _start_replay(self, key: Key) -> None:
         """Take on the coordinator role to replay an incomplete write (§3.4)."""
-        record, meta = self._record(key)
-        if key in self._pending or meta.state is not KeyState.INVALID:
+        record = self._record(key)
+        if key in self._pending or record.state is not KeyState.INVALID:
             return
-        meta.transition(KeyState.REPLAY)
+        record.transition(KeyState.REPLAY)
         pool = self._ack_set_pool
         pending = PendingUpdate(
             key=key,
-            ts=meta.timestamp,
+            ts=record.timestamp,
             value=record.value,
-            is_rmw=meta.rmw_flag,
+            is_rmw=record.rmw_flag,
             is_replay=True,
             acks=pool.pop() if pool else set(),
         )
@@ -264,12 +259,12 @@ class HermesReplica(ReplicaNode):
             return
         del self._pending[pending.key]
         pending.cancel_timer()
-        record, meta = self._record(pending.key)
+        record = self._record(pending.key)
 
-        if meta.state is KeyState.TRANS:
+        if record.state is KeyState.TRANS:
             # A concurrent write with a higher timestamp superseded us; the
             # key stays invalid until that write's VAL arrives (or a replay).
-            meta.transition(KeyState.INVALID)
+            record.transition(KeyState.INVALID)
             skip_val = self.hermes_config.skip_unneeded_vals
             if skip_val:
                 self.vals_skipped += 1
@@ -283,10 +278,10 @@ class HermesReplica(ReplicaNode):
                         self.hermes_config.mlt,
                         self._follower_mlt_expired,
                         pending.key,
-                        meta.timestamp,
+                        record.timestamp,
                     )
-        elif meta.state in (KeyState.WRITE, KeyState.REPLAY):
-            meta.transition(KeyState.VALID)
+        elif record.state in (KeyState.WRITE, KeyState.REPLAY):
+            record.transition(KeyState.VALID)
             skip_val = False
         else:
             # The key was already validated (e.g. our own write replayed and
@@ -341,42 +336,39 @@ class HermesReplica(ReplicaNode):
         if inv.epoch_id != self.view.epoch_id:
             self.epoch_drops += 1
             return
-        record, meta = self._record(inv.key)
+        record = self._record(inv.key)
         pending = self._pending.get(inv.key)
 
         # FRMW-ACK: an RMW invalidation that is older than our local state is
         # answered with an INV describing the local state instead of an ACK.
-        if inv.rmw_flag and inv.ts < meta.timestamp:
+        if inv.rmw_flag and inv.ts < record.timestamp:
             reply = Inv(
                 key=inv.key,
-                ts=meta.timestamp,
+                ts=record.timestamp,
                 epoch_id=self.view.epoch_id,
                 value=record.value,
-                rmw_flag=meta.rmw_flag,
+                rmw_flag=record.rmw_flag,
                 key_size=self.config.key_size,
                 value_size=self.value_size_of(record.value),
             )
             self.transport.send(src, reply, reply.size_bytes)
             return
 
-        if inv.ts > meta.timestamp:
+        if inv.ts > record.timestamp:
             # FINV: adopt the newer value and timestamp, move to Invalid
             # (Trans if we were coordinating our own update for this key).
+            # Invalid and Trans stay where they are.
             record.value = inv.value
-            meta.timestamp = inv.ts
-            meta.rmw_flag = inv.rmw_flag
-            meta.last_writer = self._vids.owner_of(inv.ts.cid)
-            if meta.state in (KeyState.WRITE, KeyState.REPLAY):
-                meta.transition(KeyState.TRANS)
+            record.timestamp = inv.ts
+            record.rmw_flag = inv.rmw_flag
+            if record.state in (KeyState.WRITE, KeyState.REPLAY):
+                record.transition(KeyState.TRANS)
                 if pending is not None:
                     pending.superseded = True
                     if pending.is_rmw:
                         self._abort_rmw(pending)
-            elif meta.state is KeyState.VALID:
-                meta.transition(KeyState.INVALID)
-            else:
-                # INVALID or TRANS stay where they are (timestamp updated).
-                meta.transition(meta.state)
+            elif record.state is KeyState.VALID:
+                record.transition(KeyState.INVALID)
 
         # FACK: always acknowledge with the message's timestamp.
         ack = Ack(inv.key, inv.ts, self.view.epoch_id, self.node_id, self.config.key_size)
@@ -403,18 +395,18 @@ class HermesReplica(ReplicaNode):
         if val.epoch_id != self.view.epoch_id:
             self.epoch_drops += 1
             return
-        record, meta = self._record(val.key)
-        if val.ts != meta.timestamp:
+        record = self._record(val.key)
+        if val.ts != record.timestamp:
             # Stale or reordered validation; ignore (FVAL rule).
             return
-        if meta.state in (KeyState.INVALID, KeyState.TRANS):
-            meta.transition(KeyState.VALID)
+        if record.state in (KeyState.INVALID, KeyState.TRANS):
+            record.transition(KeyState.VALID)
             self._observed_acks.pop((val.key, val.ts), None)
             self._drain_stalled(val.key)
-        elif meta.state in (KeyState.WRITE, KeyState.REPLAY):
+        elif record.state in (KeyState.WRITE, KeyState.REPLAY):
             # Another replica replayed our in-flight update to completion.
             pending = self._pending.get(val.key)
-            meta.transition(KeyState.VALID)
+            record.transition(KeyState.VALID)
             if pending is not None and pending.ts == val.ts:
                 del self._pending[val.key]
                 pending.cancel_timer()
@@ -432,10 +424,7 @@ class HermesReplica(ReplicaNode):
             acks = observed[kt] = set()
         acks.add(acker)
         record = self._records_get(key)
-        if record is None or record.meta is None:
-            return
-        meta: KeyMeta = record.meta
-        if meta.timestamp != ts or meta.state is not KeyState.INVALID:
+        if record is None or record.timestamp != ts or record.state is not KeyState.INVALID:
             return
         coordinator = self._vids.owner_of(ts.cid)
         # required = members − {coordinator} ⊆ acks, spelled without the
@@ -443,36 +432,35 @@ class HermesReplica(ReplicaNode):
         for member in self.view.members:
             if member != coordinator and member not in acks:
                 return
-        meta.transition(KeyState.VALID)
+        record.transition(KeyState.VALID)
         observed.pop(kt, None)
         self._drain_stalled(key)
 
     # ------------------------------------------------------ stalled requests
-    def _stall(self, op: Operation, callback: ClientCallback, meta: KeyMeta) -> None:
+    def _stall(self, op: Operation, callback: ClientCallback, record: HermesRecord) -> None:
         """Park a request on a non-Valid key; arm the replay timer if Invalid."""
         stalled = StalledRequest(op=op, callback=callback, stalled_at=self.sim.now)
         self._stalled.setdefault(op.key, []).append(stalled)
         self.stall_events += 1
-        if meta.state is KeyState.INVALID:
+        if record.state is KeyState.INVALID:
             stalled.replay_timer = self.set_timer(
-                self.hermes_config.mlt, self._follower_mlt_expired, op.key, meta.timestamp
+                self.hermes_config.mlt, self._follower_mlt_expired, op.key, record.timestamp
             )
 
     def _follower_mlt_expired(self, key: Key, ts_at_stall: Timestamp) -> None:
         """Suspect a lost VAL: trigger a write replay if nothing changed (§3.4)."""
         record = self._records_get(key)
-        if record is None or record.meta is None or key not in self._stalled:
+        if record is None or key not in self._stalled:
             return
-        meta: KeyMeta = record.meta
-        if meta.state is KeyState.INVALID and meta.timestamp == ts_at_stall:
+        if record.state is KeyState.INVALID and record.timestamp == ts_at_stall:
             self._start_replay(key)
-        elif meta.state is KeyState.INVALID:
+        elif record.state is KeyState.INVALID:
             # The timestamp moved on (a newer write invalidated us again);
             # re-arm the timer against the new timestamp.
             for stalled in self._stalled.get(key, ()):
                 if stalled.replay_timer is None or stalled.replay_timer.cancelled:
                     stalled.replay_timer = self.set_timer(
-                        self.hermes_config.mlt, self._follower_mlt_expired, key, meta.timestamp
+                        self.hermes_config.mlt, self._follower_mlt_expired, key, record.timestamp
                     )
                     break
         self.transport.flush()
@@ -482,7 +470,7 @@ class HermesReplica(ReplicaNode):
         if key not in self._stalled:
             return
         record = self._records_get(key)
-        if record is None or record.meta is None or record.meta.state is not KeyState.VALID:
+        if record is None or record.state is not KeyState.VALID:
             return
         waiting = self._stalled.pop(key, None)
         if not waiting:
@@ -519,18 +507,17 @@ class HermesReplica(ReplicaNode):
         entries = []
         for key in sorted(self.store.keys()):
             record = self._records_get(key)
-            meta = None if record is None else record.meta
-            if meta is None:
+            if record is None:
                 entries.append((key, self.store.get(key), 0, 0, True, False))
             else:
                 entries.append(
                     (
                         key,
                         record.value,
-                        meta.timestamp.version,
-                        meta.timestamp.cid,
-                        meta.state is KeyState.VALID,
-                        meta.rmw_flag,
+                        record.timestamp.version,
+                        record.timestamp.cid,
+                        record.state is KeyState.VALID,
+                        record.rmw_flag,
                     )
                 )
         return entries
@@ -549,50 +536,43 @@ class HermesReplica(ReplicaNode):
         """
         for key, value, version, cid, valid, rmw_flag in entries:
             snap_ts = Timestamp(version=version, cid=cid)
-            record, meta = self._record(key)
-            if snap_ts > meta.timestamp:
+            record = self._record(key)
+            if snap_ts > record.timestamp:
                 record.value = value
-                meta.timestamp = snap_ts
-                meta.rmw_flag = rmw_flag
-                meta.transition(KeyState.VALID if valid else KeyState.INVALID)
+                record.timestamp = snap_ts
+                record.rmw_flag = rmw_flag
+                record.transition(KeyState.VALID if valid else KeyState.INVALID)
                 if valid:
                     self._drain_stalled(key)
             elif (
-                snap_ts == meta.timestamp
+                snap_ts == record.timestamp
                 and valid
-                and meta.state is KeyState.INVALID
+                and record.state is KeyState.INVALID
             ):
-                meta.transition(KeyState.VALID)
+                record.transition(KeyState.VALID)
                 self._drain_stalled(key)
 
     # -------------------------------------------------------------- helpers
-    def _record(self, key: Key) -> Tuple[ValueRecord, KeyMeta]:
-        """Fetch (creating if needed) the record and protocol metadata of a key."""
+    def _record(self, key: Key) -> HermesRecord:
+        """Fetch the record of a key, creating it on first touch.
+
+        First use of a base key copies its value; an absent key starts
+        empty. Either way the new record is Valid at timestamp zero.
+        """
         record = self._records_get(key)
         if record is None:
-            # First use of a base key copies its value; an absent key starts
-            # empty.
-            record = self.store.try_get_record(key)
-            if record is None:
-                record = self.store.put(key, None, meta=KeyMeta())
-        meta = record.meta
-        if meta is None:
-            meta = record.meta = KeyMeta()
-        return record, meta
+            record = self.store.record(key)
+        return record
 
     def key_state(self, key: Key) -> KeyState:
         """Protocol state of ``key`` at this replica (Valid for unknown keys)."""
         record = self._records_get(key)
-        if record is None or record.meta is None:
-            return KeyState.VALID
-        return record.meta.state
+        return KeyState.VALID if record is None else record.state
 
     def key_timestamp(self, key: Key) -> Timestamp:
         """Highest timestamp this replica has observed for ``key``."""
         record = self._records_get(key)
-        if record is None or record.meta is None:
-            return Timestamp.ZERO
-        return record.meta.timestamp
+        return Timestamp.ZERO if record is None else record.timestamp
 
     @property
     def pending_updates(self) -> int:
@@ -604,6 +584,7 @@ class HermesReplica(ReplicaNode):
         """Number of client requests currently parked on non-Valid keys."""
         return sum(len(v) for v in self._stalled.values())
 
+    RECORD = HermesRecord
     HANDLERS = {Inv: _on_inv, Ack: _on_ack, Val: _on_val}
 
 

@@ -13,18 +13,19 @@ Hermes keeps four stable states and one transient state per key (paper §3.2):
   unnecessary VALs (optimization O1).
 
 The rules for which transitions are legal live in :data:`ALLOWED_TRANSITIONS`
-and are enforced by :class:`KeyMeta.transition`, which the property-based
+and are enforced by :meth:`HermesRecord.transition`, which the property-based
 tests drive exhaustively.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, FrozenSet
 
 from repro.core.timestamps import Timestamp
 from repro.errors import InvalidTransition
+from repro.kvs.store import ValueRecord
 
 
 class KeyState(enum.Enum):
@@ -68,22 +69,23 @@ for _state, _targets in ALLOWED_TRANSITIONS.items():
 
 
 @dataclass(slots=True)
-class KeyMeta:
-    """Per-key protocol metadata stored in the replica's KVS record.
+class HermesRecord(ValueRecord):
+    """A key's record in a Hermes replica's store: value plus protocol state.
+
+    The state and timestamp live beside the value in the key's own
+    datastore entry (paper §3, Figure 3), so a touched key is one object.
 
     Attributes:
+        value: The application value (see :class:`ValueRecord`).
         state: Current protocol state of the key.
         timestamp: Highest timestamp seen for the key.
         rmw_flag: Whether the update that produced ``timestamp`` was an RMW
             (needed so replays preserve RMW semantics, paper §3.6).
-        last_writer: Physical node id of the coordinator of the last update
-            observed (diagnostics / fairness accounting).
     """
 
     state: KeyState = KeyState.VALID
     timestamp: Timestamp = Timestamp.ZERO
     rmw_flag: bool = False
-    last_writer: Optional[int] = None
 
     def transition(self, new_state: KeyState) -> KeyState:
         """Move to ``new_state``, enforcing the protocol's legal transitions.

@@ -16,8 +16,7 @@ paper's example (A:{1,4,7,...}, B:{2,5,8,...}, ...).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import ClassVar, List, Optional
+from typing import ClassVar, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.types import NodeId
@@ -25,48 +24,51 @@ from repro.types import NodeId
 #: Wire size of a timestamp: 4-byte version + 2-byte cid (rounded up).
 TIMESTAMP_BYTES = 8
 
+#: Bits of a packed :class:`Timestamp` below its version: the cid's width.
+_CID_BITS = 32
+_CID_MASK = (1 << _CID_BITS) - 1
 
-@dataclass(frozen=True, order=False)
-class Timestamp:
+#: ``int.__new__``, to build a packed timestamp without re-checking its halves.
+_new_int = int.__new__
+
+
+class Timestamp(int):
     """A per-key logical timestamp ``[version, cid]``.
 
     Comparison is lexicographic: a timestamp A is higher than B if
     ``A.version > B.version``, or the versions are equal and ``A.cid > B.cid``
-    (paper footnote 5).
+    (paper footnote 5). The pair is packed into one ``int``,
+    ``version << 32 | cid``, so that order, equality and hashing are the
+    integer's own: timestamps are compared on every INV, ACK and VAL, and a
+    packed one is compared in C with no attribute loads. A ``cid`` must fit
+    in 32 bits (:class:`VirtualNodeIds` guarantees it for every virtual id).
     """
 
-    version: int
-    cid: int
+    __slots__ = ()
 
     #: The zero timestamp every key starts from (assigned after the class body).
     ZERO: ClassVar["Timestamp"]
 
-    # Comparisons avoid the tuple-pair allocation of the naive
-    # ``(version, cid) < (version, cid)`` spelling: timestamps are compared
-    # on every INV/ACK/VAL, so this is protocol-hot-path code.
-    def __lt__(self, other: "Timestamp") -> bool:
-        sv, ov = self.version, other.version
-        return sv < ov or (sv == ov and self.cid < other.cid)
+    def __new__(cls, version: int, cid: int) -> "Timestamp":
+        if version < 0 or not 0 <= cid <= _CID_MASK:
+            raise ValueError(f"timestamp out of range: version={version}, cid={cid}")
+        return _new_int(cls, version << _CID_BITS | cid)
 
-    def __le__(self, other: "Timestamp") -> bool:
-        sv, ov = self.version, other.version
-        return sv < ov or (sv == ov and self.cid <= other.cid)
+    def __getnewargs__(self) -> Tuple[int, int]:  # type: ignore[override]
+        return (self >> _CID_BITS, self & _CID_MASK)
 
-    def __gt__(self, other: "Timestamp") -> bool:
-        sv, ov = self.version, other.version
-        return sv > ov or (sv == ov and self.cid > other.cid)
+    def __repr__(self) -> str:
+        return f"Timestamp(version={self >> _CID_BITS}, cid={self & _CID_MASK})"
 
-    def __ge__(self, other: "Timestamp") -> bool:
-        sv, ov = self.version, other.version
-        return sv > ov or (sv == ov and self.cid >= other.cid)
+    @property
+    def version(self) -> int:
+        """The key's version number (the high-order half of the order)."""
+        return self >> _CID_BITS
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Timestamp:
-            return NotImplemented
-        return self.version == other.version and self.cid == other.cid
-
-    def __hash__(self) -> int:
-        return hash((self.version, self.cid))
+    @property
+    def cid(self) -> int:
+        """The coordinator's (virtual) node id, breaking version ties."""
+        return self & _CID_MASK
 
     def increment(self, cid: int, by: int = 1) -> "Timestamp":
         """A successor timestamp with the version advanced and a new cid.
@@ -79,11 +81,13 @@ class Timestamp:
         """
         if by < 1:
             raise ConfigurationError("timestamp increment must be >= 1")
-        return Timestamp(version=self.version + by, cid=cid)
+        if not 0 <= cid <= _CID_MASK:
+            raise ValueError(f"timestamp cid out of range: {cid}")
+        return _new_int(Timestamp, ((self >> _CID_BITS) + by) << _CID_BITS | cid)
 
     def concurrent_with(self, other: "Timestamp") -> bool:
         """Whether two timestamps denote concurrent writes (same version)."""
-        return self.version == other.version and self.cid != other.cid
+        return self >> _CID_BITS == other >> _CID_BITS and self != other
 
 
 Timestamp.ZERO = Timestamp(version=0, cid=0)
@@ -110,8 +114,14 @@ class VirtualNodeIds:
             raise ConfigurationError("num_nodes must be >= 1")
         if ids_per_node < 1:
             raise ConfigurationError("ids_per_node must be >= 1")
-        if not 0 <= node_id < num_nodes + 100_000:
+        if node_id < 0:
             raise ConfigurationError("node_id must be non-negative")
+        highest = node_id + (ids_per_node - 1) * num_nodes
+        if highest > _CID_MASK:
+            raise ConfigurationError(
+                f"virtual id {highest} of node {node_id} does not fit a "
+                f"timestamp's 32-bit cid"
+            )
         self.node_id = node_id
         self.num_nodes = num_nodes
         self.ids_per_node = ids_per_node

@@ -1,20 +1,24 @@
 """In-memory key-value store with a shared read-only base.
 
 This is the authoritative per-replica datastore used by every protocol in
-the library. Each record carries the value and an opaque per-protocol
-metadata slot (Hermes stores its per-key timestamp and state here; CRAQ
-stores its clean/dirty version list; CR its chain version).
+the library. A key's record is one object holding the value and the
+protocol's per-key state: each protocol names its record class
+(:attr:`~repro.protocols.base.ReplicaNode.RECORD`) and the store creates
+records of that class. Hermes' record carries the key's state, timestamp
+and RMW flag (paper §3, Figure 3), CR's its chain version and CRAQ's its
+clean/dirty version map; ZAB and Derecho use the plain
+:class:`ValueRecord`.
 
 Every replica of a shard starts from the same preloaded dataset and
 diverges only through writes (paper §3). :meth:`KeyValueStore.load`
 therefore installs the dataset as the store's *base*, a read-only
 :class:`types.MappingProxyType` that all replicas of a shard share, and a
 replica creates its own record for a key only the first time a write or a
-protocol's metadata needs it — in exactly the state a preload ``put``
-would have left (metadata ``None``). Reads of an untouched key are served
-from the base and allocate nothing. The simulation is single-threaded, so
-there is no lock object, and every record a replica does not create is one
-less object for the host's cyclic collector to walk.
+protocol's per-key state needs it — in exactly the state a preload ``put``
+would have left. Reads of an untouched key are served from the base and
+allocate nothing. The simulation is single-threaded, so there is no lock
+object, and every record a replica does not create is one less object for
+the host's cyclic collector to walk.
 
 :class:`~repro.core.replica.HermesReplica` relies on this layout for
 speed: its per-operation paths call the bound ``_records.get`` and its read
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Dict, Iterator, Mapping, Optional
+from typing import Any, Dict, Iterator, Mapping, Optional, Type
 
 from repro.errors import KeyNotFound
 from repro.types import Key, Value
@@ -41,22 +45,26 @@ _REQUIRED: Any = object()
 
 @dataclass(slots=True)
 class ValueRecord:
-    """A stored record: value plus protocol metadata.
+    """A stored record: the application value.
 
-    Attributes:
-        value: The application value.
-        meta: Protocol-specific metadata (opaque to the store).
+    Protocols that keep per-key state subclass it (a slotted dataclass with
+    defaults for every added field), so a key costs one object.
     """
 
-    value: Value
-    meta: Any = None
+    value: Value = None
 
 
 class KeyValueStore:
-    """A replica-local, unbounded key-value store over a shared base."""
+    """A replica-local, unbounded key-value store over a shared base.
 
-    def __init__(self) -> None:
+    Args:
+        record_type: The class of every record the store creates; called
+            with the key's value alone.
+    """
+
+    def __init__(self, record_type: Type[ValueRecord] = ValueRecord) -> None:
         self._records: Dict[Key, ValueRecord] = {}
+        self._new_record = record_type
         #: The preloaded dataset, read-only and shared by every replica of
         #: the shard. A key's record, once created, shadows its base value.
         self.base: Mapping[Key, Value] = _EMPTY
@@ -95,14 +103,21 @@ class KeyValueStore:
     def try_get_record(self, key: Key) -> Optional[ValueRecord]:
         """Return the record for ``key`` or ``None`` if absent.
 
-        A base key gets its own record here, on first use, so the caller
-        may set its metadata without touching any other replica.
+        A base key gets its own record here, on first use, as in
+        :meth:`record`.
+        """
+        return self.record(key) if key in self else None
+
+    def record(self, key: Key) -> ValueRecord:
+        """Return the record for ``key``, creating it on first touch.
+
+        The new record holds the key's base value, or ``None`` for a key
+        the base does not hold; either way the caller may change its
+        per-key state without touching any other replica.
         """
         record = self._records.get(key)
         if record is None:
-            value = self.base.get(key, _REQUIRED)
-            if value is not _REQUIRED:
-                record = self._records[key] = ValueRecord(value)
+            record = self._records[key] = self._new_record(self.base.get(key))
         return record
 
     def peek_record(self, key: Key) -> Optional[ValueRecord]:
@@ -114,15 +129,13 @@ class KeyValueStore:
         return self._records.get(key)
 
     # ---------------------------------------------------------------- write
-    def put(self, key: Key, value: Value, meta: Any = None) -> ValueRecord:
-        """Insert or update ``key`` with ``value`` (and optional metadata)."""
+    def put(self, key: Key, value: Value) -> ValueRecord:
+        """Insert or update ``key`` with ``value``; other record state stays."""
         record = self._records.get(key)
         if record is None:
-            record = self._records[key] = ValueRecord(value, meta)
+            record = self._records[key] = self._new_record(value)
         else:
             record.value = value
-            if meta is not None:
-                record.meta = meta
         return record
 
     def load(self, dataset: Mapping[Key, Value]) -> None:

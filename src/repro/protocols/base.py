@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Type
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.kvs.store import KeyValueStore
+from repro.kvs.store import KeyValueStore, ValueRecord
 from repro.membership.agent import AGENT_MESSAGES, MembershipAgent
 from repro.membership.messages import MembershipMessage
 from repro.membership.view import MembershipView
@@ -109,8 +109,9 @@ class ReplicaNode(NodeProcess):
     """Base class for protocol replicas.
 
     Subclasses must implement :meth:`handle_client_op` and :meth:`features`
-    and fill :attr:`HANDLERS`, and may override :meth:`on_view_change` to
-    react to membership reconfiguration.
+    and fill :attr:`HANDLERS`, may name their store record class in
+    :attr:`RECORD`, and may override :meth:`on_view_change` to react to
+    membership reconfiguration.
 
     Every message reaches its handler through one exact-class table, built
     once per replica class (:meth:`dispatch_table`): membership messages go
@@ -124,6 +125,10 @@ class ReplicaNode(NodeProcess):
     #: ``handler(self, src, message)``.
     HANDLERS: Dict[type, Handler] = {}
 
+    #: The class of this protocol's store records: the value plus whatever
+    #: per-key state the protocol keeps, so a touched key is one object.
+    RECORD: Type[ValueRecord] = ValueRecord
+
     def __init__(
         self,
         node_id: NodeId,
@@ -131,7 +136,6 @@ class ReplicaNode(NodeProcess):
         network: Network,
         view: MembershipView,
         config: Optional[ReplicaConfig] = None,
-        store: Optional[KeyValueStore] = None,
         service_model: Optional[ServiceTimeModel] = None,
         transport: Optional[Transport] = None,
         clock: Optional[LooselySynchronizedClock] = None,
@@ -147,7 +151,7 @@ class ReplicaNode(NodeProcess):
         self.config = config or ReplicaConfig()
         self.config.validate()
         self.view = view
-        self.store = store or KeyValueStore()
+        self.store = KeyValueStore(self.RECORD)
         if self._sanitizer is not None:
             # Cross-replica guard: while any handler runs, only this replica
             # (or its ShardHost, which reads guest stores during migration)
@@ -439,7 +443,7 @@ class ReplicaNode(NodeProcess):
 
         State transfer (the live migration's copy phase) must read through
         this accessor, never ``store.get`` directly: protocols that keep
-        committed state in per-key metadata rather than the raw record
+        committed state in per-key record state rather than the raw record
         value (CRAQ's version map) override it. Found by fault-schedule
         fuzzing — the copy used to ship CRAQ's preload-era record values,
         losing every write since startup.

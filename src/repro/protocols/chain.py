@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional
 
+from repro.kvs.store import ValueRecord
 from repro.membership.view import MembershipView
 from repro.protocols.base import (
     HEADER_BYTES,
@@ -78,8 +79,12 @@ class CrReadReply:
 
 
 @dataclass(slots=True)
-class CrKeyMeta:
-    """Per-key version counter used by the head to order writes."""
+class ChainRecord(ValueRecord):
+    """A key's record at a chain node: the value and its chain version.
+
+    The head numbers each write to the key with the next version; nodes
+    below it install a write-down only if it is newer.
+    """
 
     version: int = 0
 
@@ -202,10 +207,10 @@ class ChainReplicationReplica(OrderedReplica):
     # -------------------------------------------------------- per-key state
     def _next_version(self, key: Key, value: Value) -> int:
         """At the head: give ``value`` the key's next version and install it."""
-        meta = self._meta(key)
-        meta.version += 1
-        self.store.put(key, value, meta=meta)
-        return meta.version
+        record = self.store.record(key)
+        record.version += 1
+        record.value = value
+        return record.version
 
     def _install(self, key: Key, version: int, value: Value) -> None:
         """Apply a write-down at a node below the head.
@@ -217,19 +222,12 @@ class ChainReplicationReplica(OrderedReplica):
         write-downs are still forwarded/committed so their origin receives a
         reply.
         """
-        meta = self._meta(key)
-        if version > meta.version or not WRITE_DOWN_VERSION_GUARD:
-            meta.version = version
-            self.store.put(key, value, meta=meta)
+        record = self.store.record(key)
+        if version > record.version or not WRITE_DOWN_VERSION_GUARD:
+            record.version = version
+            record.value = value
 
-    def _meta(self, key: Key) -> CrKeyMeta:
-        record = self.store.try_get_record(key)
-        if record is None:
-            record = self.store.put(key, None, meta=CrKeyMeta())
-        elif record.meta is None:
-            record.meta = CrKeyMeta()
-        return record.meta
-
+    RECORD = ChainRecord
     HANDLERS = {
         **OrderedReplica.HANDLERS,
         CrWriteDown: _on_write_down,

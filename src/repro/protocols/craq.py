@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
+from repro.kvs.store import ValueRecord
 from repro.protocols.base import (
     HEADER_BYTES,
     ClientCallback,
@@ -68,11 +69,14 @@ class VersionReply:
 
 
 # --------------------------------------------------------------------------
-# Per-key metadata
+# Per-key state
 # --------------------------------------------------------------------------
 @dataclass(slots=True)
-class CraqKeyMeta:
-    """CRAQ's per-key bookkeeping at one chain node.
+class CraqRecord(ValueRecord):
+    """A key's record at one CRAQ chain node: its versions, clean and dirty.
+
+    ``value`` is the value the record was created with (version 0); the
+    protocol never rewrites it, and reads go through the version map.
 
     Attributes:
         versions: Values of all versions newer than (and including) the
@@ -81,9 +85,12 @@ class CraqKeyMeta:
         committed_version: Highest version this node knows to be committed.
     """
 
-    versions: Dict[int, Value] = field(default_factory=dict)
+    versions: Dict[int, Value] = field(init=False)
     latest_version: int = 0
     committed_version: int = 0
+
+    def __post_init__(self) -> None:
+        self.versions = {0: self.value}
 
     @property
     def dirty(self) -> bool:
@@ -112,7 +119,7 @@ class CraqReplica(ChainReplicationReplica):
     """A CRAQ chain node: the CR chain with per-key versions and local reads.
 
     It changes three things about :class:`ChainReplicationReplica`: each
-    key keeps all uncommitted versions (:class:`CraqKeyMeta`) instead of one
+    key keeps all uncommitted versions (:class:`CraqRecord`) instead of one
     guarded counter, the tail starts an :class:`AckUp` wave that marks a
     version committed up the chain, and any node serves a read of a clean
     key locally.
@@ -143,10 +150,10 @@ class CraqReplica(ChainReplicationReplica):
 
     # ---------------------------------------------------- apportioned reads
     def _read(self, op: Operation, callback: ClientCallback) -> None:
-        meta = self._meta(op.key)
-        if not meta.dirty or self.is_tail:
+        record = self.store.record(op.key)
+        if not record.dirty or self.is_tail:
             self.reads_served_locally += 1
-            self.complete(op, callback, OpStatus.OK, meta.committed_value())
+            self.complete(op, callback, OpStatus.OK, record.committed_value())
             return
         # Dirty read: ask the tail which version committed (paper §2.5).
         self.reads_served_remotely += 1
@@ -156,11 +163,11 @@ class CraqReplica(ChainReplicationReplica):
         self.transport.send(self.tail, query, query.size_bytes)
 
     def _on_version_query(self, src: NodeId, message: VersionQuery) -> None:
-        meta = self._meta(message.key)
+        record = self.store.record(message.key)
         reply = VersionReply(
             key=message.key,
-            committed_version=meta.committed_version,
-            value=meta.committed_value(),
+            committed_version=record.committed_version,
+            value=record.committed_value(),
             op_id=message.op_id,
         )
         self.transport.send(
@@ -172,17 +179,17 @@ class CraqReplica(ChainReplicationReplica):
         if entry is None:
             return
         op, callback = entry
-        meta = self._meta(op.key)
+        record = self.store.record(op.key)
         # Serve the version the tail reported committed; our local copy of
         # that version is still present because only older versions are
         # pruned on commit.
-        value = meta.versions.get(message.committed_version, message.value)
-        meta.commit(message.committed_version)
+        value = record.versions.get(message.committed_version, message.value)
+        record.commit(message.committed_version)
         self.complete(op, callback, OpStatus.OK, value)
 
     # ------------------------------------------------------- commit wave
     def _tail_commit(self, key: Key, version: int, value: Value, origin: NodeId, op_id: int) -> None:
-        self._meta(key).commit(version)
+        self.store.record(key).commit(version)
         super()._tail_commit(key, version, value, origin, op_id)
         predecessor = self.predecessor()
         if predecessor is not None:
@@ -190,45 +197,36 @@ class CraqReplica(ChainReplicationReplica):
             self.transport.send(predecessor, ack, ack.size_bytes)
 
     def _on_ack_up(self, src: NodeId, message: AckUp) -> None:
-        self._meta(message.key).commit(message.version)
+        self.store.record(message.key).commit(message.version)
         predecessor = self.predecessor()
         if predecessor is not None:
             self.transport.send(predecessor, message, message.size_bytes)
 
     # -------------------------------------------------------- per-key state
     def _next_version(self, key: Key, value: Value) -> int:
-        meta = self._meta(key)
-        version = meta.latest_version + 1
-        meta.apply(version, value)
+        record = self.store.record(key)
+        version = record.latest_version + 1
+        record.apply(version, value)
         return version
 
     def _install(self, key: Key, version: int, value: Value) -> None:
         # Every version is kept until committed, so a reordered write-down
         # needs no guard.
-        self._meta(key).apply(version, value)
-
-    def _meta(self, key: Key) -> CraqKeyMeta:
-        record = self.store.try_get_record(key)
-        if record is None:
-            record = self.store.put(key, None, meta=CraqKeyMeta())
-            record.meta.versions[0] = None
-        elif record.meta is None:
-            record.meta = CraqKeyMeta()
-            record.meta.versions[0] = record.value
-        return record.meta
+        self.store.record(key).apply(version, value)
 
     def committed_value(self, key: Key) -> Value:
-        """Latest committed value — from the version map, not the record.
+        """Latest committed value — from the version map, not the record's value.
 
         CRAQ never rewrites the raw record value after preload (committed
-        state lives in :class:`CraqKeyMeta`), so the base implementation
-        would return the preload-era value forever.
+        state lives in :class:`CraqRecord`'s version map), so the base
+        implementation would return the preload-era value forever.
         """
         record = self.store.peek_record(key)
-        if record is None or record.meta is None:
+        if record is None:
             return self.store.get(key)
-        return record.meta.committed_value()
+        return record.committed_value()
 
+    RECORD = CraqRecord
     HANDLERS = {
         **ChainReplicationReplica.HANDLERS,
         AckUp: _on_ack_up,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.protocols.craq import CraqKeyMeta, CraqReplica
+from repro.protocols.craq import CraqRecord, CraqReplica
 from repro.types import Operation, OpStatus
 from tests.conftest import make_cluster, submit_and_run
 
@@ -33,9 +33,9 @@ def test_write_propagates_down_whole_chain(craq_cluster):
     assert status is OpStatus.OK
     craq_cluster.run(until=craq_cluster.sim.now + 0.001)
     for replica in craq_cluster.all_replicas():
-        meta = replica.store.try_get_record("k").meta
-        assert meta.committed_value() == "v1"
-        assert not meta.dirty
+        record = replica.store.try_get_record("k")
+        assert record.committed_value() == "v1"
+        assert not record.dirty
 
 
 def test_clean_read_served_locally(craq_cluster):
@@ -91,9 +91,9 @@ def test_writes_from_any_node_serialize_through_head(craq_cluster):
         status, _ = submit_and_run(craq_cluster, node, Operation.write("k", i))
         assert status is OpStatus.OK
     craq_cluster.run(until=craq_cluster.sim.now + 0.001)
-    head_meta = craq_cluster.replica(0).store.try_get_record("k").meta
-    assert head_meta.committed_version == 5
-    values = {r.store.try_get_record("k").meta.committed_value() for r in craq_cluster.all_replicas()}
+    head_record = craq_cluster.replica(0).store.try_get_record("k")
+    assert head_record.committed_version == 5
+    values = {r.store.try_get_record("k").committed_value() for r in craq_cluster.all_replicas()}
     assert values == {4}
 
 
@@ -117,15 +117,15 @@ def test_rmw_treated_as_chain_write(craq_cluster):
 
 
 def test_key_meta_versions_pruned_after_commit():
-    meta = CraqKeyMeta()
-    meta.versions[0] = "v0"
-    meta.apply(1, "v1")
-    meta.apply(2, "v2")
-    assert meta.dirty
-    meta.commit(2)
-    assert not meta.dirty
-    assert 0 not in meta.versions
-    assert meta.committed_value() == "v2"
+    record = CraqRecord("v0")
+    assert record.versions == {0: "v0"}
+    record.apply(1, "v1")
+    record.apply(2, "v2")
+    assert record.dirty
+    record.commit(2)
+    assert not record.dirty
+    assert 0 not in record.versions
+    assert record.committed_value() == "v2"
 
 
 def test_features():

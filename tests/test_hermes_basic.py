@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.replica import HermesReplica
-from repro.core.state import KeyState
+from repro.core.state import HermesRecord, KeyState
 from repro.core.timestamps import Timestamp
 from repro.types import Operation, OpStatus
 from tests.conftest import make_cluster, submit_and_run
@@ -22,9 +22,9 @@ def test_read_of_preloaded_key_is_local(hermes_cluster):
 
 
 def test_read_of_untouched_key_allocates_no_metadata_and_still_invalidates(hermes_cluster):
-    """A never-written key is Valid by definition: the read is served with
-    no per-key metadata; a later write still invalidates it and stalls
-    reads until the VAL."""
+    """A never-written key is Valid by definition: the read is served from
+    the shared base with no record; a later write still invalidates it,
+    stalls reads until the VAL, and leaves the key one Hermes record."""
     hermes_cluster.preload({"k": "v0"})
     follower = hermes_cluster.replica(1)
     status, value = submit_and_run(hermes_cluster, 1, Operation.read("k"))
@@ -47,7 +47,9 @@ def test_read_of_untouched_key_allocates_no_metadata_and_still_invalidates(herme
     hermes_cluster.run(until=hermes_cluster.sim.now + 0.01)
     assert follower.stall_events == 1
     assert read_result == [(OpStatus.OK, "v1")]
-    assert follower.store.try_get_record("k").meta.state is KeyState.VALID
+    record = follower.store.peek_record("k")
+    assert type(record) is HermesRecord
+    assert (record.value, record.state) == ("v1", KeyState.VALID)
     assert follower.reads_served_locally == 2
 
 

@@ -72,8 +72,8 @@ def test_lost_val_triggers_write_replay_on_read():
     # Simulate the VAL having been lost: force the follower back to Invalid.
     follower = cluster.replica(1)
     record = follower.store.try_get_record("k")
-    if record.meta.state is KeyState.VALID:
-        record.meta.transition(KeyState.INVALID)
+    if record.state is KeyState.VALID:
+        record.transition(KeyState.INVALID)
     reads = []
     follower.submit(Operation.read("k"), lambda o, s, v: reads.append(v))
     cluster.run(until=cluster.sim.now + 0.01)
@@ -91,8 +91,8 @@ def test_replay_uses_original_timestamp():
     ts_before = cluster.replica(1).key_timestamp("k")
     follower = cluster.replica(1)
     record = follower.store.try_get_record("k")
-    if record.meta.state is KeyState.VALID:
-        record.meta.transition(KeyState.INVALID)
+    if record.state is KeyState.VALID:
+        record.transition(KeyState.INVALID)
     reads = []
     follower.submit(Operation.read("k"), lambda o, s, v: reads.append(v))
     cluster.run(until=cluster.sim.now + 0.01)

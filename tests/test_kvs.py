@@ -7,8 +7,17 @@ from types import MappingProxyType
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dataclasses import dataclass
+
 from repro.errors import KeyNotFound
-from repro.kvs.store import KeyValueStore
+from repro.kvs.store import KeyValueStore, ValueRecord
+
+
+@dataclass(slots=True)
+class TaggedRecord(ValueRecord):
+    """A protocol-style record: the value plus one piece of per-key state."""
+
+    tag: str = ""
 
 
 # ------------------------------------------------------------------- store
@@ -32,19 +41,21 @@ def test_put_overwrites_value():
     assert store.get("a") == 2
 
 
-def test_meta_is_preserved_when_not_supplied():
-    store = KeyValueStore()
-    store.put("a", 1, meta={"state": "valid"})
-    store.put("a", 2)
-    assert store.try_get_record("a").meta == {"state": "valid"}
+def test_put_keeps_the_record_state_beside_the_value():
+    store = KeyValueStore(TaggedRecord)
+    record = store.put("a", 1)
+    record.tag = "m"
+    assert store.put("a", 2) is record
+    assert (record.value, record.tag) == (2, "m")
 
 
-def test_update_meta():
-    store = KeyValueStore()
-    store.put("a", 1)
-    store.try_get_record("a").meta = "m"
-    store.put("a", 2)
-    assert store.try_get_record("a").meta == "m"
+def test_every_record_is_of_the_store_record_class():
+    store = KeyValueStore(TaggedRecord)
+    store.load({"a": 1})
+    store.put("b", 2)
+    records = [store.try_get_record("a"), store.peek_record("b"), store.record("c")]
+    assert [type(record) for record in records] == [TaggedRecord] * 3
+    assert type(KeyValueStore().put("a", 1)) is ValueRecord
 
 
 def test_contains_and_len():
@@ -73,24 +84,29 @@ def test_load_installs_dataset_as_read_only_base():
     assert store.peek_record("a") is None and not store._records
 
 
-def test_loaded_records_start_without_meta():
-    store = KeyValueStore()
+def test_first_touch_creates_the_record_from_the_base_or_empty():
+    store = KeyValueStore(TaggedRecord)
     store.load({"a": 1})
     record = store.try_get_record("a")
-    assert (record.value, record.meta) == (1, None)
+    assert record == TaggedRecord(1)
     assert store.try_get_record("a") is record
+    assert store.record("a") is record
     assert store.peek_record("a") is record
+    # An absent key: try_get_record leaves it absent, record creates it empty.
+    assert store.try_get_record("b") is None and "b" not in store
+    assert store.record("b") == TaggedRecord(None)
+    assert store.peek_record("b") is store.record("b") and "b" in store
 
 
 def test_stores_sharing_a_base_diverge_only_through_their_own_writes():
     dataset = {"a": 1, "b": 2}
-    one, two = KeyValueStore(), KeyValueStore()
+    one, two = KeyValueStore(TaggedRecord), KeyValueStore(TaggedRecord)
     one.load(dataset)
     two.load(dataset)
     one.put("a", 10)
-    one.try_get_record("b").meta = "m"
+    one.try_get_record("b").tag = "m"
     assert (one.get("a"), two.get("a")) == (10, 1)
-    assert two.try_get_record("b").meta is None
+    assert two.try_get_record("b").tag == ""
     assert dataset == {"a": 1, "b": 2}
 
 
@@ -105,25 +121,26 @@ def test_keys_list_base_keys_then_new_keys():
 
 
 def test_second_load_is_a_sequence_of_puts():
-    store = KeyValueStore()
+    store = KeyValueStore(TaggedRecord)
     store.load({"a": 1, "b": 2})
-    store.put("a", 5, meta="m")
+    store.put("a", 5).tag = "m"
     store.load({"a": 6, "c": 3})
     assert [(key, store.get(key)) for key in store.keys()] == [("a", 6), ("b", 2), ("c", 3)]
-    assert store.try_get_record("a").meta == "m"
+    assert store.try_get_record("a").tag == "m"
 
 
 # ------------------------------------------------- differential (hypothesis)
 KEYS = st.integers(0, 5)
 VALUES = st.none() | st.integers(0, 9)
-METAS = st.none() | st.sampled_from(["m1", "m2"])
+TAGS = st.none() | st.sampled_from(["m1", "m2"])
 DATASETS = st.dictionaries(KEYS, VALUES, max_size=6)
 STEPS = st.lists(
     st.one_of(
         st.tuples(st.just("get"), KEYS),
-        st.tuples(st.just("try_get_record"), KEYS, METAS),
+        st.tuples(st.just("try_get_record"), KEYS, TAGS),
+        st.tuples(st.just("record"), KEYS, TAGS),
         st.tuples(st.just("peek_record"), KEYS),
-        st.tuples(st.just("put"), KEYS, VALUES, METAS),
+        st.tuples(st.just("put"), KEYS, VALUES, TAGS),
         st.tuples(st.just("keys")),
         st.tuples(st.just("contains"), KEYS),
         st.tuples(st.just("load"), DATASETS),
@@ -136,15 +153,15 @@ STEPS = st.lists(
 @given(DATASETS, STEPS)
 def test_store_with_a_base_matches_a_plain_dict_model(dataset, steps):
     """A store over a shared base behaves as if the dataset had been put key
-    by key into a plain dict: same values, metadata, membership and key
+    by key into a plain dict: same values, record state, membership and key
     order; its sibling over the same base and the dataset itself never
     observe its writes. A record exists only for a key that was put, whose
     record was asked for, or that a second load wrote."""
     original = dict(dataset)
-    store, sibling = KeyValueStore(), KeyValueStore()
+    store, sibling = KeyValueStore(TaggedRecord), KeyValueStore(TaggedRecord)
     store.load(dataset)
     sibling.load(dataset)
-    model = {key: [value, None] for key, value in dataset.items()}
+    model = {key: [value, ""] for key, value in dataset.items()}
     materialized = set()
     for step in steps:
         op = step[0]
@@ -156,29 +173,34 @@ def test_store_with_a_base_matches_a_plain_dict_model(dataset, steps):
                 with pytest.raises(KeyNotFound):
                     store.get(key)
             assert store.get(key, "absent") == (model[key][0] if key in model else "absent")
-        elif op == "try_get_record":
-            _, key, meta = step
-            record = store.try_get_record(key)
-            if key not in model:
-                assert record is None
-                continue
-            assert [record.value, record.meta] == model[key]
+        elif op in ("try_get_record", "record"):
+            _, key, tag = step
+            if op == "try_get_record":
+                record = store.try_get_record(key)
+                if key not in model:
+                    assert record is None
+                    continue
+            else:
+                record = store.record(key)
+                model.setdefault(key, [None, ""])
+            assert type(record) is TaggedRecord
+            assert [record.value, record.tag] == model[key]
             materialized.add(key)
-            if meta is not None:
-                record.meta = model[key][1] = meta
+            if tag is not None:
+                record.tag = model[key][1] = tag
         elif op == "put":
-            _, key, value, meta = step
-            record = store.put(key, value, meta=meta)
-            entry = model.setdefault(key, [None, None])
+            _, key, value, tag = step
+            record = store.put(key, value)
+            entry = model.setdefault(key, [None, ""])
             entry[0] = value
             materialized.add(key)
-            if meta is not None:
-                entry[1] = meta
-            assert [record.value, record.meta] == entry
+            if tag is not None:
+                record.tag = entry[1] = tag
+            assert [record.value, record.tag] == entry
         elif op == "peek_record":
             record = store.peek_record(step[1])
             if step[1] in materialized:
-                assert [record.value, record.meta] == model[step[1]]
+                assert [record.value, record.tag] == model[step[1]]
             else:
                 assert record is None
         elif op == "keys":
@@ -189,7 +211,7 @@ def test_store_with_a_base_matches_a_plain_dict_model(dataset, steps):
             if model:  # a load over data is a sequence of puts
                 materialized.update(step[1])
             for key, value in step[1].items():
-                model.setdefault(key, [None, None])[0] = value
+                model.setdefault(key, [None, ""])[0] = value
             store.load(step[1])
     assert list(store.keys()) == list(model)
     assert sorted(store._records) == sorted(materialized)

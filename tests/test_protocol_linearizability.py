@@ -67,8 +67,8 @@ def test_convergence_checks_read_craq_committed_state():
     cluster = Cluster(ClusterConfig(protocol="craq", num_replicas=5, seed=4))
     workload = small_workload(write_ratio=0.3, num_keys=10, seed=4)
     history, _ = run_workload(cluster, workload, clients=10, ops=20)
-    meta = cluster.replica(4)._meta(sorted(workload.initial_dataset())[0])
-    meta.versions[meta.committed_version] = b"CORRUPT"
+    record = cluster.replica(4).store.record(sorted(workload.initial_dataset())[0])
+    record.versions[record.committed_version] = b"CORRUPT"
     with pytest.raises(VerificationError):
         check_replica_convergence(cluster.all_replicas())
     with pytest.raises(VerificationError):

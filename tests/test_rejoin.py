@@ -194,9 +194,9 @@ def test_apply_join_snapshot_is_timestamp_guarded():
     assert replica.key_timestamp("k") == Timestamp(version=current.version + 1, cid=5)
     # ...and an equal timestamp only promotes Invalid → Valid (a VAL the
     # joiner missed), never changes the value.
-    meta = replica._record("stale")[1]
-    stale_ts = meta.timestamp
-    meta.transition(KeyState.INVALID)
+    record = replica._record("stale")
+    stale_ts = record.timestamp
+    record.transition(KeyState.INVALID)
     replica.apply_join_snapshot(
         [("stale", "ignored", stale_ts.version, stale_ts.cid, True, False)]
     )

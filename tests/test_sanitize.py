@@ -152,6 +152,9 @@ class _DummyStore:
     def try_get_record(self, key):
         return self.data.get(key)
 
+    def record(self, key):
+        return self.data.setdefault(key, None)
+
     def peek_record(self, key):
         return self.data.get(key)
 
@@ -201,6 +204,8 @@ class TestStoreGuard:
                 self.store.get("k")
             with pytest.raises(SanitizerError, match="cross-replica state access"):
                 self.store.put("k", 1)
+            with pytest.raises(SanitizerError, match="cross-replica state access"):
+                self.store.record("k")
         finally:
             self.san.end_delivery()
 

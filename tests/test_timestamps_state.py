@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.state import ALLOWED_TRANSITIONS, KeyMeta, KeyState
+from repro.core.state import ALLOWED_TRANSITIONS, HermesRecord, KeyState
 from repro.core.timestamps import Timestamp, VirtualNodeIds
 from repro.errors import ConfigurationError, InvalidTransition
 
@@ -78,6 +79,44 @@ def test_increment_is_strictly_monotonic(base, cid, by):
     assert ts.increment(cid=cid, by=by) > ts
 
 
+def test_timestamp_compares_and_hashes_as_its_packed_int():
+    for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__hash__"):
+        assert name not in vars(Timestamp)
+    assert int(Timestamp(version=3, cid=5)) == 3 << 32 | 5
+
+
+def test_timestamp_rejects_halves_that_do_not_pack():
+    for version, cid in ((-1, 0), (0, -1), (0, 2**32)):
+        with pytest.raises(ValueError):
+            Timestamp(version=version, cid=cid)
+    with pytest.raises(ValueError):
+        Timestamp.ZERO.increment(cid=2**32)
+
+
+# Small halves make equal versions and equal timestamps likely; large ones
+# cover the packing's full range.
+VERSIONS = st.integers(0, 3) | st.integers(0, 2**40 - 1)
+CIDS = st.integers(0, 3) | st.integers(0, 2**32 - 1)
+
+
+@given(VERSIONS, CIDS, VERSIONS, CIDS, CIDS, st.integers(1, 2))
+def test_packed_timestamp_agrees_with_a_tuple_reference(v1, c1, v2, c2, cid, by):
+    a, b = Timestamp(version=v1, cid=c1), Timestamp(version=v2, cid=c2)
+    ra, rb = (v1, c1), (v2, c2)
+    assert (a.version, a.cid) == ra
+    assert (a < b, a <= b, a > b, a >= b) == (ra < rb, ra <= rb, ra > rb, ra >= rb)
+    assert (a == b, a != b) == (ra == rb, ra != rb)
+    assert len({a, b}) == len({ra, rb})
+    successor = a.increment(cid, by)
+    assert type(successor) is Timestamp
+    assert (successor.version, successor.cid) == (v1 + by, cid)
+    assert a.concurrent_with(b) == (v1 == v2 and c1 != c2)
+    assert repr(a) == f"Timestamp(version={v1}, cid={c1})"
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(a, protocol))
+        assert type(copy) is Timestamp and copy == a and (copy.version, copy.cid) == ra
+
+
 # ---------------------------------------------------------- virtual node ids
 def test_virtual_ids_disjoint_across_nodes():
     nodes = [VirtualNodeIds(node_id=n, num_nodes=3, ids_per_node=4) for n in range(3)]
@@ -110,6 +149,20 @@ def test_virtual_ids_validation():
         VirtualNodeIds(node_id=0, num_nodes=3, ids_per_node=0)
 
 
+def test_virtual_ids_reject_a_negative_node_id():
+    with pytest.raises(ConfigurationError, match="node_id must be non-negative"):
+        VirtualNodeIds(node_id=-1, num_nodes=3)
+
+
+def test_virtual_ids_must_fit_a_timestamp_cid():
+    # The highest virtual id is node_id + (ids_per_node - 1) * num_nodes.
+    assert VirtualNodeIds(node_id=2**32 - 1, num_nodes=1).pick() == 2**32 - 1
+    assert max(VirtualNodeIds(node_id=1, num_nodes=2**31, ids_per_node=2).ids) == 2**31 + 1
+    for node_id, num_nodes, ids_per_node in ((2**32, 1, 1), (0, 2**31, 3)):
+        with pytest.raises(ConfigurationError, match="does not fit a timestamp's 32-bit cid"):
+            VirtualNodeIds(node_id=node_id, num_nodes=num_nodes, ids_per_node=ids_per_node)
+
+
 @given(st.integers(2, 9), st.integers(1, 6))
 def test_virtual_ids_never_collide_property(num_nodes, ids_per_node):
     owned = {}
@@ -121,7 +174,7 @@ def test_virtual_ids_never_collide_property(num_nodes, ids_per_node):
 
 # ------------------------------------------------------------------- states
 def test_default_meta_is_valid_zero():
-    meta = KeyMeta()
+    meta = HermesRecord()
     assert meta.state is KeyState.VALID
     assert meta.timestamp == Timestamp.ZERO
     assert meta.readable
@@ -141,21 +194,21 @@ def test_coordinating_states():
 
 
 def test_legal_transition_returns_previous_state():
-    meta = KeyMeta()
+    meta = HermesRecord()
     previous = meta.transition(KeyState.WRITE)
     assert previous is KeyState.VALID
     assert meta.state is KeyState.WRITE
 
 
 def test_write_commit_path():
-    meta = KeyMeta()
+    meta = HermesRecord()
     meta.transition(KeyState.WRITE)
     meta.transition(KeyState.VALID)
     assert meta.readable
 
 
 def test_superseded_write_path():
-    meta = KeyMeta()
+    meta = HermesRecord()
     meta.transition(KeyState.WRITE)
     meta.transition(KeyState.TRANS)
     meta.transition(KeyState.INVALID)
@@ -164,11 +217,11 @@ def test_superseded_write_path():
 
 
 def test_illegal_transition_rejected():
-    meta = KeyMeta()
+    meta = HermesRecord()
     with pytest.raises(InvalidTransition):
         meta.transition(KeyState.TRANS)  # VALID cannot jump straight to TRANS
     with pytest.raises(InvalidTransition):
-        KeyMeta(state=KeyState.TRANS).transition(KeyState.WRITE)
+        HermesRecord(state=KeyState.TRANS).transition(KeyState.WRITE)
 
 
 def test_transition_table_covers_every_state():
@@ -177,7 +230,7 @@ def test_transition_table_covers_every_state():
 
 @given(st.lists(st.sampled_from(list(KeyState)), min_size=1, max_size=30))
 def test_random_transition_sequences_never_corrupt_state(sequence):
-    meta = KeyMeta()
+    meta = HermesRecord()
     for target in sequence:
         if target in ALLOWED_TRANSITIONS[meta.state]:
             meta.transition(target)
