@@ -185,11 +185,9 @@ class Autoscaler:
             for shard in newest_ops
         }
 
-    def _home_queue_depth(self, shard: int) -> int:
-        """Inbox depth of the shard's home node (head of its rotated ring)."""
-        nodes = self.cluster.nodes
-        node_ids = sorted(nodes)
-        return nodes[node_ids[shard % len(node_ids)]].queue_depth
+    def home_node(self, shard: int) -> int:
+        """The shard's home node: its role ring's head in the service's view."""
+        return self.service.view.role_ring(shard)[0]
 
     # -------------------------------------------------------------- decision
     def _tick(self) -> None:
@@ -223,9 +221,10 @@ class Autoscaler:
             return
         hottest = [shard for shard in sorted(load) if load[shard] == peak]
         hot = hottest[0] if len(hottest) == 1 else self._rng.choice(hottest)
+        nodes = self.cluster.nodes
         cold = min(
             (shard for shard in load if shard != hot),
-            key=lambda shard: (load[shard], self._home_queue_depth(shard), shard),
+            key=lambda shard: (load[shard], nodes[self.home_node(shard)].queue_depth, shard),
         )
         migration = plan_migration(
             hot,

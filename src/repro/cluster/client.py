@@ -18,14 +18,15 @@ differ only in their arrival process:
 
 Clients are co-located with replicas, as in the paper's evaluation (§8
 discusses the external-client variant): each session is bound to one replica
-and submits its requests there. Sessions record per-operation results and,
-optionally, an invocation/response history for the linearizability checker.
+and submits its requests there. Sessions keep one result record per
+operation and, optionally, index those same records in an
+invocation/response history for the checkers.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.txn import ClientTxnSubmit, TxnOutcome, ops_wire_size
@@ -36,9 +37,9 @@ from repro.types import (
     Operation,
     OperationResult,
     OpStatus,
-    OpType,
     Transaction,
     Value,
+    member_value,
 )
 from repro.verification.history import History
 from repro.workloads.aggregate import AggregateArrivals, AggregateWorkload, ScheduleEntry
@@ -106,13 +107,14 @@ class ClientSession:
             self._shard_of = self._node.router.shard_of
         self._sim = cluster.sim
         # Per-request completion context, keyed by op/txn id (one id counter
-        # feeds both): ``(issue time, response-leg latency, epoch, firing
-        # session)``, so the completion callback is a plain bound method
-        # (``self._record``) instead of one functools.partial per operation.
-        # It is bound per submit, never stored on the session: a session
-        # holding a bound method of itself is a reference cycle, and then a
-        # finished cell's op records wait for a full GC pass to be freed.
-        self._inflight: Dict[int, Tuple[float, float, int, int]] = {}
+        # feeds both): ``(record, response-leg latency, epoch, firing
+        # session)``, the record (a transaction's: its members' records)
+        # filled in at completion. The completion callback is a plain bound
+        # method (``self._record``) instead of one functools.partial per
+        # operation. It is bound per submit, never stored on the session: a
+        # session holding a bound method of itself is a reference cycle, and
+        # then a finished cell's op records wait for a full GC pass to be freed.
+        self._inflight: Dict[int, Tuple[Any, float, int, int]] = {}
         # Crash/recovery bookkeeping. ``_stalled`` is set when a submission
         # is skipped because the bound node is crashed. ``_epoch`` is bumped
         # when the node recovers, so completions of requests issued before
@@ -191,10 +193,11 @@ class ClientSession:
         current instant is exactly ``submit``. ``request_lat=None`` draws
         both legs from the session's jitter stream, and transactions always
         do (an aggregated arrival pre-draws the legs of single operations
-        only). A crashed serving node would silently drop the submission
-        (the op stays pending in the history); it is skipped here instead,
-        keeping the in-flight dict free of dead entries, and the stall flag
-        lets a later RECOVER restart the session.
+        only). The op's record is created here and, with a recorded history,
+        indexed there at once. A crashed serving node would silently drop
+        the submission (the op stays pending in the history); it is skipped
+        here instead, keeping the in-flight dict free of dead entries, and
+        the stall flag lets a later RECOVER restart the session.
         """
         self.issued += 1
         txn = op.__class__ is Transaction
@@ -207,15 +210,18 @@ class ClientSession:
             else:
                 request_lat = response_lat = 0.0
         history = self.history
+        served_by = self.replica_id
         if txn:
+            record = [OperationResult(m, None, None, issue_time, 0.0, served_by) for m in op.ops]
             if history is not None:
-                history.invoke_txn(op, issue_time)
+                history.invoke_txn(op, issue_time, record)
             # Shard 0's replica hands the transaction to the node's 2PC
             # coordinator (a guest replica adds the shard envelope).
             node = self._shard_replicas[0]
         else:
+            record = OperationResult(op, None, None, issue_time, 0.0, served_by)
             if history is not None:
-                history.invoke(op, issue_time)
+                history.add(record)
             node = self._replica
             if node is None:
                 node = self._shard_replicas[self._shard_of(op.key)]
@@ -224,7 +230,7 @@ class ClientSession:
             return
         arrival = issue_time + request_lat
         if txn:
-            self._inflight[op.txn_id] = (issue_time, response_lat, self._epoch, session)
+            self._inflight[op.txn_id] = (record, response_lat, self._epoch, session)
             config = self.cluster.config.replica
             node.submit_local_at(
                 arrival,
@@ -232,28 +238,19 @@ class ClientSession:
                 size_bytes=ops_wire_size(op.ops, config.key_size, config.value_size),
             )
         else:
-            self._inflight[op.op_id] = (issue_time, response_lat, self._epoch, session)
+            self._inflight[op.op_id] = (record, response_lat, self._epoch, session)
             node.submit_at(arrival, op, self._record)
 
     # ------------------------------------------------------------- recording
     def _record(self, op: Operation, status: OpStatus, value: Value) -> None:
-        start, response_lat, epoch, session = self._inflight_pop(op.op_id)
-        end = self._sim._now + response_lat
-        if self.history is not None:
-            self.history.respond(op, end, status, value)
+        record, response_lat, epoch, session = self._inflight_pop(op.op_id)
+        end = record.end_time = self._sim._now + response_lat
+        record.status = status
+        record.value = value
         self.completed += 1
         if status is OpStatus.ABORTED:
             self.aborted += 1
-        self._results_append(
-            OperationResult(
-                op=op,
-                status=status,
-                value=value,
-                start_time=start,
-                end_time=end,
-                served_by=self.replica_id,
-            )
-        )
+        self._results_append(record)
         if epoch == self._epoch and self.issued < self.max_ops:
             # A stale epoch means the bound node recovered (and the arrivals
             # restarted) after this request was issued: record its result,
@@ -261,11 +258,12 @@ class ClientSession:
             self._completed(end, session)
 
     def _record_txn(self, txn: Transaction, outcome: TxnOutcome) -> None:
-        start, response_lat, epoch, session = self._inflight_pop(txn.txn_id)
+        members, response_lat, epoch, session = self._inflight_pop(txn.txn_id)
         end = self._sim._now + response_lat
         status = outcome.status
+        values = outcome.values
         if self.history is not None:
-            self.history.respond_txn(txn, end, status, outcome.values, outcome.commit_times)
+            self.history.close_txn(txn, end, status, values, outcome.commit_times)
         self.completed += 1
         if status is OpStatus.OK:
             self.txns_committed += 1
@@ -273,22 +271,11 @@ class ClientSession:
             if status is OpStatus.ABORTED:
                 self.aborted += 1
             self.txns_aborted += 1
-        committed = status is OpStatus.OK
-        for op in txn.ops:
-            if committed:
-                value = outcome.values.get(op.op_id) if op.op_type is OpType.READ else op.value
-            else:
-                value = None
-            self._results_append(
-                OperationResult(
-                    op=op,
-                    status=status,
-                    value=value,
-                    start_time=start,
-                    end_time=end,
-                    served_by=self.replica_id,
-                )
-            )
+        for record in members:
+            record.end_time = end
+            record.status = status
+            record.value = member_value(record.op, status, values)
+            self._results_append(record)
         if epoch == self._epoch and self.issued < self.max_ops:
             self._completed(end, session)  # see _record
 

@@ -412,7 +412,7 @@ class ShardHost(NodeProcess):
         for replica in self.shard_replicas:
             replica._catching_up = True
 
-    def _export_join_snapshots(self, message: JoinCopy) -> None:
+    def _export_join_snapshots(self, src: NodeId, message: JoinCopy) -> None:
         """Snapshot every co-hosted shard to the joining node (source side).
 
         Unlike the migration copy, the snapshot does not go through the
@@ -430,7 +430,7 @@ class ShardHost(NodeProcess):
             )
             self.send(joiner, snapshot, snapshot.size_bytes)
 
-    def _apply_join_snapshot(self, message: JoinSnapshot) -> None:
+    def _apply_join_snapshot(self, src: NodeId, message: JoinSnapshot) -> None:
         """Apply one shard's snapshot (joiner side); finish when all arrived."""
         if not self._join_pending:
             return  # stale snapshot from an attempt that already concluded
@@ -552,7 +552,7 @@ class ShardHost(NodeProcess):
         ack = MigrationFrozen(epoch_id=epoch_id)
         self.send(self._service_node_id, ack, ack.size_bytes)
 
-    def _start_copy(self, message: MigrationCopy) -> None:
+    def _start_copy(self, src: NodeId, message: MigrationCopy) -> None:
         """Copy the frozen keys into the target shard (copy-leader node only).
 
         Values are read locally from the quiescent source replica and
@@ -643,33 +643,15 @@ class ShardHost(NodeProcess):
     # ------------------------------------------------------------- dispatch
     def on_message(self, src: NodeId, message: Any) -> None:
         if type(message) is not tuple:
-            if isinstance(message, MembershipMessage):
-                if type(message) is MigrationCopy:
-                    self._start_copy(message)
-                    return
-                if type(message) is JoinCopy:
-                    self._export_join_snapshots(message)
-                    return
-                if type(message) is JoinSnapshot:
-                    self._apply_join_snapshot(message)
-                    return
-                agent = self.membership_agent
-                if agent is not None:
-                    if (
-                        type(message) is MUpdate
-                        and message.joined == self.node_id
-                        and self._join_pending
-                    ):
-                        # This view re-admits us: park client work from the
-                        # install instant until the snapshots are applied.
-                        self._begin_catch_up()
-                    agent.handle(src, message)
-                    return
-            raise SimulationError(
-                f"sharded node {self.node_id} received an unenveloped message "
-                f"{type(message).__name__!r} (enable the membership service to "
-                f"deliver membership traffic to sharded clusters)"
-            )
+            # Unenveloped traffic is the node's own membership traffic.
+            handler = self.UNENVELOPED.get(message.__class__)
+            if handler is None:
+                raise SimulationError(
+                    f"sharded node {self.node_id} has no handler for the unenveloped "
+                    f"message {type(message).__name__!r}"
+                )
+            handler(self, src, message)
+            return
         shard, inner = message
         replica = self.shard_replicas[shard]
         san = self._sanitizer
@@ -696,3 +678,23 @@ class ShardHost(NodeProcess):
             replica.on_local_work(inner)
         finally:
             san.end_delivery()
+
+    def _on_agent_message(self, src: NodeId, message: MembershipMessage) -> None:
+        agent = self.membership_agent
+        if agent is None:
+            raise SimulationError(f"sharded node {self.node_id} runs no membership agent")
+        if type(message) is MUpdate and message.joined == self.node_id and self._join_pending:
+            # This view re-admits us: park client work from the install
+            # instant until the snapshots are applied.
+            self._begin_catch_up()
+        agent.handle(src, message)
+
+    #: Unenveloped message class -> handler, matched by exact class: the
+    #: migration and join transfers the node runs itself, and the agent's
+    #: messages.
+    UNENVELOPED = {
+        **dict.fromkeys(MembershipAgent.HANDLERS, _on_agent_message),
+        MigrationCopy: _start_copy,
+        JoinCopy: _export_join_snapshots,
+        JoinSnapshot: _apply_join_snapshot,
+    }

@@ -339,11 +339,8 @@ class TxnParticipant:
         """
         if not self.prepared:
             return
-        members = sorted(view.members)
         replica = self.replica
-        still_master = bool(members) and (
-            members[replica.shard_id % len(members)] == replica.node_id
-        )
+        still_master = bool(view.members) and view.role_ring(replica.shard_id)[0] == replica.node_id
         for txn_id in list(self.prepared):
             state = self.prepared.get(txn_id)
             if state is None or state.committing:
@@ -712,10 +709,7 @@ class TxnCoordinator:
         view = self._replicas[0].view
         if view is not self._masters_view:
             self._masters_view = view
-            members = sorted(view.members)
-            self._masters = [
-                members[shard % len(members)] for shard in range(self.num_shards)
-            ]
+            self._masters = [view.role_ring(shard)[0] for shard in range(self.num_shards)]
         return self._masters
 
     # -------------------------------------------------------------- client

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, Optional
 
-from repro.errors import LeaseExpired, NotInMembership
+from repro.errors import LeaseExpired, NotInMembership, SimulationError
 from repro.membership.messages import (
     Accept,
     Accepted,
@@ -37,10 +37,6 @@ from repro.types import NodeId
 
 #: Callback invoked when a new view is installed: ``callback(view)``.
 ViewChangeCallback = Callable[[MembershipView], None]
-
-#: Every message class :meth:`MembershipAgent.handle` consumes; a replica's
-#: dispatch table routes exactly these to its agent.
-AGENT_MESSAGES = (Ping, Pong, LeaseGrant, Prepare, Promise, Accept, Accepted, Nack, MUpdate)
 
 #: Function used by the agent to send a message: ``send(dst, message, size)``.
 SendFunction = Callable[[NodeId, MembershipMessage, int], None]
@@ -107,30 +103,28 @@ class MembershipAgent:
         self.lease = Lease(epoch_id=self.view.epoch_id, expires_at=0.0)
 
     # -------------------------------------------------------------- messages
-    def handle(self, src: NodeId, message: MembershipMessage) -> bool:
-        """Dispatch an RM message; returns False if the type is unknown."""
-        if isinstance(message, Ping):
-            self._send(src, Pong(sequence=message.sequence), Pong().size_bytes)
-            return True
-        if isinstance(message, LeaseGrant):
-            self._handle_lease_grant(message)
-            return True
-        if isinstance(message, Prepare):
-            self._handle_prepare(src, message)
-            return True
-        if isinstance(message, Accept):
-            self._handle_accept(src, message)
-            return True
-        if isinstance(message, MUpdate):
-            self._install_view(message.view, message.lease_duration)
-            return True
-        if isinstance(message, (Pong, Promise, Accepted, Nack)):
-            # Replica agents do not act as proposers; ignore stray replies.
-            return True
-        return False
+    def handle(self, src: NodeId, message: MembershipMessage) -> None:
+        """Run the handler registered for ``message``'s exact class; a class
+        with no handler raises ``SimulationError``."""
+        handler = self.HANDLERS.get(message.__class__)
+        if handler is None:
+            raise SimulationError(
+                f"membership agent {self.node_id} has no handler for "
+                f"{type(message).__name__!r}"
+            )
+        handler(self, src, message)
 
     # ------------------------------------------------------------- internals
-    def _handle_lease_grant(self, message: LeaseGrant) -> None:
+    def _on_ping(self, src: NodeId, message: Ping) -> None:
+        self._send(src, Pong(sequence=message.sequence), Pong().size_bytes)
+
+    def _on_stray_reply(self, src: NodeId, message: MembershipMessage) -> None:
+        """Replica agents do not act as proposers; stray replies are dropped."""
+
+    def _on_mupdate(self, src: NodeId, message: MUpdate) -> None:
+        self._install_view(message.view, message.lease_duration)
+
+    def _on_lease_grant(self, src: NodeId, message: LeaseGrant) -> None:
         if message.view.epoch_id < self.view.epoch_id:
             return
         if message.view.epoch_id > self.view.epoch_id:
@@ -142,7 +136,7 @@ class MembershipAgent:
     def _acceptor_for(self, instance: int) -> PaxosAcceptor:
         return self._acceptors.setdefault(instance, PaxosAcceptor())
 
-    def _handle_prepare(self, src: NodeId, message: Prepare) -> None:
+    def _on_prepare(self, src: NodeId, message: Prepare) -> None:
         acceptor = self._acceptor_for(self.view.epoch_id + 1)
         promised, accepted_ballot, accepted_value = acceptor.on_prepare(message.ballot)
         if promised:
@@ -155,7 +149,7 @@ class MembershipAgent:
             reply = Nack(promised_ballot=acceptor.promised_ballot)
         self._send(src, reply, reply.size_bytes)
 
-    def _handle_accept(self, src: NodeId, message: Accept) -> None:
+    def _on_accept(self, src: NodeId, message: Accept) -> None:
         acceptor = self._acceptor_for(self.view.epoch_id + 1)
         if acceptor.on_accept(message.ballot, message.value):
             reply: MembershipMessage = Accepted(ballot=message.ballot)
@@ -172,3 +166,14 @@ class MembershipAgent:
         self.views_installed += 1
         if self._on_view_change is not None:
             self._on_view_change(view)
+
+    #: Message class -> handler, matched by exact class (:meth:`handle`).
+    HANDLERS = {
+        Ping: _on_ping,
+        LeaseGrant: _on_lease_grant,
+        Prepare: _on_prepare,
+        Accept: _on_accept,
+        MUpdate: _on_mupdate,
+        **dict.fromkeys((Pong, Promise, Accepted, Nack), _on_stray_reply),
+    }
+

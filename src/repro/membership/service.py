@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.membership.detector import FailureDetector, FailureDetectorConfig
 from repro.membership.messages import (
     Accept,
@@ -227,32 +227,17 @@ class MembershipService(NodeProcess):
 
     # ----------------------------------------------------------- NodeProcess
     def on_message(self, src: NodeId, message: MembershipMessage) -> None:
-        """Handle replies from replicas (pongs, Paxos and migration acks)."""
-        if isinstance(message, Pong):
-            self.detector.record_heartbeat(src, self.sim.now)
-            return
-        if isinstance(message, Promise):
-            self._on_promise(src, message)
-            return
-        if isinstance(message, Accepted):
-            self._on_accepted(src, message)
-            return
-        if isinstance(message, Nack):
-            self._on_nack(message)
-            return
-        if isinstance(message, MigrationFrozen):
-            self._on_migration_frozen(src, message)
-            return
-        if isinstance(message, MigrationCopied):
-            self._on_migration_copied(message)
-            return
-        if isinstance(message, JoinRequest):
-            self._on_join_request(message)
-            return
-        if isinstance(message, JoinCopied):
-            self._on_join_copied(message)
-            return
-        # Other message kinds are not expected at the service; ignore them.
+        """Handle replies from replicas (pongs, Paxos and migration acks) by
+        exact class; a class with no handler raises ``SimulationError``."""
+        handler = self.HANDLERS.get(message.__class__)
+        if handler is None:
+            raise SimulationError(
+                f"membership service has no handler for {type(message).__name__!r}"
+            )
+        handler(self, src, message)
+
+    def _on_pong(self, src: NodeId, message: Pong) -> None:
+        self.detector.record_heartbeat(src, self.sim.now)
 
     def on_local_work(self, work) -> None:  # pragma: no cover - not used
         raise NotImplementedError("the membership service takes no local work")
@@ -349,7 +334,7 @@ class MembershipService(NodeProcess):
         if self._proposer.on_accepted(src, message.ballot):
             self._install_chosen_view()
 
-    def _on_nack(self, message: Nack) -> None:
+    def _on_nack(self, src: NodeId, message: Nack) -> None:
         if self._proposer is None or self._proposer.chosen_value is not None:
             return
         ballot = self._proposer.on_nack(message.promised_ballot)
@@ -475,7 +460,7 @@ class MembershipService(NodeProcess):
         self._propose(new_view, acceptors=self.view.members)
 
     # ----------------------------------------------------------------- joins
-    def _on_join_request(self, message: JoinRequest) -> None:
+    def _on_join_request(self, src: NodeId, message: JoinRequest) -> None:
         """A restarted node asks to re-enter the view.
 
         Ignored while any reconfiguration, migration or join is in flight
@@ -510,7 +495,7 @@ class MembershipService(NodeProcess):
         self._join_epoch = 0
         self._propose(self.view.without(joiner), acceptors=self.view.members - {joiner})
 
-    def _on_join_copied(self, message: JoinCopied) -> None:
+    def _on_join_copied(self, src: NodeId, message: JoinCopied) -> None:
         if self._joining != message.joiner or message.epoch_id != self._join_epoch:
             return  # stale ack from a cancelled attempt
         self._joining = None
@@ -574,14 +559,12 @@ class MembershipService(NodeProcess):
         if not self.view.members.issubset(self._frozen_acks):
             return
         record.frozen_time = self.sim.now
-        # The copy is performed by the source shard's lock-master node
-        # (matching ReplicaNode.role_ring / TxnCoordinator.masters).
-        members = sorted(self.view.members)
-        copier = members[record.migration.source % len(members)]
+        # The copy is performed by the source shard's lock-master node.
+        copier = self.view.role_ring(record.migration.source)[0]
         copy = MigrationCopy(epoch_id=self.view.epoch_id, migration=record.migration)
         self.send(copier, copy, copy.size_bytes)
 
-    def _on_migration_copied(self, message: MigrationCopied) -> None:
+    def _on_migration_copied(self, src: NodeId, message: MigrationCopied) -> None:
         record = self._migrating
         if record is None or message.epoch_id != self.view.epoch_id:
             return
@@ -600,3 +583,15 @@ class MembershipService(NodeProcess):
             shard_map=active,
         )
         self._propose(new_view, acceptors=self.view.members)
+
+    #: Message class -> handler, matched by exact class (:meth:`on_message`).
+    HANDLERS = {
+        Pong: _on_pong,
+        Promise: _on_promise,
+        Accepted: _on_accepted,
+        Nack: _on_nack,
+        MigrationFrozen: _on_migration_frozen,
+        MigrationCopied: _on_migration_copied,
+        JoinRequest: _on_join_request,
+        JoinCopied: _on_join_copied,
+    }

@@ -186,6 +186,15 @@ class MembershipView:
         """Members other than ``node``."""
         return self.members - {node}
 
+    def role_ring(self, shard: int) -> Tuple[NodeId, ...]:
+        """The members sorted, then rotated by ``shard``: the one placement
+        rule. Shard ``shard``'s roles follow ring position (ZAB's leader,
+        Derecho's sequencer and the 2PC lock master at ``ring[0]``, chains
+        in ring order), so shards spread their hotspots across nodes."""
+        members = sorted(self.members)
+        rotation = shard % len(members)
+        return tuple(members[rotation:] + members[:rotation])
+
 
 @dataclass
 class Lease:

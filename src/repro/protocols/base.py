@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Type
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.kvs.store import KeyValueStore, ValueRecord
-from repro.membership.agent import AGENT_MESSAGES, MembershipAgent
+from repro.membership.agent import MembershipAgent
 from repro.membership.messages import MembershipMessage
 from repro.membership.view import MembershipView
 from repro.rpc.wings import DirectTransport, Transport
@@ -366,7 +366,7 @@ class ReplicaNode(NodeProcess):
             from repro.cluster.txn import TXN_HANDLERS  # repro.cluster imports this module
 
             table = cls._dispatch_table = {
-                **dict.fromkeys(AGENT_MESSAGES, ReplicaNode._on_membership_message),
+                **dict.fromkeys(MembershipAgent.HANDLERS, ReplicaNode._on_membership_message),
                 **TXN_HANDLERS,
                 **cls.HANDLERS,
             }
@@ -414,14 +414,10 @@ class ReplicaNode(NodeProcess):
         return self._peers_cache
 
     def role_ring(self, view: Optional[MembershipView] = None) -> Tuple[NodeId, ...]:
-        """View members sorted, then rotated by this replica's shard id.
+        """This replica's shard's role ring (:meth:`MembershipView.role_ring`).
 
         Protocols place their distinguished roles by ring position (ZAB's
-        leader and Derecho's sequencer at ring[0], chains in ring order), so
-        different shards pin their coordinator roles — and hence their
-        serialization hotspots — to different physical nodes. With
-        ``shard_id == 0`` the ring is the plain sorted member list, keeping
-        unsharded deployments byte-identical to the pre-sharding code.
+        leader and Derecho's sequencer at ring[0], chains in ring order).
 
         Args:
             view: The view to compute the ring over; defaults to the
@@ -433,9 +429,7 @@ class ReplicaNode(NodeProcess):
             view = self.view
         if view is not self._ring_view:
             self._ring_view = view
-            members = sorted(view.members)
-            rotation = self.shard_id % len(members)
-            self._ring_cache = tuple(members[rotation:] + members[:rotation])
+            self._ring_cache = view.role_ring(self.shard_id)
         return self._ring_cache
 
     def committed_value(self, key: Key) -> Value:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Mapping, Optional
 
 #: Identifier of a replica node. Small non-negative integers.
 NodeId = int
@@ -157,11 +157,15 @@ class TxnMessage:
 
 @dataclass(slots=True)
 class OperationResult:
-    """Outcome of a completed client operation.
+    """The one record of a client operation.
+
+    The client session creates it at submission and fills in ``end_time``,
+    ``status`` and ``value`` at completion; a recorded history indexes
+    this same object.
 
     Attributes:
         op: The originating operation.
-        status: Terminal status.
+        status: Terminal status (``None`` until the operation completes).
         value: Returned value (for reads and successful RMWs this is the value
             observed; for writes it is the written value).
         start_time: Simulated time at which the operation was invoked.
@@ -170,7 +174,7 @@ class OperationResult:
     """
 
     op: Operation
-    status: OpStatus
+    status: Optional[OpStatus] = None
     value: Value = None
     start_time: float = 0.0
     end_time: float = 0.0
@@ -185,3 +189,16 @@ class OperationResult:
     def ok(self) -> bool:
         """True if the operation completed successfully."""
         return self.status is OpStatus.OK
+
+    @property
+    def completed(self) -> bool:
+        """Whether the outcome is decided: not pending and not ``TIMEOUT``."""
+        return self.status is not None and self.status is not OpStatus.TIMEOUT
+
+
+def member_value(op: Operation, status: OpStatus, values: Mapping[int, Value]) -> Value:
+    """A transaction member's result: a committed read returns its read value
+    (``values`` by op id), a committed write its value, anything else None."""
+    if status is not OpStatus.OK:
+        return None
+    return values.get(op.op_id) if op.op_type is OpType.READ else op.value

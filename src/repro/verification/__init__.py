@@ -5,8 +5,9 @@ absence of deadlock under message reordering, duplication and crash-stop
 failures. The Python reproduction checks the same properties on concrete
 executions:
 
-* :mod:`repro.verification.history` — records invocation/response histories
-  of client operations.
+* :mod:`repro.verification.history` — indexes the clients' own
+  :class:`~repro.types.OperationResult` records into invocation/response
+  histories.
 * :mod:`repro.verification.linearizability` — a per-key linearizability
   checker (Wing & Gong style search with memoization) applied to recorded
   histories, including histories produced under fault injection.
@@ -24,7 +25,7 @@ executions:
   loop and the figures' inline verification alike).
 """
 
-from repro.verification.history import CompletedOperation, History, TransactionRecord
+from repro.verification.history import History, TransactionRecord
 from repro.verification.migration import MigrationCheckResult, check_migration
 from repro.verification.invariants import (
     check_no_pending_updates,
@@ -37,7 +38,6 @@ from repro.verification.transactions import TxnCheckResult, check_transactions
 
 __all__ = [
     "CheckerReport",
-    "CompletedOperation",
     "History",
     "LinearizabilityChecker",
     "MigrationCheckResult",

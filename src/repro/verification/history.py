@@ -12,7 +12,15 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 from repro.errors import HistoryError
-from repro.types import Key, Operation, OpStatus, OpType, Transaction, Value
+from repro.types import (
+    Key,
+    Operation,
+    OperationResult,
+    OpStatus,
+    Transaction,
+    Value,
+    member_value,
+)
 
 
 def value_key(value: Value) -> object:
@@ -29,40 +37,11 @@ def value_key(value: Value) -> object:
 
 
 @dataclass
-class CompletedOperation:
-    """One operation with both endpoints recorded.
-
-    Attributes:
-        op: The client operation.
-        invoke_time: Simulated time of invocation.
-        response_time: Simulated time of completion (``None`` while pending).
-        status: Terminal status (``None`` while pending).
-        result: Value returned to the client (reads and RMWs).
-    """
-
-    op: Operation
-    invoke_time: float
-    response_time: Optional[float] = None
-    status: Optional[OpStatus] = None
-    result: Value = None
-
-    @property
-    def completed(self) -> bool:
-        """Whether the response has been recorded."""
-        return self.response_time is not None
-
-    @property
-    def key(self) -> Key:
-        """The operation's target key."""
-        return self.op.key
-
-
-@dataclass
 class TransactionRecord:
     """One multi-key transaction with both endpoints recorded.
 
     The transaction's member operations are *also* recorded as individual
-    :class:`CompletedOperation` entries (sharing the transaction's
+    :class:`~repro.types.OperationResult` entries (sharing the transaction's
     invoke/response window), so the per-key linearizability checker sees
     them like any other operation; this record adds the grouping the
     transaction-atomicity checker needs.
@@ -98,35 +77,50 @@ class TransactionRecord:
 
 
 def group_by_key(
-    operations: Iterable[CompletedOperation],
-) -> Dict[Key, List[CompletedOperation]]:
+    operations: Iterable[OperationResult],
+) -> Dict[Key, List[OperationResult]]:
     """Group records by key, keeping their order within each key."""
-    grouped: Dict[Key, List[CompletedOperation]] = {}
+    grouped: Dict[Key, List[OperationResult]] = {}
     for record in operations:
-        grouped.setdefault(record.key, []).append(record)
+        grouped.setdefault(record.op.key, []).append(record)
     return grouped
 
 
 class History:
-    """An invocation/response history of client operations."""
+    """An invocation/response history of client operations.
+
+    A client session passes :meth:`add` the
+    :class:`~repro.types.OperationResult` it created at submission and
+    fills it in at completion, so the history and ``client.results`` share
+    one object per operation; :meth:`invoke` and :meth:`respond` build and
+    fill records for hand-built histories.
+    """
 
     def __init__(self) -> None:
-        self._records: Dict[int, CompletedOperation] = {}
-        self._order: List[int] = []
+        #: Records by op id, in invocation order.
+        self._records: Dict[int, OperationResult] = {}
         self._txns: List[TransactionRecord] = []
         self._txn_index: Dict[int, TransactionRecord] = {}
 
     # -------------------------------------------------------------- recording
+    def add(self, record: OperationResult) -> None:
+        """Record the invocation of ``record.op`` as ``record`` itself.
+
+        Raises:
+            HistoryError: if the operation was already invoked.
+        """
+        op_id = record.op.op_id
+        if op_id in self._records:
+            raise HistoryError(f"operation {op_id} invoked twice")
+        self._records[op_id] = record
+
     def invoke(self, op: Operation, time: float) -> None:
         """Record the invocation of an operation.
 
         Raises:
             HistoryError: if the operation was already invoked.
         """
-        if op.op_id in self._records:
-            raise HistoryError(f"operation {op.op_id} invoked twice")
-        self._records[op.op_id] = CompletedOperation(op=op, invoke_time=time)
-        self._order.append(op.op_id)
+        self.add(OperationResult(op, start_time=time))
 
     def respond(self, op: Operation, time: float, status: OpStatus, result: Value) -> None:
         """Record the response of a previously invoked operation.
@@ -138,18 +132,20 @@ class History:
         record = self._records.get(op.op_id)
         if record is None:
             raise HistoryError(f"response for unknown operation {op.op_id}")
-        if record.completed:
+        if record.status is not None:
             raise HistoryError(f"operation {op.op_id} responded twice")
-        record.response_time = time
+        record.end_time = time
         record.status = status
-        record.result = result
+        record.value = result
 
-    def invoke_txn(self, txn: Transaction, time: float) -> None:
+    def invoke_txn(
+        self, txn: Transaction, time: float, members: Optional[List[OperationResult]] = None
+    ) -> None:
         """Record the invocation of a multi-key transaction.
 
         The member operations are recorded as individually invoked
-        operations at the same instant (they share the transaction's
-        real-time window).
+        operations at the same instant: ``members`` are their records when
+        the caller holds them (a client session), fresh ones by default.
 
         Raises:
             HistoryError: if the transaction was already invoked.
@@ -159,8 +155,10 @@ class History:
         record = TransactionRecord(txn=txn, invoke_time=time)
         self._txn_index[txn.txn_id] = record
         self._txns.append(record)
-        for op in txn.ops:
-            self.invoke(op, time)
+        if members is None:
+            members = [OperationResult(op, start_time=time) for op in txn.ops]
+        for member in members:
+            self.add(member)
 
     def respond_txn(
         self,
@@ -172,16 +170,28 @@ class History:
     ) -> None:
         """Record the completion of a previously invoked transaction.
 
-        Member operations are responded with the transaction's status:
-        committed reads carry their observed values, committed writes their
-        written values; aborted/timed-out members carry no result (the
-        linearizability checker excludes them, matching the invariant that
-        an aborted transaction has no effect).
+        Member operations are responded with the transaction's status and
+        their :func:`~repro.types.member_value` (an aborted member has no
+        effect; a ``TIMEOUT`` one stays undecided).
 
         Raises:
             HistoryError: if the transaction was never invoked or already
                 responded.
         """
+        values = self.close_txn(txn, time, status, values, commit_times).values
+        for op in txn.ops:
+            self.respond(op, time, status, member_value(op, status, values))
+
+    def close_txn(
+        self,
+        txn: Transaction,
+        time: float,
+        status: OpStatus,
+        values: Optional[Dict[int, Value]] = None,
+        commit_times: Optional[Dict[int, float]] = None,
+    ) -> TransactionRecord:
+        """:meth:`respond_txn` for a caller that fills in the member
+        records itself (a client session)."""
         record = self._txn_index.get(txn.txn_id)
         if record is None:
             raise HistoryError(f"response for unknown transaction {txn.txn_id}")
@@ -191,21 +201,7 @@ class History:
         record.status = status
         record.values = dict(values) if values else {}
         record.commit_times = dict(commit_times) if commit_times else {}
-        if status is not OpStatus.OK and status is not OpStatus.ABORTED:
-            # TIMEOUT (or UNAVAILABLE): the outcome is indeterminate — e.g.
-            # a commit decided but unacknowledged across a crash, so writes
-            # may or may not have been applied. Leaving the member
-            # operations *pending* models exactly that for the
-            # linearizability checker (pending updates may be linearized or
-            # omitted).
-            return
-        committed = status is OpStatus.OK
-        for op in txn.ops:
-            if committed:
-                result = record.values.get(op.op_id) if op.op_type is OpType.READ else op.value
-            else:
-                result = None
-            self.respond(op, time, status, result)
+        return record
 
     def absorb(self, other: "History") -> None:
         """Merge another history's records into this one (in their order).
@@ -217,33 +213,31 @@ class History:
         ids are always positive). Key-disjoint shards keep the merged
         history valid for the per-key linearizability checker.
         """
-        base = len(self._order)
+        base = len(self._records)
         for offset, record in enumerate(other.operations()):
-            synthetic = -(base + offset + 1)
-            self._records[synthetic] = record
-            self._order.append(synthetic)
+            self._records[-(base + offset + 1)] = record
         self._txns.extend(other._txns)
 
     # --------------------------------------------------------------- queries
     def __len__(self) -> int:
         return len(self._records)
 
-    def operations(self) -> List[CompletedOperation]:
+    def operations(self) -> List[OperationResult]:
         """All records in invocation order."""
-        return [self._records[op_id] for op_id in self._order]
+        return list(self._records.values())
 
-    def completed(self) -> List[CompletedOperation]:
-        """Only the records whose response was recorded."""
-        return [record for record in self.operations() if record.completed]
+    def completed(self) -> List[OperationResult]:
+        """Only the records whose outcome is decided."""
+        return [record for record in self._records.values() if record.completed]
 
-    def pending(self) -> List[CompletedOperation]:
-        """Records invoked but never completed (e.g. lost to a crash)."""
-        return [record for record in self.operations() if not record.completed]
+    def pending(self) -> List[OperationResult]:
+        """Undecided records: never completed (e.g. lost to a crash) or TIMEOUT."""
+        return [record for record in self._records.values() if not record.completed]
 
     def transactions(self) -> List[TransactionRecord]:
         """All transaction records in invocation order."""
         return list(self._txns)
 
-    def per_key(self) -> Dict[Key, List[CompletedOperation]]:
+    def per_key(self) -> Dict[Key, List[OperationResult]]:
         """Group records by key (Hermes operations are single-key)."""
-        return group_by_key(self.operations())
+        return group_by_key(self._records.values())

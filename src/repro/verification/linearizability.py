@@ -12,8 +12,8 @@ Register semantics checked per key:
   the initial value if none);
 * a successful compare-and-swap RMW must observe its expected value at its
   linearization point; a failed-compare RMW must observe a different value;
-* updates that never completed (client crashed or run ended) may be
-  linearized or omitted;
+* updates whose outcome is undecided (never completed because a client
+  crashed or the run ended, or ``TIMEOUT``) may be linearized or omitted;
 * RMWs reported ABORTED must have had no effect.
 
 **State encoding.** A key's records are sorted by invocation time once. An
@@ -51,8 +51,8 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.types import Key, OpStatus, OpType, Value
-from repro.verification.history import CompletedOperation, History, value_key
+from repro.types import Key, OperationResult, OpStatus, OpType, Value
+from repro.verification.history import History, value_key
 
 #: Sentinel returned by the apply step when an operation cannot be linearized
 #: at the current point (distinct from ``None``, which is a legal register value).
@@ -69,7 +69,7 @@ def _trailing_ones(bits: int) -> int:
     return (~bits & (bits + 1)).bit_length() - 1
 
 
-def _observed_value(record: CompletedOperation) -> object:
+def _observed_value(record: OperationResult) -> object:
     """The one register value a pure observer is legal at, else ``_MAY_WRITE``.
 
     Mirrors :meth:`LinearizabilityChecker._apply`: a completed read is legal
@@ -82,20 +82,20 @@ def _observed_value(record: CompletedOperation) -> object:
         return _MAY_WRITE
     op = record.op
     if op.op_type is OpType.READ:
-        return record.result
+        return record.value
     if (
         op.op_type is OpType.RMW
         and op.compare is not None
         and record.status is OpStatus.OK
-        and record.result != op.value
-        and record.result != op.compare
+        and record.value != op.value
+        and record.value != op.compare
     ):
-        return record.result
+        return record.value
     return _MAY_WRITE
 
 
 def _zone_ranks(
-    records: Sequence[CompletedOperation], observed: Sequence[object], response: Sequence[float]
+    records: Sequence[OperationResult], observed: Sequence[object], response: Sequence[float]
 ) -> List[float]:
     """Per record, the order in which to try it among the candidates of a state.
 
@@ -107,7 +107,7 @@ def _zone_ranks(
     of Gibbons & Korach's zones — respects every such constraint of a
     linearizable history, so the first descent is usually a linearization.
     This only orders a state's successors; the search stays exhaustive.
-    ``response`` is each record's response time, infinite while pending.
+    ``response`` is each record's response time, infinite while undecided.
     """
     clusters = [
         value_key(record.op.value if seen is _MAY_WRITE else seen)
@@ -117,7 +117,7 @@ def _zone_ranks(
     latest_invoke: Dict[object, float] = {}
     for record, responded, cluster in zip(records, response, clusters):
         earliest_response[cluster] = min(responded, earliest_response.get(cluster, _INF))
-        latest_invoke[cluster] = max(record.invoke_time, latest_invoke.get(cluster, -_INF))
+        latest_invoke[cluster] = max(record.start_time, latest_invoke.get(cluster, -_INF))
     return [min(earliest_response[cluster], latest_invoke[cluster]) for cluster in clusters]
 
 
@@ -156,7 +156,7 @@ class LinearizabilityChecker:
 
     def check_keys(
         self,
-        per_key: Mapping[Key, Sequence[CompletedOperation]],
+        per_key: Mapping[Key, Sequence[OperationResult]],
         initial_values: Optional[Dict[Key, Value]] = None,
     ) -> List[CheckResult]:
         """Check already grouped sub-histories (see :meth:`History.per_key`)."""
@@ -175,7 +175,7 @@ class LinearizabilityChecker:
     def check_key(
         self,
         key: Key,
-        records: Sequence[CompletedOperation],
+        records: Sequence[OperationResult],
         initial_value: Value = None,
     ) -> CheckResult:
         """Check one key's sub-history."""
@@ -191,9 +191,9 @@ class LinearizabilityChecker:
 
     # -------------------------------------------------------------- internals
     @staticmethod
-    def _relevant(record: CompletedOperation) -> bool:
+    def _relevant(record: OperationResult) -> bool:
         if record.op.op_type is OpType.READ and not record.completed:
-            # A read that never returned has no observable effect.
+            # A read with no decided outcome has no observable effect.
             return False
         if record.status is OpStatus.ABORTED:
             # An aborted RMW must have had no effect; it is excluded from the
@@ -205,7 +205,7 @@ class LinearizabilityChecker:
         return True
 
     def _search(
-        self, records: Sequence[CompletedOperation], initial_value: Value
+        self, records: Sequence[OperationResult], initial_value: Value
     ) -> Tuple[Optional[bool], int]:
         """Search for a legal linearization of one key's relevant records.
 
@@ -216,10 +216,10 @@ class LinearizabilityChecker:
         """
         # Invocation order (stable): the operations that may go next are then
         # always a short window starting at the earliest unplaced one.
-        records = sorted(records, key=attrgetter("invoke_time"))
+        records = sorted(records, key=attrgetter("start_time"))
         n = len(records)
-        invoke = [record.invoke_time for record in records]
-        response = [_INF if r.response_time is None else r.response_time for r in records]
+        invoke = [record.start_time for record in records]
+        response = [r.end_time if r.completed else _INF for r in records]
         observed = [_observed_value(record) for record in records]
         rank = _zone_ranks(records, observed, response)
         apply = self._apply
@@ -297,7 +297,7 @@ class LinearizabilityChecker:
                 seen.add(memo_key)
                 stack.pop()
 
-    def _apply(self, record: CompletedOperation, value: Value):
+    def _apply(self, record: OperationResult, value: Value):
         """Apply one operation at its linearization point.
 
         Returns:
@@ -307,7 +307,7 @@ class LinearizabilityChecker:
         """
         op = record.op
         if op.op_type is OpType.READ:
-            if record.completed and record.result != value:
+            if record.completed and record.value != value:
                 return _IMPOSSIBLE
             return value
         if op.op_type is OpType.WRITE:
@@ -318,10 +318,10 @@ class LinearizabilityChecker:
         if op.compare is not None:
             if record.completed and record.status is OpStatus.OK:
                 if value == op.compare:
-                    if record.result != op.value:
+                    if record.value != op.value:
                         return _IMPOSSIBLE
                     return op.value
-                if record.result != value:
+                if record.value != value:
                     return _IMPOSSIBLE
                 return value
             # Pending RMW: it can only have installed its value if the compare
@@ -330,7 +330,7 @@ class LinearizabilityChecker:
                 return op.value
             return value
         # Unconditional RMW: installs and returns its value.
-        if record.completed and record.status is OpStatus.OK and record.result != op.value:
+        if record.completed and record.status is OpStatus.OK and record.value != op.value:
             return _IMPOSSIBLE
         return op.value
 

@@ -36,8 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.types import Key, OpStatus, OpType
-from repro.verification.history import CompletedOperation, History, value_key
+from repro.types import Key, OperationResult, OpStatus, OpType
+from repro.verification.history import History, value_key
 
 
 @dataclass
@@ -61,7 +61,7 @@ class TxnCheckResult:
 
 
 def check_transactions(
-    history: History, operations: Optional[Sequence[CompletedOperation]] = None
+    history: History, operations: Optional[Sequence[OperationResult]] = None
 ) -> TxnCheckResult:
     """Check abort invisibility and atomic visibility of a history.
 
@@ -122,7 +122,7 @@ def check_transactions(
         for record in operations:
             if record.op.op_type is not OpType.READ or record.status is not OpStatus.OK:
                 continue
-            if value_key(record.result) in aborted_values:
+            if value_key(record.value) in aborted_values:
                 violations.append(
                     f"read op {record.op.op_id} of key {record.op.key!r} observed "
                     f"a value written by an aborted transaction"

@@ -20,7 +20,7 @@ from repro.cluster.rebalance_plan import routed_shard
 from repro.errors import ConfigurationError
 from repro.membership.detector import FailureDetectorConfig
 from repro.membership.service import MembershipConfig
-from repro.membership.view import ShardMigration
+from repro.membership.view import MembershipView, ShardMigration
 from repro.verification import check_all
 from repro.verification.history import History
 from repro.workloads.distributions import ShiftingHotspotKeys
@@ -75,6 +75,7 @@ class _StubSim:
 class _StubService:
     def __init__(self) -> None:
         self.sim = _StubSim()
+        self.view = MembershipView.initial([0])
         self.applied = ()
         self.accept = True
         self.requested = []
@@ -338,3 +339,32 @@ def test_autoscale_epoch_monotonic_across_cancelled_then_retried_round():
         migration_records=records,
     )
     assert report.ok, report.violations
+
+
+def test_home_nodes_follow_the_view_after_an_eviction():
+    # The cold-shard tie-break reads the inbox of each shard's home node:
+    # the node holding the shard's placed role, which an eviction moves.
+    # Home nodes taken from every node ever built would keep pointing at
+    # the evicted node's dead inbox.
+    membership = MembershipConfig(
+        lease_duration=400e-6,
+        renewal_interval=100e-6,
+        detection=FailureDetectorConfig(ping_interval=100e-6, detection_timeout=400e-6),
+        autoscale=AutoscaleConfig(interval=1e-3),
+    )
+    cluster = Cluster(
+        ClusterConfig(
+            protocol="hermes",
+            num_replicas=4,
+            shards=4,
+            seed=3,
+            run_membership_service=True,
+            membership=membership,
+        )
+    )
+    FailureInjector(cluster, [FailureEvent.crash(2e-3, 1)]).arm()
+    cluster.run(until=6e-3)
+    assert sorted(cluster.membership_service.view.members) == [0, 2, 3]
+    homes = [cluster.autoscaler.home_node(shard) for shard in range(4)]
+    assert homes == [cluster.replica(0, shard).role_ring()[0] for shard in range(4)]
+    assert 1 not in homes

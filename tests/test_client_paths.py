@@ -49,8 +49,10 @@ def _fingerprint(cluster: Cluster, clients: List[ClientSession], history: Option
         for r in records
     ]
     if history is not None:
+        # An undecided record (pending or TIMEOUT) prints as no response.
         lines += [
-            f"h{rank[h.op.op_id]},{h.invoke_time:.12f},{h.response_time!r},{h.status}"
+            f"h{rank[h.op.op_id]},{h.start_time:.12f},"
+            f"{h.end_time if h.completed else None!r},{h.status if h.completed else None}"
             for h in invoked
         ]
         lines += [
@@ -66,7 +68,7 @@ def _fingerprint(cluster: Cluster, clients: List[ClientSession], history: Option
     )
 
 
-def _closed_think(record_history: bool):
+def _closed_think_run(record_history: bool):
     """Closed loops with think time on a 2-shard coupled host with txns."""
     cluster = Cluster(ClusterConfig(protocol="hermes", num_replicas=3, shards=2, seed=5))
     workload = WorkloadMix(
@@ -87,7 +89,11 @@ def _closed_think(record_history: bool):
         for i in range(6)
     ]
     run_clients(cluster, clients, max_time=1.0)
-    return _fingerprint(cluster, clients, history)
+    return cluster, clients, history
+
+
+def _closed_think(record_history: bool):
+    return _fingerprint(*_closed_think_run(record_history))
 
 
 #: Membership timing that detects a crash and installs the next view within
@@ -99,7 +105,7 @@ _FAST_MEMBERSHIP = MembershipConfig(
 )
 
 
-def _spec_cell(protocol: str, **overrides):
+def _spec_run(protocol: str, **overrides):
     """One spec-built cell; by default node 0 crashes at 60 us and recovers at 160 us."""
     fields = dict(
         protocol=protocol,
@@ -130,7 +136,11 @@ def _spec_cell(protocol: str, **overrides):
         # The crashed node 0 left the view, so every shard's orderer (chain
         # head, leader or sequencer) that it held has moved to a survivor.
         assert sorted(cluster.replica(1).view.members) == [1, 2]
-    return _fingerprint(cluster, clients, history)
+    return cluster, clients, history
+
+
+def _spec_cell(protocol: str, **overrides):
+    return _fingerprint(*_spec_run(protocol, **overrides))
 
 
 def _orderer_crash(protocol: str):
@@ -244,3 +254,30 @@ def _orderer_crash(protocol: str):
 )
 def test_client_paths_are_pinned(cell, expected):
     assert cell() == expected
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(lambda: _closed_think_run(record_history=True), id="closed-txn-s2"),
+        pytest.param(
+            lambda: _spec_run("hermes", client_model="open", offered_load=1e6), id="open"
+        ),
+        pytest.param(
+            lambda: _spec_run(
+                "hermes", client_model="aggregated", sessions=10_000, offered_load=1e6
+            ),
+            id="aggregated",
+        ),
+    ],
+)
+def test_history_indexes_the_clients_own_records(run):
+    # One record per operation: the history holds the very objects the
+    # clients return, pending ones (lost to the crash) included.
+    _cluster, clients, history = run()
+    records = history.operations()
+    held = {record.op.op_id: record for record in records}
+    assert len(held) == len(records)
+    results = [r for c in clients for r in c.results]
+    assert results and len({r.op.op_id for r in results}) == len(results)
+    assert all(held[r.op.op_id] is r for r in results)

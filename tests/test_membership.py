@@ -6,13 +6,15 @@ import math
 
 import pytest
 
-from repro.errors import ConfigurationError, LeaseExpired, NotInMembership
+from repro.cluster.cluster import Cluster, ClusterConfig
+from repro.errors import ConfigurationError, LeaseExpired, NotInMembership, SimulationError
 from repro.membership.agent import MembershipAgent
 from repro.membership.detector import FailureDetector, FailureDetectorConfig
 from repro.membership.messages import (
     Accept,
     Accepted,
     LeaseGrant,
+    MembershipMessage,
     MUpdate,
     Nack,
     Ping,
@@ -246,10 +248,49 @@ def test_agent_nacks_stale_prepare():
     assert isinstance(sent[-1][1], Nack)
 
 
+class _Stray(MembershipMessage):
+    """A membership message class no dispatcher knows."""
+
+
 def test_agent_handles_unknown_message_kind():
-    agent, _ = build_agent()
+    agent, sent = build_agent()
+    # Stray proposer replies are explicit no-ops ...
+    for reply in (Pong(), Promise(ballot=1), Accepted(ballot=1), Nack(promised_ballot=1)):
+        agent.handle(99, reply)
+    assert not sent
+    # ... and a class the agent has no handler for fails loudly.
+    with pytest.raises(SimulationError, match="_Stray"):
+        agent.handle(99, _Stray())
 
-    class Unknown:
-        pass
 
-    assert agent.handle(99, Unknown()) is False
+def _cluster_with_service(shards: int = 1) -> Cluster:
+    return Cluster(
+        ClusterConfig(
+            protocol="hermes",
+            num_replicas=3,
+            shards=shards,
+            seed=1,
+            run_membership_service=True,
+        )
+    )
+
+
+def test_unknown_membership_message_raises_at_an_unsharded_replica():
+    cluster = _cluster_with_service()
+    replica = cluster.nodes[0]
+    with pytest.raises(SimulationError, match="_Stray"):
+        replica.on_message(1, _Stray())
+    with pytest.raises(SimulationError, match="_Stray"):
+        replica.membership_agent.handle(1, _Stray())
+
+
+def test_unknown_membership_message_raises_at_a_shard_host():
+    cluster = _cluster_with_service(shards=2)
+    with pytest.raises(SimulationError, match="_Stray"):
+        cluster.nodes[0].on_message(1, _Stray())
+
+
+def test_unknown_membership_message_raises_at_the_service():
+    cluster = _cluster_with_service()
+    with pytest.raises(SimulationError, match="_Stray"):
+        cluster.membership_service.on_message(0, _Stray())

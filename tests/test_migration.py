@@ -199,7 +199,7 @@ def test_migration_scenario_is_deterministic():
         # Op ids come from a process-global counter, so compare the
         # physically meaningful fields only.
         return [
-            (r.op.key, r.op.op_type, r.invoke_time, r.response_time, r.status, r.result)
+            (r.op.key, r.op.op_type, r.start_time, r.end_time, r.status, r.value)
             for r in history.operations()
         ]
 

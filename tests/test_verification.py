@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import HistoryError, VerificationError
-from repro.types import Operation, OpStatus
+from repro.types import Operation, OpStatus, Transaction
 from repro.verification.history import History
 from repro.verification.invariants import (
     check_no_pending_updates,
@@ -30,8 +30,8 @@ def test_history_records_invoke_and_respond():
     history.respond(op, 1.0, OpStatus.OK, 1)
     record = history.operations()[0]
     assert record.completed
-    assert record.invoke_time == 0.0
-    assert record.response_time == 1.0
+    assert record.start_time == 0.0
+    assert record.end_time == 1.0
 
 
 def test_history_double_invoke_rejected():
@@ -40,6 +40,23 @@ def test_history_double_invoke_rejected():
     history.invoke(op, 0.0)
     with pytest.raises(HistoryError):
         history.invoke(op, 0.1)
+
+
+def test_history_double_response_rejected():
+    history = History()
+    op = Operation.write("k", 1)
+    history.invoke(op, 0.0)
+    history.respond(op, 1.0, OpStatus.OK, 1)
+    with pytest.raises(HistoryError):
+        history.respond(op, 2.0, OpStatus.OK, 1)
+    # A TIMEOUT response is undecided, not missing: it cannot be given twice.
+    txn = Transaction(ops=[Operation.write("k", 2)])
+    history.invoke_txn(txn, 0.0)
+    history.respond_txn(txn, 1.0, OpStatus.TIMEOUT)
+    with pytest.raises(HistoryError):
+        history.respond_txn(txn, 2.0, OpStatus.OK)
+    with pytest.raises(HistoryError):
+        history.respond(txn.ops[0], 2.0, OpStatus.OK, 2)
 
 
 def test_history_respond_without_invoke_rejected():
@@ -125,6 +142,31 @@ def test_pending_write_may_or_may_not_take_effect():
     record(history2, Operation.write("k", 1), 0.0, None)
     record(history2, Operation.read("k"), 1.0, 2.0, result=1)
     assert check_history(history2)
+
+
+@pytest.mark.parametrize("via_txn", [True, False], ids=["txn", "op"])
+def test_timed_out_write_may_or_may_not_take_effect(via_txn):
+    # TIMEOUT is undecided like a pending response: the write may have been
+    # applied, so later reads may observe the old value or the new one,
+    # but once one read saw the new value, no later read may see the old.
+    def timed_out_then_reads(*observed):
+        history = History()
+        write = Operation.write("k", "new")
+        if via_txn:
+            txn = Transaction(ops=[write, Operation.read("k")])
+            history.invoke_txn(txn, 0.0)
+            history.respond_txn(txn, 1.0, OpStatus.TIMEOUT)
+        else:
+            record(history, write, 0.0, 1.0, status=OpStatus.TIMEOUT)
+        assert not any(r.completed for r in history.operations())
+        for index, value in enumerate(observed):
+            record(history, Operation.read("k"), 2.0 + 2 * index, 3.0 + 2 * index, result=value)
+        return check_history(history, initial_values={"k": "old"})
+
+    assert timed_out_then_reads("old", "old")
+    assert timed_out_then_reads("new", "new")
+    assert timed_out_then_reads("old", "new")
+    assert not timed_out_then_reads("new", "old")
 
 
 def test_aborted_rmw_must_have_no_effect():
@@ -300,7 +342,7 @@ def test_records_out_of_invocation_order_are_checked_in_time_order():
     merged = History()
     merged.absorb(late)
     merged.absorb(early)
-    assert [r.invoke_time for r in merged.operations()] == [4.0, 6.0, 0.0, 2.0]
+    assert [r.start_time for r in merged.operations()] == [4.0, 6.0, 0.0, 2.0]
     assert check_history(merged)
 
     stale = History()
@@ -317,12 +359,12 @@ def _reference_apply(rec, value):
     """Register semantics restated independently of the checker: new value or None."""
     op, done = rec.op, rec.completed and rec.status is OpStatus.OK
     if op.op_type.value == "read":
-        return (value,) if rec.result == value else None
+        return (value,) if rec.value == value else None
     if op.op_type.value == "write":
         return (op.value,)
     if op.compare is None or value == op.compare:
-        return (op.value,) if not done or rec.result == op.value else None
-    return (value,) if not done or rec.result == value else None
+        return (op.value,) if not done or rec.value == op.value else None
+    return (value,) if not done or rec.value == value else None
 
 
 def _reference_linearizable(records, initial):
@@ -343,7 +385,7 @@ def _reference_linearizable(records, initial):
                     # Real-time order: nothing placed later responded before
                     # this record was invoked.
                     if any(
-                        later.completed and later.response_time < rec.invoke_time
+                        later.completed and later.end_time < rec.start_time
                         for later in order[position + 1 :]
                     ):
                         break
@@ -363,7 +405,7 @@ def _small_histories(draw):
     Operation ``i`` takes effect at time ``i``; its interval is widened by up
     to 3 on each side, so the unperturbed history is linearizable. Each
     perturbation (a changed result, a write left pending, an RMW reported
-    ABORTED) may or may not break that — the reference decides.
+    ABORTED, an operation reported TIMEOUT) may or may not break that — the reference decides.
     """
     value = initial = draw(st.sampled_from(_VALUES + (None,)))
     rows = []
@@ -384,13 +426,17 @@ def _small_histories(draw):
         invoke = point - draw(st.integers(0, 3))
         respond = point + draw(st.integers(0, 3))
         status = OpStatus.OK
-        perturb = draw(st.sampled_from(["none", "none", "result", "pending", "aborted"]))
+        perturb = draw(
+            st.sampled_from(["none", "none", "result", "pending", "aborted", "timeout"])
+        )
         if perturb == "result":
             result = draw(st.sampled_from(_VALUES))
         elif perturb == "pending" and kind != "read":
             respond = None
         elif perturb == "aborted" and kind in ("cas", "rmw"):
             status, result = OpStatus.ABORTED, None
+        elif perturb == "timeout":
+            status, result = OpStatus.TIMEOUT, None
         rows.append((op, float(invoke), None if respond is None else float(respond), status, result))
     return initial, draw(st.permutations(rows))
 

@@ -84,12 +84,12 @@ def test_deep_single_key_history_with_overlapping_sessions_is_linear():
     # concurrent operations, so within a small budget the verdict may be
     # "inconclusive" rather than "violation" — but not "linearizable".
     records = history.operations()
-    stale = next(r for r in records[100:] if r.op.op_type is OpType.READ and r.result is not None)
+    stale = next(r for r in records[100:] if r.op.op_type is OpType.READ and r.value is not None)
     overwritten = next(
-        r for r in records if r.op.op_type is OpType.WRITE and r.invoke_time > stale.response_time
+        r for r in records if r.op.op_type is OpType.WRITE and r.start_time > stale.end_time
     )
-    stale.invoke_time = overwritten.response_time + 10.0
-    stale.response_time = stale.invoke_time + 1.0
+    stale.start_time = overwritten.end_time + 10.0
+    stale.end_time = stale.start_time + 1.0
     (result,) = LinearizabilityChecker(max_states=50_000).check(history)
     assert not result.linearizable
 
