@@ -668,7 +668,7 @@ def _txn_cells(scale: Scale) -> Cells:
       cross-shard probability**: cross-shard transactions hold their
       no-wait key locks across the full two-phase round instead of a
       single lock-master visit, widening the conflict window;
-    * ``S = 1`` runs entirely on the single-shard fast path
+    * ``S = 1`` runs every transaction as a one-phase prepare
       (``txns_cross_shard == 0``) regardless of the requested cross-shard
       probability, so only the 0.0 point is swept.
     """
@@ -1109,7 +1109,6 @@ def figure_migrate(shards: int = 4, seed: int = 1) -> FigureResult:
         history,
         initial_values=workload.initial_dataset(),
         migration_records=[record],
-        include_transactions=False,
     )
     linearizable = report.passed("linearizability")
     migration_check = report.checker("migration")

@@ -137,7 +137,7 @@ class ExperimentSpec:
         txn_cross_shard: Probability that a generated transaction spans at
             least two shards (requires ``shards > 1`` to have any effect).
             Cross-shard transactions run full two-phase commit;
-            single-shard ones take the lock-master fast path.
+            single-shard ones commit in one phase at the lock master.
         shard_mode: How shards execute. ``"coupled"`` hosts every shard on
             the same simulated nodes inside one simulation — shards share
             node CPU/NIC budgets like HermesKV threads share a machine.

@@ -14,9 +14,9 @@ All arithmetic here mirrors the routing layer exactly:
   :func:`repro.membership.view.shard_and_sub`;
 * a migration moves a key when its *routed* shard (the base shard with
   every earlier migration chained on top) equals the migration's source and
-  the **base** sub-index satisfies ``sub % stride == offset`` — the same
-  predicate as :func:`repro.cluster.sharding.migration_predicate` and the
-  router's flip.
+  the **base** sub-index satisfies ``sub % stride == offset`` — one
+  :meth:`~repro.membership.view.ShardMigration.route` step, the same one
+  :func:`repro.cluster.sharding.migration_predicate` and the router chain.
 
 Everything is pure and deterministic: planning depends only on the prior
 chain, never on wall clock or iteration order of unordered containers.
@@ -59,8 +59,7 @@ def routed_shard(
     """
     shard, sub = shard_and_sub(key, num_shards)
     for migration in migrations:
-        if shard == migration.source and sub % migration.stride == migration.offset:
-            shard = migration.target
+        shard = migration.route(shard, sub)
     return shard
 
 
@@ -84,8 +83,7 @@ def owner_at(
     for migration, flip_time in flips:
         if flip_time > time:
             break
-        if shard == migration.source and sub % migration.stride == migration.offset:
-            shard = migration.target
+        shard = migration.route(shard, sub)
     return shard
 
 
@@ -100,8 +98,7 @@ def _routed_class(
     """
     shard = base
     for migration in migrations:
-        if shard == migration.source and residue % migration.stride == migration.offset:
-            shard = migration.target
+        shard = migration.route(shard, residue)
     return shard
 
 

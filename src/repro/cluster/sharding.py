@@ -139,8 +139,7 @@ class ShardRouter:
             # Chain the rebalances in order: a key moved by one migration
             # may be the source slice of a later one.
             for migration in migrations:
-                if shard == migration.source and sub % migration.stride == migration.offset:
-                    shard = migration.target
+                shard = migration.route(shard, sub)
         return shard
 
     def apply(self, shard_map: Optional[ShardMap]) -> bool:
@@ -171,17 +170,14 @@ def migration_predicate(
     as an earlier rebalance had moved keys into this migration's source
     shard.
     """
-    source = migration.source
-    stride = migration.stride
-    offset = migration.offset
+    route = migration.route
 
     def moves(key: Key) -> bool:
         shard, sub = shard_and_sub(key, num_shards)
         if prior:
             for earlier in prior:
-                if shard == earlier.source and sub % earlier.stride == earlier.offset:
-                    shard = earlier.target
-        return shard == source and sub % stride == offset
+                shard = earlier.route(shard, sub)
+        return route(shard, sub) != shard
 
     return moves
 

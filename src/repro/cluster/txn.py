@@ -24,23 +24,25 @@ Roles
 Protocol
 --------
 
-Single-shard transactions take a **fast path**: one ``TxnSingle`` message to
-the shard's lock master, which locks the keys, performs the reads, applies
-the writes through the shard's normal replication path, releases, and
-replies — no 2PC round.
-
-Cross-shard transactions run two-phase commit:
+Every involved shard's lock master runs one participant path:
 
 1. **PREPARE** — the coordinator sends each involved shard's lock master a
    ``TxnPrepare`` with that shard's operations. The participant acquires
-   per-key locks with **no-wait** semantics (a conflicting lock makes it
-   vote NO immediately; no lock waiting means no distributed deadlock),
-   executes the shard's reads through the protocol's normal read path, and
-   votes YES with the read results.
-2. **COMMIT / ABORT** — all-YES commits: participants apply their writes
-   through the protocol's normal (replicated) write path, release their
-   locks, and acknowledge with per-write commit instants. Any NO aborts:
+   per-key locks with **no-wait** semantics (a conflicting lock refuses the
+   prepare immediately; no lock waiting means no distributed deadlock) and
+   executes the shard's reads through the protocol's normal read path.
+2. **COMMIT / ABORT** — a cross-shard transaction runs two-phase commit:
+   each participant votes (NO on a refusal, YES with the read results), and
+   all-YES commits: participants apply their writes through the protocol's
+   normal (replicated) write path, release their locks, and acknowledge
+   with a ``TxnAck`` carrying per-write commit instants. Any NO aborts:
    YES-voters release their locks and nothing is applied.
+
+A single-shard transaction needs no vote: its prepare is marked
+**one-phase**, and the participant applies the writes as soon as its reads
+are done, then answers with the ``TxnAck`` directly (committed, with the
+read results, or refused). So every "this shard is finished" reply is a
+``TxnAck``.
 
 Messages between coordinator and participants ride the existing transports:
 each leaves through a replica of the target shard on the sending node, so
@@ -125,12 +127,17 @@ _CONTROL_BYTES = 24
 # --------------------------------------------------------------- messages
 @dataclass(slots=True)
 class TxnPrepare(TxnMessage):
-    """Phase-1 request: lock ``ops``'s keys on one shard and vote."""
+    """Lock ``ops``'s keys on one shard and read them.
+
+    Two-phase, the participant then votes; ``one_phase`` (the transaction's
+    only shard), it applies the writes at once and acks.
+    """
 
     txn_id: int
     coordinator: NodeId
     shard: int
     ops: List[Operation]
+    one_phase: bool = False
 
 
 @dataclass(slots=True)
@@ -154,49 +161,33 @@ class TxnDecision(TxnMessage):
 
 @dataclass(slots=True)
 class TxnAck(TxnMessage):
-    """Phase-2 reply: the shard finished applying (or discarding) the txn.
+    """The shard is finished with the transaction: applied or discarded it.
 
-    ``commit_times`` maps each applied write's op id to the simulated
-    instant its replicated update committed at the lock master — the
-    per-key version order the atomicity checker relies on.
+    Answers a decision, or a one-phase prepare directly. ``commit_times``
+    maps each applied write's op id to the simulated instant its replicated
+    update committed at the lock master — the per-key version order the
+    atomicity checker relies on. ``values`` carries a one-phase commit's
+    read results (a two-phase participant sent them with its YES vote).
     """
 
     txn_id: int
     shard: int
     committed: bool
     commit_times: Optional[Dict[int, float]] = None
-
-
-@dataclass(slots=True)
-class TxnSingle(TxnMessage):
-    """Single-shard fast path: lock, read, apply, release in one visit."""
-
-    txn_id: int
-    coordinator: NodeId
-    shard: int
-    ops: List[Operation]
-
-
-@dataclass(slots=True)
-class TxnSingleReply(TxnMessage):
-    """Fast-path reply: committed (with results) or aborted on conflict."""
-
-    txn_id: int
-    committed: bool
     values: Optional[Dict[int, Value]] = None
-    commit_times: Optional[Dict[int, float]] = None
 
 
 #: Wire-cost registry (lint rule M001): transaction message sizes depend on
 #: their payload, so the byte count is computed at each send site; the entry
-#: here documents the formula the send site must use.
+#: here states the formula the send site uses. Two of them undercount: a
+#: prepare carries no control overhead, and an ack charges each read value
+#: 8 B rather than ``value_size``. Both stay until the committed baselines
+#: are re-seeded (ROADMAP, "A baseline epoch").
 WIRE_COSTS = {
-    TxnPrepare: "_CONTROL_BYTES + ops_wire_size(ops)",
+    TxnPrepare: "ops_wire_size(ops, key_size, value_size)",
     TxnVote: "_CONTROL_BYTES + value_size * len(values)",
     TxnDecision: "_CONTROL_BYTES",
-    TxnAck: "_CONTROL_BYTES + 8 * len(commit_times)",
-    TxnSingle: "_CONTROL_BYTES + ops_wire_size(ops)",
-    TxnSingleReply: "_CONTROL_BYTES + 8 * len(commit_times) + 8 * len(values)",
+    TxnAck: "_CONTROL_BYTES + 8 * len(commit_times) + 8 * len(values)",
 }
 
 
@@ -258,6 +249,7 @@ class _ParticipantTxn:
         "txn_id",
         "coordinator",
         "shard",
+        "one_phase",
         "keys",
         "writes",
         "values",
@@ -267,26 +259,24 @@ class _ParticipantTxn:
         "failed",
         "voted",
         "committing",
-        "single",
         "timer",
     )
 
-    def __init__(
-        self, txn_id: int, coordinator: NodeId, shard: int, keys: List[Key]
-    ) -> None:
-        self.txn_id = txn_id
-        self.coordinator = coordinator
-        self.shard = shard
+    def __init__(self, msg: TxnPrepare, keys: List[Key]) -> None:
+        self.txn_id = msg.txn_id
+        self.coordinator = msg.coordinator
+        self.shard = msg.shard
+        self.one_phase = msg.one_phase
         self.keys = keys
-        self.writes: List[Operation] = []
+        self.writes = [op for op in msg.ops if op.op_type is not OpType.READ]
         self.values: Dict[int, Value] = {}
         self.commit_times: Dict[int, float] = {}
         self.reads_outstanding = 0
         self.writes_outstanding = 0
         self.failed = False
+        #: The reads are done: voted, or (one-phase) committing.
         self.voted = False
         self.committing = False
-        self.single = False
         self.timer = None
 
 
@@ -311,11 +301,9 @@ class TxnParticipant:
         #: Txn id -> in-flight state.
         self.prepared: Dict[int, _ParticipantTxn] = {}
         # Statistics.
-        self.prepares_received = 0
         self.conflicts = 0
         self.prepare_timeouts = 0
         self.ops_parked = 0
-        self.write_failures = 0
         self.view_change_aborts = 0
 
     def park(self, op: Operation, callback: Any) -> None:
@@ -348,17 +336,12 @@ class TxnParticipant:
             if not still_master or state.coordinator not in view.members:
                 self.view_change_aborts += 1
                 self._teardown(state)
-                if state.single and state.coordinator in view.members:
-                    # Fast-path transactions resolve through their reply
-                    # (the coordinator cannot tell an aborted visit from
-                    # one whose reply was lost): tell the coordinator the
-                    # visit applied nothing.
-                    _send(
-                        replica,
-                        state.coordinator,
-                        TxnSingleReply(state.txn_id, False),
-                        _CONTROL_BYTES,
-                    )
+                if state.one_phase and state.coordinator in view.members:
+                    # A one-phase transaction resolves through its ack (the
+                    # coordinator cannot tell an aborted visit from one
+                    # whose ack was lost): tell the coordinator the visit
+                    # applied nothing.
+                    self._refuse(state)
 
     # ------------------------------------------------------------ phase 1
     def _try_lock(self, txn_id: int, ops: List[Operation]) -> Optional[List[Key]]:
@@ -378,25 +361,31 @@ class TxnParticipant:
         return keys
 
     def _on_prepare(self, msg: TxnPrepare) -> None:
-        self.prepares_received += 1
         replica = self.replica
-        txn_id = msg.txn_id
+        keys = None
         if (
-            not replica.is_operational()
-            or not self._is_lock_master()
-            or self._frozen_conflict(msg.ops)
+            replica.is_operational()
+            and self._is_lock_master()
+            and not self._frozen_conflict(msg.ops)
         ):
-            _send(replica, msg.coordinator, TxnVote(txn_id, msg.shard, False), _CONTROL_BYTES)
-            return
-        keys = self._try_lock(txn_id, msg.ops)
+            keys = self._try_lock(msg.txn_id, msg.ops)
         if keys is None:
-            _send(replica, msg.coordinator, TxnVote(txn_id, msg.shard, False), _CONTROL_BYTES)
+            self._refuse(msg)
             return
-        state = _ParticipantTxn(txn_id, msg.coordinator, msg.shard, keys)
-        state.writes = [op for op in msg.ops if op.op_type is not OpType.READ]
-        self.prepared[txn_id] = state
-        state.timer = replica.set_timer(self.prepare_timeout, self._prepare_expired, txn_id)
+        state = _ParticipantTxn(msg, keys)
+        self.prepared[msg.txn_id] = state
+        state.timer = replica.set_timer(self.prepare_timeout, self._prepare_expired, msg.txn_id)
         self._start_reads(state, [op for op in msg.ops if op.op_type is OpType.READ])
+
+    def _refuse(self, txn: TxnPrepare | _ParticipantTxn) -> None:
+        """Tell the coordinator this shard applied nothing: a NO vote, or
+        the failed ack that ends a one-phase transaction."""
+        reply: TxnMessage = (
+            TxnAck(txn.txn_id, txn.shard, False)
+            if txn.one_phase
+            else TxnVote(txn.txn_id, txn.shard, False)
+        )
+        _send(self.replica, txn.coordinator, reply, _CONTROL_BYTES)
 
     def _start_reads(self, state: _ParticipantTxn, reads: List[Operation]) -> None:
         state.reads_outstanding = len(reads)
@@ -424,14 +413,9 @@ class TxnParticipant:
         state.voted = True
         if state.failed:
             self._teardown(state)
-            reply: TxnMessage = (
-                TxnSingleReply(state.txn_id, False)
-                if state.single
-                else TxnVote(state.txn_id, state.shard, False)
-            )
-            _send(self.replica, state.coordinator, reply, _CONTROL_BYTES)
+            self._refuse(state)
             return
-        if state.single:
+        if state.one_phase:
             self._start_writes(state)
             return
         replica = self.replica
@@ -455,7 +439,7 @@ class TxnParticipant:
             return
         if state.committing:
             # Writes are already being applied (e.g. a coordinator-timeout
-            # abort racing a fast-path commit): commits are unconditional
+            # abort racing a one-phase commit): commits are unconditional
             # once started, so the late decision is ignored.
             return
         if not msg.commit:
@@ -483,13 +467,11 @@ class TxnParticipant:
         state = self.prepared.get(txn_id)
         if state is None:
             return
+        # Plain replicated writes only fail when the replica stops being
+        # operational mid-commit; a failed update was not applied, so it
+        # must not enter the per-key version order.
         if status is OpStatus.OK:
             state.commit_times[op.op_id] = self.replica.sim.now
-        else:
-            # Plain replicated writes only fail when the replica stops being
-            # operational mid-commit; the update was not applied, so it must
-            # not enter the per-key version order.
-            self.write_failures += 1
         state.writes_outstanding -= 1
         if state.writes_outstanding == 0:
             self._writes_done(state)
@@ -497,40 +479,12 @@ class TxnParticipant:
     def _writes_done(self, state: _ParticipantTxn) -> None:
         self._teardown(state)
         size = _CONTROL_BYTES + 8 * len(state.commit_times)
-        if state.single:
-            reply = TxnSingleReply(
-                state.txn_id, True, dict(state.values), dict(state.commit_times)
-            )
-            _send(self.replica, state.coordinator, reply, size + len(state.values) * 8)
-        else:
-            _send(
-                self.replica,
-                state.coordinator,
-                TxnAck(state.txn_id, state.shard, True, dict(state.commit_times)),
-                size,
-            )
-
-    # ----------------------------------------------------------- fast path
-    def _on_single(self, msg: TxnSingle) -> None:
-        self.prepares_received += 1
-        replica = self.replica
-        if (
-            not replica.is_operational()
-            or not self._is_lock_master()
-            or self._frozen_conflict(msg.ops)
-        ):
-            _send(replica, msg.coordinator, TxnSingleReply(msg.txn_id, False), _CONTROL_BYTES)
-            return
-        keys = self._try_lock(msg.txn_id, msg.ops)
-        if keys is None:
-            _send(replica, msg.coordinator, TxnSingleReply(msg.txn_id, False), _CONTROL_BYTES)
-            return
-        state = _ParticipantTxn(msg.txn_id, msg.coordinator, msg.shard, keys)
-        state.single = True
-        state.writes = [op for op in msg.ops if op.op_type is not OpType.READ]
-        self.prepared[msg.txn_id] = state
-        state.timer = replica.set_timer(self.prepare_timeout, self._prepare_expired, msg.txn_id)
-        self._start_reads(state, [op for op in msg.ops if op.op_type is OpType.READ])
+        values = None
+        if state.one_phase:
+            values = dict(state.values)
+            size += 8 * len(values)
+        ack = TxnAck(state.txn_id, state.shard, True, dict(state.commit_times), values)
+        _send(self.replica, state.coordinator, ack, size)
 
     def _is_lock_master(self) -> bool:
         """Whether this replica masters its shard under *its current* view.
@@ -688,7 +642,6 @@ class TxnCoordinator:
         self._value_size = replicas[0].config.value_size
         self._active: Dict[int, _CoordinatorTxn] = {}
         # Statistics (summed across nodes by ``Cluster.txn_stat``).
-        self.txns_started = 0
         self.txns_committed = 0
         self.txns_aborted = 0
         self.txns_timedout = 0
@@ -730,7 +683,6 @@ class TxnCoordinator:
                     "transactions support reads and writes only; "
                     f"operation {op.op_id} is an RMW"
                 )
-        self.txns_started += 1
         shard_of = self._router.shard_of
         by_shard: Dict[int, List[Operation]] = {}
         for op in txn.ops:
@@ -738,31 +690,26 @@ class TxnCoordinator:
         state = _CoordinatorTxn(txn, callback, by_shard)
         self._active[txn.txn_id] = state
         state.timer = self.node.set_timer(self.timeout, self._expired, txn.txn_id)
-        if len(by_shard) == 1:
+        # A single shard commits in one phase: its ack is the only reply.
+        one_phase = len(by_shard) == 1
+        if one_phase:
             self.txns_fastpath += 1
-            ((shard, ops),) = by_shard.items()
-            self._dispatch(
-                state,
-                shard,
-                TxnSingle(txn.txn_id, self.node.node_id, shard, ops),
-                ops_wire_size(ops, self._key_size, self._value_size),
-            )
-            return
-        self.txns_cross_shard += 1
-        state.awaiting_votes = set(by_shard)
+            state.awaiting_acks = set(by_shard)
+        else:
+            self.txns_cross_shard += 1
+            state.awaiting_votes = set(by_shard)
+        masters = self.masters
         for shard, ops in by_shard.items():
-            self._dispatch(
-                state,
-                shard,
-                TxnPrepare(txn.txn_id, self.node.node_id, shard, ops),
+            master = state.masters[shard] = masters[shard]
+            prepare = TxnPrepare(txn.txn_id, self.node.node_id, shard, ops, one_phase)
+            _send(
+                self._replicas[shard],
+                master,
+                prepare,
                 ops_wire_size(ops, self._key_size, self._value_size),
             )
 
-    # ------------------------------------------------------------ dispatch
-    def _dispatch(self, state: _CoordinatorTxn, shard: int, message: TxnMessage, size: int) -> None:
-        master = state.masters[shard] = self.masters[shard]
-        _send(self._replicas[shard], master, message, size)
-
+    # ---------------------------------------------------------------- 2PC
     def _decide(self, state: _CoordinatorTxn, commit: bool, members: Any = None) -> None:
         """Send the decision to every dispatch-time master (only to those
         in ``members``, when given): the nodes that hold the prepared state,
@@ -773,7 +720,6 @@ class TxnCoordinator:
                 decision = TxnDecision(txn_id, shard, commit)
                 _send(self._replicas[shard], master, decision, _CONTROL_BYTES)
 
-    # ---------------------------------------------------------------- 2PC
     def _on_vote(self, msg: TxnVote) -> None:
         state = self._active.get(msg.txn_id)
         if state is None or msg.shard not in state.awaiting_votes:
@@ -800,21 +746,16 @@ class TxnCoordinator:
         state = self._active.get(msg.txn_id)
         if state is None or msg.shard not in state.awaiting_acks:
             return
+        if not msg.committed:
+            # Only a one-phase transaction awaits an ack that can fail: its
+            # participant refused the prepare or aborted the visit.
+            self._complete(state, OpStatus.ABORTED)
+            return
         state.awaiting_acks.discard(msg.shard)
+        state.values.update(msg.values or ())
         state.commit_times.update(msg.commit_times or ())
         if not state.awaiting_acks:
             self._complete(state, OpStatus.OK)
-
-    def _on_single_reply(self, msg: TxnSingleReply) -> None:
-        state = self._active.get(msg.txn_id)
-        if state is None:
-            return
-        if msg.committed:
-            state.values.update(msg.values or ())
-            state.commit_times.update(msg.commit_times or ())
-            self._complete(state, OpStatus.OK)
-        else:
-            self._complete(state, OpStatus.ABORTED)
 
     def _expired(self, txn_id: int) -> None:
         state = self._active.get(txn_id)
@@ -849,12 +790,12 @@ class TxnCoordinator:
         * **Commit decided, a dispatched master dead** — surviving
           participants apply unconditionally but the dead master's writes
           may be lost: the indeterminate ``TIMEOUT`` outcome.
-        * **Fast path (single-shard)** — the one visit both locks and
-          applies, so an undelivered reply from a dead master is
-          indeterminate (``TIMEOUT``, exactly like ``_expired``); a live
-          but demoted master replies on its own (a view-change abort sends
-          an explicit failure reply), so those resolve through the normal
-          message flow.
+        * **One-phase (single-shard)** — the one visit both locks and
+          applies, like a decided commit: an undelivered ack from a dead
+          master is indeterminate (``TIMEOUT``, exactly like ``_expired``);
+          a live but demoted master acks on its own (a view-change abort
+          sends an explicit failed ack), so those resolve through the
+          normal message flow.
         """
         if not self._active:
             return
@@ -871,17 +812,12 @@ class TxnCoordinator:
             )
             if not dead and not moved:
                 continue
-            if len(state.by_shard) == 1:
+            if state.decided_commit or len(state.by_shard) == 1:
                 if dead:
                     self.txns_view_aborted += 1
                     self._complete(state, OpStatus.TIMEOUT)
-                continue
-            if state.decided_commit:
-                if dead:
-                    self.txns_view_aborted += 1
-                    self._complete(state, OpStatus.TIMEOUT)
-                # Moved-only with a commit decided: the decisions went to
-                # the dispatch-time masters, which finish and ack normally.
+                # Moved-only: the decisions (or the one-phase prepare) went
+                # to the dispatch-time masters, which finish and ack normally.
                 continue
             self.txns_view_aborted += 1
             self._decide(state, False, members)
@@ -949,7 +885,7 @@ def _to_coordinator(method: Callable[[TxnCoordinator, Any], None]):
 
 #: The transaction layer's entries in every replica's dispatch table, called
 #: as ``handler(replica, src, message)``. Participant-bound messages
-#: (prepare, decision, fast path) go to the replica's own lock-master
+#: (prepare, decision) go to the replica's own lock-master
 #: participant, created on first use. Client hand-offs and coordinator-bound
 #: replies go to the coordinator of the replica's *node*; a reply reaching a
 #: node without a coordinator is ignored.
@@ -959,8 +895,6 @@ TXN_HANDLERS: Dict[type, Callable[[Any, NodeId, Any], None]] = {
     ),
     TxnPrepare: _to_participant(TxnParticipant._on_prepare),
     TxnDecision: _to_participant(TxnParticipant._on_decision),
-    TxnSingle: _to_participant(TxnParticipant._on_single),
     TxnVote: _to_coordinator(TxnCoordinator._on_vote),
     TxnAck: _to_coordinator(TxnCoordinator._on_ack),
-    TxnSingleReply: _to_coordinator(TxnCoordinator._on_single_reply),
 }

@@ -72,6 +72,20 @@ class ShardMigration:
         if self.stride < 1 or not 0 <= self.offset < self.stride:
             raise ConfigurationError("migration requires stride >= 1 and 0 <= offset < stride")
 
+    def route(self, shard: int, sub: int) -> int:
+        """One step of the routing chain: the shard a key routed to
+        ``shard``, with base sub-index ``sub``, is owned by after this
+        migration.
+
+        The one spelling of the step: the router, the freeze predicate and
+        the rebalance planner all chain migrations through it. A valid
+        migration's target differs from its source, so a key moves exactly
+        when the step changes its shard.
+        """
+        if shard == self.source and sub % self.stride == self.offset:
+            return self.target
+        return shard
+
     def matches(self, key: Key, num_shards: int) -> bool:
         """Whether ``key`` belongs to the migrated slice, over the **base**
         mapping.
@@ -84,7 +98,7 @@ class ShardMigration:
         :func:`repro.cluster.sharding.migration_predicate`).
         """
         base, sub = shard_and_sub(key, num_shards)
-        return base == self.source and sub % self.stride == self.offset
+        return self.route(base, sub) != base
 
 
 #: Phases a shard map moves through while a migration is in flight.

@@ -89,7 +89,6 @@ def check_all(
     history: History,
     initial_values: Optional[Dict[Key, Value]] = None,
     migration_records: Sequence[MigrationRecord] = (),
-    include_transactions: bool = True,
     boundary_margin: float = 1e-3,
     max_states: int = 2_000_000,
 ) -> VerificationReport:
@@ -103,11 +102,6 @@ def check_all(
         migration_records: Completed live migrations of the run; one
             migration-atomicity check runs per record (aggregated into a
             single ``"migration"`` report). Empty skips the checker.
-        include_transactions: Whether to run the transaction-atomicity
-            checker. It is cheap and trivially passes on histories without
-            transactions, so the fuzzer always leaves it on; figures that
-            never record transactions may switch it off to keep their
-            artifact keys unchanged.
         boundary_margin: Freeze-boundary slack for the migration checker
             (see :func:`repro.verification.migration.check_migration`).
         max_states: Search budget per key for the linearizability checker;
@@ -148,20 +142,19 @@ def check_all(
         )
     )
 
-    if include_transactions:
-        txn_result = check_transactions(history, operations)
-        checkers.append(
-            CheckerReport(
-                name="transactions",
-                ok=txn_result.ok,
-                details={
-                    "committed": txn_result.committed,
-                    "aborted": txn_result.aborted,
-                    "reads_checked": txn_result.reads_checked,
-                },
-                violations=list(txn_result.violations),
-            )
+    txn_result = check_transactions(history, operations)
+    checkers.append(
+        CheckerReport(
+            name="transactions",
+            ok=txn_result.ok,
+            details={
+                "committed": txn_result.committed,
+                "aborted": txn_result.aborted,
+                "reads_checked": txn_result.reads_checked,
+            },
+            violations=list(txn_result.violations),
         )
+    )
 
     if migration_records:
         ok = True

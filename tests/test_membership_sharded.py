@@ -8,12 +8,17 @@ Covers the reconfiguration paths the unsharded membership tests cannot:
 * a crash on a sharded cluster reconfigures end to end through the RM
   service (detection → lease expiry → Paxos → m-update);
 * a recovered node stays outside the view (no silent rejoin);
-* the scenario is deterministic (identical artifacts across repeated runs);
+* the scenario is deterministic (identical artifacts across repeated runs),
+  and the lock-master crash run of ``--figure 9 --shards 2`` is pinned by
+  its artifact digest;
 * the runner CLI rejects membership/view-change scenarios combined with
   parallel shard execution with a clear error instead of a deep traceback.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
 
 import pytest
 
@@ -114,6 +119,31 @@ def test_sharded_figure9_scenario_is_deterministic():
     assert first.rows == second.rows
     assert first.data["linearizable"] and first.data["txn_check_ok"]
     assert len(first.data["reconfiguration_times"]) == 1
+
+
+#: sha256 of ``BENCH_fig9.json`` from ``python -m repro.bench.runner
+#: --figure 9 --shards 2 --scale smoke``: node 1, shard 1's lock master,
+#: crashes at 60 ms with 2PC transactions in flight. The run is
+#: deterministic, so any change to the transaction layer's messages,
+#: timeouts or outcomes moves this digest.
+SHARDED_FIG9_SMOKE_SHA256 = "59aa81e51a90ba3e553f650c691a758bd71317ff389746d51466e5dc811875b4"
+
+
+def test_sharded_figure9_lock_master_crash_artifact_is_pinned(tmp_path):
+    from repro.bench.runner import main
+
+    argv = ["--figure", "9", "--shards", "2", "--scale", "smoke", "--jobs", "1"]
+    assert main(argv + ["--output-dir", str(tmp_path), "--quiet"]) == 0
+    payload = (tmp_path / "BENCH_fig9.json").read_bytes()
+    data = json.loads(payload)["results"][0]["data"]
+    assert data["crash_time"] == 0.06
+    assert (data["txns_committed"], data["txns_aborted"], data["txns_timedout"]) == (
+        2406,
+        260,
+        21,
+    )
+    assert data["linearizable"] and data["txn_check_ok"]
+    assert hashlib.sha256(payload).hexdigest() == SHARDED_FIG9_SMOKE_SHA256
 
 
 def test_runner_cli_rejects_parallel_membership_figures():

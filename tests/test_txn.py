@@ -5,7 +5,7 @@ The transaction layer (:mod:`repro.cluster.txn`) must uphold:
 * committed transactions are atomic — transactional readers never observe
   a partial state of another committed transaction (strict 2PL at
   per-shard lock masters), and aborted transactions leave no trace;
-* single-shard transactions take the fast path (no 2PC round);
+* single-shard transactions commit in one phase (no vote round);
 * lock conflicts abort immediately (no-wait ⇒ no distributed deadlock);
 * plain operations submitted at a lock master queue behind that shard's
   key locks;

@@ -11,7 +11,13 @@ lock the stranded transactions held was torn down on the view change.
 from __future__ import annotations
 
 from repro.cluster.cluster import Cluster, ClusterConfig
-from repro.cluster.txn import ClientTxnSubmit, TxnPrepare, coordinator_of
+from repro.cluster.txn import (
+    DEFAULT_COORDINATOR_TIMEOUT,
+    ClientTxnSubmit,
+    TxnPrepare,
+    coordinator_of,
+    participant_of,
+)
 from repro.membership.view import MembershipView
 from repro.types import Operation, OpStatus, Transaction
 
@@ -172,23 +178,42 @@ def test_moved_mastership_aborts_undecided_cross_shard_txn():
 
 
 def test_demoted_master_replies_failure_for_fastpath_txns():
-    # A live but demoted master's view-change abort must answer in-flight
-    # fast-path visits explicitly, so their coordinators resolve without
-    # waiting for the timeout.
-    from repro.cluster.txn import TxnSingle
-
+    # A live but demoted master's view-change abort must answer an in-flight
+    # one-phase (single-shard) visit explicitly, so its coordinator resolves
+    # without waiting for the timeout.
     cluster = preloaded(Cluster(ClusterConfig(protocol="hermes", num_replicas=3, shards=2, seed=3)))
-    master = cluster.shard_replicas[(1, 1)]
-    coordinator = coordinator_of(cluster.replica(2))  # give node 2 a coordinator
-    master.on_message(2, TxnSingle(30_001, 2, 1, [Operation.read(1)]))
-    # Freeze the reply in flight by aborting via the view change first:
-    # removing node 0 demotes node 1 from shard 1's mastership.
+    master = cluster.shard_replicas[(1, 1)]  # node 1 masters shard 1
+    # An in-flight write on key 1 at the master stalls the visit's read, so
+    # the visit is still prepared when the demoting view installs.
+    master.submit(Operation.write(1, b"W1"), lambda op, status, value: None)
+    outcomes = []
+    txn = Transaction(ops=[Operation.read(1)])
+    cluster.replica(2).submit_local(
+        ClientTxnSubmit(txn, lambda t, o: outcomes.append((o.status, cluster.sim.now))),
+        size_bytes=64,
+    )
+    participant = participant_of(master)
+    cluster.run_until(
+        lambda: txn.txn_id in participant.prepared, check_interval=1e-7, max_time=1e-3
+    )
+    assert participant.prepared[txn.txn_id].reads_outstanding == 1
+    assert participant.locks == {1: txn.txn_id}
+    assert coordinator_of(cluster.replica(2)).active_txns == 1
+    start = cluster.sim.now
+
+    # Removing node 0 demotes node 1 from shard 1's mastership (node 2 takes
+    # it over); nodes 1 and 2 install the view.
     new_view = MembershipView.initial([0, 1, 2]).without(0)
-    participant = master._txn_participant
-    if 30_001 in participant.prepared:  # reads may still be outstanding
-        master._view_changed(new_view)
-        assert 30_001 not in participant.prepared
-        assert participant.locks == {}
+    for node_id in (1, 2):
+        cluster.nodes[node_id]._view_changed(new_view)
+    assert participant.prepared == {}
+    assert participant.locks == {}
+    cluster.run(until=start + DEFAULT_COORDINATOR_TIMEOUT * 2)
+    assert len(outcomes) == 1
+    status, at = outcomes[0]
+    assert status is OpStatus.ABORTED
+    assert at - start < DEFAULT_COORDINATOR_TIMEOUT / 10
+    assert participant.locks == {}
 
 
 def test_new_lock_master_serves_transactions_after_view_change():

@@ -517,12 +517,6 @@ def test_check_all_flags_linearizability_violation_with_prefix():
     assert report.violations[0].startswith("[linearizability]")
 
 
-def test_check_all_transactions_toggle():
-    report = check_all(History(), include_transactions=False)
-    assert report.checker("transactions") is None
-    assert report.summary() == {"linearizability": True}
-
-
 def test_check_all_aggregates_migration_records():
     history = History()
     record(history, Operation.write("k", "new"), 10.0, 11.0, result="new")
