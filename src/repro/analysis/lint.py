@@ -41,6 +41,14 @@ D003      iteration over an unordered collection (``set``/``frozenset``
 D004      ``id(...)`` used to key or order collections — CPython identities
           vary run to run, so any ordering or externally visible structure
           derived from them is nondeterministic.
+D005      a host-GC hook inside the deployment (``sim/``, ``core/``,
+          ``protocols/``, ``rpc/``, ``kvs/``, ``membership/``,
+          ``cluster/``): a ``__del__`` method, a ``weakref.finalize(...)``
+          call, or a weak reference created with a callback
+          (``weakref.ref``/``proxy``/``WeakMethod`` with a second argument).
+          Such a hook runs when the host frees an object, so collector
+          timing could reach simulated state. A cluster's one teardown is
+          baselined.
 M001      a message dataclass (anything carrying a ``size_bytes`` wire cost
           or deriving from ``MembershipMessage``/``TxnMessage``/
           ``HermesMessage``) that does not declare ``__slots__``
@@ -87,6 +95,13 @@ SIM_ZONE_DIRS = {"sim", "protocols", "cluster", "membership"}
 
 #: Path segments where unordered iteration decides message order (D003).
 ORDER_ZONE_DIRS = {"protocols", "membership", "cluster"}
+
+#: Path segments of the deployment's own layers, where no object may carry
+#: a host-GC hook (D005 scope).
+HOOK_ZONE_DIRS = {"sim", "core", "protocols", "rpc", "kvs", "membership", "cluster"}
+
+#: Weak-reference constructors whose second argument is a callback (D005).
+WEAKREF_CALLBACK_CTORS = {"weakref.ref", "weakref.proxy", "weakref.WeakMethod"}
 
 #: File allowed to touch the global ``random`` module (D002 exemption).
 RNG_MODULE_SUFFIX = "sim/rng.py"
@@ -191,6 +206,7 @@ RULE_TITLES = {
     "D002": "unseeded global-random draw",
     "D003": "unordered iteration reaches sends/timers",
     "D004": "id()-keyed or identity-ordered collection",
+    "D005": "finalizer or weak-reference callback in the deployment",
     "M001": "message dataclass missing __slots__ or wire-cost entry",
     "M002": "mutable default field on a message dataclass",
     "H001": "message type not covered by any dispatcher",
@@ -297,6 +313,7 @@ class _FileLinter(ast.NodeVisitor):
         parts = set(Path(display_path).parts)
         self.in_sim_zone = bool(parts & SIM_ZONE_DIRS)
         self.in_order_zone = bool(parts & ORDER_ZONE_DIRS)
+        self.in_hook_zone = bool(parts & HOOK_ZONE_DIRS)
         self.is_rng_module = display_path.endswith(RNG_MODULE_SUFFIX)
         self.in_strict_rng_zone = bool(parts & STRICT_RNG_DIRS) and Path(
             display_path
@@ -424,7 +441,28 @@ class _FileLinter(ast.NodeVisitor):
                 "id() keys/orders a collection; CPython identities differ "
                 "across runs — key by a stable field instead",
             )
+        if self.in_hook_zone:
+            self._check_gc_hook_call(node)
         self.generic_visit(node)
+
+    def _check_gc_hook_call(self, node: ast.Call) -> None:
+        dotted = self.aliases.resolve(node.func)
+        if dotted == "weakref.finalize":
+            self._add(
+                "D005",
+                node,
+                "weakref.finalize runs when the host frees the object; collector "
+                "timing must not reach the deployment",
+            )
+        elif dotted in WEAKREF_CALLBACK_CTORS and (
+            len(node.args) > 1 or any(kw.arg == "callback" for kw in node.keywords)
+        ):
+            self._add(
+                "D005",
+                node,
+                f"'{dotted}' with a callback runs it when the host frees the "
+                "referent; hold the reference without one",
+            )
 
     def _id_call_keys_a_collection(self, node: ast.Call) -> bool:
         """Whether this ``id(...)`` call keys, orders or populates a collection."""
@@ -521,6 +559,17 @@ class _FileLinter(ast.NodeVisitor):
         self._visit_function(node)
 
     def _visit_function(self, node: ast.AST) -> None:
+        if (
+            self.in_hook_zone
+            and node.name == "__del__"  # type: ignore[attr-defined]
+            and isinstance(self._parents.get(node), ast.ClassDef)
+        ):
+            self._add(
+                "D005",
+                node,
+                "__del__ runs when the host frees the object; collector timing "
+                "must not reach the deployment",
+            )
         self._scope.append(node.name)  # type: ignore[attr-defined]
         self.generic_visit(node)
         self._scope.pop()

@@ -126,9 +126,9 @@ class Autoscaler:
     """The control loop. One instance per cluster, ticking on the service.
 
     The autoscaler deliberately owns no network presence: it reads counters
-    through the cluster object (the simulation's observer surface — the
-    real system would export the same counters to its reconfiguration
-    manager) and acts only through the service's public
+    off the cluster's replicas and nodes (the simulation's observer surface
+    — the real system would export the same counters to its
+    reconfiguration manager) and acts only through the service's public
     :meth:`~repro.membership.service.MembershipService.request_migration`.
     """
 
@@ -139,7 +139,12 @@ class Autoscaler:
         config: AutoscaleConfig,
     ) -> None:
         config.validate()
-        self.cluster = cluster
+        # The counters' owners, not the cluster: this loop's ticks sit in the
+        # cluster's event heap, so a reference to the cluster would be a
+        # cycle through it, and dropping the cluster would not free the cell.
+        self.shards = cluster.shards
+        self.shard_replicas = cluster.shard_replicas
+        self.nodes = cluster.nodes
         self.service = service
         self.config = config
         self._rng = random.Random(config.seed)
@@ -163,9 +168,9 @@ class Autoscaler:
     # -------------------------------------------------------------- sampling
     def _sample(self) -> Tuple[Dict[int, int], Dict[int, float]]:
         """Read cumulative per-shard counters at this instant."""
-        ops: Dict[int, int] = {s: 0 for s in range(self.cluster.shards)}
-        conflicts: Dict[int, float] = {s: 0.0 for s in range(self.cluster.shards)}
-        for (_, shard_id), replica in self.cluster.shard_replicas.items():
+        ops: Dict[int, int] = {s: 0 for s in range(self.shards)}
+        conflicts: Dict[int, float] = {s: 0.0 for s in range(self.shards)}
+        for (_, shard_id), replica in self.shard_replicas.items():
             ops[shard_id] += replica.ops_completed
             participant = replica._txn_participant
             if participant is not None:
@@ -214,21 +219,21 @@ class Autoscaler:
         if total < self.config.min_ops_per_window:
             self.skipped_balanced += 1
             return
-        mean = total / self.cluster.shards
+        mean = total / self.shards
         peak = max(load.values())
         if peak <= self.config.imbalance_threshold * mean:
             self.skipped_balanced += 1
             return
         hottest = [shard for shard in sorted(load) if load[shard] == peak]
         hot = hottest[0] if len(hottest) == 1 else self._rng.choice(hottest)
-        nodes = self.cluster.nodes
+        nodes = self.nodes
         cold = min(
             (shard for shard in load if shard != hot),
             key=lambda shard: (load[shard], nodes[self.home_node(shard)].queue_depth, shard),
         )
         migration = plan_migration(
             hot,
-            self.cluster.shards,
+            self.shards,
             prior=self.service._applied_migrations(),
             target=cold,
         )

@@ -86,7 +86,6 @@ class ClientSession:
         request_latency: float = DEFAULT_REQUEST_LATENCY,
     ) -> None:
         self.client_id = client_id
-        self.cluster = cluster
         self.workload = workload
         self.max_ops = max_ops
         self.history = history
@@ -106,6 +105,7 @@ class ClientSession:
         else:
             self._shard_of = self._node.router.shard_of
         self._sim = cluster.sim
+        self._replica_config = cluster.config.replica
         # Per-request completion context, keyed by op/txn id (one id counter
         # feeds both): ``(record, response-leg latency, epoch, firing
         # session)``, the record (a transaction's: its members' records)
@@ -231,7 +231,7 @@ class ClientSession:
         arrival = issue_time + request_lat
         if txn:
             self._inflight[op.txn_id] = (record, response_lat, self._epoch, session)
-            config = self.cluster.config.replica
+            config = self._replica_config
             node.submit_local_at(
                 arrival,
                 ClientTxnSubmit(op, self._record_txn),

@@ -127,8 +127,37 @@ class ClusterConfig:
         self.derecho.validate()
 
 
+def _close_cell(
+    sim: Simulator,
+    network: Network,
+    nodes: Dict[NodeId, NodeProcess],
+    shard_replicas: Dict[Tuple[NodeId, int], ReplicaNode],
+    membership_service: Optional[MembershipService],
+) -> None:
+    """Break a dropped cluster's reference cycles.
+
+    The replica skeleton is cyclic: pending events and network
+    registrations hold the nodes, which hold the simulator and network, and
+    every node process points at itself. Emptying the heap and the registry
+    and closing each process leaves an acyclic remainder that reference
+    counting frees as soon as the last session or record referencing it
+    goes. O(processes + pending events).
+    """
+    sim.close()
+    network.close()
+    for process in (*nodes.values(), *shard_replicas.values(), membership_service):
+        if process is not None:
+            process.close()
+
+
 class Cluster:
-    """A running replicated deployment over the simulated substrate."""
+    """A running replicated deployment over the simulated substrate.
+
+    The cluster owns its cell. Nothing it builds, and no client session,
+    holds a strong reference back to it, so dropping the cluster finalizes
+    the cell at once: every process is closed (see :func:`_close_cell`) and
+    must not be used afterwards.
+    """
 
     def __init__(self, config: Optional[ClusterConfig] = None, **overrides: Any) -> None:
         if config is None:
@@ -173,6 +202,12 @@ class Cluster:
                     config=config.membership.autoscale,
                 )
                 self.autoscaler.start()
+        # The cell's one teardown, run when the last reference to the cluster
+        # goes. Its arguments must not reach the cluster, or it never would.
+        weakref.finalize(
+            self, _close_cell, self.sim, self.network, self.nodes, self.shard_replicas,
+            self.membership_service,
+        )
 
     # -------------------------------------------------------------- assembly
     def _replica_class(self) -> Type[ReplicaNode]:
@@ -242,7 +277,7 @@ class Cluster:
             if host is not None and config.run_membership_service:
                 host.enable_membership(
                     self.view,
-                    local_clock=(lambda c=clock: c.read(self.sim.now)),
+                    local_clock=(lambda c=clock, sim=self.sim: c.read(sim.now)),
                     service_node_id=config.membership.service_node_id,
                 )
             for shard in range(config.shards):
@@ -323,9 +358,8 @@ class Cluster:
 
         ``callback`` must be a bound method, and the cluster holds it only
         weakly: the cluster does not keep its owner alive, and a dropped
-        owner's hook is skipped. A session already points at its cluster,
-        so a strong hook would close a reference cycle through every one of
-        its op records, which only a full GC pass could free.
+        owner's hook is skipped, so a session and its op records are freed
+        when the caller drops them, not when it drops the cluster.
         """
         self._recover_callbacks.setdefault(node_id, []).append(weakref.WeakMethod(callback))
 

@@ -9,6 +9,7 @@ which schedules them on the cluster's simulator.
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
@@ -160,41 +161,49 @@ class FailureEvent:
 
 
 class FailureInjector:
-    """Schedules a list of failure events onto a cluster."""
+    """Schedules a list of failure events onto a cluster.
+
+    The injector holds its cluster weakly: its armed events sit in the
+    cluster's event heap, so a strong reference would be a cycle through
+    the cluster, and dropping the cluster would not free its cell. The
+    events can only fire while the cluster runs them, so it is alive then.
+    """
 
     def __init__(self, cluster: Cluster, events: Iterable[FailureEvent]) -> None:
-        self.cluster = cluster
+        self._cluster = weakref.ref(cluster)
         self.events: List[FailureEvent] = sorted(events, key=lambda e: e.time)
         self.applied: List[FailureEvent] = []
 
     def arm(self) -> None:
         """Schedule every event on the cluster's simulator."""
+        sim = self._cluster().sim
         for event in self.events:
-            self.cluster.sim.schedule_at(event.time, self._apply, event)
+            sim.schedule_at(event.time, self._apply, event)
 
     def _apply(self, event: FailureEvent) -> None:
+        cluster = self._cluster()
         if event.kind is FailureKind.CRASH:
             if event.node is None:
                 raise ConfigurationError("crash event requires a node")
-            self.cluster.crash(event.node)
+            cluster.crash(event.node)
         elif event.kind is FailureKind.RECOVER:
             if event.node is None:
                 raise ConfigurationError("recover event requires a node")
-            self.cluster.recover(event.node)
+            cluster.recover(event.node)
         elif event.kind is FailureKind.PARTITION:
             if not event.groups:
                 raise ConfigurationError("partition event requires groups")
-            self.cluster.network.set_partition(Partition.split(*event.groups))
+            cluster.network.set_partition(Partition.split(*event.groups))
         elif event.kind is FailureKind.HEAL_PARTITION:
-            self.cluster.network.set_partition(None)
+            cluster.network.set_partition(None)
         elif event.kind is FailureKind.SET_LOSS_RATE:
             if event.loss_rate is None:
                 raise ConfigurationError("loss-rate event requires loss_rate")
-            self.cluster.network.config.loss_rate = event.loss_rate
+            cluster.network.config.loss_rate = event.loss_rate
         elif event.kind is FailureKind.DEGRADE_LINK:
             if event.node is None or event.peer is None:
                 raise ConfigurationError("degrade-link event requires node and peer")
-            self.cluster.network.degrade_link(
+            cluster.network.degrade_link(
                 event.node,
                 event.peer,
                 latency_factor=1.0 if event.latency_factor is None else event.latency_factor,
@@ -205,9 +214,9 @@ class FailureInjector:
         elif event.kind is FailureKind.SLOW_NODE:
             if event.node is None or event.cpu_factor is None:
                 raise ConfigurationError("slow-node event requires node and cpu_factor")
-            self.cluster.slow_node(event.node, event.cpu_factor)
+            cluster.slow_node(event.node, event.cpu_factor)
         elif event.kind is FailureKind.CLOCK_SKEW:
             if event.node is None or event.skew is None:
                 raise ConfigurationError("clock-skew event requires node and skew")
-            self.cluster.skew_clock(event.node, event.skew, bound=event.skew_bound)
+            cluster.skew_clock(event.node, event.skew, bound=event.skew_bound)
         self.applied.append(event)

@@ -191,6 +191,17 @@ class Simulator:
         heapq.heapify(self._heap)
         self._cancelled_pending = 0
 
+    def close(self) -> None:
+        """Drop every pending event: nothing scheduled will ever run.
+
+        Pending entries hold bound methods of the nodes and sessions that
+        scheduled them, and those hold the simulator, so the heap is the
+        hub of a deployment's reference cycles. Emptying it is part of the
+        teardown of a dropped :class:`~repro.cluster.cluster.Cluster`.
+        """
+        self._heap.clear()
+        self._cancelled_pending = 0
+
     # --------------------------------------------------------------- running
     def stop(self) -> None:
         """Request that the current :meth:`run` call return promptly."""

@@ -7,15 +7,19 @@ cluster), and the event loop allocates no reference cycles
 collector still re-walks that growing, cycle-free heap: each full
 (generation-2) collection traverses every tracked object and frees nothing.
 
-The one full collection that does find garbage is the first of a run. A
-dropped cell's cluster, client sessions and op records are freed by
-reference counting, but its replica skeleton (the network registry and the
-nodes it reaches, transports, membership callbacks) *is* cyclic, and in a
-multi-cell process only a full pass frees the previous cells' skeletons. So
-the rule is to leave the collector alone until its first full collection
-inside a run has finished, then pause automatic collection until the run
-ends. No threshold changes, no forced collection, nothing frozen; reference
-counting keeps freeing acyclic garbage throughout.
+A dropped cell leaves nothing for the collector either: dropping its
+cluster runs the cluster's teardown, and its skeleton, sessions and op
+records are then freed by reference counting. The rule is still to leave
+the collector alone until its first full collection inside a run has
+finished, then pause automatic collection until the run ends. Pausing from
+the start of the run instead was measured (``perf/bench.py``, two
+alternating pairs on a 2-core Xeon container) and was no clear win: the
+``fuzz-batch`` host rate read 9.8k/9.4k ops/s with the rule and 8.9k/8.9k
+without it, ``protocol-grid`` 19.0k/19.2k and 17.1k/17.6k, while
+``read-heavy`` read higher without it. The kept pass also still frees any
+cycle a caller's own code leaves behind. No threshold changes, no forced
+collection, nothing frozen; reference counting keeps freeing acyclic
+garbage throughout.
 
 This is host bookkeeping only: collector timing cannot reach simulated
 time, event order or any artifact. See ARCHITECTURE.md, "Host cost of

@@ -258,6 +258,11 @@ class Network:
         self._inbox_procs.pop(node_id, None)
         self._crashed.discard(node_id)
 
+    def close(self) -> None:
+        """Remove every registration (a registered process holds the network)."""
+        self._receivers.clear()
+        self._inbox_procs.clear()
+
     @property
     def node_ids(self) -> List[NodeId]:
         """All registered node ids, sorted."""

@@ -244,6 +244,17 @@ class NodeProcess:
         to this node (they sit in the inbox from send time)."""
         return len(self._inbox)
 
+    def close(self) -> None:
+        """Drop all of this process's state; it must not be used afterwards.
+
+        A process points at itself in many ways (its transport, its
+        membership agent's callbacks, the recycled inbox entry, a guest's
+        delegating methods, protocol callback tables), so rather than unpick
+        each one this drops every instance attribute. Part of the teardown
+        of a dropped :class:`~repro.cluster.cluster.Cluster`.
+        """
+        vars(self).clear()
+
     # --------------------------------------------------------------- faults
     def crash(self) -> None:
         """Crash the node: stop processing, drop queued work and timers.

@@ -120,7 +120,7 @@ def _scaler(shards: int = 4, **overrides) -> Autoscaler:
 def _feed(scaler: Autoscaler, *per_shard_ops):
     """Advance cumulative counters by one tick's worth and sample."""
     for shard, delta in enumerate(per_shard_ops):
-        for (node, s), replica in scaler.cluster.shard_replicas.items():
+        for (node, s), replica in scaler.shard_replicas.items():
             if s == shard:
                 replica.ops_completed += delta
                 break

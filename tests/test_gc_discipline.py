@@ -5,10 +5,11 @@ the run's first full collection is done. That is only sound because a run
 allocates **no reference cycles**: everything it drops is freed by reference
 counting, so the later collections it skips could not have freed anything.
 The first half of this file holds every protocol and client model to that,
-and a finished cell's sessions and op records to being freed by reference
-counting alone (counts, never a wall-clock number); the second half checks
-the governor leaves the process's GC state exactly as it found it on every
-exit path.
+and a dropped cell (its cluster, replica skeleton, sessions and op records)
+to being freed by reference counting alone, in unit runs and through the
+figure and fuzz entry points (counts, never a wall-clock number); the second
+half checks the governor leaves the process's GC state exactly as it found
+it on every exit path.
 """
 
 from __future__ import annotations
@@ -19,17 +20,32 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
-from repro.bench.harness import ExperimentSpec, build_clients, build_cluster, build_workload
+from repro.bench import harness
+from repro.bench.harness import (
+    ExperimentSpec,
+    build_clients,
+    build_cluster,
+    build_workload,
+    run_experiment,
+)
+from repro.cluster.autoscale import Autoscaler
 from repro.cluster.client import ClientSession, run_clients
 from repro.cluster.cluster import Cluster
 from repro.cluster.failures import FailureInjector
 from repro.errors import SimulationDeadlock
 from repro.fuzz import load_schedule
+from repro.fuzz.trial import run_trial
+from repro.kvs.store import KeyValueStore
+from repro.membership.service import MembershipService
+from repro.sim.engine import Simulator
 from repro.sim.hostgc import quiet_after_full_collection
+from repro.sim.network import Network
+from repro.sim.node import NodeProcess
 from repro.types import Operation, OperationResult
 from repro.verification import History
 
@@ -49,6 +65,7 @@ SPECS = {
     "open-loop": ExperimentSpec(
         client_model="open", offered_load=2e5, record_history=True, **_CELL
     ),
+    "wings": ExperimentSpec(use_wings=True, **_CELL),
     # craq, 2 shards: crash + recover, partition + heal, degraded link, clock skew.
     "faulted-craq": load_schedule(CORPUS_DIR / "seed_1674203090.json").to_spec(),
     # hermes, 2 shards: crash + recover under the autoscaler, one node rejoin.
@@ -96,13 +113,27 @@ def test_run_creates_no_cyclic_garbage(name, gc_state):
 
 
 # ------------------------------------- a finished cell is freed by refcount
-#: What a run allocates per cell and per operation. None of it may sit in a
-#: reference cycle: only the replica skeleton (network registry <-> nodes,
-#: transports, membership callbacks) is cyclic, and it holds none of these.
-_REFCOUNTED = (Cluster, ClientSession, OperationResult, Operation, History)
+#: What a cell allocates: its skeleton (simulator, network, node processes,
+#: stores, membership service, fault injector, autoscaler), its sessions and
+#: its per-operation records. The skeleton is cyclic while the cluster lives;
+#: dropping the cluster runs its teardown, and then none of it may be left.
+_REFCOUNTED = (
+    Cluster,
+    Simulator,
+    Network,
+    NodeProcess,
+    KeyValueStore,
+    MembershipService,
+    FailureInjector,
+    Autoscaler,
+    ClientSession,
+    OperationResult,
+    Operation,
+    History,
+)
 
 
-@pytest.mark.parametrize("name", [name for name, spec in SPECS.items() if not spec.faults])
+@pytest.mark.parametrize("name", SPECS)
 def test_finished_cell_is_freed_by_reference_counting(name, gc_state):
     spec = SPECS[name]
     gc.collect()
@@ -114,9 +145,13 @@ def test_finished_cell_is_freed_by_reference_counting(name, gc_state):
         cluster = build_cluster(spec)
         workload = build_workload(spec)
         cluster.preload(workload.initial_dataset())
+        if spec.faults:
+            FailureInjector(cluster, spec.faults).arm()
         history = History() if spec.record_history else None
         clients = build_clients(spec, cluster, workload, history)
-        run_clients(cluster, clients, max_time=spec.max_sim_time)
+        run_clients(
+            cluster, clients, max_time=spec.max_sim_time, allow_incomplete=spec.allow_incomplete
+        )
         completed = sum(client.completed for client in clients)
         del cluster, workload, history, clients
         left = sorted(
@@ -124,10 +159,40 @@ def test_finished_cell_is_freed_by_reference_counting(name, gc_state):
             for obj in gc.get_objects()
             if isinstance(obj, _REFCOUNTED) and id(obj) not in known
         )
+        unreachable = gc.collect()
     finally:
         gc.enable()
-    assert completed == spec.num_replicas * spec.clients_per_replica * spec.ops_per_client
+    budget = spec.num_replicas * spec.clients_per_replica * spec.ops_per_client
+    assert completed == budget if not spec.faults else 0 < completed <= budget
     assert left == []
+    assert unreachable == 0
+
+
+def test_no_cell_outlives_its_successors_start(gc_state, monkeypatch):
+    """Through the figure and fuzz entry points, with the collector on."""
+    simulators = weakref.WeakSet()
+    starts = []
+
+    def tracked_build_cluster(spec):
+        starts.append(len(simulators))
+        cluster = build_cluster(spec)
+        simulators.add(cluster.sim)
+        return cluster
+
+    monkeypatch.setattr(harness, "build_cluster", tracked_build_cluster)
+    grid = [
+        ExperimentSpec(**dict(_CELL, protocol=protocol, write_ratio=write_ratio, ops_per_client=50))
+        for protocol in ("hermes", "craq", "zab")
+        for write_ratio in (0.05, 0.5)
+    ]
+    for spec in grid:
+        run_experiment(spec)
+    schedules = sorted(CORPUS_DIR.rglob("seed_*.json"))
+    assert len(schedules) == 10
+    for path in schedules:
+        run_trial(load_schedule(path))
+    assert len(starts) == len(grid) + len(schedules)
+    assert starts == [0] * len(starts), "earlier cells' simulators alive at each cell start"
 
 
 # ------------------------------------------------- state restored on every exit
@@ -215,23 +280,22 @@ def cell(ops_per_client):
 # too short for the process's first full collection.
 cluster, clients = cell(200)
 run_clients(cluster, clients)
-first = weakref.ref(cluster.nodes[0])  # the cell's cyclic remainder
+first = weakref.ref(cluster.nodes[0])
 del cluster, clients
+report = {"dead_after_del": first() is None, "full_passes": 0, "collections_after": 0}
 
 cluster, clients = cell(1500)
-report = {"alive_at_start": first() is not None, "full_passes": [], "collections_after": 0}
 def observe(phase, info):
     if phase != "start":
         return
     if info["generation"] == 2:
-        report["full_passes"].append(first() is not None)
+        report["full_passes"] += 1
     elif report["full_passes"]:
         report["collections_after"] += 1
 gc.callbacks.append(observe)
 run_clients(cluster, clients)
 gc.callbacks.remove(observe)
-report.update(alive_at_end=first() is not None, enabled_after=gc.isenabled(),
-              callbacks_after=len(gc.callbacks))
+report.update(enabled_after=gc.isenabled(), callbacks_after=len(gc.callbacks))
 print(json.dumps(report))
 """
 
@@ -247,17 +311,15 @@ def test_first_full_pass_of_a_run_is_kept_and_later_collections_are_not():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["enabled_after"] and report["callbacks_after"] == 0
+    # Dropping the first cell's cluster freed its whole skeleton at once, by
+    # reference counting: no collection has to find it.
+    assert report["dead_after_del"]
     if not report["full_passes"] and sys.version_info >= (3, 13):
         pytest.skip("this interpreter's collector reported no generation-2 pass")
-    # The first cell's replica skeleton (its sessions and records went at the
-    # `del`, by refcount) is cyclic garbage in the oldest generation: it
-    # outlives its `del`, is still there when the second run's full pass
-    # starts, and is gone afterwards. That pass is the run's last collection
-    # of any generation (an ungoverned 45k-op run makes dozens more); the one
+    # The second run's first full pass is its last collection of any
+    # generation (an ungoverned 45k-op run makes dozens more); the one
     # allowed here is the deferred young pass that re-enabling triggers.
-    assert report["alive_at_start"]
-    assert report["full_passes"] == [True], "resize the cells: no full pass inside the second run"
-    assert not report["alive_at_end"]
+    assert report["full_passes"] == 1, "resize the cells: no full pass inside the second run"
     assert report["collections_after"] <= 1
 
 
