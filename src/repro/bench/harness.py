@@ -160,17 +160,15 @@ class ExperimentSpec:
             before clients start. The empty default is identity-neutral:
             fault-free specs hash to the same cell seed as before the
             field existed.
-        run_membership: Whether to start the reliable-membership service
-            (crash detection, lease-based views). Implied by
-            ``migrations``.
         migrations: Planned live shard migrations
             (:class:`~repro.membership.service.PlannedMigration` records),
             driven by the membership service. Requires ``shards >= 2``.
-        membership: Optional membership-service tuning override (lease
-            duration, detection timeouts). ``None`` — the identity-neutral
-            default — uses the service defaults; the fault-schedule fuzzer
-            installs a fast-detection config so view changes land inside
-            smoke-scale runs. Any ``migrations`` are merged in on top.
+        membership: Reliable-membership service configuration (crash
+            detection, lease-based views, rejoin, autoscale). Setting it,
+            or planning ``migrations``, starts the service; ``None`` — the
+            identity-neutral default — runs without it. The fault-schedule
+            fuzzer installs a fast-detection config so view changes land
+            inside smoke-scale runs. Any ``migrations`` are merged in on top.
         allow_incomplete: Whether hitting ``max_sim_time`` with client
             operations still outstanding is a normal bounded run rather
             than a :class:`~repro.errors.SimulationDeadlock`. Fault
@@ -206,7 +204,6 @@ class ExperimentSpec:
     max_sim_time: float = 120.0
     label: str = ""
     faults: Sequence[FailureEvent] = ()
-    run_membership: bool = False
     migrations: Sequence[PlannedMigration] = ()
     membership: Optional[MembershipConfig] = None
     allow_incomplete: bool = False
@@ -261,7 +258,7 @@ class ExperimentSpec:
                 "execution runs shards as independent simulations, which cannot "
                 "exchange cross-shard 2PC traffic"
             )
-        if parallel and (self.faults or self.run_membership or self.migrations or self.membership):
+        if parallel and (self.faults or self.migrations or self.membership):
             raise BenchmarkError(
                 "fault schedules, membership and migrations require "
                 "shard_mode='coupled': parallel shard execution runs shards as "
@@ -323,7 +320,6 @@ def build_cluster(spec: ExperimentSpec) -> Cluster:
     replica_config = ReplicaConfig(value_size=spec.value_size)
     hermes_config = spec.hermes or HermesConfig(replica=replica_config)
     hermes_config.replica = replica_config
-    run_membership = spec.run_membership or bool(spec.migrations)
     membership = spec.membership or MembershipConfig()
     if spec.migrations:
         membership = replace(membership, migrations=list(spec.migrations))
@@ -337,7 +333,7 @@ def build_cluster(spec: ExperimentSpec) -> Cluster:
         derecho=spec.derecho or DerechoConfig(),
         use_wings=spec.use_wings,
         service_model=ServiceTimeModel(worker_threads=spec.worker_threads),
-        run_membership_service=run_membership,
+        run_membership_service=spec.membership is not None or bool(spec.migrations),
         membership=membership,
     )
     return Cluster(config)

@@ -80,7 +80,6 @@ _IDENTITY_NEUTRAL_DEFAULTS: Dict[str, Any] = {
     "txn_keys": 2,
     "txn_cross_shard": 0.0,
     "faults": (),
-    "run_membership": False,
     "migrations": (),
     "membership": None,
     "allow_incomplete": False,

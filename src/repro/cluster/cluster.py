@@ -22,9 +22,7 @@ from repro.membership.service import MembershipConfig, MembershipService
 from repro.membership.view import MembershipView
 from repro.protocols.base import ReplicaConfig, ReplicaNode, protocol_registry
 from repro.protocols.derecho import DerechoConfig, DerechoReplica
-from repro.rpc.batching import BatchingConfig
-from repro.rpc.flow_control import CreditConfig
-from repro.rpc.wings import WingsTransport
+from repro.rpc import WingsTransport
 from repro.sim.clock import LooselySynchronizedClock
 from repro.sim.engine import Simulator
 from repro.sim.hostgc import quiet_after_full_collection
@@ -53,11 +51,9 @@ class ClusterConfig:
         replica: Shared replica configuration (key/value sizes, clocks).
         hermes: Hermes-specific configuration (ignored by other protocols).
         derecho: Derecho-specific configuration (ignored by other protocols).
-        use_wings: Whether replicas communicate through the Wings batching
-            transport instead of one-packet-per-message sends.
-        wings_batching: Batching parameters when Wings is enabled.
-        wings_credits: Flow-control parameters when Wings is enabled
-            (``None`` disables flow control).
+        use_wings: Whether replicas batch protocol traffic through a Wings
+            transport (:mod:`repro.rpc`) instead of sending one packet per
+            message.
         run_membership_service: Whether to start the RM service (needed for
             failure/reconfiguration experiments; unnecessary overhead
             otherwise).
@@ -74,8 +70,6 @@ class ClusterConfig:
     hermes: HermesConfig = field(default_factory=HermesConfig)
     derecho: DerechoConfig = field(default_factory=DerechoConfig)
     use_wings: bool = False
-    wings_batching: BatchingConfig = field(default_factory=BatchingConfig)
-    wings_credits: Optional[CreditConfig] = None
     run_membership_service: bool = False
     membership: MembershipConfig = field(default_factory=MembershipConfig)
 
@@ -241,12 +235,7 @@ class Cluster:
             **kwargs,
         )
         if self.config.use_wings:
-            replica.transport = WingsTransport(
-                node=replica,
-                peers=[n for n in range(self.config.num_replicas) if n != node_id],
-                batching=self.config.wings_batching,
-                credits=self.config.wings_credits,
-            )
+            replica.transport = WingsTransport(replica)
         return replica
 
     def _build_nodes(self) -> None:

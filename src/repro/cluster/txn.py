@@ -93,7 +93,6 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.sharding import ShardRouter
 from repro.errors import ConfigurationError
-from repro.rpc.wings import DirectTransport
 from repro.types import (
     Key,
     NodeId,
@@ -560,8 +559,9 @@ class TxnParticipant:
         self._flush()
 
     def _flush(self) -> None:
-        transport = self.replica.transport
-        if type(transport) is not DirectTransport:
+        replica = self.replica
+        transport = replica.transport
+        if transport is not replica:
             transport.flush()
 
 

@@ -241,7 +241,6 @@ class FuzzSchedule:
             max_sim_time=self.max_sim_time,
             label=f"fuzz-{self.seed}",
             faults=tuple(self.events),
-            run_membership=True,
             migrations=tuple(self.migrations),
             membership=membership,
             zipfian_exponent=0.99 if autoscale else None,

@@ -11,7 +11,8 @@ Every protocol in the library (Hermes and the baselines) subclasses
   filtering, view-change notification),
 * one exact-class dispatch table routing every message the replica
   receives — membership, transaction and protocol traffic, from the
-  network (direct or Wings transport) or from the local-work queue.
+  network (one message per packet, or a Wings packet's batch) or from the
+  local-work queue.
 
 Protocols implement :meth:`handle_client_op`, list their message handlers
 in :attr:`ReplicaNode.HANDLERS` and describe themselves through
@@ -33,7 +34,6 @@ from repro.kvs.store import KeyValueStore, ValueRecord
 from repro.membership.agent import MembershipAgent
 from repro.membership.messages import MembershipMessage
 from repro.membership.view import MembershipView
-from repro.rpc.wings import DirectTransport, Transport
 from repro.sim.clock import ClockConfig, LooselySynchronizedClock
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
@@ -137,7 +137,6 @@ class ReplicaNode(NodeProcess):
         view: MembershipView,
         config: Optional[ReplicaConfig] = None,
         service_model: Optional[ServiceTimeModel] = None,
-        transport: Optional[Transport] = None,
         clock: Optional[LooselySynchronizedClock] = None,
         host: Optional[NodeProcess] = None,
         shard_id: int = 0,
@@ -157,7 +156,9 @@ class ReplicaNode(NodeProcess):
             # (or its ShardHost, which reads guest stores during migration)
             # may touch this store. Off by default (``_sanitizer is None``).
             self._sanitizer.guard_store(self.store, owner=self, host=host or self)
-        self.transport = transport or DirectTransport(self)
+        #: Where protocol traffic leaves: the replica itself (one packet per
+        #: message, :meth:`flush` a no-op) or a Wings batcher.
+        self.transport: Any = self
         self.clock = clock or LooselySynchronizedClock(self.config.clock)
         host_agent = getattr(host, "membership_agent", None) if host is not None else None
         if host_agent is not None:
@@ -329,18 +330,21 @@ class ReplicaNode(NodeProcess):
                 return
         self.handle_client_op(op, callback)
         transport = self.transport
-        if type(transport) is not DirectTransport:
+        if transport is not self:
             transport.flush()
+
+    def flush(self) -> None:
+        """Nothing to put on the wire: without Wings every send leaves at once."""
 
     def on_message(self, src: NodeId, message: Any) -> None:
         transport = self.transport
-        if type(transport) is DirectTransport:
+        if transport is self:
             # One packet is one message, and flush is a no-op.
             self.dispatch(src, message)
             return
         # Wings: every message a packet carries goes through the same table,
         # then whatever the handlers batched leaves at once.
-        for inner, _size in transport.unpack(src, message):
+        for inner in transport.unpack(message):
             self.dispatch(src, inner)
         transport.flush()
 

@@ -38,7 +38,8 @@ from repro.types import NodeId
 #: Signature of a per-node receive callback: ``receiver(src, message, size_bytes)``.
 ReceiveCallback = Callable[[NodeId, Any, int], None]
 
-#: Default application-level header size in bytes (UD send + Wings header).
+#: Fixed per-message header overhead in bytes (UD send + Wings header),
+#: added to every message's payload size.
 DEFAULT_HEADER_BYTES = 42
 
 #: How many raw uniform draws are prefetched per refill of the RNG buffer.
@@ -63,7 +64,6 @@ class NetworkConfig:
             delay, causing it to be overtaken by later messages.
         reorder_extra_latency: Maximum extra delay applied to reordered
             messages (uniform in ``[0, reorder_extra_latency]``).
-        header_bytes: Fixed per-message header overhead added to payload size.
     """
 
     base_latency: float = 2e-6
@@ -73,7 +73,6 @@ class NetworkConfig:
     duplicate_rate: float = 0.0
     reorder_rate: float = 0.0
     reorder_extra_latency: float = 20e-6
-    header_bytes: int = DEFAULT_HEADER_BYTES
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` for invalid settings."""
@@ -87,8 +86,6 @@ class NetworkConfig:
                 raise ConfigurationError(f"{name} must be a probability in [0, 1]")
         if self.per_byte_latency < 0:
             raise ConfigurationError("per_byte_latency must be non-negative")
-        if self.header_bytes < 0:
-            raise ConfigurationError("header_bytes must be non-negative")
 
 
 @dataclass
@@ -396,7 +393,7 @@ class Network:
         stats = self.stats
         partition = self._partition
         crashed_src = src in self._crashed
-        total_bytes = size_bytes + cfg.header_bytes
+        total_bytes = size_bytes + DEFAULT_HEADER_BYTES
         loss_rate = cfg.loss_rate
         duplicate_rate = cfg.duplicate_rate
         reorder_rate = cfg.reorder_rate

@@ -132,7 +132,7 @@ def _spec_run(protocol: str, **overrides):
     history = History()
     clients = build_clients(spec, cluster, workload, history)
     run_clients(cluster, clients, max_time=spec.max_sim_time, allow_incomplete=True)
-    if spec.run_membership:
+    if spec.membership is not None:
         # The crashed node 0 left the view, so every shard's orderer (chain
         # head, leader or sequencer) that it held has moved to a survivor.
         assert sorted(cluster.replica(1).view.members) == [1, 2]
@@ -148,7 +148,6 @@ def _orderer_crash(protocol: str):
     return _spec_cell(
         protocol,
         faults=(FailureEvent.crash(60e-6, 0),),
-        run_membership=True,
         membership=_FAST_MEMBERSHIP,
     )
 
@@ -249,6 +248,36 @@ def _orderer_crash(protocol: str):
             lambda: _orderer_crash("derecho"),
             (868, 135, 129, "d0f35fa593e52c05c51eaa940228169d704d6dfc1e64d49eb8a49d44178d61dd"),
             id="derecho-orderer-crash",
+        ),
+        pytest.param(
+            lambda: _spec_cell("hermes", shards=1, faults=(), use_wings=True),
+            (1162, 240, 240, "e9c91ff8e444948dd8a6a50fd28159f63f2efa18ebd57193d488b2a9fe7dff33"),
+            id="wings-closed-s1",
+        ),
+        pytest.param(
+            lambda: _spec_cell("hermes", client_model="closed", use_wings=True),
+            (883, 191, 187, "e84a848493d94719f1703a95bd70c104b2af9ee92ac7aca646bb2ac858a46787"),
+            id="wings-txn-crash-recover",
+        ),
+        pytest.param(
+            lambda: _spec_cell(
+                "hermes",
+                faults=(FailureEvent.crash(60e-6, 0),),
+                        membership=_FAST_MEMBERSHIP,
+                use_wings=True,
+            ),
+            (1284, 208, 206, "98d3763132458c39806921f765c2ae339c3b89f8042c48e02a297c20aae93396"),
+            id="wings-membership-crash",
+        ),
+        pytest.param(
+            lambda: _spec_cell(
+                "cr",
+                faults=(FailureEvent.crash(60e-6, 0),),
+                        membership=_FAST_MEMBERSHIP,
+                use_wings=True,
+            ),
+            (832, 74, 68, "3101148a368b04775423ff26feecedde369008265a4fc125a0693ef96a6d427d"),
+            id="wings-cr-orderer-crash",
         ),
     ],
 )

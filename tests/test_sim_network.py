@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.engine import Simulator
-from repro.sim.network import Network, NetworkConfig, Partition
+from repro.sim.network import DEFAULT_HEADER_BYTES, Network, NetworkConfig, Partition
 
 
 def build(sim, **kwargs):
@@ -39,7 +39,7 @@ def test_delivery_latency_includes_base_and_bytes(sim):
     net.register(1, lambda src, msg, size: times.append(sim.now))
     net.send(0, 1, "m", size_bytes=100)
     sim.run()
-    expected = 1e-6 + (100 + net.config.header_bytes) * 1e-9
+    expected = 1e-6 + (100 + DEFAULT_HEADER_BYTES) * 1e-9
     assert times[0] == pytest.approx(expected)
 
 
@@ -166,7 +166,7 @@ def test_stats_counts(sim):
     sim.run()
     assert net.stats.messages_sent == 5
     assert net.stats.messages_delivered == 5
-    assert net.stats.bytes_sent == 5 * (10 + net.config.header_bytes)
+    assert net.stats.bytes_sent == 5 * (10 + DEFAULT_HEADER_BYTES)
 
 
 def test_unregister_removes_node(sim):
