@@ -34,7 +34,7 @@ def main() -> None:
 
     for op, status, value in completions:
         assert status is OpStatus.OK
-        print(f"  write {op.key!r} = {op.value!r} committed")
+        print(f"  write {op.key!r} = {op.payload!r} committed")
 
     # Reads are served locally by every replica.
     print("\n== reading each key from a different replica ==")

@@ -38,7 +38,7 @@ from repro.protocols.chain import ChainReplicationReplica
 from repro.protocols.craq import CraqReplica
 from repro.protocols.derecho import DerechoReplica
 from repro.protocols.zab import ZabReplica
-from repro.types import Operation, OperationResult, OpStatus, OpType
+from repro.types import Operation, OpStatus, OpType
 from repro.verification.history import History
 from repro.verification.linearizability import LinearizabilityChecker, check_history
 from repro.workloads.distributions import UniformKeys, ZipfianKeys
@@ -68,7 +68,6 @@ __all__ = [
     "OpType",
     "OpenLoopClient",
     "Operation",
-    "OperationResult",
     "ProtocolFeatures",
     "ReplicaConfig",
     "ReproError",

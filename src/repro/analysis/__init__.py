@@ -1,7 +1,7 @@
 """Result analysis, static lint and runtime sanitizer tooling.
 
 * :mod:`repro.analysis.stats` — percentile and throughput computations over
-  :class:`~repro.types.OperationResult` collections, plus windowed
+  :class:`~repro.types.Operation` collections, plus windowed
   throughput time series (Figure 9).
 * :mod:`repro.analysis.report` — plain-text table formatting used by
   the benchmark harness and EXPERIMENTS.md generation.

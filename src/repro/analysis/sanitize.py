@@ -203,11 +203,20 @@ class Sanitizer:
 
     @staticmethod
     def _object_fields(obj: Any) -> Optional[List[Tuple[str, Any]]]:
-        """Name/value pairs of an object's data attributes, or ``None``."""
+        """Name/value pairs of an object's data attributes, or ``None``.
+
+        A dataclass field marked with :data:`repro.types.OUTCOME` metadata
+        is skipped: it is an :class:`~repro.types.Operation`'s outcome, which
+        its client session fills in when the operation (or its transaction)
+        resolves, and that may happen while a message carrying the operation
+        is still in flight (a 2PC prepare outliving its coordinator's
+        timeout). Only the request fields are part of the message.
+        """
         if dataclasses.is_dataclass(obj):
             return [
                 (f.name, getattr(obj, f.name, None))
                 for f in dataclasses.fields(obj)
+                if not f.metadata.get("outcome")
             ]
         d = getattr(obj, "__dict__", None)
         if d is not None:

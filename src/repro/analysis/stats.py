@@ -1,6 +1,6 @@
 """Latency and throughput statistics.
 
-All functions operate on :class:`~repro.types.OperationResult` collections
+All functions operate on :class:`~repro.types.Operation` collections
 produced by client sessions. Latencies are in simulated seconds; helper
 properties expose microseconds because that is the unit the paper plots.
 """
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import BenchmarkError
-from repro.types import OperationResult, OpStatus, OpType
+from repro.types import Operation, OpStatus, OpType
 
 
 def percentile(values: Sequence[float], fraction: float) -> float:
@@ -84,7 +84,7 @@ class LatencySummary:
 
 
 def latency_summary(
-    results: Iterable[OperationResult],
+    results: Iterable[Operation],
     op_type: Optional[OpType] = None,
     only_ok: bool = True,
 ) -> LatencySummary:
@@ -97,7 +97,7 @@ def latency_summary(
     latencies = [
         r.end_time - r.start_time
         for r in results
-        if (op_type is None or r.op.op_type is op_type) and (not only_ok or r.status is ok)
+        if (op_type is None or r.op_type is op_type) and (not only_ok or r.status is ok)
     ]
     if not latencies:
         return LatencySummary.empty()
@@ -116,7 +116,7 @@ def latency_summary(
 
 
 def throughput(
-    results: Sequence[OperationResult],
+    results: Sequence[Operation],
     warmup_fraction: float = 0.1,
     only_ok: bool = True,
 ) -> float:
@@ -125,27 +125,42 @@ def throughput(
     The first ``warmup_fraction`` of the measured interval is discarded so
     that cold-start effects (empty queues, unsaturated pipelines) do not
     inflate or deflate the estimate.
+
+    Two passes over ``results`` and no per-record list: the first finds the
+    usable records' earliest start and latest end, the second counts the
+    ends at or after the cutoff. A one-shot iterator is materialized first.
     """
-    ok = OpStatus.OK
-    usable = [r for r in results if r.status is ok] if only_ok else list(results)
-    if not usable:
+    if iter(results) is results:
+        results = list(results)
+    ok = OpStatus.OK if only_ok else None
+    start = end = None
+    for r in results:
+        if ok is None or r.status is ok:
+            if start is None:
+                start, end = r.start_time, r.end_time
+            else:
+                if r.start_time < start:
+                    start = r.start_time
+                if r.end_time > end:
+                    end = r.end_time
+    if start is None:
         return 0.0
-    ends = [r.end_time for r in usable]
-    start = min([r.start_time for r in usable])
-    end = max(ends)
     span = end - start
     if span <= 0:
         return 0.0
     cutoff = start + span * warmup_fraction
     effective_span = end - cutoff
-    counted = sum(1 for end_time in ends if end_time >= cutoff)
+    counted = 0
+    for r in results:
+        if (ok is None or r.status is ok) and r.end_time >= cutoff:
+            counted += 1
     if effective_span <= 0 or not counted:
         return 0.0
     return counted / effective_span
 
 
 def throughput_timeseries(
-    results: Sequence[OperationResult],
+    results: Sequence[Operation],
     window: float,
     end_time: Optional[float] = None,
     only_ok: bool = True,
@@ -173,12 +188,12 @@ def throughput_timeseries(
     return [(i * window, counts[i] / window) for i in range(num_windows)]
 
 
-def completed_ok(results: Iterable[OperationResult]) -> int:
+def completed_ok(results: Iterable[Operation]) -> int:
     """Number of successfully completed operations."""
     return sum(1 for r in results if r.ok)
 
 
-def abort_rate(results: Sequence[OperationResult]) -> float:
+def abort_rate(results: Sequence[Operation]) -> float:
     """Fraction of operations that aborted (RMW conflicts)."""
     if not results:
         return 0.0

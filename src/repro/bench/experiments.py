@@ -1099,9 +1099,9 @@ def figure_migrate(shards: int = 4, seed: int = 1) -> FigureResult:
     for r in results:
         end = r.end_time
         if pre_lo <= end < pre_hi:
-            pre_counts[owner_at(r.op.key, shards, flips, end)] += 1
+            pre_counts[owner_at(r.key, shards, flips, end)] += 1
         elif post_lo <= end < post_hi:
-            post_counts[owner_at(r.op.key, shards, flips, end)] += 1
+            post_counts[owner_at(r.key, shards, flips, end)] += 1
     pre_span = pre_hi - pre_lo
     post_span = post_hi - post_lo
 
@@ -1228,7 +1228,7 @@ def figure_flashcrowd(shards: int = 4, seed: int = 1) -> FigureResult:
         for r in results:
             index = int(r.end_time / window)
             if 0 <= index < num_windows:
-                per_window[index][owner_at(r.op.key, shards, flips, r.end_time)] += 1
+                per_window[index][owner_at(r.key, shards, flips, r.end_time)] += 1
         series = [
             {
                 "time": index * window,

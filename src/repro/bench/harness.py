@@ -4,7 +4,7 @@ An :class:`ExperimentSpec` fully describes one measurement point: protocol,
 replication degree, workload (write ratio, key distribution, value size),
 offered load (closed-loop clients) and duration (operations per client). The
 runner builds the cluster, drives it, and reduces the recorded
-:class:`~repro.types.OperationResult` records into an
+:class:`~repro.types.Operation` records into an
 :class:`ExperimentResult` with throughput and latency summaries.
 
 Scaling: the paper's runs use one million keys and minutes of wall-clock
@@ -43,7 +43,7 @@ from repro.protocols.base import ReplicaConfig
 from repro.protocols.derecho import DerechoConfig
 from repro.sim.node import ServiceTimeModel
 from repro.sim.rng import SeededRNG
-from repro.types import OperationResult, OpType
+from repro.types import Operation, OpType
 from repro.verification.history import History
 from repro.workloads.aggregate import (
     ScheduleEntry,
@@ -304,7 +304,7 @@ class ExperimentResult:
     read_latency: LatencySummary
     write_latency: LatencySummary
     duration: float
-    results: List[OperationResult] = field(default_factory=list)
+    results: List[Operation] = field(default_factory=list)
     history: Optional[History] = None
     cluster_stats: Dict[str, int] = field(default_factory=dict)
     migration_records: List[MigrationRecord] = field(default_factory=list)
@@ -447,7 +447,7 @@ def build_clients(
 
 def _summarize(
     spec: ExperimentSpec,
-    results: List[OperationResult],
+    results: List[Operation],
     duration: float,
     history: Optional[History],
     stats: Dict[str, int],
@@ -463,7 +463,7 @@ def _summarize(
         overall_latency=latency_summary(results),
         read_latency=latency_summary(results, op_type=OpType.READ),
         write_latency=latency_summary(
-            [r for r in results if r.op.op_type is not OpType.READ], op_type=None
+            [r for r in results if r.op_type is not OpType.READ], op_type=None
         ),
         duration=duration,
         results=results,
@@ -480,7 +480,7 @@ def _reduce_run(
     history: Optional[History],
 ) -> ExperimentResult:
     """Reduce a finished run's client records into an ExperimentResult."""
-    results: List[OperationResult] = []
+    results: List[Operation] = []
     for client in clients:
         results.extend(client.results)
 
@@ -649,7 +649,7 @@ def merge_shard_results(
     the slowest shard's, and protocol counters sum. The merge depends only
     on the parts (in shard order), never on which process produced them.
     """
-    results: List[OperationResult] = []
+    results: List[Operation] = []
     for part in parts:
         results.extend(part.results)
     history: Optional[History] = None

@@ -18,8 +18,9 @@ differ only in their arrival process:
 
 Clients are co-located with replicas, as in the paper's evaluation (§8
 discusses the external-client variant): each session is bound to one replica
-and submits its requests there. Sessions keep one result record per
-operation and, optionally, index those same records in an
+and submits its requests there. An operation is its own result record: a
+session stamps it at submission, fills in its outcome at completion, keeps
+it in ``results`` and, optionally, indexes that same object in an
 invocation/response history for the checkers.
 """
 
@@ -35,7 +36,6 @@ from repro.sim.rng import SeededRNG
 from repro.types import (
     NodeId,
     Operation,
-    OperationResult,
     OpStatus,
     Transaction,
     Value,
@@ -107,9 +107,9 @@ class ClientSession:
         self._sim = cluster.sim
         self._replica_config = cluster.config.replica
         # Per-request completion context, keyed by op/txn id (one id counter
-        # feeds both): ``(record, response-leg latency, epoch, firing
-        # session)``, the record (a transaction's: its members' records)
-        # filled in at completion. The completion callback is a plain bound
+        # feeds both): ``(op, response-leg latency, epoch, firing session)``
+        # (a transaction's: its member ops), the op filled in as its own
+        # record at completion. The completion callback is a plain bound
         # method (``self._record``) instead of one functools.partial per
         # operation. It is bound per submit, never stored on the session: a
         # session holding a bound method of itself is a reference cycle, and
@@ -139,7 +139,7 @@ class ClientSession:
         # each, amortized to a single allocation here (none of the bound
         # containers are ever reassigned).
         self._next_op = workload.next_operation
-        self.results: List[OperationResult] = []
+        self.results: List[Operation] = []
         self._results_append = self.results.append
         self._inflight_pop = self._inflight.pop
         self.issued = 0
@@ -193,11 +193,12 @@ class ClientSession:
         current instant is exactly ``submit``. ``request_lat=None`` draws
         both legs from the session's jitter stream, and transactions always
         do (an aggregated arrival pre-draws the legs of single operations
-        only). The op's record is created here and, with a recorded history,
-        indexed there at once. A crashed serving node would silently drop
-        the submission (the op stays pending in the history); it is skipped
-        here instead, keeping the in-flight dict free of dead entries, and
-        the stall flag lets a later RECOVER restart the session.
+        only). The op is its own record: its ``start_time`` is stamped here
+        and, with a recorded history, it is indexed there at once. A crashed
+        serving node would silently drop the submission (the op stays
+        pending in the history); it is skipped here instead, keeping the
+        in-flight dict free of dead entries, and the stall flag lets a later
+        RECOVER restart the session.
         """
         self.issued += 1
         txn = op.__class__ is Transaction
@@ -210,18 +211,21 @@ class ClientSession:
             else:
                 request_lat = response_lat = 0.0
         history = self.history
-        served_by = self.replica_id
         if txn:
-            record = [OperationResult(m, None, None, issue_time, 0.0, served_by) for m in op.ops]
+            members = op.ops
             if history is not None:
-                history.invoke_txn(op, issue_time, record)
+                history.invoke_txn(op, issue_time)
+            else:
+                for member in members:
+                    member.start_time = issue_time
             # Shard 0's replica hands the transaction to the node's 2PC
             # coordinator (a guest replica adds the shard envelope).
             node = self._shard_replicas[0]
         else:
-            record = OperationResult(op, None, None, issue_time, 0.0, served_by)
             if history is not None:
-                history.add(record)
+                history.invoke(op, issue_time)
+            else:
+                op.start_time = issue_time
             node = self._replica
             if node is None:
                 node = self._shard_replicas[self._shard_of(op.key)]
@@ -230,7 +234,7 @@ class ClientSession:
             return
         arrival = issue_time + request_lat
         if txn:
-            self._inflight[op.txn_id] = (record, response_lat, self._epoch, session)
+            self._inflight[op.txn_id] = (members, response_lat, self._epoch, session)
             config = self._replica_config
             node.submit_local_at(
                 arrival,
@@ -238,7 +242,7 @@ class ClientSession:
                 size_bytes=ops_wire_size(op.ops, config.key_size, config.value_size),
             )
         else:
-            self._inflight[op.op_id] = (record, response_lat, self._epoch, session)
+            self._inflight[op.op_id] = (op, response_lat, self._epoch, session)
             node.submit_at(arrival, op, self._record)
 
     # ------------------------------------------------------------- recording
@@ -271,11 +275,11 @@ class ClientSession:
             if status is OpStatus.ABORTED:
                 self.aborted += 1
             self.txns_aborted += 1
-        for record in members:
-            record.end_time = end
-            record.status = status
-            record.value = member_value(record.op, status, values)
-            self._results_append(record)
+        for member in members:
+            member.end_time = end
+            member.status = status
+            member.value = member_value(member, status, values)
+            self._results_append(member)
         if epoch == self._epoch and self.issued < self.max_ops:
             self._completed(end, session)  # see _record
 

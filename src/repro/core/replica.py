@@ -141,7 +141,7 @@ class HermesReplica(ReplicaNode):
         if record.state is not KeyState.VALID or op.key in self._pending:
             self._stall(op, callback, record)
             return
-        self._start_update(op.key, op.value, is_rmw=False, op=op, callback=callback)
+        self._start_update(op.key, op.payload, is_rmw=False, op=op, callback=callback)
 
     def _handle_rmw(self, op: Operation, callback: ClientCallback) -> None:
         if not self.hermes_config.enable_rmw:
@@ -157,7 +157,7 @@ class HermesReplica(ReplicaNode):
             self.reads_served_locally += 1
             self.complete(op, callback, OpStatus.OK, record.value)
             return
-        self._start_update(op.key, op.value, is_rmw=True, op=op, callback=callback)
+        self._start_update(op.key, op.payload, is_rmw=True, op=op, callback=callback)
 
     # ------------------------------------------------------ coordinator side
     def _start_update(

@@ -70,13 +70,13 @@ def _artifact_digest(result: ExperimentResult) -> str:
     """
     rank = {
         op_id: index
-        for index, op_id in enumerate(sorted(record.op.op_id for record in result.results))
+        for index, op_id in enumerate(sorted(record.op_id for record in result.results))
     }
     records = sorted(
         (
-            rank[record.op.op_id],
-            record.op.op_type.value,
-            repr(record.op.key),
+            rank[record.op_id],
+            record.op_type.value,
+            repr(record.key),
             repr(record.value),
             f"{record.start_time:.9f}",
             f"{record.end_time:.9f}",

@@ -546,11 +546,11 @@ class OrderedReplica(ReplicaNode):
         self._awaiting[op.op_id] = (op, callback)
         orderer = self.orderer
         if orderer == self.node_id:
-            self._accept(op.key, op.value, self.node_id, op.op_id)
+            self._accept(op.key, op.payload, self.node_id, op.op_id)
             return
-        forward = ForwardedWrite(key=op.key, value=op.value, origin=self.node_id, op_id=op.op_id)
+        forward = ForwardedWrite(key=op.key, value=op.payload, origin=self.node_id, op_id=op.op_id)
         self.transport.send(
-            orderer, forward, forward.size_bytes + self.update_size_bytes(op.value)
+            orderer, forward, forward.size_bytes + self.update_size_bytes(op.payload)
         )
 
     def _read(self, op: Operation, callback: ClientCallback) -> None:

@@ -2,8 +2,9 @@
 
 The library deals with a small set of domain concepts that appear in nearly
 every subsystem: node identifiers, keys, values, operation kinds, and client
-request/response records. Keeping them in a single module avoids circular
-imports between the protocol packages and the simulation substrate.
+operations (one object each, holding the request and, once completed, its
+outcome). Keeping them in a single module avoids circular imports between
+the protocol packages and the simulation substrate.
 """
 
 from __future__ import annotations
@@ -63,26 +64,47 @@ def next_op_id() -> int:
     return next(_op_id_counter)
 
 
+#: Field metadata of an :class:`Operation`'s outcome fields: the client
+#: session fills them in, they are not part of the request, and the
+#: sanitizer's mutation-after-send fingerprint skips them.
+OUTCOME = {"outcome": True}
+
+
 @dataclass(slots=True)
 class Operation:
-    """A client operation submitted to the replicated datastore.
+    """A client operation and, once submitted by a client session, its record.
+
+    One object per operation: the request fields are set at creation; a
+    client session stamps ``start_time`` at submission and fills in
+    ``status``, ``value`` and ``end_time`` at completion, and a recorded
+    history indexes this same object. Ten fields keep an instance in
+    pymalloc's 112-byte size class (an eleventh would make it 128).
 
     Attributes:
         op_type: Kind of operation (read / write / RMW).
         key: Target key.
-        value: Payload for writes; ignored for reads. For RMWs this is the
+        payload: Value to write; ``None`` for reads. For RMWs this is the
             value to install if the RMW commits (the "modify" result).
         op_id: Unique identifier assigned at creation.
         client_id: Identifier of the issuing client session.
         compare: Optional expected value for compare-and-swap style RMWs.
+        status: Terminal status (``None`` until the operation completes).
+        value: Returned value (for reads and successful RMWs the value
+            observed; for writes the written value).
+        start_time: Simulated time at which the operation was invoked.
+        end_time: Simulated time at which the operation completed.
     """
 
     op_type: OpType
     key: Key
-    value: Value = None
+    payload: Value = None
     op_id: int = field(default_factory=next_op_id)
     client_id: int = 0
     compare: Optional[Value] = None
+    status: Optional[OpStatus] = field(default=None, metadata=OUTCOME)
+    value: Value = field(default=None, metadata=OUTCOME)
+    start_time: float = field(default=0.0, metadata=OUTCOME)
+    end_time: float = field(default=0.0, metadata=OUTCOME)
 
     @classmethod
     def read(cls, key: Key, client_id: int = 0) -> "Operation":
@@ -90,20 +112,40 @@ class Operation:
         return cls(OpType.READ, key, client_id=client_id)
 
     @classmethod
-    def write(cls, key: Key, value: Value, client_id: int = 0) -> "Operation":
+    def write(cls, key: Key, payload: Value, client_id: int = 0) -> "Operation":
         """Construct a write operation."""
-        return cls(OpType.WRITE, key, value=value, client_id=client_id)
+        return cls(OpType.WRITE, key, payload, client_id=client_id)
 
     @classmethod
     def rmw(
         cls,
         key: Key,
-        value: Value,
+        payload: Value,
         compare: Optional[Value] = None,
         client_id: int = 0,
     ) -> "Operation":
         """Construct a read-modify-write (e.g. compare-and-swap)."""
-        return cls(OpType.RMW, key, value=value, compare=compare, client_id=client_id)
+        return cls(OpType.RMW, key, payload, compare=compare, client_id=client_id)
+
+    @property
+    def op(self) -> "Operation":
+        """The operation itself: the record of an operation is the operation."""
+        return self
+
+    @property
+    def latency(self) -> float:
+        """End-to-end latency of the operation in simulated seconds."""
+        return self.end_time - self.start_time
+
+    @property
+    def ok(self) -> bool:
+        """True if the operation completed successfully."""
+        return self.status is OpStatus.OK
+
+    @property
+    def completed(self) -> bool:
+        """Whether the outcome is decided: not pending and not ``TIMEOUT``."""
+        return self.status is not None and self.status is not OpStatus.TIMEOUT
 
 
 @dataclass
@@ -155,50 +197,27 @@ class TxnMessage:
     __slots__ = ()
 
 
-@dataclass(slots=True)
-class OperationResult:
-    """The one record of a client operation.
+def OperationResult(
+    op: Operation,
+    status: Optional[OpStatus] = None,
+    value: Value = None,
+    start_time: float = 0.0,
+    end_time: float = 0.0,
+) -> Operation:
+    """A new record of ``op``'s request with the given outcome.
 
-    The client session creates it at submission and fills in ``end_time``,
-    ``status`` and ``value`` at completion; a recorded history indexes
-    this same object.
-
-    Attributes:
-        op: The originating operation.
-        status: Terminal status (``None`` until the operation completes).
-        value: Returned value (for reads and successful RMWs this is the value
-            observed; for writes it is the written value).
-        start_time: Simulated time at which the operation was invoked.
-        end_time: Simulated time at which the operation completed.
-        served_by: Node that served/coordinated the operation.
+    It copies ``op``'s request fields and leaves ``op`` itself untouched, so
+    one operation may stand behind any number of such records.
     """
-
-    op: Operation
-    status: Optional[OpStatus] = None
-    value: Value = None
-    start_time: float = 0.0
-    end_time: float = 0.0
-    served_by: Optional[NodeId] = None
-
-    @property
-    def latency(self) -> float:
-        """End-to-end latency of the operation in simulated seconds."""
-        return self.end_time - self.start_time
-
-    @property
-    def ok(self) -> bool:
-        """True if the operation completed successfully."""
-        return self.status is OpStatus.OK
-
-    @property
-    def completed(self) -> bool:
-        """Whether the outcome is decided: not pending and not ``TIMEOUT``."""
-        return self.status is not None and self.status is not OpStatus.TIMEOUT
+    return Operation(
+        op.op_type, op.key, op.payload, op.op_id, op.client_id, op.compare,
+        status, value, start_time, end_time,
+    )
 
 
 def member_value(op: Operation, status: OpStatus, values: Mapping[int, Value]) -> Value:
     """A transaction member's result: a committed read returns its read value
-    (``values`` by op id), a committed write its value, anything else None."""
+    (``values`` by op id), a committed write its payload, anything else None."""
     if status is not OpStatus.OK:
         return None
-    return values.get(op.op_id) if op.op_type is OpType.READ else op.value
+    return values.get(op.op_id) if op.op_type is OpType.READ else op.payload

@@ -6,7 +6,7 @@ failures. The Python reproduction checks the same properties on concrete
 executions:
 
 * :mod:`repro.verification.history` — indexes the clients' own
-  :class:`~repro.types.OperationResult` records into invocation/response
+  :class:`~repro.types.Operation` records into invocation/response
   histories.
 * :mod:`repro.verification.linearizability` — a per-key linearizability
   checker (Wing & Gong style search with memoization) applied to recorded

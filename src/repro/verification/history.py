@@ -12,15 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 from repro.errors import HistoryError
-from repro.types import (
-    Key,
-    Operation,
-    OperationResult,
-    OpStatus,
-    Transaction,
-    Value,
-    member_value,
-)
+from repro.types import Key, Operation, OpStatus, Transaction, Value, member_value
 
 
 def value_key(value: Value) -> object:
@@ -41,7 +33,7 @@ class TransactionRecord:
     """One multi-key transaction with both endpoints recorded.
 
     The transaction's member operations are *also* recorded as individual
-    :class:`~repro.types.OperationResult` entries (sharing the transaction's
+    :class:`~repro.types.Operation` entries (sharing the transaction's
     invoke/response window), so the per-key linearizability checker sees
     them like any other operation; this record adds the grouping the
     transaction-atomicity checker needs.
@@ -76,51 +68,43 @@ class TransactionRecord:
         return self.status is OpStatus.OK
 
 
-def group_by_key(
-    operations: Iterable[OperationResult],
-) -> Dict[Key, List[OperationResult]]:
+def group_by_key(operations: Iterable[Operation]) -> Dict[Key, List[Operation]]:
     """Group records by key, keeping their order within each key."""
-    grouped: Dict[Key, List[OperationResult]] = {}
+    grouped: Dict[Key, List[Operation]] = {}
     for record in operations:
-        grouped.setdefault(record.op.key, []).append(record)
+        grouped.setdefault(record.key, []).append(record)
     return grouped
 
 
 class History:
     """An invocation/response history of client operations.
 
-    A client session passes :meth:`add` the
-    :class:`~repro.types.OperationResult` it created at submission and
+    The records are the operations themselves: a client session passes
+    :meth:`invoke` each :class:`~repro.types.Operation` it submits and
     fills it in at completion, so the history and ``client.results`` share
-    one object per operation; :meth:`invoke` and :meth:`respond` build and
-    fill records for hand-built histories.
+    one object per operation; :meth:`respond` fills one in for hand-built
+    histories.
     """
 
     def __init__(self) -> None:
         #: Records by op id, in invocation order.
-        self._records: Dict[int, OperationResult] = {}
+        self._records: Dict[int, Operation] = {}
         self._txns: List[TransactionRecord] = []
         self._txn_index: Dict[int, TransactionRecord] = {}
 
     # -------------------------------------------------------------- recording
-    def add(self, record: OperationResult) -> None:
-        """Record the invocation of ``record.op`` as ``record`` itself.
+    def invoke(self, op: Operation, time: float) -> None:
+        """Record the invocation of ``op`` at ``time``: stamp its
+        ``start_time`` and index the operation itself.
 
         Raises:
             HistoryError: if the operation was already invoked.
         """
-        op_id = record.op.op_id
+        op_id = op.op_id
         if op_id in self._records:
             raise HistoryError(f"operation {op_id} invoked twice")
-        self._records[op_id] = record
-
-    def invoke(self, op: Operation, time: float) -> None:
-        """Record the invocation of an operation.
-
-        Raises:
-            HistoryError: if the operation was already invoked.
-        """
-        self.add(OperationResult(op, start_time=time))
+        op.start_time = time
+        self._records[op_id] = op
 
     def respond(self, op: Operation, time: float, status: OpStatus, result: Value) -> None:
         """Record the response of a previously invoked operation.
@@ -138,14 +122,11 @@ class History:
         record.status = status
         record.value = result
 
-    def invoke_txn(
-        self, txn: Transaction, time: float, members: Optional[List[OperationResult]] = None
-    ) -> None:
+    def invoke_txn(self, txn: Transaction, time: float) -> None:
         """Record the invocation of a multi-key transaction.
 
         The member operations are recorded as individually invoked
-        operations at the same instant: ``members`` are their records when
-        the caller holds them (a client session), fresh ones by default.
+        operations at the same instant.
 
         Raises:
             HistoryError: if the transaction was already invoked.
@@ -155,10 +136,8 @@ class History:
         record = TransactionRecord(txn=txn, invoke_time=time)
         self._txn_index[txn.txn_id] = record
         self._txns.append(record)
-        if members is None:
-            members = [OperationResult(op, start_time=time) for op in txn.ops]
-        for member in members:
-            self.add(member)
+        for op in txn.ops:
+            self.invoke(op, time)
 
     def respond_txn(
         self,
@@ -191,7 +170,7 @@ class History:
         commit_times: Optional[Dict[int, float]] = None,
     ) -> TransactionRecord:
         """:meth:`respond_txn` for a caller that fills in the member
-        records itself (a client session)."""
+        operations itself (a client session)."""
         record = self._txn_index.get(txn.txn_id)
         if record is None:
             raise HistoryError(f"response for unknown transaction {txn.txn_id}")
@@ -222,15 +201,15 @@ class History:
     def __len__(self) -> int:
         return len(self._records)
 
-    def operations(self) -> List[OperationResult]:
+    def operations(self) -> List[Operation]:
         """All records in invocation order."""
         return list(self._records.values())
 
-    def completed(self) -> List[OperationResult]:
+    def completed(self) -> List[Operation]:
         """Only the records whose outcome is decided."""
         return [record for record in self._records.values() if record.completed]
 
-    def pending(self) -> List[OperationResult]:
+    def pending(self) -> List[Operation]:
         """Undecided records: never completed (e.g. lost to a crash) or TIMEOUT."""
         return [record for record in self._records.values() if not record.completed]
 
@@ -238,6 +217,6 @@ class History:
         """All transaction records in invocation order."""
         return list(self._txns)
 
-    def per_key(self) -> Dict[Key, List[OperationResult]]:
+    def per_key(self) -> Dict[Key, List[Operation]]:
         """Group records by key (Hermes operations are single-key)."""
         return group_by_key(self._records.values())

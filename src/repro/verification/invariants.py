@@ -89,8 +89,8 @@ def check_values_from_history(
     """
     written: Dict[Key, Set[str]] = {}
     for record in history.operations():
-        if record.op.op_type.is_update:
-            written.setdefault(record.op.key, set()).add(repr(record.op.value))
+        if record.op_type.is_update:
+            written.setdefault(record.key, set()).add(repr(record.payload))
     if initial_dataset:
         for key, value in initial_dataset.items():
             written.setdefault(key, set()).add(repr(value))

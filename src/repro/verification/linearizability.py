@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.types import Key, OperationResult, OpStatus, OpType, Value
+from repro.types import Key, Operation, OpStatus, OpType, Value
 from repro.verification.history import History, value_key
 
 #: Sentinel returned by the apply step when an operation cannot be linearized
@@ -69,7 +69,7 @@ def _trailing_ones(bits: int) -> int:
     return (~bits & (bits + 1)).bit_length() - 1
 
 
-def _observed_value(record: OperationResult) -> object:
+def _observed_value(record: Operation) -> object:
     """The one register value a pure observer is legal at, else ``_MAY_WRITE``.
 
     Mirrors :meth:`LinearizabilityChecker._apply`: a completed read is legal
@@ -80,22 +80,21 @@ def _observed_value(record: OperationResult) -> object:
     """
     if not record.completed:
         return _MAY_WRITE
-    op = record.op
-    if op.op_type is OpType.READ:
+    if record.op_type is OpType.READ:
         return record.value
     if (
-        op.op_type is OpType.RMW
-        and op.compare is not None
+        record.op_type is OpType.RMW
+        and record.compare is not None
         and record.status is OpStatus.OK
-        and record.value != op.value
-        and record.value != op.compare
+        and record.value != record.payload
+        and record.value != record.compare
     ):
         return record.value
     return _MAY_WRITE
 
 
 def _zone_ranks(
-    records: Sequence[OperationResult], observed: Sequence[object], response: Sequence[float]
+    records: Sequence[Operation], observed: Sequence[object], response: Sequence[float]
 ) -> List[float]:
     """Per record, the order in which to try it among the candidates of a state.
 
@@ -110,7 +109,7 @@ def _zone_ranks(
     ``response`` is each record's response time, infinite while undecided.
     """
     clusters = [
-        value_key(record.op.value if seen is _MAY_WRITE else seen)
+        value_key(record.payload if seen is _MAY_WRITE else seen)
         for record, seen in zip(records, observed)
     ]
     earliest_response: Dict[object, float] = {}
@@ -156,7 +155,7 @@ class LinearizabilityChecker:
 
     def check_keys(
         self,
-        per_key: Mapping[Key, Sequence[OperationResult]],
+        per_key: Mapping[Key, Sequence[Operation]],
         initial_values: Optional[Dict[Key, Value]] = None,
     ) -> List[CheckResult]:
         """Check already grouped sub-histories (see :meth:`History.per_key`)."""
@@ -175,7 +174,7 @@ class LinearizabilityChecker:
     def check_key(
         self,
         key: Key,
-        records: Sequence[OperationResult],
+        records: Sequence[Operation],
         initial_value: Value = None,
     ) -> CheckResult:
         """Check one key's sub-history."""
@@ -191,8 +190,8 @@ class LinearizabilityChecker:
 
     # -------------------------------------------------------------- internals
     @staticmethod
-    def _relevant(record: OperationResult) -> bool:
-        if record.op.op_type is OpType.READ and not record.completed:
+    def _relevant(record: Operation) -> bool:
+        if record.op_type is OpType.READ and not record.completed:
             # A read with no decided outcome has no observable effect.
             return False
         if record.status is OpStatus.ABORTED:
@@ -205,7 +204,7 @@ class LinearizabilityChecker:
         return True
 
     def _search(
-        self, records: Sequence[OperationResult], initial_value: Value
+        self, records: Sequence[Operation], initial_value: Value
     ) -> Tuple[Optional[bool], int]:
         """Search for a legal linearization of one key's relevant records.
 
@@ -297,7 +296,7 @@ class LinearizabilityChecker:
                 seen.add(memo_key)
                 stack.pop()
 
-    def _apply(self, record: OperationResult, value: Value):
+    def _apply(self, record: Operation, value: Value):
         """Apply one operation at its linearization point.
 
         Returns:
@@ -305,34 +304,34 @@ class LinearizabilityChecker:
             cannot be linearized at this point (its observed result
             contradicts the current value).
         """
-        op = record.op
-        if op.op_type is OpType.READ:
+        if record.op_type is OpType.READ:
             if record.completed and record.value != value:
                 return _IMPOSSIBLE
             return value
-        if op.op_type is OpType.WRITE:
-            return op.value
+        payload = record.payload
+        if record.op_type is OpType.WRITE:
+            return payload
         # RMW: compare-and-swap semantics. A successful install returns the
         # installed (new) value; a failed compare returns the observed
         # current value and leaves the register unchanged.
-        if op.compare is not None:
+        if record.compare is not None:
             if record.completed and record.status is OpStatus.OK:
-                if value == op.compare:
-                    if record.value != op.value:
+                if value == record.compare:
+                    if record.value != payload:
                         return _IMPOSSIBLE
-                    return op.value
+                    return payload
                 if record.value != value:
                     return _IMPOSSIBLE
                 return value
             # Pending RMW: it can only have installed its value if the compare
             # matched at its linearization point.
-            if value == op.compare:
-                return op.value
+            if value == record.compare:
+                return payload
             return value
         # Unconditional RMW: installs and returns its value.
-        if record.completed and record.status is OpStatus.OK and record.value != op.value:
+        if record.completed and record.status is OpStatus.OK and record.value != payload:
             return _IMPOSSIBLE
-        return op.value
+        return payload
 
 
 def check_history(

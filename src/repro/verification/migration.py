@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.membership.service import MigrationRecord
-from repro.types import Key, OperationResult, OpStatus, OpType
+from repro.types import Key, Operation, OpStatus, OpType
 from repro.verification.history import History, value_key
 
 
@@ -54,7 +54,7 @@ def check_migration(
     history: History,
     record: MigrationRecord,
     boundary_margin: float = 1e-3,
-    operations: Optional[Sequence[OperationResult]] = None,
+    operations: Optional[Sequence[Operation]] = None,
 ) -> MigrationCheckResult:
     """Check that no operation observed pre-migration state after the flip.
 
@@ -96,35 +96,33 @@ def check_migration(
     keys_seen: Set[Key] = set()
     if operations is None:
         operations = history.operations()
-    for op_record in operations:
-        op = op_record.op
+    for op in operations:
         key = op.key
         if key not in migrated:
             continue
         keys_seen.add(key)
-        if op.op_type.is_update and op_record.start_time >= freeze_time:
-            later_values[key].add(value_key(op.value))
+        if op.op_type.is_update and op.start_time >= freeze_time:
+            later_values[key].add(value_key(op.payload))
 
     reads_checked = 0
     violations: List[str] = []
-    for op_record in operations:
-        op = op_record.op
+    for op in operations:
         key = op.key
         if key not in migrated:
             continue
         if op.op_type is not OpType.READ:
             continue
-        if op_record.start_time < flip_time or op_record.status is not OpStatus.OK:
+        if op.start_time < flip_time or op.status is not OpStatus.OK:
             continue
         reads_checked += 1
-        observed = value_key(op_record.value)
+        observed = value_key(op.value)
         if observed == migrated[key] or observed in later_values[key]:
             continue
         violations.append(
             f"read op {op.op_id} of migrated key {key!r} (invoked at "
-            f"{op_record.start_time * 1e3:.3f} ms, after the flip at "
+            f"{op.start_time * 1e3:.3f} ms, after the flip at "
             f"{flip_time * 1e3:.3f} ms) observed pre-migration state "
-            f"{op_record.value!r} instead of the frozen value or a "
+            f"{op.value!r} instead of the frozen value or a "
             f"migration-era write"
         )
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.types import Key, OperationResult, OpStatus, OpType
+from repro.types import Key, Operation, OpStatus, OpType
 from repro.verification.history import History, value_key
 
 
@@ -61,7 +61,7 @@ class TxnCheckResult:
 
 
 def check_transactions(
-    history: History, operations: Optional[Sequence[OperationResult]] = None
+    history: History, operations: Optional[Sequence[Operation]] = None
 ) -> TxnCheckResult:
     """Check abort invisibility and atomic visibility of a history.
 
@@ -89,7 +89,7 @@ def check_transactions(
     # Written-value attribution: committed transactional writes are version
     # points; aborted transactional writes must be invisible.
     aborted_values = {
-        value_key(op.value)
+        value_key(op.payload)
         for record in aborted
         for op in record.txn.write_ops
     }
@@ -99,7 +99,7 @@ def check_transactions(
         for op in record.txn.write_ops:
             commit_time = record.commit_times.get(op.op_id, record.response_time or 0.0)
             versions_by_key.setdefault(op.key, []).append(
-                (commit_time, record.txn.txn_id, value_key(op.value))
+                (commit_time, record.txn.txn_id, value_key(op.payload))
             )
     # value -> (key, version index); positions define "includes version i".
     position_of: Dict[Tuple[Key, object], int] = {}
@@ -120,11 +120,11 @@ def check_transactions(
         if operations is None:
             operations = history.operations()
         for record in operations:
-            if record.op.op_type is not OpType.READ or record.status is not OpStatus.OK:
+            if record.op_type is not OpType.READ or record.status is not OpStatus.OK:
                 continue
             if value_key(record.value) in aborted_values:
                 violations.append(
-                    f"read op {record.op.op_id} of key {record.op.key!r} observed "
+                    f"read op {record.op_id} of key {record.key!r} observed "
                     f"a value written by an aborted transaction"
                 )
 

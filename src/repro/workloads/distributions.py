@@ -20,12 +20,19 @@ from repro.types import Key
 
 
 class KeyDistribution:
-    """Base class for key-access distributions over ``num_keys`` integer keys."""
+    """Base class for key-access distributions over ``num_keys`` integer keys.
+
+    The key objects are built once, as a list: :meth:`keys` returns it and
+    every :meth:`sample` returns one of its elements, so the preloaded
+    dataset, the stores and every generated operation share one ``int`` per
+    key instead of one per draw.
+    """
 
     def __init__(self, num_keys: int) -> None:
         if num_keys < 1:
             raise WorkloadError("num_keys must be >= 1")
         self.num_keys = num_keys
+        self._keys: List[int] = list(range(num_keys))
 
     def sample(self, rng: random.Random) -> Key:
         """Draw one key."""
@@ -33,7 +40,7 @@ class KeyDistribution:
 
     def keys(self) -> Sequence[Key]:
         """The full key space (used for dataset preloading)."""
-        return range(self.num_keys)
+        return self._keys
 
 
 class UniformKeys(KeyDistribution):
@@ -47,7 +54,7 @@ class UniformKeys(KeyDistribution):
         generated operation. The float has 53 random bits, far more than any
         practical key-space size, so uniformity is preserved.
         """
-        return int(rng.random() * self.num_keys)
+        return self._keys[int(rng.random() * self.num_keys)]
 
 
 class ZipfianKeys(KeyDistribution):
@@ -80,7 +87,7 @@ class ZipfianKeys(KeyDistribution):
         self._total = total
         self._permutation: Optional[List[int]] = None
         if shuffle_seed is not None:
-            permutation = list(range(num_keys))
+            permutation = list(self._keys)
             random.Random(shuffle_seed).shuffle(permutation)
             self._permutation = permutation
 
@@ -92,7 +99,7 @@ class ZipfianKeys(KeyDistribution):
             rank = self.num_keys - 1
         if self._permutation is not None:
             return self._permutation[rank]
-        return rank
+        return self._keys[rank]
 
     def probability_of_rank(self, rank: int) -> float:
         """Access probability of the key with the given popularity rank."""
@@ -161,4 +168,4 @@ class ShiftingHotspotKeys(KeyDistribution):
         rank = bisect.bisect_left(self._cdf, target)
         if rank >= len(self._cdf):
             rank = len(self._cdf) - 1
-        return (self.hot_shard + rank * self.num_shards) % self.num_keys
+        return self._keys[(self.hot_shard + rank * self.num_shards) % self.num_keys]

@@ -69,8 +69,8 @@ def test_session_independent_of_population_size():
     for i in range(20):
         large.next_operation(900_000 + i)
         ops_large.append(large.next_operation(42))
-    assert [(o.op_type, o.key, o.value) for o in ops_small] == [
-        (o.op_type, o.key, o.value) for o in ops_large
+    assert [(o.op_type, o.key, o.payload) for o in ops_small] == [
+        (o.op_type, o.key, o.payload) for o in ops_large
     ]
 
 
@@ -87,7 +87,7 @@ class _NoMemo(dict):
 def _signature(op):
     if isinstance(op, Transaction):
         return tuple(_signature(member) for member in op.ops)
-    return (op.op_type, op.key, op.value, op.client_id)
+    return (op.op_type, op.key, op.payload, op.client_id)
 
 
 def _mixed_workload() -> WorkloadMix:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.analysis.report import format_table
 from repro.analysis.stats import (
@@ -242,12 +242,38 @@ def test_latency_summary_matches_reference(records, op_type, only_ok):
     )
 
 
-@given(_RECORDS, st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.booleans())
+@given(
+    _RECORDS,
+    st.one_of(st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.floats(0.0, 1.0)),
+    st.booleans(),
+)
+# Ends exactly at the cutoff (``>=`` counts them).
+@example([result(_OPS[OpType.READ], 0.0, 0.0), result(_OPS[OpType.READ], 0.0, 1e-3)], 0.0, True)
+@example([result(_OPS[OpType.READ], 0.0, 5e-4), result(_OPS[OpType.READ], 0.0, 1e-3)], 0.5, False)
 def test_throughput_matches_reference(records, warmup_fraction, only_ok):
-    expected = _reference_throughput(records, warmup_fraction, only_ok)
-    assert throughput(records, warmup_fraction, only_ok) == expected
-    # A one-shot iterable works too, as the reference (and latency_summary) do.
-    assert throughput(iter(records), warmup_fraction, only_ok) == expected
+    """Bit for bit (compared as ``float.hex``), over a list, a tuple and a
+    one-shot iterator: the two passes over ``results`` return the very
+    float the list-building reference does."""
+    expected = _reference_throughput(records, warmup_fraction, only_ok).hex()
+    for view in (records, tuple(records), iter(records)):
+        assert throughput(view, warmup_fraction, only_ok).hex() == expected
+
+
+def test_operation_result_copies_the_request():
+    """The compatibility constructor builds a new record and never aliases
+    (or touches) the operation it copies."""
+    op = Operation.rmw(3, "new", compare="old", client_id=4)
+    first = OperationResult(op, OpStatus.OK, "new", 1.0, 2.0)
+    second = OperationResult(op, OpStatus.ABORTED, None, 3.0, 5.0)
+    assert first is not op and second is not first
+    assert (first.op_type, first.key, first.payload, first.op_id, first.client_id) == (
+        OpType.RMW, 3, "new", op.op_id, 4,
+    )
+    assert first.compare == "old"
+    assert (first.status, first.value, first.latency) == (OpStatus.OK, "new", 1.0)
+    assert (second.status, second.latency) == (OpStatus.ABORTED, 2.0)
+    assert (op.status, op.value, op.start_time, op.end_time) == (None, None, 0.0, 0.0)
+    assert first.op is first
 
 
 @given(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=50), st.floats(0.0, 1.0))

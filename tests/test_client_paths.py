@@ -39,19 +39,20 @@ def _fingerprint(cluster: Cluster, clients: List[ClientSession], history: Option
     Op ids come from a process-global counter, so records are keyed by the
     op's rank in id order, not by the id itself.
     """
-    records = [r for c in clients for r in c.results]
+    records = [(r, c.replica_id) for c in clients for r in c.results]
     invoked = history.operations() if history is not None else []
-    ids = sorted({r.op.op_id for r in records} | {h.op.op_id for h in invoked})
+    ids = sorted({r.op_id for r, _ in records} | {h.op_id for h in invoked})
     rank = {op_id: index for index, op_id in enumerate(ids)}
+    # Each record prints the replica that served it: its session's bound one.
     lines = [
-        f"{rank[r.op.op_id]},{r.op.op_type.value},{r.op.key!r},{r.value!r},"
-        f"{r.start_time:.12f},{r.end_time:.12f},{r.status.value},{r.served_by}"
-        for r in records
+        f"{rank[r.op_id]},{r.op_type.value},{r.key!r},{r.value!r},"
+        f"{r.start_time:.12f},{r.end_time:.12f},{r.status.value},{replica_id}"
+        for r, replica_id in records
     ]
     if history is not None:
         # An undecided record (pending or TIMEOUT) prints as no response.
         lines += [
-            f"h{rank[h.op.op_id]},{h.start_time:.12f},"
+            f"h{rank[h.op_id]},{h.start_time:.12f},"
             f"{h.end_time if h.completed else None!r},{h.status if h.completed else None}"
             for h in invoked
         ]

@@ -170,7 +170,6 @@ def test_closed_loop_client_resumes_after_bound_node_recovers():
         if r.start_time > recover_time and r.status is OpStatus.OK
     ]
     assert resumed, "recovered node never resumed receiving this session's submissions"
-    assert all(r.served_by == 1 for r in client.results)
 
 
 def test_client_history_recording_is_linearizable():

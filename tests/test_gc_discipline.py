@@ -46,7 +46,7 @@ from repro.sim.engine import Simulator
 from repro.sim.hostgc import quiet_after_full_collection
 from repro.sim.network import Network
 from repro.sim.node import NodeProcess
-from repro.types import Operation, OperationResult
+from repro.types import Operation
 from repro.verification import History
 
 REPO = Path(__file__).resolve().parent.parent
@@ -127,7 +127,6 @@ _REFCOUNTED = (
     FailureInjector,
     Autoscaler,
     ClientSession,
-    OperationResult,
     Operation,
     History,
 )
@@ -284,7 +283,9 @@ first = weakref.ref(cluster.nodes[0])
 del cluster, clients
 report = {"dead_after_del": first() is None, "full_passes": 0, "collections_after": 0}
 
-cluster, clients = cell(1500)
+# 90k ops, one GC-tracked Operation each: enough new objects for the
+# process's first full collection to fall inside this run.
+cluster, clients = cell(3000)
 def observe(phase, info):
     if phase != "start":
         return
@@ -317,7 +318,7 @@ def test_first_full_pass_of_a_run_is_kept_and_later_collections_are_not():
     if not report["full_passes"] and sys.version_info >= (3, 13):
         pytest.skip("this interpreter's collector reported no generation-2 pass")
     # The second run's first full pass is its last collection of any
-    # generation (an ungoverned 45k-op run makes dozens more); the one
+    # generation (an ungoverned 90k-op run makes dozens more); the one
     # allowed here is the deferred young pass that re-enabling triggers.
     assert report["full_passes"] == 1, "resize the cells: no full pass inside the second run"
     assert report["collections_after"] <= 1

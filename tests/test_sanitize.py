@@ -26,6 +26,8 @@ from repro.cluster.client import ClosedLoopClient, run_clients
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.node import NodeProcess
+from repro.types import Operation, OpStatus, Transaction
+from repro.workloads.generator import ScriptedOps
 from tests.conftest import make_cluster, small_workload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -314,6 +316,37 @@ class TestClusterSanitized:
         client = ClosedLoopClient(0, cluster, workload, max_ops=40)
         run_clients(cluster, [client], max_time=1.0)
         assert client.done
+
+
+    def test_prepare_outliving_its_transaction_runs_clean(self, sanitize_on):
+        """A 2PC prepare may be delivered after its transaction resolved.
+
+        The prepare carries the member operations, and a member operation is
+        also its client's record: the session fills in its outcome when the
+        coordinator times out, while the prepare to the remote lock master
+        is still crossing a slow link. Only an operation's request fields
+        are part of the message, so that late delivery is not a mutation.
+        """
+        cluster = make_cluster("hermes", 3, shards=2)
+        coordinator = cluster.replica(0).view.role_ring(0)[0]
+        remote = cluster.replica(0).view.role_ring(1)[0]
+        assert remote != coordinator
+        shard_of = cluster.nodes[coordinator].router.shard_of
+        keys = [next(key for key in range(100) if shard_of(key) == shard) for shard in (0, 1)]
+        cluster.preload({key: b"v0" for key in keys})
+        txn = Transaction(ops=[Operation.read(keys[0]), Operation.write(keys[1], b"v1")])
+        # The prepare to shard 1's master lands far past the 2.5 ms
+        # coordinator timeout.
+        cluster.network.degrade_link(coordinator, remote, latency_factor=10_000.0)
+        client = ClosedLoopClient(
+            0, cluster, ScriptedOps({0: [txn]}), max_ops=1, replica_id=coordinator
+        )
+        run_clients(cluster, [client], max_time=1.0)
+        assert [op.status for op in client.results] == [OpStatus.TIMEOUT] * 2
+        # Deliver the late prepare (and the abort decision behind it).
+        cluster.run(until=1.0)
+        assert cluster.replica(remote, shard=1)._txn_participant is not None
+        assert get_sanitizer().fingerprints_checked > 0
 
 
 # --------------------------------------------------------- observer-only

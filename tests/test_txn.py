@@ -347,7 +347,7 @@ def test_txn_mix_zero_fraction_preserves_the_plain_stream():
     for _ in range(200):
         a = plain.next_operation(3)
         b = with_fields.next_operation(3)
-        assert (a.op_type, a.key, a.value) == (b.op_type, b.key, b.value)
+        assert (a.op_type, a.key, a.payload) == (b.op_type, b.key, b.payload)
 
 
 def test_txn_mix_validates_parameters():

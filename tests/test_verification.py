@@ -40,6 +40,8 @@ def test_history_double_invoke_rejected():
     history.invoke(op, 0.0)
     with pytest.raises(HistoryError):
         history.invoke(op, 0.1)
+    # The operation is its own record: a rejected invoke leaves it as it was.
+    assert history.operations()[0].start_time == 0.0
 
 
 def test_history_double_response_rejected():
@@ -361,9 +363,9 @@ def _reference_apply(rec, value):
     if op.op_type.value == "read":
         return (value,) if rec.value == value else None
     if op.op_type.value == "write":
-        return (op.value,)
+        return (op.payload,)
     if op.compare is None or value == op.compare:
-        return (op.value,) if not done or rec.value == op.value else None
+        return (op.payload,) if not done or rec.value == op.payload else None
     return (value,) if not done or rec.value == value else None
 
 

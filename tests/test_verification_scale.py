@@ -105,7 +105,7 @@ def _pairwise_reference(history: History) -> Tuple[int, List[Tuple[int, int]]]:
     for record in committed:
         for op in record.txn.write_ops:
             versions.setdefault(op.key, []).append(
-                (record.commit_times[op.op_id], record.txn.txn_id, op.value)
+                (record.commit_times[op.op_id], record.txn.txn_id, op.payload)
             )
     position_of = {}
     written_by: Dict[int, Dict[Key, int]] = {}
@@ -148,7 +148,7 @@ def _two_key_txn_history(txns: int, keys: int, seed: int) -> History:
             ops = [Operation.write(key, b"%d:%d:" % (key, sequence)) for key in pair]
             values: Dict[int, bytes] = {}
             for op in ops:
-                store[op.key] = op.value
+                store[op.key] = op.payload
         else:
             ops = [Operation.read(key) for key in pair]
             values = {op.op_id: store.get(op.key, b"%d:0:" % op.key) for op in ops}
@@ -167,7 +167,7 @@ def _plant_fractured_reader(history: History) -> Tuple[int, int]:
     key_a, key_b = writer.txn.keys
     reader = Transaction(ops=[Operation.read(key_a), Operation.read(key_b)])
     history.invoke_txn(reader, 1e6)
-    seen = {reader.ops[0].op_id: writer.txn.ops[0].value, reader.ops[1].op_id: b"%d:0:" % key_b}
+    seen = {reader.ops[0].op_id: writer.txn.ops[0].payload, reader.ops[1].op_id: b"%d:0:" % key_b}
     history.respond_txn(reader, 1e6 + 0.5, OpStatus.OK, seen)
     return reader.txn_id, writer.txn.txn_id
 

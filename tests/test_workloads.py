@@ -108,7 +108,7 @@ def test_mix_clients_get_distinct_streams():
 
 def test_written_values_are_unique():
     mix = WorkloadMix.uniform(10, 1.0, value_size=32, seed=2)
-    values = [mix.next_operation(0).value for _ in range(100)]
+    values = [mix.next_operation(0).payload for _ in range(100)]
     assert len(set(values)) == len(values)
 
 
