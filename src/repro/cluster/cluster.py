@@ -313,15 +313,23 @@ class Cluster:
 
         The dataset is partitioned by shard: each key is preloaded only into
         the replicas of the shard that owns it, so per-shard stores hold
-        disjoint key ranges. Each partition is a fresh dict (the caller's
-        mapping is never aliased) handed to every replica of its shard as
-        their shared read-only base; a replica creates its own record for a
-        key only when it first writes it (see :mod:`repro.kvs.store`).
+        disjoint key ranges. Each partition is handed to every replica of
+        its shard as their shared read-only base; a replica creates its own
+        record for a key only when it first writes it (see
+        :mod:`repro.kvs.store`).
+
+        The cluster takes ownership of ``dataset``, whatever the shard
+        count: the caller may read it but must not mutate it after the call
+        (as with :meth:`KeyValueStore.load`). A one-shard deployment's
+        partition is ``dataset`` itself, not a copy.
         """
-        shard_of = self.shard_router.shard_of
-        partitions: List[Dict[Key, Value]] = [{} for _ in range(self.shards)]
-        for key, value in dataset.items():
-            partitions[shard_of(key)][key] = value
+        if self.shards == 1:
+            partitions: List[Dict[Key, Value]] = [dataset]
+        else:
+            shard_of = self.shard_router.shard_of
+            partitions = [{} for _ in range(self.shards)]
+            for key, value in dataset.items():
+                partitions[shard_of(key)][key] = value
         for (_, shard), replica in self.shard_replicas.items():
             replica.store.load(partitions[shard])
 

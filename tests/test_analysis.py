@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import example, given, strategies as st
+from unittest import mock
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.analysis import stats
 from repro.analysis.report import format_table
 from repro.analysis.stats import (
     LatencySummary,
@@ -235,11 +238,134 @@ _RECORDS = st.lists(
 )
 
 
-@given(_RECORDS, st.sampled_from([None, *OpType]), st.booleans())
-def test_latency_summary_matches_reference(records, op_type, only_ok):
-    assert latency_summary(records, op_type, only_ok) == _reference_latency_summary(
-        records, op_type, only_ok
+@st.composite
+def _clustered_records(draw):
+    """Up to a few thousand records whose latencies come from a few
+    clusters (exact repeats, values an ulp apart, values within 0.1% of
+    each other), so that many records share a histogram bin."""
+    centers = draw(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, 1e-6, 1.5e-6, 2.5e-6, 1e-3]), st.floats(0.0, 1e-2)),
+            min_size=1,
+            max_size=6,
+        )
     )
+    size = draw(st.integers(0, 3000))
+    rng = draw(st.randoms(use_true_random=False))
+    records = []
+    for _ in range(size):
+        center = rng.choice(centers)
+        latency = center * (1.0 + rng.choice((0.0, 2.0**-52, rng.random() * 1e-3)))
+        start = rng.choice((0.0, 1e-3, rng.random()))
+        status = rng.choice((OpStatus.OK, OpStatus.OK, OpStatus.ABORTED, OpStatus.TIMEOUT))
+        records.append(result(_OPS[rng.choice(list(OpType))], start, start + latency, status))
+    return records
+
+
+def _latency_records(latencies):
+    return [result(_OPS[OpType.READ], 0.0, latency) for latency in latencies]
+
+
+def _straddling_ties(count=150):
+    """``count`` latencies in which each percentile's two interpolated ranks
+    and the ranks on either side hold one value, in descending order."""
+    ordered = [1e-6 * (1 + i) for i in range(count)]
+    for fraction in (0.50, 0.95, 0.99):
+        low = int(fraction * (count - 1))
+        for rank in range(low - 1, min(low + 3, count)):
+            ordered[rank] = ordered[low]
+    return _latency_records(reversed(ordered))
+
+
+def _hex_fields(summary):
+    return tuple(
+        value.hex() if isinstance(value, float) else value for value in vars(summary).values()
+    )
+
+
+#: Limits that force each path of the walk over the records (inputs this
+#: small are otherwise sorted whole): windows placed by a 64-record pilot,
+#: refining passes down to exact bit patterns, windows placed by an
+#: 8-record pilot (ranks fall between them), and a first pass that may keep
+#: nothing (a second walk).
+_SELECTION_PATHS = tuple(
+    dict(_MAX_SORTED=0, **limits)
+    for limits in (
+        dict(_PILOT=64),
+        dict(_PILOT=64, _MAX_KEPT=2),
+        dict(_PILOT=64, _MAX_KEPT=0),
+        dict(_PILOT=8, _WINDOW_SIGMAS=0),
+        dict(_PILOT=64, _MAX_WINDOWED=0, _MAX_KEPT=2),
+    )
+)
+
+
+@given(_clustered_records(), st.sampled_from([None, *OpType]), st.booleans())
+@example(_latency_records([1.5e-6]), None, True)
+@example(_latency_records([2.5e-6] * 101), None, True)
+@example(_latency_records([0.0, 1e-6, 0.0, 3e-6, 0.0]), None, True)
+@example(_latency_records([1e-6 * (1 + i * 1e-4) for i in range(199)] + [1e-3]), None, True)
+@example(_straddling_ties(), None, True)
+@settings(deadline=None)
+def test_latency_summary_matches_reference(records, op_type, only_ok):
+    """Every field bit for bit (compared as ``float.hex``), over a list, a
+    tuple and a one-shot iterator; then over the list with the selection's
+    limits patched so that each of its paths runs on small inputs."""
+    expected = _hex_fields(_reference_latency_summary(records, op_type, only_ok))
+    for view in (records, tuple(records), iter(records)):
+        assert _hex_fields(latency_summary(view, op_type, only_ok)) == expected
+    for limits in _SELECTION_PATHS:
+        with mock.patch.multiple(stats, **limits):
+            assert _hex_fields(latency_summary(records, op_type, only_ok)) == expected, limits
+
+
+@pytest.mark.parametrize(
+    "latencies, median",
+    [
+        # The maximum in a middle chunk: it is also the upper rank of p50.
+        ((1e-6, 3e-6, 2e-6), 2e-6),
+        # Two values: p50 interpolates between the minimum (in the first
+        # chunk) and the maximum (in the last).
+        ((1e-6, None, 3e-6), 2e-6),
+    ],
+)
+def test_latency_summary_over_several_chunks_of_records(latencies, median):
+    """A walk reads latencies ``stats._CHUNK`` records at a time, and most
+    records here are filtered out: the extremes come from different chunks."""
+    assert 3 * stats._CHUNK > stats._MAX_SORTED
+    records = [
+        result(_OPS[OpType.READ], 0.0, 1e-6 * (1 + i % 7), status=OpStatus.TIMEOUT)
+        for i in range(3 * stats._CHUNK)
+    ]
+    for chunk, latency in enumerate(latencies):
+        if latency is not None:
+            records[chunk * stats._CHUNK + 10] = result(_OPS[OpType.READ], 0.0, latency)
+    summary = latency_summary(records)
+    assert _hex_fields(summary) == _hex_fields(_reference_latency_summary(records))
+    assert summary.median == pytest.approx(median) and summary.maximum == 3e-6
+
+
+@pytest.mark.parametrize("latency", [-1e-6, -0.0, float("nan"), -float("inf")])
+@pytest.mark.parametrize("max_sorted", [stats._MAX_SORTED, 0], ids=["sorted", "walked"])
+def test_latency_summary_rejects_a_negative_or_nan_latency(latency, max_sorted):
+    # After a zero: sorted, a -0.0 need not come first.
+    records = _latency_records([0.0, 1e-6, 2e-6, 3e-6])
+    records.insert(1, result(_OPS[OpType.READ], 0.0, latency))
+    with mock.patch.object(stats, "_MAX_SORTED", max_sorted):
+        with pytest.raises(BenchmarkError):
+            latency_summary(records)
+        # A record the summary filters out is not judged.
+        records[1].status = OpStatus.ABORTED
+        assert latency_summary(records) == _reference_latency_summary(records)
+
+
+@pytest.mark.parametrize("max_sorted", [stats._MAX_SORTED, 0], ids=["sorted", "walked"])
+def test_latency_summary_accepts_an_infinite_latency(max_sorted):
+    records = _latency_records([1e-6, float("inf"), 2e-6])
+    with mock.patch.object(stats, "_MAX_SORTED", max_sorted):
+        assert _hex_fields(latency_summary(records)) == _hex_fields(
+            _reference_latency_summary(records)
+        )
 
 
 @given(
@@ -257,6 +383,43 @@ def test_throughput_matches_reference(records, warmup_fraction, only_ok):
     expected = _reference_throughput(records, warmup_fraction, only_ok).hex()
     for view in (records, tuple(records), iter(records)):
         assert throughput(view, warmup_fraction, only_ok).hex() == expected
+
+
+def _reference_throughput_timeseries(results, window, end_time=None, only_ok=True):
+    usable = [r for r in results if not only_ok or r.ok]
+    if not usable:
+        return []
+    horizon = end_time if end_time is not None else max(r.end_time for r in usable)
+    num_windows = int(horizon / window) + 1
+    counts = [0] * num_windows
+    for result_ in usable:
+        index = min(int(result_.end_time / window), num_windows - 1)
+        counts[max(index, 0)] += 1
+    return [(i * window, counts[i] / window) for i in range(num_windows)]
+
+
+def _hex_series(series):
+    return [(start.hex(), rate.hex()) for start, rate in series]
+
+
+@given(
+    _RECORDS,
+    st.one_of(st.sampled_from([1e-3, 2.5e-3]), st.floats(1e-4, 1e-2)),
+    st.one_of(st.none(), st.sampled_from([0.0, 1e-3, 5e-3]), st.floats(0.0, 2e-2)),
+    st.booleans(),
+)
+# A horizon given with no record to count, and one before every completion.
+@example([result(_OPS[OpType.READ], 0.0, 1e-3, status=OpStatus.TIMEOUT)], 1e-3, 5e-3, True)
+@example(
+    [result(_OPS[OpType.READ], 0.0, 1e-2), result(_OPS[OpType.WRITE], 0.0, 2e-2)], 1e-3, 0.0, True
+)
+def test_throughput_timeseries_matches_reference(records, window, end_time, only_ok):
+    """Bit for bit (``float.hex``) over a list, a tuple and a one-shot
+    iterator: two passes and no list of the usable records return the very
+    series the list-building reference does."""
+    expected = _hex_series(_reference_throughput_timeseries(records, window, end_time, only_ok))
+    for view in (records, tuple(records), iter(records)):
+        assert _hex_series(throughput_timeseries(view, window, end_time, only_ok)) == expected
 
 
 def test_operation_result_copies_the_request():

@@ -267,8 +267,11 @@ import gc, json, weakref
 from repro.bench.harness import ExperimentSpec, build_clients, build_cluster, build_workload
 from repro.cluster.client import run_clients
 
+REPLICAS, SESSIONS_PER_REPLICA = 3, 10
+
 def cell(ops_per_client):
-    spec = ExperimentSpec(num_replicas=3, num_keys=100, clients_per_replica=10,
+    spec = ExperimentSpec(num_replicas=REPLICAS, num_keys=100,
+                          clients_per_replica=SESSIONS_PER_REPLICA,
                           ops_per_client=ops_per_client, write_ratio=0.05, seed=5)
     cluster = build_cluster(spec)
     workload = build_workload(spec)
@@ -283,9 +286,21 @@ first = weakref.ref(cluster.nodes[0])
 del cluster, clients
 report = {"dead_after_del": first() is None, "full_passes": 0, "collections_after": 0}
 
-# 90k ops, one GC-tracked Operation each: enough new objects for the
-# process's first full collection to fall inside this run.
-cluster, clients = cell(3000)
+# Sized from the collector's own state, so that the process's first full
+# collection falls inside this run whatever a run retains per op. A full
+# pass waits for more than t2 generation-1 passes since the last one
+# (each takes t1 + 1 generation-0 passes of t0 + 1 net new tracked objects)
+# and for the objects promoted since the last one to exceed a quarter of
+# those it kept (at most every tracked object now; the newest t1 + 1 passes'
+# worth are not promoted yet). Every op retains at least one tracked object,
+# its Operation; the margin covers the objects the cell's build takes.
+t0, t1, t2 = gc.get_threshold()
+c0, c1, c2 = gc.get_count()
+young_passes = (t2 + 1 - c2) * (t1 + 1) - c1
+net_new = max(young_passes * (t0 + 1) - c0, len(gc.get_objects()) // 4 + (t1 + 1) * (t0 + 1))
+ops_per_client = -(-net_new * 5 // 4 // (REPLICAS * SESSIONS_PER_REPLICA))
+report["ops"] = ops_per_client * REPLICAS * SESSIONS_PER_REPLICA
+cluster, clients = cell(ops_per_client)
 def observe(phase, info):
     if phase != "start":
         return
@@ -318,7 +333,7 @@ def test_first_full_pass_of_a_run_is_kept_and_later_collections_are_not():
     if not report["full_passes"] and sys.version_info >= (3, 13):
         pytest.skip("this interpreter's collector reported no generation-2 pass")
     # The second run's first full pass is its last collection of any
-    # generation (an ungoverned 90k-op run makes dozens more); the one
+    # generation (an ungoverned run of this size makes dozens more); the one
     # allowed here is the deferred young pass that re-enabling triggers.
     assert report["full_passes"] == 1, "resize the cells: no full pass inside the second run"
     assert report["collections_after"] <= 1
