@@ -7,23 +7,22 @@ properties expose microseconds because that is the unit the paper plots.
 The reduce holds no list that grows with the record count.
 :func:`throughput` and :func:`throughput_timeseries` make two passes over
 the records. :func:`latency_summary` sorts the latencies of at most
-``_MAX_SORTED`` records; over more, it makes one walk on any run this
-package makes: it sums the latencies in record order, keeps only those in
-a window around each percentile, and selects the eight order statistics a summary reads (the
-minimum, the maximum and both neighbours of each percentile rank) from a
-histogram of their IEEE-754 bit patterns instead of sorting them all. A
-one-shot iterator is materialized into a list of the records first.
+``_MAX_SORTED`` records. Over more, a pilot sample places a window around
+each percentile, and one walk sums the latencies in record order, counts
+the values at each window end and between windows, and keeps only each
+window's interior, packed; the ranks a summary reads are then indexed in
+the sorted interiors. A one-shot iterator is materialized into a list of
+the records first.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
-from math import ceil, copysign, floor, inf, sqrt
-from operator import and_, rshift
-from struct import pack, unpack
+from math import ceil, copysign, floor, inf, nextafter, sqrt
+from operator import eq
+from struct import pack
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import BenchmarkError
@@ -120,26 +119,11 @@ _CHUNK = 4096
 #: A summary of at most this many records sorts their latencies (a boxed
 #: float and a list slot each: 256 KiB at most).
 _MAX_SORTED = 1 << 13
-#: Records in the evenly strided pilot sample that places the keep windows.
-_PILOT = 4096
-#: A keep window spans this many standard errors of the pilot's estimate of
-#: its percentile on either side.
+#: Records in the evenly strided pilot sample that places the windows.
+_PILOT = 8192
+#: A window spans this many standard errors of the pilot's estimate of its
+#: percentile on either side.
 _WINDOW_SIGMAS = 5
-#: The first pass keeps at most this many values (8 B each); past that, or
-#: if a rank falls outside the windows, the selection walks the records.
-_MAX_WINDOWED = 1 << 16
-#: Read as an unsigned integer, the IEEE-754 pattern of a non-negative
-#: double orders as its value. A bin is the sign, the exponent and 8
-#: mantissa bits of a pattern: 1/256 of a binade, so the occupied bins are
-#: bounded by the binades spanned, not by the value count (1 us-10 ms is 14
-#: binades, at most 3.6k bins).
-_FIRST_SHIFT = 52 - 8
-#: A refining pass splits each selected bin 256 ways.
-_REFINE_BITS = 8
-#: The selected bins' values are kept and sorted once they hold at most this
-#: many (a boxed float and a list slot each, 32 B); more, and they are
-#: refined.
-_MAX_KEPT = 1 << 10
 
 
 def _latency_list(
@@ -155,8 +139,7 @@ def _latency_list(
 
 
 def _doubles(values: List[float]) -> memoryview:
-    """``values`` packed as doubles: 8 B each, not a boxed float and a list
-    slot (32 B)."""
+    """``values`` packed as doubles: 8 B each, not 32 B boxed in a list."""
     return memoryview(pack("%dd" % len(values), *values)).cast("d")
 
 
@@ -168,138 +151,52 @@ def _latency_chunks(
         yield _latency_list(results[start : start + _CHUNK], op_type, only_ok)
 
 
-def _bits(chunk: memoryview) -> memoryview:
-    """``chunk``'s doubles reinterpreted as unsigned 64-bit integers."""
-    return chunk.cast("B").cast("Q")
+def _sort_all(
+    results: Sequence[Operation], op_type: Optional[OpType], only_ok: bool
+) -> Tuple[float, int, Callable[[int], float]]:
+    """The latencies' sum, count and value by rank, from a list of them all."""
+    latencies = _latency_list(results, op_type, only_ok)
+    # Summed in record order, before the sort: float addition is not
+    # associative (and 3.12's sum() is compensated), and the mean's bits are
+    # in committed baselines.
+    total, count = sum(latencies), len(latencies)
+    latencies.sort()
+    # A NaN makes the sum NaN; sorted, a value with its sign bit set is
+    # among the leading values <= 0.
+    signs = map(copysign, repeat(1.0), latencies[: bisect_right(latencies, 0.0)])
+    if total != total or min(signs, default=1.0) < 0:
+        raise BenchmarkError("a latency is negative or NaN")
+    return total, count, latencies.__getitem__
 
 
-def _from_bits(bits: int) -> float:
-    return unpack("d", pack("Q", bits))[0]
+def _window_edges(
+    results: Sequence[Operation], op_type: Optional[OpType], only_ok: bool
+) -> Tuple[List[float], List[int]]:
+    """The edges that split the latencies for a walk, and the ``bisect_right``
+    indexes between them whose values the walk keeps.
 
-
-def _window_edges(pilot: List[float]) -> List[float]:
-    """The value windows the first pass keeps: the bins within
-    ``_WINDOW_SIGMAS`` standard errors of each percentile as a sample
-    ``pilot`` of the latencies places it, as ascending bin edges. A value
-    ``v`` is in a window when ``bisect_right(edges, v)`` is odd; an odd
-    count of edges leaves the last window open upwards."""
+    A window spans ``_WINDOW_SIGMAS`` standard errors of each percentile as
+    an evenly strided pilot sample of ``_PILOT`` records places it; its ends
+    are pilot values (pivots), or open where it reaches past the pilot's
+    extremes. Each pivot ``p`` gives the edges ``p`` and ``nextafter(p,
+    inf)``, so the odd index between them holds exactly the values equal to
+    ``p``: those are counted, never kept. An even index holds the values
+    strictly between two pivots; it is kept when a window spans it."""
+    pilot = _latency_list(results[:: ceil(len(results) / _PILOT)], op_type, only_ok)
     if not pilot or not all(0.0 <= v < inf for v in pilot):
-        return [0.0]  # keep everything
+        return [], [0]  # one open window: keep everything
     pilot.sort()
     last = len(pilot) - 1
-
-    def bin_edge(value: float, above: int) -> float:
-        key = (unpack("Q", pack("d", value))[0] >> _FIRST_SHIFT) + above
-        return _from_bits(key << _FIRST_SHIFT)
-
     windows = []
     for fraction in _PERCENTILES:
         spread = _WINDOW_SIGMAS * sqrt(fraction * (1.0 - fraction) / len(pilot))
         low = floor((fraction - spread) * last)
         high = ceil((fraction + spread) * last)
-        windows.append(
-            (
-                bin_edge(pilot[low], 0) if low > 0 else 0.0,
-                bin_edge(pilot[high], 1) if high < last else inf,
-            )
-        )
-    edges: List[float] = []
-    for start, end in sorted(windows):
-        if edges and start <= edges[-1]:
-            edges[-1] = max(edges[-1], end)
-        else:
-            edges += (start, end)
-    if edges[-1] == inf:
-        edges.pop()
-    return edges
-
-
-def _windowed_positions(gaps: List[int], ranks: List[int]) -> Optional[Dict[int, int]]:
-    """Each rank's position among the values the windows kept, given
-    ``gaps``, the value count per ``bisect_right`` index (odd: a window);
-    ``None`` if a rank falls between windows."""
-    positions: Dict[int, int] = {}
-    below = outside = 0
-    for gap, count in enumerate(gaps):
-        for rank in ranks:
-            if below <= rank < below + count:
-                if not gap % 2:
-                    return None
-                positions[rank] = rank - outside
-        below += count
-        if not gap % 2:
-            outside += count
-    return positions
-
-
-def _locate(
-    counts: Counter, ranks: List[int], shift: int, parent_shift: int, parents: Dict[int, int]
-) -> Dict[int, Tuple[int, int]]:
-    """Map each of ``ranks`` (ascending) to ``(bin, below)``: the bin (a key
-    at ``shift``) holding the value of that rank and the number of values
-    in lower bins. ``counts`` holds the values of the bins ``parents`` maps
-    (keys at ``parent_shift``) to their own number of values below."""
-    where: Dict[int, Tuple[int, int]] = {}
-    parent, seen, next_rank = None, 0, 0
-    for key in sorted(counts):
-        if key >> (parent_shift - shift) != parent:
-            parent = key >> (parent_shift - shift)
-            seen = parents[parent]
-        below = seen
-        seen += counts[key]
-        while ranks[next_rank] < seen:
-            where[ranks[next_rank]] = (key, below)
-            next_rank += 1
-            if next_rank == len(ranks):
-                return where
-    raise AssertionError("a rank lies outside the histogram")
-
-
-def _select(chunks: Callable[[], Iterable[memoryview]], ranks: List[int]) -> Dict[int, float]:
-    """The values at ascending sorted positions ``ranks`` among the values
-    ``chunks()`` holds.
-
-    A pass histograms them at ``_FIRST_SHIFT``. While the bins holding the
-    ranks hold more than ``_MAX_KEPT`` values, a pass re-histograms just
-    those bins ``_REFINE_BITS`` finer; a last pass keeps their values and
-    sorts them. At shift 0 a bin is one bit pattern, so its value needs no
-    pass at all.
-    """
-    shift = _FIRST_SHIFT
-    counts: Counter = Counter()
-    for chunk in chunks():
-        counts.update(map(rshift, _bits(chunk), repeat(shift)))
-    # At shift 64 every pattern is in bin 0, with nothing below it.
-    where = _locate(counts, ranks, shift, 64, {0: 0})
-    bins = dict(where.values())
-    while shift and sum(counts[key] for key in bins) > _MAX_KEPT:
-        finer = max(shift - _REFINE_BITS, 0)
-        counts = Counter()
-        for chunk in chunks():
-            bits = _bits(chunk)
-            counts.update(
-                compress(
-                    map(rshift, bits, repeat(finer)),
-                    map(bins.__contains__, map(rshift, bits, repeat(shift))),
-                )
-            )
-        where = _locate(counts, ranks, finer, shift, bins)
-        bins = dict(where.values())
-        shift = finer
-    if not shift:
-        return {rank: _from_bits(key) for rank, (key, _) in where.items()}
-    kept: List[float] = []
-    for chunk in chunks():
-        keys = map(rshift, _bits(chunk), repeat(shift))
-        kept.extend(compress(chunk, map(bins.__contains__, keys)))
-    # The kept values sort into the selected bins' runs, in bin order.
-    kept.sort()
-    start: Dict[int, int] = {}
-    position = 0
-    for key in sorted(bins):
-        start[key] = position - bins[key]
-        position += counts[key]
-    return {rank: kept[rank + start[key]] for rank, (key, _) in where.items()}
+        windows.append((pilot[low] if low > 0 else -inf, pilot[high] if high < last else inf))
+    pivots = sorted({end for window in windows for end in window} - {-inf, inf})
+    between = enumerate(zip([-inf, *pivots], [*pivots, inf]))
+    kept = [2 * i for i, (a, b) in between if any(lo <= a and b <= hi for lo, hi in windows)]
+    return [edge for pivot in pivots for edge in (pivot, nextafter(pivot, inf))], kept
 
 
 def latency_summary(
@@ -310,16 +207,16 @@ def latency_summary(
     """Summarize latencies, optionally filtered by operation type.
 
     Exact: every float equals what sorting all the latencies gives. At
-    most ``_MAX_SORTED`` records are summed and sorted. Over more, an evenly
-    strided pilot sample of at most ``_PILOT`` records is read first; one
-    walk over the records then sums the latencies, finds the extremes, and
-    keeps only the values inside a window around each percentile that the
-    pilot places (:func:`_window_edges`), counting the values between windows;
-    the ranks are then selected among the kept values (:func:`_select`). A
+    most ``_MAX_SORTED`` records are summed and sorted. Over more, a pilot
+    sample places a window around each percentile (:func:`_window_edges`),
+    and one walk over the records sums the latencies, finds the extremes,
+    counts the values between the windows and at their ends, and keeps only
+    the values inside them, packed. A rank at a window end is that end; a
+    rank inside a window is read from the window's values, sorted once. A
     walk is the cost (a run's records are scattered over the heap: ~0.1 s
-    per 200k), so the selection walks the records again only if a rank
-    falls between windows or the windows hold too many values, which no
-    summary of the figures or the benchmark does.
+    per 200k), so only a rank that falls between windows, which no summary
+    of the figures or the benchmark has, sorts every latency as a small
+    input is.
 
     Raises:
         BenchmarkError: if a summarized latency is negative (or ``-0.0``)
@@ -328,21 +225,10 @@ def latency_summary(
     if not isinstance(results, (list, tuple)):
         results = list(results)
     if len(results) <= _MAX_SORTED:
-        latencies = _latency_list(results, op_type, only_ok)
-        # Summed in record order, before the sort: float addition is not
-        # associative (and 3.12's sum() is compensated), and the mean's
-        # bits are in committed baselines.
-        total, count = sum(latencies), len(latencies)
-        latencies.sort()
-        # A NaN makes the sum NaN; sorted, a value with its sign bit set is
-        # among the leading values <= 0.
-        signs = map(copysign, repeat(1.0), latencies[: bisect_right(latencies, 0.0)])
-        if total != total or min(signs, default=1.0) < 0:
-            raise BenchmarkError("a latency is negative or NaN")
-        at: Callable[[int], float] = latencies.__getitem__
+        total, count, at = _sort_all(results, op_type, only_ok)
     else:
-        pilot = _latency_list(results[:: ceil(len(results) / _PILOT)], op_type, only_ok)
-        total, count, at = _walk(results, op_type, only_ok, _window_edges(pilot))
+        windows = _window_edges(results, op_type, only_ok)
+        total, count, at = _walk(results, op_type, only_ok, windows)
     if not count:
         return LatencySummary.empty()
     median, p95, p99 = (_interpolate(at, count, f) for f in _PERCENTILES)
@@ -352,17 +238,21 @@ def latency_summary(
 
 
 def _walk(
-    results: Sequence[Operation], op_type: Optional[OpType], only_ok: bool, edges: List[float]
+    results: Sequence[Operation],
+    op_type: Optional[OpType],
+    only_ok: bool,
+    windows: Tuple[List[float], List[int]],
 ) -> Tuple[float, int, Callable[[int], float]]:
-    """The latencies' sum and count, and the value at each rank a summary
-    reads, in one walk over ``results`` that keeps the values inside the
-    windows ``edges`` bound (more walks only if that does not suffice)."""
+    """The latencies' sum, count and value at each rank a summary reads, from
+    one walk over ``results`` split and kept by ``windows`` (:func:`_window_edges`)."""
+    edges, indexes = windows
     gaps = [0] * (len(edges) + 1)
-    windowed: Optional[List[memoryview]] = []
-    low, top, kept = inf, 0.0, 0
+    keep = bytes(index in indexes for index in range(len(gaps)))
+    kept: List[memoryview] = []
+    low, top = inf, 0.0
 
-    def first_pass(chunks: Iterator[List[float]]) -> Iterator[List[float]]:
-        nonlocal windowed, low, top, kept
+    def counted(chunks: Iterator[List[float]]) -> Iterator[List[float]]:
+        nonlocal low, top
         for chunk in chunks:
             if not chunk:
                 continue
@@ -375,30 +265,31 @@ def _walk(
             gap = bytes(map(bisect_right, repeat(edges), chunk))
             for index in range(len(gaps)):
                 gaps[index] += gap.count(index)
-            if windowed is not None:
-                windowed.append(_doubles([*compress(chunk, map(and_, gap, repeat(1)))]))
-                kept += len(windowed[-1])
-                if kept > _MAX_WINDOWED:
-                    windowed = None
+            kept.append(_doubles([*compress(chunk, map(keep.__getitem__, gap))]))
             yield chunk
 
     # One sum() over the latencies in record order, as over a list of them.
-    total = sum(chain.from_iterable(first_pass(_latency_chunks(results, op_type, only_ok))))
+    total = sum(chain.from_iterable(counted(_latency_chunks(results, op_type, only_ok))))
     if total != total:
         raise BenchmarkError("a latency is negative or NaN")
     count = sum(gaps)
     value = {0: low, count - 1: top}
     ranks = sorted({rank for f in _PERCENTILES for rank in _rank_pair(count, f)[1:]} - set(value))
-    if count and ranks:
-        positions = None if windowed is None else _windowed_positions(gaps, ranks)
-        if positions is not None:
-            inside = windowed
-            selected = _select(lambda: inside, sorted(positions.values()))
-            value.update((rank, selected[position]) for rank, position in positions.items())
-        else:
-            value.update(
-                _select(lambda: map(_doubles, _latency_chunks(results, op_type, only_ok)), ranks)
-            )
+    below = 0
+    for index, size in enumerate(gaps):
+        start, below = below, below + size
+        inside = [rank for rank in ranks if start <= rank < below]
+        if inside and index % 2:
+            value.update(dict.fromkeys(inside, edges[index - 1]))
+        elif inside and keep[index]:
+            # One window sorted at a time: its boxed values are the peak.
+            where = map(bisect_right, repeat(edges), chain.from_iterable(kept))
+            ordered = sorted(compress(chain.from_iterable(kept), map(eq, where, repeat(index))))
+            value.update((rank, ordered[rank - start]) for rank in inside)
+            del ordered
+        elif inside:
+            # A rank between windows: the pilot misplaced them.
+            return _sort_all(results, op_type, only_ok)
     return total, count, value.__getitem__
 
 

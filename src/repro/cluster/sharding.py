@@ -529,14 +529,15 @@ class ShardHost(NodeProcess):
           frozen values.
 
         The settle timer re-checks until both drain (the transaction
-        timeouts bound the wait); protocols without an in-flight counter
-        are covered by the settle delay itself.
+        timeouts bound the wait); protocols that count no in-flight
+        updates (``ReplicaNode.pending_updates``) are covered by the settle
+        delay itself.
         """
         source = self.shard_replicas[migration.source]
         frozen = source._frozen
         if frozen is None or frozen.migration != migration or frozen.forwarding:
             return  # cancelled (or already flipped) meanwhile; stop checking
-        busy = bool(getattr(source, "pending_updates", 0))
+        busy = bool(source.pending_updates)
         if not busy:
             participant = source._txn_participant
             if participant is not None and participant.locks:
@@ -558,6 +559,16 @@ class ShardHost(NodeProcess):
         migrated slice is evaluated over the routed chain (the router has
         not applied this migration yet), matching the freeze filter and
         the router's eventual flip exactly.
+
+        The copy leader is the source shard's orderer (CR and CRAQ's head),
+        and it ships each key's latest value there (``latest_value``), not
+        the value it knows committed: a lost ``AckUp`` leaves the head's
+        committed version behind a write whose client was already answered.
+        A version the head ordered but nobody has committed yet is a write
+        that was invoked before the freeze and has not returned (or never
+        will): it may take effect at any instant up to its response, so
+        linearizing it just before the copy reads the key is legal, and
+        every read after the flip sees it, as a later read must.
         """
         migration = message.migration
         source = self.shard_replicas[migration.source]
@@ -566,10 +577,9 @@ class ShardHost(NodeProcess):
             migration, len(self.shard_replicas), self.router._migrations
         )
         keys = sorted(key for key in source.store.keys() if moves(key))
-        # committed_value, not store.get: chain protocols that track
-        # committed state in per-key metadata (CRAQ) would otherwise ship
-        # their preload-era record values.
-        values = {key: source.committed_value(key) for key in keys}
+        # latest_value, not store.get: CRAQ keeps its versions in per-key
+        # state and would otherwise ship its preload-era record values.
+        values = {key: source.latest_value(key) for key in keys}
         state = {
             "outstanding": len(keys),
             "epoch": message.epoch_id,

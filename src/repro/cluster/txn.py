@@ -299,6 +299,9 @@ class TxnParticipant:
         self.waiters: Dict[Key, List[Tuple[Operation, Any]]] = {}
         #: Txn id -> in-flight state.
         self.prepared: Dict[int, _ParticipantTxn] = {}
+        #: Txn id -> when this shard finished with it (refused, aborted or
+        #: applied), oldest first; kept for ``prepare_timeout``.
+        self.finished: Dict[int, float] = {}
         # Statistics.
         self.conflicts = 0
         self.prepare_timeouts = 0
@@ -360,6 +363,20 @@ class TxnParticipant:
         return keys
 
     def _on_prepare(self, msg: TxnPrepare) -> None:
+        """Lock and read, or refuse; drop a prepare seen before.
+
+        The fabric may duplicate a prepare (paper §3.4). A second copy that
+        found the first one's locks would be refused, and the refusal of a
+        one-phase transaction reads as "applied nothing" although the first
+        copy applied its writes. So a prepare whose transaction is prepared
+        here, or finished here within ``prepare_timeout``, is dropped with
+        no reply. That bound relies on the fabric's bounded delay: every
+        copy of a message arrives within far less than ``prepare_timeout``
+        of the first, so an id older than that can be forgotten.
+        """
+        txn_id = msg.txn_id
+        if txn_id in self.prepared or txn_id in self.finished:
+            return
         replica = self.replica
         keys = None
         if (
@@ -369,6 +386,7 @@ class TxnParticipant:
         ):
             keys = self._try_lock(msg.txn_id, msg.ops)
         if keys is None:
+            self._finish(txn_id)
             self._refuse(msg)
             return
         state = _ParticipantTxn(msg, keys)
@@ -535,7 +553,21 @@ class TxnParticipant:
         if state.timer is not None:
             state.timer.cancel()
         self.prepared.pop(state.txn_id, None)
+        self._finish(state.txn_id)
         self._release(state)
+
+    def _finish(self, txn_id: int) -> None:
+        """Remember that this shard is done with ``txn_id``, and forget the
+        ids finished more than ``prepare_timeout`` ago."""
+        finished = self.finished
+        now = self.replica.sim.now
+        horizon = now - self.prepare_timeout
+        while finished:
+            oldest = next(iter(finished))
+            if finished[oldest] >= horizon:
+                break
+            del finished[oldest]
+        finished[txn_id] = now
 
     def _release(self, state: _ParticipantTxn) -> None:
         """Release the transaction's locks and resume parked plain ops."""
@@ -618,6 +650,10 @@ class TxnCoordinator:
     like protocol traffic. Transactions route through the node's
     epoch-versioned router, so they follow live shard migrations the
     instant the routing flip installs on this node.
+
+    It takes one reply per (transaction, shard): a vote only while that
+    shard's vote is awaited, an ack only while its ack is. A later copy of
+    either (the fabric may duplicate messages, paper §3.4) is ignored.
     """
 
     def __init__(

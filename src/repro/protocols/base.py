@@ -27,7 +27,7 @@ current orderer acts on, and one completion step at the origin.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, Type
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.kvs.store import KeyValueStore, ValueRecord
@@ -436,6 +436,17 @@ class ReplicaNode(NodeProcess):
             self._ring_cache = view.role_ring(self.shard_id)
         return self._ring_cache
 
+    @property
+    def pending_updates(self) -> int:
+        """Updates this replica coordinates that must finish before a
+        migration copies its keys (``ShardHost._check_frozen``).
+
+        Only Hermes counts any. An ordered protocol reports none: with no
+        retransmission, one lost message leaves an update awaited forever,
+        and waiting on it would wedge every migration behind it; its copy
+        ships the orderer's latest values instead (``latest_value``)."""
+        return 0
+
     def committed_value(self, key: Key) -> Value:
         """The latest locally committed value of ``key``.
 
@@ -447,6 +458,12 @@ class ReplicaNode(NodeProcess):
         losing every write since startup.
         """
         return self.store.get(key)
+
+    def latest_value(self, key: Key) -> Value:
+        """The newest value of ``key`` this replica holds, committed or not:
+        what a migration copy ships. Protocols that keep uncommitted
+        versions apart from the committed one (CRAQ) override it."""
+        return self.committed_value(key)
 
     def value_size_of(self, value: Value) -> int:
         """Wire size of a value (uses actual length for bytes/str payloads)."""
@@ -496,13 +513,60 @@ class ReplicaNode(NodeProcess):
 # M-rules guard mutation instead).
 @dataclass(eq=False, slots=True)
 class ForwardedWrite:
-    """A client update forwarded from the replica that took it to the orderer."""
+    """A client update forwarded from the replica that took it to the orderer.
+
+    ``seq`` numbers the origin's updates in the order it took them; it rides
+    in the header, so the charged size stays :data:`HEADER_BYTES`.
+    """
 
     key: Key
     value: Value
     origin: NodeId
     op_id: int
+    seq: int
     size_bytes: int = HEADER_BYTES
+
+
+#: Updates of one origin that may be recorded past a missing one before the
+#: missing one counts as lost: the reorder window that bounds an
+#: :class:`UpdateWindow`.
+REORDER_WINDOW = 256
+
+
+class UpdateWindow:
+    """The numbers of one origin's updates that a replica has ordered or applied.
+
+    Every number up to ``done`` is settled, and ``above`` holds the recorded
+    numbers past a gap. An origin numbers its updates in the order it takes
+    them, so a gap is an update that is late or lost. Once more than
+    :data:`REORDER_WINDOW` numbers wait above a gap, the gap counts as lost
+    and a late arrival is dropped like a lost message (the fabric may lose
+    any message, so that is legal): memory is bounded by the reorder
+    window, not by the number of writes.
+    """
+
+    __slots__ = ("done", "above")
+
+    def __init__(self) -> None:
+        self.done = 0
+        self.above: Set[int] = set()
+
+    def record(self, seq: int) -> bool:
+        """Record update ``seq``; ``False`` if it was recorded before."""
+        done, above = self.done, self.above
+        if seq == done + 1 and not above:
+            self.done = seq
+            return True
+        if seq <= done or seq in above:
+            return False
+        above.add(seq)
+        if len(above) > REORDER_WINDOW:
+            done = min(above) - 1
+        while done + 1 in above:
+            done += 1
+            above.remove(done)
+        self.done = done
+        return True
 
 
 class OrderedReplica(ReplicaNode):
@@ -517,6 +581,14 @@ class OrderedReplica(ReplicaNode):
     :meth:`_accept` and, once the update is durable at the origin, completes
     it there with :meth:`_complete_awaited`.
 
+    The fabric may duplicate a forward (paper §3.4), and ordering one update
+    twice would give it a second, newer place in the order. So the origin
+    numbers its updates, and every replica records the numbers it orders or
+    applies (:meth:`_record`, one :class:`UpdateWindow` per origin): the
+    orderer drops a forward it has recorded, and a replica that a view
+    change promotes to orderer already holds the number of every update it
+    applied.
+
     Subclasses supply :attr:`orderer` and :meth:`_accept`; reads are served
     from the local store unless they override :meth:`_read` (a read that
     waits on a remote reply, as at CR's non-tail nodes, waits in
@@ -528,15 +600,27 @@ class OrderedReplica(ReplicaNode):
         #: Client operations this replica took and has not completed yet,
         #: keyed by op id.
         self._awaiting: Dict[int, Tuple[Operation, ClientCallback]] = {}
+        #: The number of the last update this replica took.
+        self._update_seq = 0
+        #: Origin -> the numbers of its updates ordered or applied here.
+        self._recorded: Dict[NodeId, UpdateWindow] = {}
 
     @property
     def orderer(self) -> NodeId:
         """The node that currently orders updates. Subclasses implement."""
         raise NotImplementedError
 
-    def _accept(self, key: Key, value: Value, origin: NodeId, op_id: int) -> None:
-        """Order an update at the orderer. Subclasses implement."""
+    def _accept(self, key: Key, value: Value, origin: NodeId, op_id: int, seq: int) -> None:
+        """Order update ``seq`` of ``origin`` at the orderer. Subclasses implement."""
         raise NotImplementedError
+
+    def _record(self, origin: NodeId, seq: int) -> bool:
+        """Record that update ``seq`` of ``origin`` is ordered or applied
+        here; ``False`` if it already was."""
+        window = self._recorded.get(origin)
+        if window is None:
+            window = self._recorded[origin] = UpdateWindow()
+        return window.record(seq)
 
     def handle_client_op(self, op: Operation, callback: ClientCallback) -> None:
         """Serve reads with :meth:`_read`; hand updates to the orderer."""
@@ -544,11 +628,15 @@ class OrderedReplica(ReplicaNode):
             self._read(op, callback)
             return
         self._awaiting[op.op_id] = (op, callback)
+        self._update_seq = seq = self._update_seq + 1
         orderer = self.orderer
         if orderer == self.node_id:
-            self._accept(op.key, op.payload, self.node_id, op.op_id)
+            self._record(self.node_id, seq)
+            self._accept(op.key, op.payload, self.node_id, op.op_id, seq)
             return
-        forward = ForwardedWrite(key=op.key, value=op.payload, origin=self.node_id, op_id=op.op_id)
+        forward = ForwardedWrite(
+            key=op.key, value=op.payload, origin=self.node_id, op_id=op.op_id, seq=seq
+        )
         self.transport.send(
             orderer, forward, forward.size_bytes + self.update_size_bytes(op.payload)
         )
@@ -559,8 +647,8 @@ class OrderedReplica(ReplicaNode):
         self.complete(op, callback, OpStatus.OK, self.store.get(op.key, None))
 
     def _on_forwarded_write(self, src: NodeId, message: ForwardedWrite) -> None:
-        if self.orderer == self.node_id:
-            self._accept(message.key, message.value, message.origin, message.op_id)
+        if self.orderer == self.node_id and self._record(message.origin, message.seq):
+            self._accept(message.key, message.value, message.origin, message.op_id, message.seq)
 
     def _complete_awaited(self, op_id: int, value: Value) -> None:
         """Complete the awaited client operation ``op_id``, if it is still here."""

@@ -40,13 +40,18 @@ WRITE_DOWN_VERSION_GUARD = True
 # M-rules guard mutation instead).
 @dataclass(eq=False, slots=True)
 class CrWriteDown:
-    """A versioned write propagating down the chain (head towards tail)."""
+    """A versioned write propagating down the chain (head towards tail).
+
+    ``seq`` is the origin's number for the update (see
+    :class:`~repro.protocols.base.ForwardedWrite`); it rides in the header.
+    """
 
     key: Key
     version: int
     value: Value
     origin: NodeId
     op_id: int
+    seq: int
     size_bytes: int = HEADER_BYTES
 
 
@@ -173,27 +178,37 @@ class ChainReplicationReplica(OrderedReplica):
         self._complete_awaited(message.op_id, message.value)
 
     # ---------------------------------------------------------- chain writes
-    def _accept(self, key: Key, value: Value, origin: NodeId, op_id: int) -> None:
-        self._forward_down(key, self._next_version(key, value), value, origin, op_id)
+    def _accept(self, key: Key, value: Value, origin: NodeId, op_id: int, seq: int) -> None:
+        self._forward_down(key, self._next_version(key, value), value, origin, op_id, seq)
 
-    def _forward_down(self, key: Key, version: int, value: Value, origin: NodeId, op_id: int) -> None:
+    def _forward_down(
+        self, key: Key, version: int, value: Value, origin: NodeId, op_id: int, seq: int
+    ) -> None:
         successor = self.successor()
         if successor is None:
             # Single-node chain: the head is also the tail.
             self._tail_commit(key, version, value, origin, op_id)
             return
-        message = CrWriteDown(key=key, version=version, value=value, origin=origin, op_id=op_id)
+        message = CrWriteDown(
+            key=key, version=version, value=value, origin=origin, op_id=op_id, seq=seq
+        )
         self.transport.send(
             successor, message, message.size_bytes + self.update_size_bytes(value)
         )
 
     def _on_write_down(self, src: NodeId, message: CrWriteDown) -> None:
+        self._record(message.origin, message.seq)
         self._install(message.key, message.version, message.value)
         if self.is_tail:
             self._tail_commit(message.key, message.version, message.value, message.origin, message.op_id)
         else:
             self._forward_down(
-                message.key, message.version, message.value, message.origin, message.op_id
+                message.key,
+                message.version,
+                message.value,
+                message.origin,
+                message.op_id,
+                message.seq,
             )
 
     def _tail_commit(self, key: Key, version: int, value: Value, origin: NodeId, op_id: int) -> None:

@@ -226,6 +226,13 @@ class CraqReplica(ChainReplicationReplica):
             return self.store.get(key)
         return record.committed_value()
 
+    def latest_value(self, key: Key) -> Value:
+        """The value of the newest version applied here, committed or not."""
+        record = self.store.peek_record(key)
+        if record is None:
+            return self.store.get(key)
+        return record.versions.get(record.latest_version, record.committed_value())
+
     RECORD = CraqRecord
     HANDLERS = {
         **ChainReplicationReplica.HANDLERS,

@@ -38,10 +38,11 @@ from repro.types import Key, NodeId, Value
 # M-rules guard mutation instead).
 @dataclass(eq=False, slots=True)
 class OrderedRound:
-    """A sequenced round (ordered batch) of updates multicast to all replicas."""
+    """A sequenced round (ordered batch) of updates multicast to all replicas:
+    ``(key, value, origin, op_id, seq)`` each."""
 
     round_id: int
-    updates: Tuple[Tuple[Key, Value, NodeId, int], ...]
+    updates: Tuple[Tuple[Key, Value, NodeId, int, int], ...]
     size_bytes: int = HEADER_BYTES
 
 
@@ -90,7 +91,7 @@ class DerechoReplica(OrderedReplica):
         self.derecho_config.validate()
         # Sequencer state.
         self._next_round_id = 1
-        self._queued_updates: List[Tuple[Key, Value, NodeId, int]] = []
+        self._queued_updates: List[Tuple[Key, Value, NodeId, int, int]] = []
         self._inflight_round: Optional[OrderedRound] = None
         self._round_confirmations: Set[NodeId] = set()
         # Replica state.
@@ -123,9 +124,9 @@ class DerechoReplica(OrderedReplica):
     orderer = sequencer
 
     # --------------------------------------------------------- sequencer side
-    def _accept(self, key: Key, value: Value, origin: NodeId, op_id: int) -> None:
+    def _accept(self, key: Key, value: Value, origin: NodeId, op_id: int, seq: int) -> None:
         """Queue the update for the next round."""
-        self._queued_updates.append((key, value, origin, op_id))
+        self._queued_updates.append((key, value, origin, op_id, seq))
         self._maybe_start_round()
 
     def _maybe_start_round(self) -> None:
@@ -139,7 +140,7 @@ class DerechoReplica(OrderedReplica):
         # Sequencing the round is pinned to a single ordering thread (total
         # order prevents inter-key concurrency), one charge per update.
         self.charge_cpu(weight=float(self.service_model.worker_threads) * len(batch))
-        payload_bytes = sum(self.update_size_bytes(value) for _, value, _, _ in batch)
+        payload_bytes = sum(self.update_size_bytes(value) for _, value, *_ in batch)
         ordered = OrderedRound(round_id=round_id, updates=batch)
         self._inflight_round = ordered
         self._round_confirmations = {self.node_id}
@@ -182,7 +183,8 @@ class DerechoReplica(OrderedReplica):
             return
         self._delivered_round = round_id
         self.rounds_delivered += 1
-        for key, value, origin, op_id in ordered.updates:
+        for key, value, origin, op_id, seq in ordered.updates:
+            self._record(origin, seq)
             self.store.put(key, value)
             self.writes_committed += 1
             if origin == self.node_id:

@@ -36,13 +36,15 @@ from repro.types import Key, NodeId, Value
 # M-rules guard mutation instead).
 @dataclass(eq=False, slots=True)
 class Proposal:
-    """A leader proposal assigning ``zxid`` to a write."""
+    """A leader proposal assigning ``zxid`` to a write (``seq``: the origin's
+    number for it, in the header)."""
 
     zxid: int
     key: Key
     value: Value
     origin: NodeId
     op_id: int
+    seq: int
     size_bytes: int = HEADER_BYTES
 
 
@@ -135,11 +137,11 @@ class ZabReplica(OrderedReplica):
         """
         return float(self.service_model.worker_threads)
 
-    def _accept(self, key: Key, value: Value, origin: NodeId, op_id: int) -> None:
+    def _accept(self, key: Key, value: Value, origin: NodeId, op_id: int, seq: int) -> None:
         """Propose the update under the next zxid."""
         zxid = self._next_zxid
         self._next_zxid += 1
-        proposal = Proposal(zxid=zxid, key=key, value=value, origin=origin, op_id=op_id)
+        proposal = Proposal(zxid=zxid, key=key, value=value, origin=origin, op_id=op_id, seq=seq)
         pending = PendingProposal(proposal=proposal)
         pending.acks.add(self.node_id)
         self._proposals[zxid] = pending
@@ -204,6 +206,7 @@ class ZabReplica(OrderedReplica):
             self._last_applied_zxid = next_zxid
 
     def _apply(self, proposal: Proposal) -> None:
+        self._record(proposal.origin, proposal.seq)
         self.store.put(proposal.key, proposal.value)
         self.writes_committed += 1
         if proposal.origin == self.node_id:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from unittest import mock
 
 import pytest
@@ -284,19 +285,13 @@ def _hex_fields(summary):
 
 
 #: Limits that force each path of the walk over the records (inputs this
-#: small are otherwise sorted whole): windows placed by a 64-record pilot,
-#: refining passes down to exact bit patterns, windows placed by an
-#: 8-record pilot (ranks fall between them), and a first pass that may keep
-#: nothing (a second walk).
-_SELECTION_PATHS = tuple(
-    dict(_MAX_SORTED=0, **limits)
-    for limits in (
-        dict(_PILOT=64),
-        dict(_PILOT=64, _MAX_KEPT=2),
-        dict(_PILOT=64, _MAX_KEPT=0),
-        dict(_PILOT=8, _WINDOW_SIGMAS=0),
-        dict(_PILOT=64, _MAX_WINDOWED=0, _MAX_KEPT=2),
-    )
+#: small are otherwise sorted whole), and the function only that path runs:
+#: windows placed by a 64-record pilot resolve every rank in the walk;
+#: zero-width windows placed by an 8-record pilot can leave a rank between
+#: them, and that miss sorts every latency.
+_SELECTION_PATHS = (
+    (dict(_MAX_SORTED=0, _PILOT=64), "_walk"),
+    (dict(_MAX_SORTED=0, _PILOT=8, _WINDOW_SIGMAS=0), "_sort_all"),
 )
 
 
@@ -314,9 +309,24 @@ def test_latency_summary_matches_reference(records, op_type, only_ok):
     expected = _hex_fields(_reference_latency_summary(records, op_type, only_ok))
     for view in (records, tuple(records), iter(records)):
         assert _hex_fields(latency_summary(view, op_type, only_ok)) == expected
-    for limits in _SELECTION_PATHS:
+    for limits, _ in _SELECTION_PATHS:
         with mock.patch.multiple(stats, **limits):
-            assert _hex_fields(latency_summary(records, op_type, only_ok)) == expected, limits
+            with mock.patch.object(stats, "_walk", wraps=stats._walk) as walked:
+                assert _hex_fields(latency_summary(records, op_type, only_ok)) == expected, limits
+        assert walked.called == bool(records)
+
+
+@pytest.mark.parametrize("limits, path", _SELECTION_PATHS, ids=["windows", "miss"])
+def test_each_selection_path_runs(limits, path):
+    rng = random.Random(7)
+    records = _latency_records([10.0 ** rng.uniform(-6, -2) for _ in range(1000)])
+    expected = _hex_fields(_reference_latency_summary(records))
+    with mock.patch.multiple(stats, **limits):
+        with mock.patch.object(stats, path, wraps=getattr(stats, path)) as ran:
+            with mock.patch.object(stats, "_sort_all", wraps=stats._sort_all) as sorted_all:
+                assert _hex_fields(latency_summary(records)) == expected
+    assert ran.called
+    assert sorted_all.called == (path == "_sort_all")
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,8 @@ deterministic functions of the serialized schedule.
 and nobody has fixed yet: each is a strict ``xfail``, so the open finding is
 a failing test rather than a sentence, and the fix flips it loudly. Corpus
 loading and ``python -m repro.fuzz replay tests/fuzz_corpus`` glob one level
-only, so they never pick these up.
+only, so they never pick these up. The directory may be empty (no finding is
+open); its tests then collect as skipped and stay ready for the next one.
 
 Each replay also pins the trial's ``artifact_digest`` (every per-op record
 the run observed), known-red entries included: a protocol or client change
@@ -41,8 +42,13 @@ DIGESTS = {
     "seed_424242": "b39507574419010c19f856a75950a14cb90d26c08c21b22d51f15b0216ee8416",
     "seed_551435239": "9a1d2acd441fd663b8ff32a6f77540504f4e674c7d21760b8636fdefcbb4ed87",
     "seed_600081029": "9075685fb5c6a08c692a129948aef56c86742b3176c46a8ebb0343dd94756584",
-    # known_red/
-    "seed_1694661618": "f710ae8c90f5dbf517687a5925d4979e2d3e71972d5a125c370743655005c0e5",
+    # Found violating by directed slow_link campaigns; green since the
+    # orderer, migration-copy and 2PC-participant dedups.
+    "seed_1694661618": "2753e2e59bd065f8479d6c8525c2af8b9ce4b1f97183bd7c7352c2ff6d55c2fd",
+    "seed_74411974": "9947520f0195a7fab61b6c5ea1216f68a328a5c168b79af88285cd39149bf18c",
+    "seed_1428954129": "7e6948e7d39251dd8a2a4f15c7abf24e6463e1245304499b1ebf7777c3d37fca",
+    "seed_861064113": "ae3c67bce6a99f7df156c7d1e3e7abedb47795b609dd72863178f16b35707190",
+    "seed_1188569353": "a6d1030bb717cf88740062085e7639fabb994c4b36fd8e300488d1b242a3d89b",
 }
 
 
@@ -63,7 +69,6 @@ def test_corpus_schedule_replays_clean(name, schedule):
 
 
 def test_known_red_schedules_stay_out_of_the_green_corpus():
-    assert KNOWN_RED
     assert not {name for name, _ in KNOWN_RED} & {name for name, _ in CORPUS}
 
 
@@ -76,11 +81,7 @@ def test_known_red_schedule_replay_is_pinned(name, schedule):
     assert outcome.artifact_digest == DIGESTS[name]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="open finding (ROADMAP item 'Turn the red test green, make refutation "
-    "terminate, and put every verdict in the artifact'): not linearizable",
-)
+@pytest.mark.xfail(strict=True, reason="open finding: not linearizable")
 @pytest.mark.parametrize(
     "name,schedule", KNOWN_RED, ids=[name for name, _ in KNOWN_RED]
 )

@@ -187,7 +187,7 @@ def test_no_cell_outlives_its_successors_start(gc_state, monkeypatch):
     for spec in grid:
         run_experiment(spec)
     schedules = sorted(CORPUS_DIR.rglob("seed_*.json"))
-    assert len(schedules) == 10
+    assert len(schedules) == 14
     for path in schedules:
         run_trial(load_schedule(path))
     assert len(starts) == len(grid) + len(schedules)

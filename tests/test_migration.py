@@ -351,3 +351,50 @@ def test_checker_ignores_pre_flip_reads_and_other_keys():
     result = check_migration(history, record)
     assert result.ok
     assert result.reads_checked == 0
+
+
+def test_craq_copy_ships_a_write_whose_ack_up_was_lost():
+    """The copy leader is the source chain's head. A lost ``AckUp`` leaves
+    the head's committed version behind a write whose client was already
+    answered, so the copy ships the head's latest version, not its
+    committed one: the write survives the flip."""
+    membership = MembershipConfig(
+        lease_duration=0.040,
+        renewal_interval=0.010,
+        detection=FailureDetectorConfig(ping_interval=0.010, detection_timeout=0.150),
+        migrations=[PlannedMigration(at_time=0.020, migration=ShardMigration(source=0, target=1))],
+    )
+    cluster = Cluster(
+        ClusterConfig(
+            protocol="craq",
+            num_replicas=3,
+            shards=2,
+            seed=5,
+            run_membership_service=True,
+            membership=membership,
+        )
+    )
+    cluster.preload({key: f"v{key}" for key in range(16)})
+    migration = cluster.config.membership.migrations[0].migration
+    key = next(k for k in range(16) if k % 2 == 0 and migration.matches(k, 2))
+    # Shard 0's chain is 0 -> 1 -> 2: the tail answers the write at node 2,
+    # and its AckUp dies on the 1 -> 0 link.
+    cluster.network.degrade_link(1, 0, loss_rate=1.0, symmetric=False)
+    done = []
+    cluster.replica(2).submit(Operation.write(key, "new"), lambda o, s, v: done.append(s))
+    cluster.run(until=0.001)
+    cluster.network.heal_link(1, 0, symmetric=False)
+    assert done == [OpStatus.OK]
+    head = cluster.shard_replicas[(0, 0)]
+    assert head.committed_value(key) == f"v{key}" and head.latest_value(key) == "new"
+
+    cluster.run(until=0.060)
+    [record] = cluster.migration_records
+    assert record.values[key] == "new"
+    for node_id in cluster.nodes:
+        seen = []
+        cluster.replica(node_id, shard=1).submit(
+            Operation.read(key), lambda o, s, v: seen.append(v)
+        )
+        cluster.run(until=cluster.sim.now + 0.001)
+        assert seen == ["new"]

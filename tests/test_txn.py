@@ -224,6 +224,48 @@ def test_lock_master_crash_times_out_the_coordinator():
     assert coordinator.active_txns == 0
 
 
+# ------------------------------------------ duplicated messages (paper §3.4)
+@pytest.mark.parametrize("keys", [(2, 3), (0, 1)], ids=["one-phase", "two-phase"])
+def test_duplicated_prepares_and_replies_commit_once(keys):
+    """Every message between coordinator node 1 and lock master node 0
+    arrives twice. A second prepare that found the first one's locks was
+    refused, and a one-phase refusal reported a transaction aborted whose
+    writes had landed; each shard now answers once, and the coordinator
+    takes one reply per shard."""
+    shards = 1 if keys == (2, 3) else 2
+    cluster = preloaded(
+        Cluster(ClusterConfig(protocol="hermes", num_replicas=3, shards=shards, seed=3))
+    )
+    cluster.network.degrade_link(1, 0, duplicate_rate=1.0)
+    write, read = Operation.write(keys[0], b"T"), Operation.read(keys[1])
+    txn, outcome = run_txn(cluster, 1, [write, read])
+    assert outcome.status is OpStatus.OK
+    assert write.op_id in outcome.commit_times
+    cluster.run(until=cluster.sim.now + 2 * DEFAULT_PREPARE_TIMEOUT)
+    assert cluster.network.stats.messages_duplicated > 0
+    assert cluster.txn_stat("txns_committed") == 1 and cluster.txn_stat("txns_aborted") == 0
+    participants = [r._txn_participant for r in cluster.all_replicas() if r._txn_participant]
+    assert participants and all(p.conflicts == 0 and not p.locks for p in participants)
+    seen = []
+    cluster.replica(2).submit(Operation.read(keys[0]), lambda o, s, v: seen.append(v))
+    cluster.run_until(lambda: bool(seen), check_interval=1e-5, max_time=0.05)
+    assert seen == [b"T"]
+
+
+def test_participant_forgets_finished_transactions_after_the_prepare_timeout():
+    cluster = preloaded(Cluster(ClusterConfig(protocol="hermes", num_replicas=3, seed=3)))
+    first, _ = run_txn(cluster, 1, [Operation.write(2, b"A")])
+    participant = cluster.replica(0)._txn_participant
+    assert list(participant.finished) == [first.txn_id]
+    # A late copy of the prepare is dropped with no reply.
+    sent = cluster.network.stats.messages_sent
+    participant._on_prepare(TxnPrepare(first.txn_id, 1, 0, [Operation.write(2, b"A")], True))
+    assert cluster.network.stats.messages_sent == sent and not participant.locks
+    cluster.run(until=cluster.sim.now + 2 * DEFAULT_PREPARE_TIMEOUT)
+    second, _ = run_txn(cluster, 1, [Operation.write(3, b"B")])
+    assert list(participant.finished) == [second.txn_id]
+
+
 # ------------------------------------------------------- end-to-end (grid)
 def test_txn_experiment_commits_aborts_and_checks_atomic():
     spec = txn_spec(record_history=True)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.protocols.base import ForwardedWrite
+from repro.protocols.base import REORDER_WINDOW, ForwardedWrite, UpdateWindow
 from repro.protocols.chain import ChainReplicationReplica
 from repro.protocols.derecho import DerechoConfig, DerechoReplica
 from repro.protocols.zab import ZabReplica
@@ -179,9 +179,63 @@ def test_forwarded_write_at_a_non_orderer_is_dropped(protocol):
     cluster.preload({7: "v0"})
     stray = cluster.replica(2)
     assert stray.orderer == 0
-    stray.dispatch(1, ForwardedWrite(key=7, value="stray", origin=1, op_id=1))
+    stray.dispatch(1, ForwardedWrite(key=7, value="stray", origin=1, op_id=1, seq=1))
     cluster.run(until=cluster.sim.now + 0.001)
     assert cluster.network.stats.messages_sent == 0
     for replica in cluster.all_replicas():
         assert replica.store.peek_record(7) is None
         assert replica.committed_value(7) == "v0"
+
+
+# ------------------------------------------------- duplicated forwards (§3.4)
+@pytest.mark.parametrize("protocol", ["cr", "craq", "zab", "derecho"])
+def test_duplicated_forward_is_ordered_once(protocol):
+    # Every forward from node 2 to the orderer arrives twice. Ordering the
+    # copy too would give the write a second, newer place in the order
+    # (CR's head gave it a fresh version).
+    cluster = make_cluster(protocol, 3)
+    cluster.preload({7: "v0"})
+    cluster.network.degrade_link(2, 0, duplicate_rate=1.0, symmetric=False)
+    status, _ = submit_and_run(cluster, 2, Operation.write(7, "a"))
+    assert status is OpStatus.OK
+    cluster.run(until=cluster.sim.now + 0.002)
+    assert cluster.network.stats.messages_duplicated >= 1
+    assert max(r.writes_committed for r in cluster.all_replicas()) == 1
+    assert all(r.committed_value(7) == "a" for r in cluster.all_replicas())
+
+
+@pytest.mark.parametrize("protocol", ["cr", "craq", "zab", "derecho"])
+def test_promoted_orderer_drops_a_forward_it_applied(protocol):
+    # A duplicate of node 2's forward reaches node 1 after a view change
+    # made node 1 the orderer: node 1 applied that write as a follower, so
+    # it recorded the write's number and drops the copy.
+    cluster = make_cluster(protocol, 3)
+    cluster.preload({7: "v0"})
+    write = Operation.write(7, "a")
+    assert submit_and_run(cluster, 2, write)[0] is OpStatus.OK
+    cluster.run(until=cluster.sim.now + 0.001)
+    cluster.crash(0)
+    for node_id in (1, 2):
+        replica = cluster.replica(node_id)
+        replica._view_changed(replica.view.without(0))
+    promoted = cluster.replica(1)
+    assert promoted.orderer == 1
+    sent = cluster.network.stats.messages_sent
+    copy = ForwardedWrite(key=7, value="a", origin=2, op_id=write.op_id, seq=1)
+    promoted.dispatch(2, copy)
+    cluster.run(until=cluster.sim.now + 0.001)
+    assert cluster.network.stats.messages_sent == sent
+    assert max(r.writes_committed for r in cluster.all_replicas()) == 1
+
+
+def test_update_window_memory_is_bounded_by_the_reorder_window():
+    window = UpdateWindow()
+    assert [window.record(seq) for seq in (2, 1, 2, 1)] == [True, True, False, False]
+    assert window.done == 2 and not window.above
+    # Update 3 is lost: the numbers after it wait above the gap until more
+    # than REORDER_WINDOW do, and then the gap counts as lost.
+    for seq in range(4, REORDER_WINDOW + 5):
+        assert window.record(seq)
+        assert len(window.above) <= REORDER_WINDOW
+    assert window.done == REORDER_WINDOW + 4 and not window.above
+    assert not window.record(3)
