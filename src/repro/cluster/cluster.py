@@ -25,7 +25,6 @@ from repro.protocols.derecho import DerechoConfig, DerechoReplica
 from repro.rpc import WingsTransport
 from repro.sim.clock import LooselySynchronizedClock
 from repro.sim.engine import Simulator
-from repro.sim.hostgc import quiet_after_full_collection
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.node import NodeProcess, ServiceTimeModel
 from repro.sim.rng import SeededRNG
@@ -387,20 +386,13 @@ class Cluster:
         return self.node_clock(node_id).nudge(delta, bound=bound)
 
     # --------------------------------------------------------------- running
-    # Both wrap the simulator call in the host GC governor: a run's retained
-    # records are cycle-free, so full collections after the first only re-walk
-    # them (see repro.sim.hostgc).
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run the simulation (thin wrapper over the simulator)."""
-        with quiet_after_full_collection():
-            return self.sim.run(until=until, max_events=max_events)
+        return self.sim.run(until=until, max_events=max_events)
 
     def run_until(self, predicate, check_interval: float = 1e-4, max_time: Optional[float] = None) -> float:
         """Run until a predicate holds (thin wrapper over the simulator)."""
-        with quiet_after_full_collection():
-            return self.sim.run_until(
-                predicate, check_interval=check_interval, max_time=max_time
-            )
+        return self.sim.run_until(predicate, check_interval=check_interval, max_time=max_time)
 
     # ------------------------------------------------------------ statistics
     def total_stat(self, attribute: str) -> int:

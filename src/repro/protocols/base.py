@@ -210,8 +210,8 @@ class ReplicaNode(NodeProcess):
         self._read_size = self.config.key_size
         self._update_size = self.config.key_size + self.config.value_size
         # Fast client-submit path: host nodes push straight into their own
-        # inbox; guests must go through the rebound submit_local(_at)
-        # delegators.
+        # inbox; guests must go through the rebound submit_local_at
+        # delegator.
         self._fast_submit = host is None
         self._bound_on_local_work = self.on_local_work
         self._refresh_submit_services()

@@ -5,13 +5,12 @@ protocol in the library runs:
 
 * :mod:`repro.sim.engine` — the event loop (:class:`Simulator`).
 * :mod:`repro.sim.network` — a datacenter network model with configurable
-  latency, loss, duplication, reordering and partitions.
-* :mod:`repro.sim.node` — simulated processes with a CPU service-time model
-  and message queues.
+  latency, loss, duplication, reordering, partitions and gray link faults;
+  it pushes every copy of a message into its destination at send time.
+* :mod:`repro.sim.node` — simulated processes with a CPU service-time model,
+  an arrival inbox and the crash state (the network keeps none).
 * :mod:`repro.sim.clock` — loosely synchronized clocks (paper §2.4).
 * :mod:`repro.sim.rng` — deterministic random-number management.
-* :mod:`repro.sim.hostgc` — pauses the host's cyclic collector for the rest
-  of a run once its first full collection is done (host cost only).
 
 The simulator substitutes for the paper's RDMA testbed; see DESIGN.md for the
 substitution rationale.

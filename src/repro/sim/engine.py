@@ -22,6 +22,8 @@ cost bounded for timer-heavy protocols.
 from __future__ import annotations
 
 import heapq
+import math
+import sys
 from typing import Any, Callable, List, Optional
 
 from repro.errors import SimulationDeadlock, SimulationError
@@ -32,6 +34,10 @@ _TIME, _SEQ, _CALLBACK, _ARGS, _CANCELLED = range(5)
 #: Compaction starts only once this many cancelled entries are outstanding,
 #: so small simulations never pay for a heap rebuild.
 _COMPACT_MIN_CANCELLED = 512
+
+#: ``Simulator.run``'s event-count bound when it has none (an int, so the
+#: per-event check compares two ints).
+_NO_LIMIT = sys.maxsize
 
 
 class EventHandle(list):
@@ -57,19 +63,9 @@ class EventHandle(list):
         return self[_TIME]
 
     @property
-    def seq(self) -> int:
-        """Insertion sequence number (ties break in insertion order)."""
-        return self[_SEQ]
-
-    @property
     def callback(self) -> Optional[Callable[..., None]]:
         """The scheduled callback (``None`` once fired or cancelled)."""
         return self[_CALLBACK]
-
-    @property
-    def args(self) -> tuple:
-        """Arguments the callback will be invoked with."""
-        return self[_ARGS]
 
     @property
     def cancelled(self) -> bool:
@@ -116,8 +112,8 @@ class Simulator:
         self._seq = 0
         self._events_executed = 0
         self._cancelled_pending = 0
-        self._running = False
-        self._stopped = False
+        #: Executed-event count at which the current run stops.
+        self._stop_at = _NO_LIMIT
 
     # ------------------------------------------------------------------ time
     @property
@@ -166,10 +162,11 @@ class Simulator:
         """Schedule ``callback(*args)`` at the current simulated time."""
         return self._push(self._now, callback, args)
 
-    # Note for maintainers: the node inbox (repro.sim.node) pushes plain
-    # list entries ``[time, seq, callback, args, False]`` into ``_heap``
-    # directly — no EventHandle, no cancellation back-reference — and
-    # allocates their seqs from ``_seq`` at message-send time so that
+    # Note for maintainers: the node inbox (repro.sim.node) and the
+    # network's callback sink (``Network.register``) push plain list
+    # entries ``[time, seq, callback, args, False]`` into ``_heap``
+    # directly — no EventHandle, no cancellation back-reference — with
+    # seqs allocated from ``_seq`` at message-send time so that
     # same-timestamp finish events tie-break in arrival order. Keep the
     # entry layout and the seq counter semantics in sync with that code.
     def _push(self, time: float, callback: Callable[..., None], args: tuple) -> EventHandle:
@@ -205,7 +202,7 @@ class Simulator:
     # --------------------------------------------------------------- running
     def stop(self) -> None:
         """Request that the current :meth:`run` call return promptly."""
-        self._stopped = True
+        self._stop_at = -1
 
     def run(
         self,
@@ -223,73 +220,39 @@ class Simulator:
         Returns:
             The simulated time when the run stopped.
         """
-        self._running = True
-        self._stopped = False
-        executed_this_run = 0
+        # Both bounds are normalised once, so each event pays one count
+        # check (which :meth:`stop` also trips) and one time check.
+        self._stop_at = _NO_LIMIT if max_events is None else self._events_executed + max_events
+        horizon = math.inf if until is None else until
         heap = self._heap
         heappop = heapq.heappop
-        try:
-            if max_events is None and until is not None:
-                # Specialized loop for the dominant run_until(...) pattern:
-                # no per-event max_events bookkeeping, `until` bound check
-                # without the None test.
-                while heap:
-                    if self._stopped:
-                        break
-                    entry = heap[0]
-                    callback = entry[_CALLBACK]
-                    if callback is None:
-                        heappop(heap)
-                        self._cancelled_pending -= 1
-                        continue
-                    event_time = entry[_TIME]
-                    if event_time > until:
-                        self._now = until
-                        break
-                    heappop(heap)
-                    self._now = event_time
-                    args = entry[_ARGS]
-                    entry[_CALLBACK] = None
-                    entry[_ARGS] = ()
-                    callback(*args)
-                    self._events_executed += 1
-                    heap = self._heap
-                else:
-                    if until > self._now:
-                        self._now = until
-                return self._now
-            while heap:
-                if self._stopped:
-                    break
-                if max_events is not None and executed_this_run >= max_events:
-                    break
-                entry = heap[0]
-                callback = entry[_CALLBACK]
-                if callback is None:
-                    # Lazily-cancelled entry: discard and keep going.
-                    heappop(heap)
-                    self._cancelled_pending -= 1
-                    continue
-                event_time = entry[_TIME]
-                if until is not None and event_time > until:
-                    self._now = until
-                    break
+        while heap:
+            if self._events_executed >= self._stop_at:
+                break
+            entry = heap[0]
+            callback = entry[_CALLBACK]
+            if callback is None:
+                # Lazily-cancelled entry: discard and keep going.
                 heappop(heap)
-                self._now = event_time
-                args = entry[_ARGS]
-                entry[_CALLBACK] = None
-                entry[_ARGS] = ()
-                callback(*args)
-                self._events_executed += 1
-                executed_this_run += 1
-                # A compaction inside a callback replaces the heap list.
-                heap = self._heap
-            else:
-                # Queue drained.
-                if until is not None and until > self._now:
-                    self._now = until
-        finally:
-            self._running = False
+                self._cancelled_pending -= 1
+                continue
+            event_time = entry[_TIME]
+            if event_time > horizon:
+                self._now = until
+                break
+            heappop(heap)
+            self._now = event_time
+            args = entry[_ARGS]
+            entry[_CALLBACK] = None
+            entry[_ARGS] = ()
+            callback(*args)
+            self._events_executed += 1
+            # A compaction inside a callback replaces the heap list.
+            heap = self._heap
+        else:
+            # Queue drained.
+            if until is not None and until > self._now:
+                self._now = until
         return self._now
 
     def run_until(

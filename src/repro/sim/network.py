@@ -7,18 +7,17 @@ protocol comparison:
 * a per-byte serialization cost (bandwidth),
 * message loss, duplication and reordering (paper §3.4 "Imperfect Links"),
 * network partitions (paper §3.4 "Network Partitions"),
-* crashed receivers silently dropping traffic.
+* gray per-link faults: slow, lossy or late-duplicating links.
 
-A destination receives in one of two ways, fixed by how it registered:
-
-* **Node processes** (:class:`~repro.sim.node.NodeProcess`, via
-  :meth:`Network.register_process`): the arrival is pushed straight into
-  the destination's inbox at send time, with the arrival timestamp
-  precomputed. No simulator event is spent on the delivery itself; the node
-  schedules exactly one event per message, at the time its handler runs
-  (see :mod:`repro.sim.node`).
-* **Plain callbacks** (:meth:`Network.register`): the network schedules one
-  delivery event per message and invokes the callback when it fires.
+A destination receives one way. At send time the network times every copy
+of a message (the message and any duplicates) and pushes each one, with its
+arrival timestamp precomputed, into the destination's ``_push_arrival``. A
+:class:`~repro.sim.node.NodeProcess` (:meth:`Network.register_process`)
+queues it in its inbox and spends one simulator event per message, at the
+time its handler runs; crash state is the node's own, so a crashed node
+drops what arrives while it is down (see :mod:`repro.sim.node`). A plain
+callback (:meth:`Network.register`) sits behind a sink that runs it at the
+arrival instant.
 
 Randomness is drawn through a bulk-refilled buffer of raw uniform draws, in
 exactly the per-message order of calling ``random.Random.random()`` once
@@ -28,15 +27,14 @@ per decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+import heapq
 import random
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.engine import Simulator
 from repro.types import NodeId
-
-#: Signature of a per-node receive callback: ``receiver(src, message, size_bytes)``.
-ReceiveCallback = Callable[[NodeId, Any, int], None]
 
 #: Fixed per-message header overhead in bytes (UD send + Wings header),
 #: added to every message's payload size.
@@ -194,10 +192,10 @@ class NetworkStats:
 class Network:
     """The simulated network fabric connecting all nodes.
 
-    Plain receivers register a callback with :meth:`register`; node
-    processes register themselves with :meth:`register_process`. Other
-    components (protocol nodes, clients) send messages with :meth:`send`
-    or :meth:`broadcast`.
+    Node processes register themselves with :meth:`register_process`; a
+    plain callback registers with :meth:`register`. Other components
+    (protocol nodes, clients) send messages with :meth:`send` or
+    :meth:`broadcast`.
     """
 
     def __init__(
@@ -210,11 +208,8 @@ class Network:
         self.config = config or NetworkConfig()
         self.config.validate()
         self._rng = rng or random.Random(0)
-        self._receivers: Dict[NodeId, ReceiveCallback] = {}
-        #: Destinations receiving through their inbox. Values are
-        #: ``NodeProcess``-like objects exposing ``_push_arrival``.
-        self._inbox_procs: Dict[NodeId, Any] = {}
-        self._crashed: Set[NodeId] = set()
+        #: Registered destinations: objects exposing ``_push_arrival``.
+        self._destinations: Dict[NodeId, Any] = {}
         self._partition: Optional[Partition] = None
         #: Gray per-link degradations, keyed by directed ``(src, dst)`` pair.
         #: Empty in healthy runs: the hot paths gate every lookup behind one
@@ -230,50 +225,38 @@ class Network:
         self._rand_idx = 0
 
     # ---------------------------------------------------------- registration
-    def register(self, node_id: NodeId, receiver: ReceiveCallback) -> None:
-        """Register the receive callback for ``node_id``.
+    def register(self, node_id: NodeId, receiver: Callable[[NodeId, Any, int], None]) -> None:
+        """Deliver what reaches ``node_id`` to ``receiver(src, message, size_bytes)``.
 
-        Re-registering replaces the previous callback (used when a node
-        restarts after a crash). Registering a plain callback removes any
-        inbox registration for the node.
+        The receiver sits behind a sink that takes the same arrival push as
+        a node process and runs it at the arrival instant, under the seq the
+        send allocated. It replaces any earlier registration of the node.
         """
-        self._receivers[node_id] = receiver
-        self._inbox_procs.pop(node_id, None)
+        sim = self.sim
+        stats = self.stats
+
+        def deliver(src: NodeId, message: Any, total_bytes: int) -> None:
+            stats.messages_delivered += 1
+            receiver(src, message, total_bytes)
+
+        def push_arrival(arrival: float, seq: int, src: NodeId, message: Any, total_bytes: int) -> None:
+            heapq.heappush(sim._heap, [arrival, seq, deliver, (src, message, total_bytes), False])
+
+        self.register_process(SimpleNamespace(node_id=node_id, _push_arrival=push_arrival))
 
     def register_process(self, process: Any) -> None:
-        """Register a node process for inbox delivery.
+        """Register a destination that exposes ``node_id`` and ``_push_arrival``.
 
-        ``process`` must expose ``node_id`` and ``_push_arrival``; it
-        replaces any plain callback registered for the node.
+        A :class:`~repro.sim.node.NodeProcess` registers itself this way. It
+        replaces any earlier registration of the node.
         """
-        self._inbox_procs[process.node_id] = process
-        self._receivers.pop(process.node_id, None)
-
-    def unregister(self, node_id: NodeId) -> None:
-        """Remove a node from the network entirely."""
-        self._receivers.pop(node_id, None)
-        self._inbox_procs.pop(node_id, None)
-        self._crashed.discard(node_id)
+        self._destinations[process.node_id] = process
 
     def close(self) -> None:
         """Remove every registration (a registered process holds the network)."""
-        self._receivers.clear()
-        self._inbox_procs.clear()
-
-    @property
-    def node_ids(self) -> List[NodeId]:
-        """All registered node ids, sorted."""
-        return sorted(self._receivers.keys() | self._inbox_procs.keys())
+        self._destinations.clear()
 
     # --------------------------------------------------------------- faults
-    def crash(self, node_id: NodeId) -> None:
-        """Mark a node as crashed; all traffic to it is dropped."""
-        self._crashed.add(node_id)
-
-    def recover(self, node_id: NodeId) -> None:
-        """Clear the crashed flag for a node."""
-        self._crashed.discard(node_id)
-
     def set_partition(self, partition: Optional[Partition]) -> None:
         """Install (or clear, with ``None``) a network partition."""
         self._partition = partition
@@ -317,10 +300,6 @@ class Network:
         if symmetric:
             self._link_faults.pop((dst, src), None)
 
-    def link_fault(self, src: NodeId, dst: NodeId) -> Optional[LinkFault]:
-        """The gray fault currently installed on ``src -> dst``, if any."""
-        return self._link_faults.get((src, dst))
-
     @property
     def partition(self) -> Optional[Partition]:
         """The currently installed partition, if any."""
@@ -353,11 +332,9 @@ class Network:
     ) -> None:
         """Send ``message`` from ``src`` to ``dst``.
 
-        The message is subject to loss, duplication, reordering, partitions
-        and crash filtering per the network configuration. Delivery happens
-        either by pushing into the destination's arrival inbox or by
-        scheduling the destination's receive callback after the computed
-        network latency.
+        The message is subject to loss, duplication, reordering and
+        partitions per the network configuration. Every copy that survives
+        is pushed into the destination at send time, with its arrival time.
         """
         self.send_multi(src, (dst,), message, size_bytes)
 
@@ -384,15 +361,14 @@ class Network:
     ) -> None:
         """Send one payload to several destinations, in order.
 
-        Each destination gets its own loss/jitter/duplication draws from the
-        shared stream, in destination order; the configuration, stats and
-        fault lookups are hoisted out of the loop. ``src`` itself is not
-        filtered here.
+        Each destination gets its own draws from the shared stream, in
+        destination order; the configuration, stats and fault lookups are
+        hoisted out of the loop. ``src`` itself is not filtered here, and a
+        crashed node filters its own sends (see :mod:`repro.sim.node`).
         """
         cfg = self.config
         stats = self.stats
         partition = self._partition
-        crashed_src = src in self._crashed
         total_bytes = size_bytes + DEFAULT_HEADER_BYTES
         loss_rate = cfg.loss_rate
         duplicate_rate = cfg.duplicate_rate
@@ -401,23 +377,20 @@ class Network:
         base = cfg.base_latency + total_bytes * cfg.per_byte_latency
         sim = self.sim
         now = sim._now
-        inbox_get = self._inbox_procs.get
+        destination_get = self._destinations.get
         link_faults = self._link_faults
         # messages_sent/bytes_sent are charged per destination regardless of
         # drops, so they fold into one bulk update after the loop.
         sent = 0
         for dst in destinations:
-            proc = inbox_get(dst)
-            if proc is None and dst not in self._receivers:
+            proc = destination_get(dst)
+            if proc is None:
                 stats.messages_sent += sent
                 stats.bytes_sent += sent * total_bytes
                 raise SimulationError(
                     f"destination node {dst} is not registered on the network"
                 )
             sent += 1
-            if crashed_src:
-                stats.messages_dropped_crashed += 1
-                continue
             if partition is not None and not partition.allows(src, dst):
                 stats.messages_dropped_partition += 1
                 continue
@@ -433,103 +406,47 @@ class Network:
                 if self._next_random() < link_fault.loss_rate:
                     stats.messages_dropped_loss += 1
                     continue
-            if jitter > 0.0:
-                idx = self._rand_idx
-                buf = self._rand_buf
-                if idx >= len(buf):
-                    draw = self._refill()
+            # One pass per copy, each drawing jitter then reorder: the
+            # message, then a fabric duplicate, then a late link duplicate
+            # (its delay drawn first). ``stage`` is the next duplicate draw
+            # to make.
+            delay = 0.0
+            stage = 0
+            while True:
+                if jitter > 0.0:
+                    idx = self._rand_idx
+                    buf = self._rand_buf
+                    if idx >= len(buf):
+                        draw = self._refill()
+                    else:
+                        self._rand_idx = idx + 1
+                        draw = buf[idx]
+                    # Inlined random.Random.uniform(-j, j) over the draw:
+                    # a + (b - a) * random() with a = -j, b = j.
+                    latency = (
+                        cfg.base_latency * (1.0 + (-jitter + (jitter - -jitter) * draw))
+                        + total_bytes * cfg.per_byte_latency
+                    )
                 else:
-                    self._rand_idx = idx + 1
-                    draw = buf[idx]
-                latency = (
-                    cfg.base_latency * (1.0 + (-jitter + (jitter - -jitter) * draw))
-                    + total_bytes * cfg.per_byte_latency
-                )
-            else:
-                latency = base
-            if reorder_rate > 0.0 and self._next_random() < reorder_rate:
-                latency += cfg.reorder_extra_latency * self._next_random()
-            if link_fault is not None:
-                latency *= link_fault.latency_factor
-            if proc is not None:
+                    latency = base
+                if reorder_rate > 0.0 and self._next_random() < reorder_rate:
+                    latency += cfg.reorder_extra_latency * self._next_random()
+                if link_fault is not None:
+                    latency *= link_fault.latency_factor
                 seq = sim._seq
                 sim._seq = seq + 1
-                proc._push_arrival(now + latency, seq, src, message, total_bytes)
-            else:
-                sim.schedule(latency, self._deliver, src, dst, message, total_bytes)
-            if duplicate_rate > 0.0 and self._next_random() < duplicate_rate:
-                stats.messages_duplicated += 1
-                self._schedule_delivery(
-                    proc,
-                    src,
-                    dst,
-                    message,
-                    total_bytes,
-                    1.0 if link_fault is None else link_fault.latency_factor,
-                )
-            if (
-                link_fault is not None
-                and link_fault.duplicate_rate > 0.0
-                and self._next_random() < link_fault.duplicate_rate
-            ):
-                stats.messages_duplicated += 1
-                self._schedule_delivery(
-                    proc,
-                    src,
-                    dst,
-                    message,
-                    total_bytes,
-                    link_fault.latency_factor,
-                    link_fault.duplicate_delay * self._next_random(),
-                )
+                proc._push_arrival(now + (latency + delay), seq, src, message, total_bytes)
+                if stage == 0:
+                    stage = 1
+                    if duplicate_rate > 0.0 and self._next_random() < duplicate_rate:
+                        stats.messages_duplicated += 1
+                        continue
+                if stage == 1 and link_fault is not None and link_fault.duplicate_rate > 0.0:
+                    stage = 2
+                    if self._next_random() < link_fault.duplicate_rate:
+                        stats.messages_duplicated += 1
+                        delay = link_fault.duplicate_delay * self._next_random()
+                        continue
+                break
         stats.messages_sent += sent
         stats.bytes_sent += sent * total_bytes
-
-    # -------------------------------------------------------------- internal
-    def _schedule_delivery(
-        self,
-        proc: Any,
-        src: NodeId,
-        dst: NodeId,
-        message: Any,
-        total_bytes: int,
-        latency_factor: float = 1.0,
-        extra_delay: float = 0.0,
-    ) -> None:
-        latency = self._sample_latency(total_bytes)
-        if latency_factor != 1.0:
-            latency *= latency_factor
-        if extra_delay > 0.0:
-            latency += extra_delay
-        if proc is not None:
-            sim = self.sim
-            seq = sim._seq
-            sim._seq = seq + 1
-            proc._push_arrival(sim._now + latency, seq, src, message, total_bytes)
-        else:
-            self.sim.schedule(latency, self._deliver, src, dst, message, total_bytes)
-
-    def _sample_latency(self, total_bytes: int) -> float:
-        cfg = self.config
-        latency = cfg.base_latency
-        jitter = cfg.jitter
-        if jitter > 0.0:
-            # Inlined random.Random.uniform(-j, j) over a buffered draw:
-            # a + (b - a) * random() with a = -j, b = j, bit-identical to
-            # the unbuffered call.
-            latency *= 1.0 + (-jitter + (jitter - -jitter) * self._next_random())
-        latency += total_bytes * cfg.per_byte_latency
-        if cfg.reorder_rate > 0.0 and self._next_random() < cfg.reorder_rate:
-            latency += cfg.reorder_extra_latency * self._next_random()
-        return latency
-
-    def _deliver(self, src: NodeId, dst: NodeId, message: Any, total_bytes: int) -> None:
-        if dst in self._crashed:
-            self.stats.messages_dropped_crashed += 1
-            return
-        receiver = self._receivers.get(dst)
-        if receiver is None:
-            self.stats.messages_dropped_crashed += 1
-            return
-        self.stats.messages_delivered += 1
-        receiver(src, message, total_bytes)

@@ -41,7 +41,8 @@ Crash semantics: a crash discards all queued work and all outstanding
 timers permanently — recovering does not resurrect work or timers from
 before the crash. Messages still in flight at the crash are dropped at
 their arrival times while the node stays down, and are processed normally
-if the node has recovered by then.
+if the node has recovered by then. The crash flag lives here only: the
+network keeps no crash state, and a crashed node sends nothing.
 
 Guest mode (key-range sharding)
 -------------------------------
@@ -68,7 +69,7 @@ guest call            effect
 ====================  =======================================================
 ``send``              host ``send`` of ``(guest_tag, message)`` — same bytes
 ``broadcast``         host ``broadcast`` of ``(guest_tag, message)``
-``submit_local``      host ``submit_local`` of ``(guest_tag, work)``
+``submit_local``      ``submit_local_at`` at the current instant (below)
 ``submit_local_at``   host ``submit_local_at`` of ``(guest_tag, work)``
 ``charge_send``       host ``charge_send`` (no envelope; CPU is shared)
 ``charge_cpu``        host ``charge_cpu`` (no envelope; CPU is shared)
@@ -265,7 +266,6 @@ class NodeProcess:
         crashed.
         """
         self._crashed = True
-        self.network.crash(self.node_id)
         for handle in self._timers:
             handle.cancel()
         self._timers.clear()
@@ -294,7 +294,6 @@ class NodeProcess:
     def recover(self) -> None:
         """Clear the crashed flag (protocol-level recovery is separate)."""
         self._crashed = False
-        self.network.recover(self.node_id)
         self._cpu_free_at = self.sim.now
         self._pending_charges.clear()
         if self._drop_event is not None:
@@ -339,11 +338,8 @@ class NodeProcess:
 
     # ------------------------------------------------------------- messaging
     def submit_local(self, work: Any, size_bytes: int = 0, weight: float = 1.0) -> None:
-        """Submit a local work item (e.g. a client request) to this node."""
-        if self._crashed:
-            return
-        service = self.service_model.cost(size_bytes, weight)
-        self._push_local(self.sim._now, service, self.on_local_work, (work,))
+        """Submit a local work item (e.g. a client request) arriving now."""
+        self.submit_local_at(self.sim._now, work, size_bytes, weight)
 
     def submit_local_at(
         self, time: float, work: Any, size_bytes: int = 0, weight: float = 1.0
@@ -441,7 +437,6 @@ class NodeProcess:
         """
         self.send = self._guest_send
         self.broadcast = self._guest_broadcast
-        self.submit_local = self._guest_submit_local
         self.submit_local_at = self._guest_submit_local_at
         self.charge_send = host.charge_send
         self.charge_cpu = host.charge_cpu
@@ -454,9 +449,6 @@ class NodeProcess:
 
     def _guest_broadcast(self, destinations, message: Any, size_bytes: int = 0) -> None:
         self._host.broadcast(destinations, (self.guest_tag, message), size_bytes)
-
-    def _guest_submit_local(self, work: Any, size_bytes: int = 0, weight: float = 1.0) -> None:
-        self._host.submit_local((self.guest_tag, work), size_bytes, weight)
 
     def _guest_submit_local_at(
         self, time: float, work: Any, size_bytes: int = 0, weight: float = 1.0

@@ -1,25 +1,21 @@
-"""The host-GC governor and the invariant it relies on.
+"""Reference-cycle discipline: a run allocates no cycles, and a dropped cell is
+freed by reference counting.
 
-``repro.sim.hostgc`` pauses the cyclic collector for the rest of a run once
-the run's first full collection is done. That is only sound because a run
-allocates **no reference cycles**: everything it drops is freed by reference
-counting, so the later collections it skips could not have freed anything.
-The first half of this file holds every protocol and client model to that,
-and a dropped cell (its cluster, replica skeleton, sessions and op records)
-to being freed by reference counting alone, in unit runs and through the
-figure and fuzz entry points (counts, never a wall-clock number); the second
-half checks the governor leaves the process's GC state exactly as it found
-it on every exit path.
+The event loop leaves the host's cyclic collector alone. That is cheap only
+because a run allocates **no reference cycles**: everything it drops is
+freed by reference counting, so a collection finds nothing of the
+simulator's to free. This file holds every protocol and client model to
+that, and a dropped cell (its cluster, replica skeleton, sessions and op
+records) to being freed by reference counting alone, in unit runs and
+through the figure and fuzz entry points (counts, never a wall-clock
+number). It also checks that a run leaves the process's GC state as it
+found it and that no module under ``src/`` touches the collector.
 """
 
 from __future__ import annotations
 
 import ast
 import gc
-import json
-import os
-import subprocess
-import sys
 import weakref
 from pathlib import Path
 
@@ -43,7 +39,6 @@ from repro.fuzz.trial import run_trial
 from repro.kvs.store import KeyValueStore
 from repro.membership.service import MembershipService
 from repro.sim.engine import Simulator
-from repro.sim.hostgc import quiet_after_full_collection
 from repro.sim.network import Network
 from repro.sim.node import NodeProcess
 from repro.types import Operation
@@ -209,138 +204,8 @@ def test_state_restored_after_deadlock(gc_state):
     assert (gc.isenabled(), list(gc.callbacks)) == gc_state
 
 
-def test_nested_entries_unwind_in_order(gc_state):
-    enabled, callbacks = gc_state
-    with quiet_after_full_collection():
-        with quiet_after_full_collection():
-            assert len(gc.callbacks) == len(callbacks) + 2
-        assert len(gc.callbacks) == len(callbacks) + 1
-        assert gc.isenabled() == enabled
-    assert (gc.isenabled(), list(gc.callbacks)) == gc_state
-
-
-def test_full_pass_inside_a_nest_pauses_until_the_outer_exit(gc_state):
-    with quiet_after_full_collection():
-        with quiet_after_full_collection():
-            # What the collector does at the end of a full pass: every hook.
-            for hook in gc.callbacks[-2:]:
-                hook("stop", {"generation": 2})
-            assert not gc.isenabled()
-        assert not gc.isenabled()  # the outer run is still going
-    assert gc.isenabled()
-
-
-def test_someone_elses_disable_inside_the_block_is_kept(gc_state):
-    try:
-        with quiet_after_full_collection():
-            gc.disable()
-        assert not gc.isenabled()
-    finally:
-        gc.enable()
-
-
-def test_disabled_collector_is_left_disabled(gc_state):
-    gc.disable()
-    try:
-        with quiet_after_full_collection():
-            assert list(gc.callbacks) == gc_state[1]  # no hook: nothing to pause
-            assert not gc.isenabled()
-        assert not gc.isenabled()
-    finally:
-        gc.enable()
-
-
-def test_hook_pauses_only_after_a_full_collection(gc_state):
-    with quiet_after_full_collection():
-        hook = gc.callbacks[-1]
-        hook("stop", {"generation": 1})
-        hook("start", {"generation": 2})
-        assert gc.isenabled()
-        hook("stop", {"generation": 2})
-        assert not gc.isenabled()
-    assert gc.isenabled()
-
-
-# ------------------------------------------------- the one pass that is kept
-_TWO_CELLS = """
-import gc, json, weakref
-from repro.bench.harness import ExperimentSpec, build_clients, build_cluster, build_workload
-from repro.cluster.client import run_clients
-
-REPLICAS, SESSIONS_PER_REPLICA = 3, 10
-
-def cell(ops_per_client):
-    spec = ExperimentSpec(num_replicas=REPLICAS, num_keys=100,
-                          clients_per_replica=SESSIONS_PER_REPLICA,
-                          ops_per_client=ops_per_client, write_ratio=0.05, seed=5)
-    cluster = build_cluster(spec)
-    workload = build_workload(spec)
-    cluster.preload(workload.initial_dataset())
-    return cluster, build_clients(spec, cluster, workload, None)
-
-# 6k ops: long enough for the cluster to age into the oldest generation,
-# too short for the process's first full collection.
-cluster, clients = cell(200)
-run_clients(cluster, clients)
-first = weakref.ref(cluster.nodes[0])
-del cluster, clients
-report = {"dead_after_del": first() is None, "full_passes": 0, "collections_after": 0}
-
-# Sized from the collector's own state, so that the process's first full
-# collection falls inside this run whatever a run retains per op. A full
-# pass waits for more than t2 generation-1 passes since the last one
-# (each takes t1 + 1 generation-0 passes of t0 + 1 net new tracked objects)
-# and for the objects promoted since the last one to exceed a quarter of
-# those it kept (at most every tracked object now; the newest t1 + 1 passes'
-# worth are not promoted yet). Every op retains at least one tracked object,
-# its Operation; the margin covers the objects the cell's build takes.
-t0, t1, t2 = gc.get_threshold()
-c0, c1, c2 = gc.get_count()
-young_passes = (t2 + 1 - c2) * (t1 + 1) - c1
-net_new = max(young_passes * (t0 + 1) - c0, len(gc.get_objects()) // 4 + (t1 + 1) * (t0 + 1))
-ops_per_client = -(-net_new * 5 // 4 // (REPLICAS * SESSIONS_PER_REPLICA))
-report["ops"] = ops_per_client * REPLICAS * SESSIONS_PER_REPLICA
-cluster, clients = cell(ops_per_client)
-def observe(phase, info):
-    if phase != "start":
-        return
-    if info["generation"] == 2:
-        report["full_passes"] += 1
-    elif report["full_passes"]:
-        report["collections_after"] += 1
-gc.callbacks.append(observe)
-run_clients(cluster, clients)
-gc.callbacks.remove(observe)
-report.update(enabled_after=gc.isenabled(), callbacks_after=len(gc.callbacks))
-print(json.dumps(report))
-"""
-
-
-def test_first_full_pass_of_a_run_is_kept_and_later_collections_are_not():
-    # A fresh interpreter: when a full collection happens depends on how many
-    # objects the process already holds (the 25%-growth rule) and on its
-    # collection counters, and a pytest process has plenty of both.
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", _TWO_CELLS], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
-    assert report["enabled_after"] and report["callbacks_after"] == 0
-    # Dropping the first cell's cluster freed its whole skeleton at once, by
-    # reference counting: no collection has to find it.
-    assert report["dead_after_del"]
-    if not report["full_passes"] and sys.version_info >= (3, 13):
-        pytest.skip("this interpreter's collector reported no generation-2 pass")
-    # The second run's first full pass is its last collection of any
-    # generation (an ungoverned run of this size makes dozens more); the one
-    # allowed here is the deferred young pass that re-enabling triggers.
-    assert report["full_passes"] == 1, "resize the cells: no full pass inside the second run"
-    assert report["collections_after"] <= 1
-
-
-# ------------------------------------------------------ one place touches gc
-def test_exactly_one_module_under_src_touches_gc():
+# ------------------------------------------------------- nothing touches gc
+def test_no_module_under_src_touches_gc():
     def imports_gc(path: Path) -> bool:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import) and any(alias.name == "gc" for alias in node.names):
@@ -349,8 +214,4 @@ def test_exactly_one_module_under_src_touches_gc():
                 return True
         return False
 
-    users = [path for path in sorted((REPO / "src").rglob("*.py")) if imports_gc(path)]
-    assert users == [REPO / "src" / "repro" / "sim" / "hostgc.py"]
-    source = users[0].read_text()
-    for forbidden in ("gc.collect(", "gc.freeze(", "gc.set_threshold("):
-        assert forbidden not in source
+    assert [path for path in sorted((REPO / "src").rglob("*.py")) if imports_gc(path)] == []

@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.engine import Simulator
-from repro.sim.network import DEFAULT_HEADER_BYTES, Network, NetworkConfig, Partition
+from repro.sim.network import DEFAULT_HEADER_BYTES, Network, NetworkConfig, NetworkStats, Partition
 
 
 def build(sim, **kwargs):
@@ -76,33 +76,17 @@ def test_reordering_possible_with_extra_latency(sim):
     assert {m for _, m, _ in inbox} == {"first", "second"}
 
 
-def test_crashed_destination_drops(sim):
+def test_callback_sink_runs_same_instant_arrivals_in_send_order(sim):
     net = build(sim)
-    inbox = register_sink(net, 1)
-    net.crash(1)
-    net.send(0, 1, "x")
+    order = []
+    for node in (1, 2):
+        net.register(node, lambda src, msg, size, node=node: order.append((node, msg, sim.now)))
+    for dst, msg in ((2, "a"), (1, "b"), (2, "c")):
+        net.send(0, dst, msg)
     sim.run()
-    assert inbox == []
-    assert net.stats.messages_dropped_crashed == 1
-
-
-def test_crashed_source_emits_nothing(sim):
-    net = build(sim)
-    inbox = register_sink(net, 1)
-    net.crash(0)
-    net.send(0, 1, "x")
-    sim.run()
-    assert inbox == []
-
-
-def test_recover_restores_delivery(sim):
-    net = build(sim)
-    inbox = register_sink(net, 1)
-    net.crash(1)
-    net.recover(1)
-    net.send(0, 1, "x")
-    sim.run()
-    assert len(inbox) == 1
+    arrival = NetworkConfig().base_latency + DEFAULT_HEADER_BYTES * NetworkConfig().per_byte_latency
+    assert order == [(2, "a", arrival), (1, "b", arrival), (2, "c", arrival)]
+    assert sim.events_executed == 3
 
 
 def test_message_crossing_partition_dropped(sim):
@@ -169,13 +153,6 @@ def test_stats_counts(sim):
     assert net.stats.bytes_sent == 5 * (10 + DEFAULT_HEADER_BYTES)
 
 
-def test_unregister_removes_node(sim):
-    net = build(sim)
-    register_sink(net, 1)
-    net.unregister(1)
-    assert 1 not in net.node_ids
-
-
 def test_config_validation_rejects_bad_probabilities():
     with pytest.raises(ConfigurationError):
         NetworkConfig(loss_rate=1.5).validate()
@@ -196,3 +173,52 @@ def test_jitter_varies_latency(sim):
     sim.run()
     deltas = {round(t - previous, 12) for t in times}
     assert len(deltas) > 1
+
+
+class _ArrivalRecorder:
+    """A destination that records every copy the network pushes to it."""
+
+    def __init__(self, node_id, log):
+        self.node_id = node_id
+        self.log = log
+
+    def _push_arrival(self, arrival, seq, src, message, total_bytes):
+        self.log.append((self.node_id, arrival.hex(), seq))
+
+
+def test_send_multi_draw_order_is_pinned():
+    """Golden values for one fan-out through every fault the fabric draws.
+
+    Per destination the network draws loss, link loss, jitter and reorder
+    for the message, then the fabric duplicate (its own jitter and
+    reorder), then the link duplicate (its delay before its latency). The
+    clock is off zero so the summation order of a late duplicate's
+    arrival, ``now + (latency + delay)``, shows in the bits.
+    """
+    sim = Simulator()
+    config = NetworkConfig(loss_rate=0.2, duplicate_rate=0.5, reorder_rate=0.5)
+    net = Network(sim, config, rng=random.Random(32))
+    log = []
+    for node in range(5):
+        net.register_process(_ArrivalRecorder(node, log))
+    net.degrade_link(0, 2, latency_factor=1.5, loss_rate=0.25, duplicate_rate=0.9, duplicate_delay=30e-6)
+    net.degrade_link(0, 4, latency_factor=2.0, duplicate_rate=1.0, duplicate_delay=10e-6, symmetric=False)
+    sim.run(until=1.234567e-3)
+    net.send_multi(0, [1, 2, 3, 4], "m", 16)
+    assert log == [
+        (2, "0x1.4a26aef3bf84ap-10", 0),
+        (2, "0x1.446ce46fc811ap-10", 1),
+        (2, "0x1.4beb5794a3decp-10", 2),
+        (3, "0x1.47f3d4aa12876p-10", 3),
+        (4, "0x1.45a308e928300p-10", 4),
+        (4, "0x1.4675d4d89fdb8p-10", 5),
+        (4, "0x1.466e806013ea0p-10", 6),
+    ]
+    assert net.stats == NetworkStats(
+        messages_sent=4,
+        messages_dropped_loss=1,
+        messages_duplicated=4,
+        bytes_sent=4 * (16 + DEFAULT_HEADER_BYTES),
+    )
+    # Pins how many draws the fan-out consumed.
+    assert net._next_random().hex() == "0x1.3d1b5cdd3d322p-2"
