@@ -38,6 +38,7 @@ from repro.bench.runner import derive_cell_seed, resolve_scale, run_figure, run_
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.sharding import ShardRouter
 from repro.errors import BenchmarkError, ConfigurationError
+from repro.types import Operation, OpStatus
 from repro.verification.linearizability import check_history
 from repro.workloads.generator import WorkloadMix
 
@@ -202,6 +203,31 @@ def test_sharded_cluster_partitions_stores_and_crashes_whole_nodes():
     cluster.crash(0)
     assert all(cluster.shard_replicas[(0, s)].crashed for s in range(4))
     assert len(cluster.live_replicas()) == 8
+
+
+@pytest.mark.parametrize(
+    "factor, read_end, write_end",
+    [
+        (1.0, "0x1.b2fe89a4294dap-27", "0x1.214a4d10fdae8p-18"),
+        (3.0, "0x1.463ee73b1efa4p-25", "0x1.269fc1cd96384p-18"),
+    ],
+)
+def test_guest_client_ops_are_priced_by_the_slowed_host(factor, read_end, write_end):
+    # slow_node scales only the host's service model: a guest's client op
+    # must be priced from its host's CPU, so the read takes 3x as long.
+    cluster = Cluster(ClusterConfig(protocol="hermes", num_replicas=3, shards=2, seed=4))
+    cluster.preload({k: f"v{k}".encode() for k in range(8)})
+    cluster.slow_node(1, factor)
+    guest = cluster.replica(1, shard=1)
+    done = []
+    record = lambda op, status, value: done.append((status, value, cluster.sim.now))
+    guest.submit(Operation.read(1), record)
+    guest.submit(Operation.write(3, b"w3"), record)
+    cluster.run_until(lambda: len(done) == 2, check_interval=1e-6, max_time=0.01)
+    assert [(s, v, t.hex()) for s, v, t in done] == [
+        (OpStatus.OK, b"v1", read_end),
+        (OpStatus.OK, b"w3", write_end),
+    ]
 
 
 def test_sharded_roles_rotate_across_nodes():
