@@ -126,15 +126,19 @@ _PILOT = 8192
 _WINDOW_SIGMAS = 5
 
 
+#: The operation types a summary keeps (``None``: every type).
+_Types = Optional[Tuple[OpType, ...]]
+
+
 def _latency_list(
-    records: Sequence[Operation], op_type: Optional[OpType], only_ok: bool
+    records: Sequence[Operation], types: _Types, only_ok: bool
 ) -> List[float]:
     """The summarized records' latencies, in record order."""
     ok = OpStatus.OK
     return [
         r.end_time - r.start_time
         for r in records
-        if (op_type is None or r.op_type is op_type) and (not only_ok or r.status is ok)
+        if (types is None or r.op_type in types) and (not only_ok or r.status is ok)
     ]
 
 
@@ -144,18 +148,18 @@ def _doubles(values: List[float]) -> memoryview:
 
 
 def _latency_chunks(
-    results: Sequence[Operation], op_type: Optional[OpType], only_ok: bool
+    results: Sequence[Operation], types: _Types, only_ok: bool
 ) -> Iterator[List[float]]:
     """:func:`_latency_list` of ``results``, ``_CHUNK`` records at a time."""
     for start in range(0, len(results), _CHUNK):
-        yield _latency_list(results[start : start + _CHUNK], op_type, only_ok)
+        yield _latency_list(results[start : start + _CHUNK], types, only_ok)
 
 
 def _sort_all(
-    results: Sequence[Operation], op_type: Optional[OpType], only_ok: bool
+    results: Sequence[Operation], types: _Types, only_ok: bool
 ) -> Tuple[float, int, Callable[[int], float]]:
     """The latencies' sum, count and value by rank, from a list of them all."""
-    latencies = _latency_list(results, op_type, only_ok)
+    latencies = _latency_list(results, types, only_ok)
     # Summed in record order, before the sort: float addition is not
     # associative (and 3.12's sum() is compensated), and the mean's bits are
     # in committed baselines.
@@ -170,7 +174,7 @@ def _sort_all(
 
 
 def _window_edges(
-    results: Sequence[Operation], op_type: Optional[OpType], only_ok: bool
+    results: Sequence[Operation], types: _Types, only_ok: bool
 ) -> Tuple[List[float], List[int]]:
     """The edges that split the latencies for a walk, and the ``bisect_right``
     indexes between them whose values the walk keeps.
@@ -182,7 +186,7 @@ def _window_edges(
     inf)``, so the odd index between them holds exactly the values equal to
     ``p``: those are counted, never kept. An even index holds the values
     strictly between two pivots; it is kept when a window spans it."""
-    pilot = _latency_list(results[:: ceil(len(results) / _PILOT)], op_type, only_ok)
+    pilot = _latency_list(results[:: ceil(len(results) / _PILOT)], types, only_ok)
     if not pilot or not all(0.0 <= v < inf for v in pilot):
         return [], [0]  # one open window: keep everything
     pilot.sort()
@@ -201,10 +205,13 @@ def _window_edges(
 
 def latency_summary(
     results: Iterable[Operation],
-    op_type: Optional[OpType] = None,
+    op_type: Optional[OpType | Tuple[OpType, ...]] = None,
     only_ok: bool = True,
 ) -> LatencySummary:
     """Summarize latencies, optionally filtered by operation type.
+
+    ``op_type`` keeps one type, or every type in a tuple of them (the
+    updates are ``(OpType.WRITE, OpType.RMW)``); ``None`` keeps all.
 
     Exact: every float equals what sorting all the latencies gives. At
     most ``_MAX_SORTED`` records are summed and sorted. Over more, a pilot
@@ -224,11 +231,12 @@ def latency_summary(
     """
     if not isinstance(results, (list, tuple)):
         results = list(results)
+    types = (op_type,) if isinstance(op_type, OpType) else op_type
     if len(results) <= _MAX_SORTED:
-        total, count, at = _sort_all(results, op_type, only_ok)
+        total, count, at = _sort_all(results, types, only_ok)
     else:
-        windows = _window_edges(results, op_type, only_ok)
-        total, count, at = _walk(results, op_type, only_ok, windows)
+        windows = _window_edges(results, types, only_ok)
+        total, count, at = _walk(results, types, only_ok, windows)
     if not count:
         return LatencySummary.empty()
     median, p95, p99 = (_interpolate(at, count, f) for f in _PERCENTILES)
@@ -239,7 +247,7 @@ def latency_summary(
 
 def _walk(
     results: Sequence[Operation],
-    op_type: Optional[OpType],
+    types: _Types,
     only_ok: bool,
     windows: Tuple[List[float], List[int]],
 ) -> Tuple[float, int, Callable[[int], float]]:
@@ -269,7 +277,7 @@ def _walk(
             yield chunk
 
     # One sum() over the latencies in record order, as over a list of them.
-    total = sum(chain.from_iterable(counted(_latency_chunks(results, op_type, only_ok))))
+    total = sum(chain.from_iterable(counted(_latency_chunks(results, types, only_ok))))
     if total != total:
         raise BenchmarkError("a latency is negative or NaN")
     count = sum(gaps)
@@ -289,7 +297,7 @@ def _walk(
             del ordered
         elif inside:
             # A rank between windows: the pilot misplaced them.
-            return _sort_all(results, op_type, only_ok)
+            return _sort_all(results, types, only_ok)
     return total, count, value.__getitem__
 
 

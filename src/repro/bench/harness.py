@@ -445,6 +445,10 @@ def build_clients(
     ]
 
 
+#: Every operation type but READ: what the update-latency summary keeps.
+_UPDATE_TYPES = tuple(t for t in OpType if t is not OpType.READ)
+
+
 def _summarize(
     spec: ExperimentSpec,
     results: List[Operation],
@@ -462,9 +466,7 @@ def _summarize(
         throughput=throughput(results),
         overall_latency=latency_summary(results),
         read_latency=latency_summary(results, op_type=OpType.READ),
-        write_latency=latency_summary(
-            [r for r in results if r.op_type is not OpType.READ], op_type=None
-        ),
+        write_latency=latency_summary(results, op_type=_UPDATE_TYPES),
         duration=duration,
         results=results,
         history=history,

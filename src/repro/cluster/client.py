@@ -30,7 +30,7 @@ import random
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.txn import ClientTxnSubmit, TxnOutcome, ops_wire_size
+from repro.cluster.txn import TxnOutcome
 from repro.errors import SimulationDeadlock, WorkloadError
 from repro.sim.rng import SeededRNG
 from repro.types import (
@@ -105,7 +105,6 @@ class ClientSession:
         else:
             self._shard_of = self._node.router.shard_of
         self._sim = cluster.sim
-        self._replica_config = cluster.config.replica
         # Per-request completion context, keyed by op/txn id (one id counter
         # feeds both): ``(op, response-leg latency, epoch, firing session)``
         # (a transaction's: its member ops), the op filled in as its own
@@ -219,7 +218,7 @@ class ClientSession:
                 for member in members:
                     member.start_time = issue_time
             # Shard 0's replica hands the transaction to the node's 2PC
-            # coordinator (a guest replica adds the shard envelope).
+            # coordinator.
             node = self._shard_replicas[0]
         else:
             if history is not None:
@@ -232,18 +231,13 @@ class ClientSession:
         if node.crashed:
             self._stalled = True
             return
-        arrival = issue_time + request_lat
         if txn:
             self._inflight[op.txn_id] = (members, response_lat, self._epoch, session)
-            config = self._replica_config
-            node.submit_local_at(
-                arrival,
-                ClientTxnSubmit(op, self._record_txn),
-                size_bytes=ops_wire_size(op.ops, config.key_size, config.value_size),
-            )
+            callback = self._record_txn
         else:
             self._inflight[op.op_id] = (op, response_lat, self._epoch, session)
-            node.submit_at(arrival, op, self._record)
+            callback = self._record
+        node.submit_at(issue_time + request_lat, op, callback)
 
     # ------------------------------------------------------------- recording
     def _record(self, op: Operation, status: OpStatus, value: Value) -> None:

@@ -21,10 +21,11 @@ Two pieces implement it:
   replicas are constructed as *guests* of the host (see
   :mod:`repro.sim.node`), so all shards on a node share the node's CPU and
   NIC budget exactly like HermesKV worker threads share a machine. Shard
-  traffic travels as ``(shard_id, inner)`` envelopes through the host's
-  inbox; the envelope is routing metadata only and adds no wire bytes (a
-  real deployment demultiplexes by key, which already determines the
-  shard).
+  traffic travels over the network as ``(shard_id, inner)`` envelopes; the
+  envelope is routing metadata only and adds no wire bytes (a real
+  deployment demultiplexes by key, which already determines the shard).
+  Local work (client operations, 2PC self-sends) enters the host's inbox
+  under the guest's own handler, with no envelope.
 
 At ``shards=1`` the cluster builds no host: each node is a standalone
 replica, which keeps the single-partition hot path free of envelopes.
@@ -54,9 +55,9 @@ target (checked by :mod:`repro.verification.migration`).
 Shards are independent protocol groups; *cross-shard* multi-key operations
 are provided by the transaction layer on top (:mod:`repro.cluster.txn`).
 Its messages ride the same ``(shard_id, inner)`` envelopes and dispatch to
-the addressed guest replica like protocol traffic: a client transaction
-hand-off arrives through shard 0's guest, which passes it to the host's
-per-node 2PC coordinator.
+the addressed guest replica like protocol traffic; a client submits its
+transaction to shard 0's guest, which passes it to the host's per-node 2PC
+coordinator.
 """
 
 from __future__ import annotations
@@ -255,10 +256,11 @@ class ShardHost(NodeProcess):
     """The per-node process hosting one replica of every shard.
 
     The host is what the network and the simulator see: one CPU timeline,
-    one arrival inbox, one crash flag per simulated node. Incoming
-    ``(shard_id, inner)`` envelopes — network messages and locally submitted
-    client work alike — are unwrapped and dispatched to the owning shard's
-    replica, whose handlers run under the host's CPU service model.
+    one arrival inbox, one crash flag per simulated node (every guest's
+    ``node``). Incoming ``(shard_id, inner)`` network envelopes are
+    unwrapped and dispatched to the owning shard's replica, whose handlers
+    run under the host's CPU service model; local work needs no envelope,
+    because each inbox entry already names the guest handler that runs it.
     Unenveloped membership traffic is handled by the host's own per-node
     membership agent (when enabled), which serves all co-hosted shards.
     """
@@ -669,19 +671,6 @@ class ShardHost(NodeProcess):
         san.begin_delivery(replica)
         try:
             replica.on_message(src, inner)
-        finally:
-            san.end_delivery()
-
-    def on_local_work(self, work: Any) -> None:
-        shard, inner = work
-        replica = self.shard_replicas[shard]
-        san = self._sanitizer
-        if san is None:
-            replica.on_local_work(inner)
-            return
-        san.begin_delivery(replica)
-        try:
-            replica.on_local_work(inner)
         finally:
             san.end_delivery()
 

@@ -190,16 +190,6 @@ WIRE_COSTS = {
 }
 
 
-class ClientTxnSubmit(TxnMessage):
-    """A client's transaction hand-off to its bound node (never on the wire)."""
-
-    __slots__ = ("txn", "callback")
-
-    def __init__(self, txn: Transaction, callback: TxnCallback) -> None:
-        self.txn = txn
-        self.callback = callback
-
-
 class TxnOutcome:
     """What a completed transaction reports back to the client.
 
@@ -878,24 +868,22 @@ class TxnCoordinator:
 
 
 def _send(replica: Any, dst: NodeId, message: TxnMessage, size: int) -> None:
-    """Send from ``replica`` to node ``dst``; a self-send goes through the
-    local work queue (CPU charged, no wire bytes). A guest replica's
-    ``send``/``submit_local`` add its ``(shard, message)`` envelope."""
+    """Send from ``replica`` to node ``dst``. A self-send is local work on
+    the replica's node, run by the replica's ``dispatch`` (CPU charged, no
+    wire bytes); a guest replica's ``send`` adds its ``(shard, message)``
+    envelope."""
     if dst == replica.node_id:
-        replica.submit_local(message, size_bytes=size)
+        node = replica.node
+        node._push_local(
+            node.sim._now, node.service_model.cost(size), replica.dispatch, (dst, message)
+        )
     else:
         replica.send(dst, message, size_bytes=size)
 
 
-def _node_of(replica: Any) -> Any:
-    """The simulated node a replica runs on (its shard host, if it has one)."""
-    host = replica._host
-    return host if host is not None else replica
-
-
 def coordinator_of(replica: Any) -> TxnCoordinator:
     """The coordinator of the node ``replica`` runs on, created on first use."""
-    node = _node_of(replica)
+    node = replica.node
     coordinator = node._txn_coordinator
     if coordinator is None:
         if node is replica:  # a standalone replica is its node's only shard
@@ -912,7 +900,7 @@ def _to_participant(method: Callable[[TxnParticipant, Any], None]):
 
 def _to_coordinator(method: Callable[[TxnCoordinator, Any], None]):
     def handler(replica: Any, src: NodeId, message: Any) -> None:
-        coordinator = _node_of(replica)._txn_coordinator
+        coordinator = replica.node._txn_coordinator
         if coordinator is not None:
             method(coordinator, message)
 
@@ -922,13 +910,11 @@ def _to_coordinator(method: Callable[[TxnCoordinator, Any], None]):
 #: The transaction layer's entries in every replica's dispatch table, called
 #: as ``handler(replica, src, message)``. Participant-bound messages
 #: (prepare, decision) go to the replica's own lock-master
-#: participant, created on first use. Client hand-offs and coordinator-bound
-#: replies go to the coordinator of the replica's *node*; a reply reaching a
-#: node without a coordinator is ignored.
+#: participant, created on first use. Coordinator-bound replies go to the
+#: coordinator of the replica's *node*; a reply reaching a node without a
+#: coordinator is ignored. (A client's transaction is not a message: it
+#: reaches the coordinator through ``ReplicaNode.submit``.)
 TXN_HANDLERS: Dict[type, Callable[[Any, NodeId, Any], None]] = {
-    ClientTxnSubmit: lambda replica, src, work: coordinator_of(replica).begin(
-        work.txn, work.callback
-    ),
     TxnPrepare: _to_participant(TxnParticipant._on_prepare),
     TxnDecision: _to_participant(TxnParticipant._on_decision),
     TxnVote: _to_coordinator(TxnCoordinator._on_vote),

@@ -239,9 +239,6 @@ class MembershipService(NodeProcess):
     def _on_pong(self, src: NodeId, message: Pong) -> None:
         self.detector.record_heartbeat(src, self.sim.now)
 
-    def on_local_work(self, work) -> None:  # pragma: no cover - not used
-        raise NotImplementedError("the membership service takes no local work")
-
     # -------------------------------------------------------------- periodic
     def _ping_tick(self) -> None:
         self._ping_sequence += 1

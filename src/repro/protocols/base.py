@@ -38,7 +38,7 @@ from repro.sim.clock import ClockConfig, LooselySynchronizedClock
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.node import NodeProcess, ServiceTimeModel
-from repro.types import Key, NodeId, Operation, OpStatus, OpType, Value
+from repro.types import Key, NodeId, Operation, OpStatus, OpType, Transaction, Value
 
 #: A dispatch-table entry: ``handler(replica, src, message)``.
 Handler = Callable[[Any, NodeId, Any], None]
@@ -155,7 +155,7 @@ class ReplicaNode(NodeProcess):
             # Cross-replica guard: while any handler runs, only this replica
             # (or its ShardHost, which reads guest stores during migration)
             # may touch this store. Off by default (``_sanitizer is None``).
-            self._sanitizer.guard_store(self.store, owner=self, host=host or self)
+            self._sanitizer.guard_store(self.store, owner=self, host=self.node)
         #: Where protocol traffic leaves: the replica itself (one packet per
         #: message, :meth:`flush` a no-op) or a Wings batcher.
         self.transport: Any = self
@@ -205,32 +205,11 @@ class ReplicaNode(NodeProcess):
         self._ring_view: Optional[MembershipView] = None
         self._ring_cache: Tuple[NodeId, ...] = ()
         self._handlers = self.dispatch_table()
-        # Flattened client-submit constants: wire sizes and the exact
-        # ServiceTimeModel.cost(size, 1.0) values for reads and updates.
+        # Flattened client-submit constants: the wire sizes of reads and
+        # updates, and the bound handler a client operation runs under.
         self._read_size = self.config.key_size
         self._update_size = self.config.key_size + self.config.value_size
-        # Fast client-submit path: host nodes push straight into their own
-        # inbox; guests must go through the rebound submit_local_at
-        # delegator.
-        self._fast_submit = host is None
         self._bound_on_local_work = self.on_local_work
-        self._refresh_submit_services()
-
-    def _refresh_submit_services(self) -> None:
-        """Recompute cached per-class client-op service times.
-
-        Matches ``ServiceTimeModel.cost(size, 1.0)`` bit-for-bit (the
-        ``* 1.0`` weight factor is an exact float identity).
-        """
-        per_byte = self._sm_per_byte
-        workers = self._sm_workers
-        self._svc_read = (self._sm_base + self._read_size * per_byte) / workers
-        self._svc_update = (self._sm_base + self._update_size * per_byte) / workers
-
-    def set_cpu_scale(self, factor: float) -> None:
-        """Scale CPU costs (gray fault); refreshes the submit-service cache."""
-        super().set_cpu_scale(factor)
-        self._refresh_submit_services()
 
     # --------------------------------------------------------------- clocks
     def local_time(self) -> float:
@@ -250,56 +229,55 @@ class ReplicaNode(NodeProcess):
             agent.invalidate_lease()
 
     # ----------------------------------------------------------- client API
-    def submit(self, op: Operation, callback: ClientCallback) -> None:
-        """Submit a client operation to this replica.
+    def submit(self, op: Operation | Transaction, callback: Callable[..., None]) -> None:
+        """Submit a client operation (or transaction) to this replica now.
 
         The operation is queued behind the node's CPU like any other work;
-        the callback fires when the protocol completes the operation.
+        the callback fires when the protocol completes the operation (a
+        transaction's gets ``(txn, TxnOutcome)``).
         """
-        if self._fast_submit:
-            # Fused submit → inbox push: skips the submit_local hop and the
-            # per-call service-cost arithmetic (cached per op class).
-            if self._crashed:
-                return
-            service = self._svc_read if op.op_type is OpType.READ else self._svc_update
-            self._push_local(
-                self.sim._now, service, self._bound_on_local_work, ((op, callback),)
-            )
-            return
-        size = self._read_size if op.op_type is OpType.READ else self._update_size
-        self.submit_local((op, callback), size_bytes=size)
+        self.submit_at(self.sim._now, op, callback)
 
-    def submit_at(self, time: float, op: Operation, callback: ClientCallback) -> None:
-        """Submit a client operation arriving at a future simulated time.
+    def submit_at(
+        self, time: float, op: Operation | Transaction, callback: Callable[..., None]
+    ) -> None:
+        """Submit a client operation or transaction arriving at ``time``.
 
-        Used by client sessions to model their request latency without one
-        simulator event per hand-off (see ``NodeProcess.submit_local_at``).
+        Client sessions use it to model their request latency without one
+        simulator event per hand-off. The request is priced by the CPU of
+        :attr:`node` (a slowed host slows its guests' clients too) and by
+        its wire size: the key, plus the value of an update; every member's
+        for a transaction, which goes to this node's 2PC coordinator.
         """
-        if self._fast_submit:
-            if self._crashed:
-                return
-            service = self._svc_read if op.op_type is OpType.READ else self._svc_update
-            self._push_local(time, service, self._bound_on_local_work, ((op, callback),))
-            return
-        size = self._read_size if op.op_type is OpType.READ else self._update_size
-        self.submit_local_at(time, (op, callback), size_bytes=size)
+        if op.__class__ is Transaction:
+            from repro.cluster.txn import ops_wire_size  # repro.cluster imports this module
+
+            config = self.config
+            size = ops_wire_size(op.ops, config.key_size, config.value_size)
+            handler = self._begin_txn
+            args = (op, callback)
+        else:
+            size = self._read_size if op.op_type is OpType.READ else self._update_size
+            handler = self._bound_on_local_work
+            args = ((op, callback),)
+        node = self.node
+        # ServiceTimeModel.cost(size) of the node's current model, inlined.
+        node._push_local(
+            time, (node._sm_base + size * node._sm_per_byte) / node._sm_workers, handler, args
+        )
+
+    def _begin_txn(self, txn: Transaction, callback: Callable[..., None]) -> None:
+        """Run a submitted transaction: hand it to this node's 2PC coordinator."""
+        from repro.cluster.txn import coordinator_of  # repro.cluster imports this module
+
+        coordinator_of(self).begin(txn, callback)
 
     # -------------------------------------------------- NodeProcess plumbing
     def on_local_work(self, work: Tuple[Operation, ClientCallback]) -> None:
-        if type(work) is not tuple:
-            # Transaction-layer work item (a client transaction hand-off or
-            # a locally delivered 2PC message); plain client operations
-            # always arrive as (op, callback) tuples.
-            self.dispatch(self.node_id, work)
-            return
         op, callback = work
-        # Inlined is_operational(): the crashed property's host indirection
-        # and the wrapper call cost once per client operation.
-        host = self._host
-        if (
-            (self._crashed if host is None else host._crashed)
-            or not self.membership_agent.is_operational()
-        ):
+        # Inlined is_operational(): the crashed property and the wrapper
+        # call cost once per client operation.
+        if self.node._crashed or not self.membership_agent.is_operational():
             self.complete(op, callback, OpStatus.UNAVAILABLE)
             return
         if self._catching_up:
@@ -487,7 +465,7 @@ class ReplicaNode(NodeProcess):
             # change and release their locks *before* the protocol reacts,
             # so parked plain operations resume under the new view.
             participant.on_view_change(view)
-        if self._host is None:
+        if self.node is self:
             # Unsharded replicas are their own node: run the per-node 2PC
             # coordinator hook here (ShardHost runs it once per node).
             coordinator = self._txn_coordinator

@@ -15,9 +15,14 @@ protocol behaviour, which is the reproduction target.
 Message delivery
 ----------------
 
-The network pushes ``[arrival, seq, service, ...]`` entries straight into
-the destination's **inbox** (a per-node heap ordered by arrival) at *send*
-time; local work enters the same inbox at submit time. The node keeps
+Every inbox entry names the handler that runs it:
+``[arrival, seq, service, is_network, handler, args]``. The network pushes
+entries straight into the destination's **inbox** (a per-node heap ordered
+by arrival) at *send* time, through :meth:`NodeProcess._push_arrival`;
+local work (client operations, locally submitted work items, a 2PC
+self-send) enters the same inbox at submit time, through
+:meth:`NodeProcess._push_local` on the process that owns the CPU — a
+process's :attr:`~NodeProcess.node`. The node keeps
 exactly **one** outstanding simulator event — for the finish time
 ``max(arrival, cpu_free_at) + service`` of the earliest-arriving entry.
 When it fires, the handler runs and the finish event of the next entry is
@@ -51,17 +56,16 @@ A node process may be constructed as a **guest** of another node process
 (the *host*), modelling several protocol instances — e.g. one replication
 group per key-range shard, like HermesKV's per-thread partitions — sharing
 one machine. A guest owns no CPU timeline, no inbox and no network
-registration: its sends, broadcasts, CPU charges, timers and local-work
-submissions all delegate to the host, so every shard hosted on a node
-competes for the same CPU and NIC budget. Outgoing messages and local work
-are tagged with the guest's ``guest_tag`` (the shard id) as a
-``(tag, inner)`` envelope; the host's handlers dispatch envelopes back to
-the right guest (see :class:`repro.cluster.sharding.ShardHost`). Crash
+registration: every process's :attr:`~NodeProcess.node` names the process
+whose CPU, inbox and crash flag it uses — itself, or a guest's host — so
+every shard hosted on a node competes for the same CPU and NIC budget.
+Local work needs no delegate: it is pushed into ``node``'s inbox under the
+guest's own handler and priced by ``node``'s (possibly slowed) CPU. Crash
 state lives on the host: crashing the host silences every guest at once.
-The delegating closures are installed as instance attributes only when a
+The remaining delegates are installed as instance attributes only when a
 host is given, so the unsharded hot path is untouched.
 
-The full host/guest delegation table (installed by
+The host/guest delegation table (installed by
 :meth:`NodeProcess._enable_guest_mode`):
 
 ====================  =======================================================
@@ -69,24 +73,26 @@ guest call            effect
 ====================  =======================================================
 ``send``              host ``send`` of ``(guest_tag, message)`` — same bytes
 ``broadcast``         host ``broadcast`` of ``(guest_tag, message)``
-``submit_local``      ``submit_local_at`` at the current instant (below)
-``submit_local_at``   host ``submit_local_at`` of ``(guest_tag, work)``
 ``charge_send``       host ``charge_send`` (no envelope; CPU is shared)
 ``charge_cpu``        host ``charge_cpu`` (no envelope; CPU is shared)
 ``set_timer``         host ``set_timer`` (cancelled when the host crashes)
 ``crash``/``recover`` host ``crash``/``recover`` (whole-machine semantics)
-``crashed``           mirrors the host's crash flag
 ====================  =======================================================
 
-The envelope is routing metadata only (no wire bytes): a real deployment
-demultiplexes incoming traffic by key, and the key already determines the
-shard. Guests never register with the network; a message addressed to the
-node is delivered to the host, which unwraps the envelope and dispatches
-the inner message to ``shard_replicas[tag]``. The transaction layer
-(:mod:`repro.cluster.txn`) rides the same envelopes: its 2PC messages are
-sent through the guest's ``send`` and arrive back through the host's
-dispatch, so cross-shard coordination shares the node's CPU/NIC budget
-exactly like protocol traffic.
+``submit_local``/``submit_local_at`` and ``crashed`` are not delegates:
+they act on ``node`` for every process alike.
+
+Outgoing messages are tagged with the guest's ``guest_tag`` (the shard id)
+as a ``(tag, inner)`` envelope. The envelope is routing metadata only (no
+wire bytes): a real deployment demultiplexes incoming traffic by key, and
+the key already determines the shard. Guests never register with the
+network; a message addressed to the node is delivered to the host, which
+unwraps the envelope and dispatches the inner message to
+``shard_replicas[tag]`` (see :class:`repro.cluster.sharding.ShardHost`).
+The transaction layer (:mod:`repro.cluster.txn`) rides the same
+envelopes: its 2PC messages are sent through the guest's ``send`` and
+arrive back through the host's dispatch, so cross-shard coordination
+shares the node's CPU/NIC budget exactly like protocol traffic.
 """
 
 from __future__ import annotations
@@ -183,7 +189,9 @@ class NodeProcess:
         self.service_model.validate()
         self._cpu_free_at: float = 0.0
         self._crashed = False
-        self._host = host
+        #: The process whose CPU, inbox and crash flag this one runs on:
+        #: itself, or the host of a guest.
+        self.node: NodeProcess = self if host is None else host
         self.guest_tag = guest_tag
         #: Per-node transaction coordinator (see :mod:`repro.cluster.txn`),
         #: created lazily on the first transaction submitted at this node.
@@ -234,10 +242,7 @@ class NodeProcess:
     @property
     def crashed(self) -> bool:
         """Whether this node is currently crashed (a guest mirrors its host)."""
-        host = self._host
-        if host is not None:
-            return host._crashed
-        return self._crashed
+        return self.node._crashed
 
     @property
     def queue_depth(self) -> int:
@@ -346,15 +351,14 @@ class NodeProcess:
     ) -> None:
         """Submit a local work item that reaches this node at a future time.
 
-        The item enters the arrival inbox directly, without spending a
-        simulator event on the hand-off (clients use this for the request
-        half of their RPC latency). If the node crashes before ``time``,
-        the item is discarded.
+        The item enters the inbox of :attr:`node` directly, without spending
+        a simulator event on the hand-off, priced by that node's CPU and run
+        by this process's :meth:`on_local_work`. If the node crashes before
+        ``time``, the item is discarded.
         """
-        if self._crashed:
-            return
-        service = self.service_model.cost(size_bytes, weight)
-        self._push_local(time, service, self.on_local_work, (work,))
+        node = self.node
+        service = node.service_model.cost(size_bytes, weight)
+        node._push_local(time, service, self.on_local_work, (work,))
 
     def send(self, dst: NodeId, message: Any, size_bytes: int = 0) -> None:
         """Send a message to another node, charging send CPU (no-op when crashed)."""
@@ -430,14 +434,15 @@ class NodeProcess:
         """Rebind this process's resource methods to delegate to ``host``.
 
         Installed as instance attributes so the unhosted (common) case pays
-        nothing. All delegated work is wrapped in a ``(tag, inner)`` envelope
-        that the host's handlers unwrap (see
+        nothing. Outgoing messages are wrapped in a ``(tag, inner)`` envelope
+        that the host's ``on_message`` unwraps (see
         :class:`repro.cluster.sharding.ShardHost`); CPU charges and timers
-        need no envelope — they land on the shared machine directly.
+        need no envelope — they land on the shared machine directly — and
+        local work needs no delegate: it is pushed into :attr:`node`'s inbox
+        under this guest's own handler.
         """
         self.send = self._guest_send
         self.broadcast = self._guest_broadcast
-        self.submit_local_at = self._guest_submit_local_at
         self.charge_send = host.charge_send
         self.charge_cpu = host.charge_cpu
         self.set_timer = host.set_timer
@@ -445,15 +450,10 @@ class NodeProcess:
         self.recover = host.recover
 
     def _guest_send(self, dst: NodeId, message: Any, size_bytes: int = 0) -> None:
-        self._host.send(dst, (self.guest_tag, message), size_bytes)
+        self.node.send(dst, (self.guest_tag, message), size_bytes)
 
     def _guest_broadcast(self, destinations, message: Any, size_bytes: int = 0) -> None:
-        self._host.broadcast(destinations, (self.guest_tag, message), size_bytes)
-
-    def _guest_submit_local_at(
-        self, time: float, work: Any, size_bytes: int = 0, weight: float = 1.0
-    ) -> None:
-        self._host.submit_local_at(time, (self.guest_tag, work), size_bytes, weight)
+        self.node.broadcast(destinations, (self.guest_tag, message), size_bytes)
 
     # ---------------------------------------------------------------- hooks
     def on_message(self, src: NodeId, message: Any) -> None:
@@ -509,12 +509,17 @@ class NodeProcess:
                 self._schedule_head()
 
     def _push_local(self, arrival: float, service: float, handler, args: tuple) -> None:
-        """Push a local (non-network) entry, recycling the pooled entry list.
+        """The one way local (non-network) work enters this node's inbox.
 
-        Local hand-offs (client submits, the closed loop's collapsed
-        completion chain) are the dominant push on read-heavy cells, so
-        they share the one-entry pool with :meth:`_push_arrival`.
+        ``handler(*args)`` runs at ``arrival`` behind the CPU for
+        ``service`` seconds. ``handler`` is a bound method of the process
+        the work belongs to: this node, or one of its guests. A crashed
+        node takes no work. Client submits are the dominant push on
+        read-heavy cells, so local entries share the one-entry pool with
+        :meth:`_push_arrival`.
         """
+        if self._crashed:
+            return
         sim = self.sim
         seq = sim._seq
         sim._seq = seq + 1
@@ -534,9 +539,7 @@ class NodeProcess:
         else:
             entry = [arrival, seq, service, 0, handler, args, san.fingerprint(args)]
         heappush(self._inbox, entry)
-        if self._crashed:
-            self._ensure_drop_chain()
-        elif not self._processing:
+        if not self._processing:
             if not self._head_scheduled or self._inbox[0] is entry:
                 self._schedule_head()
 
@@ -613,7 +616,10 @@ class NodeProcess:
             self._spare_entry = entry
         else:
             san.verify(entry[_HARGS], entry[6], self.node_id)
-            san.begin_delivery(self)
+            # Attributed to the handler's process: a guest's local work runs
+            # on its host's CPU but touches only the guest's state (a handler
+            # that is no bound method counts as this process's).
+            san.begin_delivery(getattr(entry[_HANDLER], "__self__", self))
             try:
                 entry[_HANDLER](*entry[_HARGS])
             finally:

@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import WorkloadError
 from repro.sim.rng import SeededRNG
-from repro.types import Operation, OpType, Transaction
+from repro.types import Operation, Transaction
 from repro.workloads.generator import WorkloadMix
 
 _MASK64 = (1 << 64) - 1
@@ -110,9 +110,8 @@ class SessionStream:
 class AggregateWorkload:
     """On-demand synthesis of any session's operation stream.
 
-    Wraps a :class:`WorkloadMix` and mirrors its ``next_operation`` draw
-    order exactly — txn-fraction check, key sample, write-ratio check,
-    sequence bump, rmw check — but sources every draw from a
+    Wraps a :class:`WorkloadMix` and runs its draw body
+    (:meth:`WorkloadMix.draw`), but sources every draw from a
     :class:`SessionStream` keyed by ``(workload seed, session, op index)``
     instead of a per-client ``random.Random``. State is two dicts: the op
     index of every session that fired (≤ the op budget) and the memoized
@@ -139,21 +138,10 @@ class AggregateWorkload:
                 fold = self._folds[session] = fold_session(workload.seed, session)
         stream = self._stream
         stream.reset(fold, index)
-        if workload.txn_fraction and stream.random() < workload.txn_fraction:
-            # Reuse the WorkloadMix steering logic verbatim: it only needs
-            # ``rng.random()`` (directly and via distribution.sample), which
-            # the shim provides, and it books sequences under the session id.
-            return workload._next_transaction(session, stream)  # type: ignore[arg-type]
-        key = workload.distribution.sample(stream)  # type: ignore[arg-type]
-        if stream.random() >= workload.write_ratio:
-            return Operation(OpType.READ, key, client_id=session)
-        sequence = workload._client_sequences.get(session, 0) + 1
-        workload._client_sequences[session] = sequence
-        assert workload.value_factory is not None
-        value = workload.value_factory(key, sequence * 1_000 + session)
-        if workload.rmw_ratio > 0.0 and stream.random() < workload.rmw_ratio:
-            return Operation.rmw(key, value, client_id=session)
-        return Operation.write(key, value, client_id=session)
+        # The mix's own draw body: it only needs ``rng.random()`` (directly
+        # and via distribution.sample), which the stream provides, and it
+        # books sequences under the session id.
+        return workload.draw(session, stream)  # type: ignore[arg-type]
 
 
 class AggregateArrivals:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Union
 
 from repro.errors import WorkloadError
 from repro.types import Key, Operation, OpType, Transaction, Value
@@ -117,7 +117,16 @@ class WorkloadMix:
         Returns an :class:`~repro.types.Operation`, or — with probability
         ``txn_fraction`` — a multi-key :class:`~repro.types.Transaction`.
         """
-        rng = self._rng_for(client_id)
+        return self.draw(client_id, self._rng_for(client_id))
+
+    def draw(self, client_id: int, rng: random.Random) -> Union[Operation, Transaction]:
+        """Draw ``client_id``'s next request from ``rng``.
+
+        The one draw order — txn-fraction check, key sample, write-ratio
+        check, sequence bump, rmw check — of this mix and of every
+        :class:`~repro.workloads.aggregate.AggregateWorkload` over it, which
+        passes a per-session stream with ``random()`` in place of ``rng``.
+        """
         if self.txn_fraction and rng.random() < self.txn_fraction:
             return self._next_transaction(client_id, rng)
         key = self.distribution.sample(rng)

@@ -183,10 +183,11 @@ def _reference_percentile(values, fraction):
 
 
 def _reference_latency_summary(results, op_type=None, only_ok=True):
+    types = (op_type,) if isinstance(op_type, OpType) else op_type
     latencies = [
         r.latency
         for r in results
-        if (op_type is None or r.op.op_type is op_type) and (not only_ok or r.ok)
+        if (types is None or r.op.op_type in types) and (not only_ok or r.ok)
     ]
     if not latencies:
         return LatencySummary.empty()
@@ -295,7 +296,11 @@ _SELECTION_PATHS = (
 )
 
 
-@given(_clustered_records(), st.sampled_from([None, *OpType]), st.booleans())
+@given(
+    _clustered_records(),
+    st.sampled_from([None, *OpType, (OpType.WRITE, OpType.RMW)]),
+    st.booleans(),
+)
 @example(_latency_records([1.5e-6]), None, True)
 @example(_latency_records([2.5e-6] * 101), None, True)
 @example(_latency_records([0.0, 1e-6, 0.0, 3e-6, 0.0]), None, True)

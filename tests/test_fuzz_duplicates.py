@@ -60,3 +60,29 @@ def test_every_message_duplicated_stays_linearizable(protocol):
         outcome.describe() for outcome in map(run_trial, schedules) if not outcome.ok
     ]
     assert failures == []
+
+
+#: Duplicated schedules of the autoscaling cell: about 0.05 s each.
+AUTOSCALE_TRIALS = 20
+
+
+def test_every_message_duplicated_under_autoscaling_stays_linearizable():
+    # Crash -> recover -> rejoin on sharded Hermes while the autoscaler
+    # migrates slices, every message delivered twice.
+    rng = random.Random("hermes-autoscale")
+    config = FuzzConfig(
+        protocols=("hermes",),
+        autoscale_probability=1.0,
+        shard_counts=(2, 4),
+        fault_kinds=("crash",),
+    )
+    schedules = [
+        duplicating(generate_schedule(derive_trial_seed(42, index), config), rng)
+        for index in range(AUTOSCALE_TRIALS)
+    ]
+    assert all(s.autoscale for s in schedules)
+    assert any(e.kind.value == "recover" for s in schedules for e in s.events)
+    failures = [
+        outcome.describe() for outcome in map(run_trial, schedules) if not outcome.ok
+    ]
+    assert failures == []

@@ -317,6 +317,19 @@ class TestClusterSanitized:
         run_clients(cluster, [client], max_time=1.0)
         assert client.done
 
+    def test_guest_local_work_is_attributed_to_the_guest(self, sanitize_on):
+        """A guest's client op runs on its host's CPU, but as the guest: its
+        handler may read its own store and not a co-hosted shard's."""
+        cluster = make_cluster("hermes", 3, shards=2)
+        cluster.preload({0: b"v0", 1: b"v1"})
+        guest, other = cluster.replica(0, shard=1), cluster.replica(0, shard=0)
+        seen = []
+        guest.submit(Operation.read(1), lambda op, s, v: seen.append(guest.store.get(1)))
+        cluster.run(until=1e-3)
+        assert seen == [b"v1"]
+        guest.submit(Operation.read(1), lambda op, s, v: other.store.get(0))
+        with pytest.raises(SanitizerError, match="cross-replica state access"):
+            cluster.run(until=2e-3)
 
     def test_prepare_outliving_its_transaction_runs_clean(self, sanitize_on):
         """A 2PC prepare may be delivered after its transaction resolved.

@@ -26,7 +26,6 @@ from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.txn import (
     DEFAULT_COORDINATOR_TIMEOUT,
     DEFAULT_PREPARE_TIMEOUT,
-    ClientTxnSubmit,
     TxnPrepare,
     coordinator_of,
     participant_of,
@@ -62,9 +61,7 @@ def run_txn(cluster: Cluster, node_id: int, ops, max_time: float = 0.05):
     """Submit one transaction at a node and run until it completes."""
     done = []
     txn = Transaction(ops=list(ops))
-    cluster.replica(node_id).submit_local(
-        ClientTxnSubmit(txn, lambda t, o: done.append(o)), size_bytes=64
-    )
+    cluster.replica(node_id).submit(txn, lambda t, o: done.append(o))
     cluster.run_until(lambda: bool(done), check_interval=1e-5, max_time=max_time)
     assert done, "transaction never completed"
     return txn, done[0]

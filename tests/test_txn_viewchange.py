@@ -13,7 +13,6 @@ from __future__ import annotations
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.txn import (
     DEFAULT_COORDINATOR_TIMEOUT,
-    ClientTxnSubmit,
     TxnPrepare,
     coordinator_of,
     participant_of,
@@ -90,7 +89,7 @@ def test_coordinator_aborts_instead_of_waiting_for_timeout():
     shard0 = cluster.replica(0)
     outcomes = []
     txn = Transaction(ops=[Operation.write(0, b"C0"), Operation.write(1, b"C1")])
-    shard0.submit_local(ClientTxnSubmit(txn, lambda t, o: outcomes.append(o)), size_bytes=64)
+    shard0.submit(txn, lambda t, o: outcomes.append(o))
     # Deliver the hand-off but stop before any vote can arrive.
     cluster.run(until=2e-6)
     coordinator = coordinator_of(shard0)
@@ -119,7 +118,7 @@ def test_coordinator_reports_timeout_when_commit_was_decided():
     shard0 = cluster.replica(0)
     outcomes = []
     txn = Transaction(ops=[Operation.write(0, b"D0"), Operation.write(1, b"D1")])
-    shard0.submit_local(ClientTxnSubmit(txn, lambda t, o: outcomes.append(o)), size_bytes=64)
+    shard0.submit(txn, lambda t, o: outcomes.append(o))
     coordinator = coordinator_of(shard0)
     # Run until the commit decision went out but force the view change
     # before the acks resolve it.
@@ -146,7 +145,7 @@ def test_fastpath_with_dead_master_resolves_as_timeout():
     shard0 = cluster.replica(0)
     outcomes = []
     txn = Transaction(ops=[Operation.write(1, b"F1"), Operation.write(3, b"F3")])  # both shard 1
-    shard0.submit_local(ClientTxnSubmit(txn, lambda t, o: outcomes.append(o)), size_bytes=64)
+    shard0.submit(txn, lambda t, o: outcomes.append(o))
     cluster.run(until=2e-6)
     coordinator = coordinator_of(shard0)
     assert coordinator._active[txn.txn_id].masters == {1: 1}
@@ -165,7 +164,7 @@ def test_moved_mastership_aborts_undecided_cross_shard_txn():
     shard0 = cluster.replica(1)
     outcomes = []
     txn = Transaction(ops=[Operation.write(0, b"M0"), Operation.write(1, b"M1")])
-    shard0.submit_local(ClientTxnSubmit(txn, lambda t, o: outcomes.append(o)), size_bytes=64)
+    shard0.submit(txn, lambda t, o: outcomes.append(o))
     cluster.run(until=2e-6)
     coordinator = coordinator_of(shard0)
     assert coordinator._active[txn.txn_id].masters == {0: 0, 1: 1}
@@ -188,10 +187,7 @@ def test_demoted_master_replies_failure_for_fastpath_txns():
     master.submit(Operation.write(1, b"W1"), lambda op, status, value: None)
     outcomes = []
     txn = Transaction(ops=[Operation.read(1)])
-    cluster.replica(2).submit_local(
-        ClientTxnSubmit(txn, lambda t, o: outcomes.append((o.status, cluster.sim.now))),
-        size_bytes=64,
-    )
+    cluster.replica(2).submit(txn, lambda t, o: outcomes.append((o.status, cluster.sim.now)))
     participant = participant_of(master)
     cluster.run_until(
         lambda: txn.txn_id in participant.prepared, check_interval=1e-7, max_time=1e-3
@@ -229,7 +225,7 @@ def test_new_lock_master_serves_transactions_after_view_change():
     assert coordinator.masters[1] == 2
     outcomes = []
     txn = Transaction(ops=[Operation.write(0, b"N0"), Operation.write(1, b"N1")])
-    shard0.submit_local(ClientTxnSubmit(txn, lambda t, o: outcomes.append(o)), size_bytes=64)
+    shard0.submit(txn, lambda t, o: outcomes.append(o))
     cluster.run_until(lambda: bool(outcomes), check_interval=1e-5, max_time=0.05)
     assert outcomes[0].status is OpStatus.OK
     new_master = cluster.shard_replicas[(2, 1)]
