@@ -66,8 +66,10 @@ class HermesReplica(ReplicaNode):
         #: discards it microseconds later at commit; recycling the cleared
         #: sets removes that churn from the per-write hot path.
         self._ack_set_pool: List[Set[NodeId]] = []
-        # Bound store-dict access once: _record() runs for every read, INV,
-        # ACK and VAL (the store's record dict is never reassigned). A miss
+        # Bound store-dict access once: handlers read a record for every
+        # read, INV, ACK and VAL as ``self._records_get(key) or
+        # self.store.record(key)`` (the store's record dict is never
+        # reassigned; a record is never falsy). A miss
         # means the key is either untouched in the preloaded base (Valid at
         # timestamp zero) or absent.
         self._records_get = self.store._records.get
@@ -137,7 +139,7 @@ class HermesReplica(ReplicaNode):
             raise ValueError(f"unsupported operation type {op.op_type}")
 
     def _handle_write(self, op: Operation, callback: ClientCallback) -> None:
-        record = self._record(op.key)
+        record = self._records_get(op.key) or self.store.record(op.key)
         if record.state is not KeyState.VALID or op.key in self._pending:
             self._stall(op, callback, record)
             return
@@ -148,7 +150,7 @@ class HermesReplica(ReplicaNode):
             # Without RMW support the operation degrades to a plain write.
             self._handle_write(op, callback)
             return
-        record = self._record(op.key)
+        record = self._records_get(op.key) or self.store.record(op.key)
         if record.state is not KeyState.VALID or op.key in self._pending:
             self._stall(op, callback, record)
             return
@@ -169,7 +171,7 @@ class HermesReplica(ReplicaNode):
         callback: Optional[ClientCallback],
     ) -> None:
         """CTS + CINV: assign a timestamp, invalidate all replicas."""
-        record = self._record(key)
+        record = self._records_get(key) or self.store.record(key)
         increment = (
             self.hermes_config.rmw_version_increment
             if is_rmw
@@ -232,7 +234,8 @@ class HermesReplica(ReplicaNode):
         )
         # A single-replica membership (or one where everyone already acked)
         # commits immediately.
-        self._maybe_commit(pending)
+        if len(pending.acks) >= len(self._expected_ackers()):
+            self._maybe_commit(pending)
 
     def _coordinator_mlt_expired(self, key: Key, ts: Timestamp) -> None:
         """Suspect INV/ACK loss: retransmit the invalidation (§3.4)."""
@@ -259,7 +262,7 @@ class HermesReplica(ReplicaNode):
             return
         del self._pending[pending.key]
         pending.cancel_timer()
-        record = self._record(pending.key)
+        record = self._records_get(pending.key) or self.store.record(pending.key)
 
         if record.state is KeyState.TRANS:
             # A concurrent write with a higher timestamp superseded us; the
@@ -303,7 +306,8 @@ class HermesReplica(ReplicaNode):
             )
             self.transport.broadcast(self.peers(), val, self._val_size)
         self._release_acks(pending)
-        self._drain_stalled(pending.key)
+        if pending.key in self._stalled:
+            self._drain_stalled(pending.key)
 
     def _notify_client(self, pending: PendingUpdate, status: OpStatus) -> None:
         if pending.op is None or pending.callback is None or pending.client_notified:
@@ -336,7 +340,7 @@ class HermesReplica(ReplicaNode):
         if inv.epoch_id != self.view.epoch_id:
             self.epoch_drops += 1
             return
-        record = self._record(inv.key)
+        record = self._records_get(inv.key) or self.store.record(inv.key)
         pending = self._pending.get(inv.key)
 
         # FRMW-ACK: an RMW invalidation that is older than our local state is
@@ -388,21 +392,28 @@ class HermesReplica(ReplicaNode):
         pending = self._pending.get(ack.key)
         if pending is None or ack.ts != pending.ts:
             return
-        pending.acks.add(acker)
-        self._maybe_commit(pending)
+        acks = pending.acks
+        acks.add(acker)
+        # No commit before as many acks as expected ackers (the subset test
+        # needs that much); the view test is _expected_ackers' cache check.
+        view = self.view
+        expected = self._ackers_cache if view is self._ackers_view else self._expected_ackers()
+        if len(acks) >= len(expected):
+            self._maybe_commit(pending)
 
     def _on_val(self, src: NodeId, val: Val) -> None:
         if val.epoch_id != self.view.epoch_id:
             self.epoch_drops += 1
             return
-        record = self._record(val.key)
+        record = self._records_get(val.key) or self.store.record(val.key)
         if val.ts != record.timestamp:
             # Stale or reordered validation; ignore (FVAL rule).
             return
         if record.state in (KeyState.INVALID, KeyState.TRANS):
             record.transition(KeyState.VALID)
             self._observed_acks.pop((val.key, val.ts), None)
-            self._drain_stalled(val.key)
+            if val.key in self._stalled:
+                self._drain_stalled(val.key)
         elif record.state in (KeyState.WRITE, KeyState.REPLAY):
             # Another replica replayed our in-flight update to completion.
             pending = self._pending.get(val.key)
@@ -412,7 +423,8 @@ class HermesReplica(ReplicaNode):
                 pending.cancel_timer()
                 self._notify_client(pending, OpStatus.OK)
                 self._release_acks(pending)
-            self._drain_stalled(val.key)
+            if val.key in self._stalled:
+                self._drain_stalled(val.key)
 
     # -------------------------------------------------- optimization O3 path
     def _record_observed_ack(self, key: Key, ts: Timestamp, acker: NodeId) -> None:
@@ -434,7 +446,8 @@ class HermesReplica(ReplicaNode):
                 return
         record.transition(KeyState.VALID)
         observed.pop(kt, None)
-        self._drain_stalled(key)
+        if key in self._stalled:
+            self._drain_stalled(key)
 
     # ------------------------------------------------------ stalled requests
     def _stall(self, op: Operation, callback: ClientCallback, record: HermesRecord) -> None:
@@ -466,9 +479,10 @@ class HermesReplica(ReplicaNode):
         self.transport.flush()
 
     def _drain_stalled(self, key: Key) -> None:
-        """Re-examine requests parked on ``key`` after a state change."""
-        if key not in self._stalled:
-            return
+        """Re-examine requests parked on ``key`` after a state change.
+
+        Most keys have none, so callers test ``key in self._stalled`` first.
+        """
         record = self._records_get(key)
         if record is None or record.state is not KeyState.VALID:
             return
@@ -542,7 +556,7 @@ class HermesReplica(ReplicaNode):
                 record.timestamp = snap_ts
                 record.rmw_flag = rmw_flag
                 record.transition(KeyState.VALID if valid else KeyState.INVALID)
-                if valid:
+                if valid and key in self._stalled:
                     self._drain_stalled(key)
             elif (
                 snap_ts == record.timestamp
@@ -550,7 +564,8 @@ class HermesReplica(ReplicaNode):
                 and record.state is KeyState.INVALID
             ):
                 record.transition(KeyState.VALID)
-                self._drain_stalled(key)
+                if key in self._stalled:
+                    self._drain_stalled(key)
 
     # -------------------------------------------------------------- helpers
     def _record(self, key: Key) -> HermesRecord:

@@ -9,14 +9,25 @@ Times are expressed in **seconds** of simulated time throughout the library;
 microsecond-scale datacenter latencies therefore appear as values around
 ``2e-6``.
 
-Hot-path design: heap entries are small lists ``[time, seq, callback, args,
-cancelled]`` so that ``heapq`` orders them with C-level list comparison
-(``time`` then the unique ``seq``; the comparison never reaches the callback
-slot) instead of dispatching to a Python ``__lt__``. :class:`EventHandle`
-*is* the heap entry — a ``list`` subclass — so scheduling allocates a single
-object. Cancellation stays O(1) and lazy, but the engine counts outstanding
-cancelled entries and compacts the heap once they dominate it, keeping pop
-cost bounded for timer-heavy protocols.
+Hot-path design: there are two heaps, and both hold small lists that
+``heapq`` orders with C-level list comparison (``time``, then ``seq``)
+instead of dispatching to a Python ``__lt__``. The *timer heap* holds every
+:class:`EventHandle` (:meth:`Simulator.schedule`, ``schedule_at``,
+``call_soon``, and so every node timer); a handle *is* its heap entry
+``[time, seq, callback, args, cancelled]`` — a ``list`` subclass — so
+scheduling allocates a single object. Cancellation stays O(1) and lazy, and
+the engine counts the cancelled timers still queued and compacts the timer
+heap once they dominate it. The *message heap* holds plain ``[time, seq,
+callback, args]`` entries that nobody cancels: node head events and the
+network's callback-sink pushes. :meth:`Simulator.run` executes whichever of
+the two tops has the lower ``(time, seq)``. Seqs come from one counter, so
+the order is the one a single heap would give, and they are unique but for
+one case: a node's superseded head event may tie with its replacement, and
+the version token in its ``args`` then decides (see :mod:`repro.sim.node`).
+Most timers (a Hermes write's ``mlt`` retransmission timer, say) are
+cancelled microseconds after they are armed; keeping their dead entries off
+the message heap keeps every message push and pop as cheap as the live
+traffic allows.
 """
 
 from __future__ import annotations
@@ -43,12 +54,12 @@ _NO_LIMIT = sys.maxsize
 class EventHandle(list):
     """Handle to a scheduled event, usable to cancel it.
 
-    The handle doubles as the heap entry ``[time, seq, callback, args,
-    cancelled]``. Cancellation is lazy: the entry stays in the heap but is
-    skipped when popped. This keeps ``cancel`` O(1), which matters because
-    protocols cancel many timers (e.g. message-loss timeouts that did not
-    fire); the owning :class:`Simulator` compacts the heap when cancelled
-    entries pile up.
+    The handle doubles as the timer-heap entry ``[time, seq, callback, args,
+    cancelled]``. Cancellation is lazy: the entry stays in the timer heap
+    but is skipped when popped. This keeps ``cancel`` O(1), which matters
+    because protocols cancel many timers (e.g. message-loss timeouts that
+    did not fire); the owning :class:`Simulator` compacts the timer heap
+    when cancelled entries pile up.
     """
 
     __slots__ = ("_sim",)
@@ -107,10 +118,14 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now: float = 0.0
-        # Entries are EventHandles (cancellable) or plain lists (node inbox).
+        #: The message heap: plain ``[time, seq, callback, args]`` entries
+        #: (node head events, callback-sink arrivals), never cancelled.
         self._heap: List[list] = []
+        #: The timer heap: :class:`EventHandle` entries, lazily cancelled.
+        self._timers: List[EventHandle] = []
         self._seq = 0
         self._events_executed = 0
+        #: Cancelled handles still queued on the timer heap.
         self._cancelled_pending = 0
         #: Executed-event count at which the current run stops.
         self._stop_at = _NO_LIMIT
@@ -128,8 +143,8 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of events still in the queue (including cancelled ones)."""
-        return len(self._heap)
+        """Number of events still queued on both heaps (cancelled timers included)."""
+        return len(self._heap) + len(self._timers)
 
     # ------------------------------------------------------------ scheduling
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> EventHandle:
@@ -162,10 +177,11 @@ class Simulator:
         """Schedule ``callback(*args)`` at the current simulated time."""
         return self._push(self._now, callback, args)
 
-    # Note for maintainers: the node inbox (repro.sim.node) and the
-    # network's callback sink (``Network.register``) push plain list
-    # entries ``[time, seq, callback, args, False]`` into ``_heap``
-    # directly — no EventHandle, no cancellation back-reference — with
+    # Note for maintainers: ``_push`` is the only way onto the timer heap.
+    # The message heap ``_heap`` has no method: the node inbox
+    # (repro.sim.node) and the network's callback sink
+    # (``Network.register``) push plain entries ``[time, seq, callback,
+    # args]`` into it directly — no EventHandle, no cancellation — with
     # seqs allocated from ``_seq`` at message-send time so that
     # same-timestamp finish events tie-break in arrival order. Keep the
     # entry layout and the seq counter semantics in sync with that code.
@@ -174,29 +190,35 @@ class Simulator:
         self._seq = seq + 1
         handle = EventHandle((time, seq, callback, args, False))
         handle._sim = self
-        heapq.heappush(self._heap, handle)
+        timers = self._timers
+        heapq.heappush(timers, handle)
         if (
             self._cancelled_pending > _COMPACT_MIN_CANCELLED
-            and self._cancelled_pending * 2 > len(self._heap)
+            and self._cancelled_pending * 2 > len(timers)
         ):
             self._compact()
         return handle
 
     def _compact(self) -> None:
-        """Drop lazily-cancelled entries and re-heapify (amortized O(1))."""
-        self._heap = [entry for entry in self._heap if entry[_CALLBACK] is not None]
-        heapq.heapify(self._heap)
+        """Drop lazily-cancelled timers and re-heapify (amortized O(1)).
+
+        In place: :meth:`run` holds the timer heap list across callbacks.
+        """
+        timers = self._timers
+        timers[:] = [entry for entry in timers if entry[_CALLBACK] is not None]
+        heapq.heapify(timers)
         self._cancelled_pending = 0
 
     def close(self) -> None:
         """Drop every pending event: nothing scheduled will ever run.
 
         Pending entries hold bound methods of the nodes and sessions that
-        scheduled them, and those hold the simulator, so the heap is the
-        hub of a deployment's reference cycles. Emptying it is part of the
+        scheduled them, and those hold the simulator, so the heaps are the
+        hub of a deployment's reference cycles. Emptying them is part of the
         teardown of a dropped :class:`~repro.cluster.cluster.Cluster`.
         """
         self._heap.clear()
+        self._timers.clear()
         self._cancelled_pending = 0
 
     # --------------------------------------------------------------- running
@@ -225,34 +247,48 @@ class Simulator:
         self._stop_at = _NO_LIMIT if max_events is None else self._events_executed + max_events
         horizon = math.inf if until is None else until
         heap = self._heap
+        timers = self._timers
         heappop = heapq.heappop
-        while heap:
+        while True:
             if self._events_executed >= self._stop_at:
                 break
+            if timers:
+                timer = timers[0]
+                if timer[_CALLBACK] is None:
+                    # Lazily-cancelled timer: discard and keep going.
+                    heappop(timers)
+                    self._cancelled_pending -= 1
+                    continue
+                if not heap or timer < heap[0]:
+                    event_time = timer[_TIME]
+                    if event_time > horizon:
+                        self._now = until
+                        break
+                    heappop(timers)
+                    self._now = event_time
+                    callback = timer[_CALLBACK]
+                    args = timer[_ARGS]
+                    # A fired handle reads as spent (``callback`` is None).
+                    timer[_CALLBACK] = None
+                    timer[_ARGS] = ()
+                    callback(*args)
+                    self._events_executed += 1
+                    continue
+            elif not heap:
+                # Both heaps drained.
+                if until is not None and until > self._now:
+                    self._now = until
+                break
+            # The message heap's top runs next.
             entry = heap[0]
-            callback = entry[_CALLBACK]
-            if callback is None:
-                # Lazily-cancelled entry: discard and keep going.
-                heappop(heap)
-                self._cancelled_pending -= 1
-                continue
             event_time = entry[_TIME]
             if event_time > horizon:
                 self._now = until
                 break
             heappop(heap)
             self._now = event_time
-            args = entry[_ARGS]
-            entry[_CALLBACK] = None
-            entry[_ARGS] = ()
-            callback(*args)
+            entry[_CALLBACK](*entry[_ARGS])
             self._events_executed += 1
-            # A compaction inside a callback replaces the heap list.
-            heap = self._heap
-        else:
-            # Queue drained.
-            if until is not None and until > self._now:
-                self._now = until
         return self._now
 
     def run_until(
@@ -280,7 +316,7 @@ class Simulator:
                 raise SimulationDeadlock(
                     f"predicate not satisfied by max_time={max_time} (now={self._now})"
                 )
-            if not self._heap:
+            if not self._heap and not self._timers:
                 raise SimulationDeadlock(
                     "event queue drained before run_until predicate was satisfied"
                 )

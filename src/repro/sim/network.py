@@ -240,7 +240,7 @@ class Network:
             receiver(src, message, total_bytes)
 
         def push_arrival(arrival: float, seq: int, src: NodeId, message: Any, total_bytes: int) -> None:
-            heapq.heappush(sim._heap, [arrival, seq, deliver, (src, message, total_bytes), False])
+            heapq.heappush(sim._heap, [arrival, seq, deliver, (src, message, total_bytes)])
 
         self.register_process(SimpleNamespace(node_id=node_id, _push_arrival=push_arrival))
 
@@ -374,7 +374,14 @@ class Network:
         duplicate_rate = cfg.duplicate_rate
         reorder_rate = cfg.reorder_rate
         jitter = cfg.jitter
-        base = cfg.base_latency + total_bytes * cfg.per_byte_latency
+        # The per-copy latency's invariant terms, computed once with the
+        # operations (and so the bits) of the inlined expression below.
+        base_latency = cfg.base_latency
+        byte_latency = total_bytes * cfg.per_byte_latency
+        jitter_low = -jitter
+        jitter_span = jitter - -jitter
+        reorder_extra = cfg.reorder_extra_latency
+        base = base_latency + byte_latency
         sim = self.sim
         now = sim._now
         destination_get = self._destinations.get
@@ -423,14 +430,11 @@ class Network:
                         draw = buf[idx]
                     # Inlined random.Random.uniform(-j, j) over the draw:
                     # a + (b - a) * random() with a = -j, b = j.
-                    latency = (
-                        cfg.base_latency * (1.0 + (-jitter + (jitter - -jitter) * draw))
-                        + total_bytes * cfg.per_byte_latency
-                    )
+                    latency = base_latency * (1.0 + (jitter_low + jitter_span * draw)) + byte_latency
                 else:
                     latency = base
                 if reorder_rate > 0.0 and self._next_random() < reorder_rate:
-                    latency += cfg.reorder_extra_latency * self._next_random()
+                    latency += reorder_extra * self._next_random()
                 if link_fault is not None:
                     latency *= link_fault.latency_factor
                 seq = sim._seq

@@ -18,16 +18,20 @@ Message delivery
 Every inbox entry names the handler that runs it:
 ``[arrival, seq, service, is_network, handler, args]``. The network pushes
 entries straight into the destination's **inbox** (a per-node heap ordered
-by arrival) at *send* time, through :meth:`NodeProcess._push_arrival`;
-local work (client operations, locally submitted work items, a 2PC
-self-send) enters the same inbox at submit time, through
-:meth:`NodeProcess._push_local` on the process that owns the CPU — a
-process's :attr:`~NodeProcess.node`. The node keeps
-exactly **one** outstanding simulator event — for the finish time
-``max(arrival, cpu_free_at) + service`` of the earliest-arriving entry.
-When it fires, the handler runs and the finish event of the next entry is
-scheduled: one simulator event per message, and the global heap stays
-small. Two rules fix the schedule:
+by arrival) at *send* time, through :meth:`NodeProcess._push_arrival`. A
+network entry names ``on_message(src, message)``, unless the process has a
+push table (:attr:`NodeProcess._push_table`: a replica that is its own
+transport, outside sanitized runs) with an entry for the message's class;
+then it names that table function with ``(process, src, message)``, and
+delivery costs no ``on_message``/``dispatch`` frames. Local work (client
+operations, locally submitted work items, a 2PC self-send) enters the same
+inbox at submit time, through :meth:`NodeProcess._push_local` on the
+process that owns the CPU — a process's :attr:`~NodeProcess.node`. The
+node keeps exactly **one** outstanding simulator event — for the finish time
+``max(arrival, cpu_free_at) + service`` of the earliest-arriving entry, on
+the engine's message heap. When it fires, the handler runs and the finish
+event of the next entry is scheduled: one simulator event per message, and
+the message heap stays small. Two rules fix the schedule:
 
 1. *CPU charges.* ``charge_send``/``charge_cpu`` during a handler at time
    ``T`` must delay only work **arriving after** ``T``: work that arrived
@@ -100,7 +104,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Deque, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.sanitize import get_sanitizer
 from repro.errors import ConfigurationError
@@ -227,9 +231,20 @@ class NodeProcess:
         # handles once they outnumber the adaptive watermark.
         self._timers: Set[EventHandle] = set()
         self._timer_prune_at = _TIMER_PRUNE_THRESHOLD
-        # Hot-path method bind (the network is fixed for the node's
-        # lifetime): saves two attribute lookups per message.
-        self._network_send = network.send
+        #: Message class -> ``handler(process, src, message)`` that an
+        #: arriving message's inbox entry may name directly instead of
+        #: :meth:`on_message` (see "Message delivery"); ``None`` routes every
+        #: arrival through :meth:`on_message`. A replica sets it to its
+        #: dispatch table, which applies only while the replica is its own
+        #: ``transport``: a Wings replica's ``on_message`` opens the packet
+        #: and flushes what the handlers batched.
+        self._push_table: Optional[Dict[type, Callable[..., None]]] = None
+        # Hot-path binds, fixed for the node's lifetime: the network's one
+        # send body, the engine's message heap (never replaced) and the head
+        # event's callback.
+        self._send_multi = network.send_multi
+        self._message_heap = sim._heap
+        self._head_callback = self._process_head
         # Stats object bind for the per-frame delivered count (never
         # reassigned on the network).
         self._net_stats = network.stats
@@ -372,30 +387,32 @@ class NodeProcess:
         if self._head_scheduled and not self._processing:
             if self._inbox[0][_ARRIVAL] >= now:
                 self._schedule_head()
-        self._network_send(self.node_id, dst, message, size_bytes)
+        self._send_multi(self.node_id, (dst,), message, size_bytes)
 
-    def broadcast(self, destinations, message: Any, size_bytes: int = 0) -> None:
+    def broadcast(self, destinations: Sequence[NodeId], message: Any, size_bytes: int = 0) -> None:
         """Broadcast a message to the given destinations (excluding self).
 
         Equivalent to one :meth:`send` per destination — including one send
         CPU charge each (the fan-out cost, paper §4.2) and per-destination
         latency draws — with the per-send bookkeeping hoisted.
+        ``destinations`` is a sequence, not an iterator: it is read twice.
         """
         if self._crashed:
             return
         node_id = self.node_id
-        targets = [dst for dst in destinations if dst != node_id]
+        targets = destinations
+        if node_id in targets:
+            targets = [dst for dst in destinations if dst != node_id]
         if not targets:
             return
         cost = (self._sm_send_overhead + size_bytes * self._sm_per_byte * 0.5) / self._sm_workers
         now = self.sim._now
-        charges = self._pending_charges
-        for _ in targets:
-            charges.append((now, cost))
+        # Charges are immutable pairs, so every target shares one.
+        self._pending_charges.extend([(now, cost)] * len(targets))
         if self._head_scheduled and not self._processing:
             if self._inbox[0][_ARRIVAL] >= now:
                 self._schedule_head()
-        self.network.send_multi(node_id, targets, message, size_bytes)
+        self._send_multi(node_id, targets, message, size_bytes)
 
     def charge_send(self, size_bytes: int = 0) -> None:
         """Account the CPU cost of posting one outgoing message."""
@@ -452,7 +469,9 @@ class NodeProcess:
     def _guest_send(self, dst: NodeId, message: Any, size_bytes: int = 0) -> None:
         self.node.send(dst, (self.guest_tag, message), size_bytes)
 
-    def _guest_broadcast(self, destinations, message: Any, size_bytes: int = 0) -> None:
+    def _guest_broadcast(
+        self, destinations: Sequence[NodeId], message: Any, size_bytes: int = 0
+    ) -> None:
         self.node.broadcast(destinations, (self.guest_tag, message), size_bytes)
 
     # ---------------------------------------------------------------- hooks
@@ -472,14 +491,25 @@ class NodeProcess:
         network message; ``seq`` is the engine sequence number the network
         allocated for this delivery (see "Arrival order" in the module
         docstring). Service arithmetic matches ``ServiceTimeModel.cost``
-        with ``weight=1.0`` exactly.
+        with ``weight=1.0`` exactly. The entry names the handler from
+        :attr:`_push_table` when there is one for the message's class, and
+        :meth:`on_message` otherwise.
         """
         service = (self._sm_base + total_bytes * self._sm_per_byte) / self._sm_workers
         san = self._sanitizer
         if san is None:
+            handler = None
+            table = self._push_table
+            if table is not None and self.transport is self:
+                handler = table.get(message.__class__)
+            if handler is None:
+                handler = self.on_message
+                args = (src, message)
+            else:
+                args = (self, src, message)
             entry = self._spare_entry
             if entry is None:
-                entry = [arrival, seq, service, 1, self.on_message, (src, message)]
+                entry = [arrival, seq, service, 1, handler, args]
             else:
                 # Recycled from the last processed frame (see _process_head).
                 self._spare_entry = None
@@ -487,8 +517,8 @@ class NodeProcess:
                 entry[1] = seq
                 entry[2] = service
                 entry[3] = 1
-                entry[4] = self.on_message
-                entry[5] = (src, message)
+                entry[4] = handler
+                entry[5] = args
         else:
             # Extra slot beyond _HARGS: heap comparisons never reach it
             # (the entry seq in slot 1 is unique). Sanitized entries are
@@ -577,12 +607,14 @@ class NodeProcess:
         self._head_scheduled = True
         # The finish event reuses the entry's send/submit-time seq as its
         # tie-break, so same-instant finishes across nodes execute in
-        # arrival order.
-        # Reschedules reuse it too: the stale copy always has a strictly
-        # earlier finish time, so no two heap entries ever compare equal.
+        # arrival order. Reschedules reuse it too, so a superseded event can
+        # tie with its replacement on (time, seq) — when the preempting
+        # entry finished before the old head's arrival — and the version
+        # tuple, compared after the (equal) callback, keeps the comparison
+        # total. _process_head repeats this body inline.
         heappush(
-            self.sim._heap,
-            [start + entry[_SERVICE], entry[_SEQ], self._process_head, (version,), False],
+            self._message_heap,
+            [start + entry[_SERVICE], entry[_SEQ], self._head_callback, (version,)],
         )
 
     def _process_head(self, version: int) -> None:
@@ -627,8 +659,27 @@ class NodeProcess:
                 self._processing = False
         # A handler that crashed its own node already discarded the queued
         # frames (or moved them to the drop chain): nothing to re-arm.
-        if self._inbox and not self._crashed and not self._head_scheduled:
-            self._schedule_head()
+        inbox = self._inbox
+        if inbox and not self._crashed and not self._head_scheduled:
+            # _schedule_head, inlined: one frame per message saved.
+            entry = inbox[0]
+            arrival = entry[_ARRIVAL]
+            free = self._cpu_free_at
+            if charges:
+                for charge_time, cost in charges:
+                    if charge_time > arrival:
+                        break
+                    if free < charge_time:
+                        free = charge_time
+                    free += cost
+            start = arrival if arrival > free else free
+            version = self._head_version + 1
+            self._head_version = version
+            self._head_scheduled = True
+            heappush(
+                self._message_heap,
+                [start + entry[_SERVICE], entry[_SEQ], self._head_callback, (version,)],
+            )
 
     def _ensure_drop_chain(self) -> None:
         """While crashed, drop in-flight arrivals at their arrival times."""

@@ -7,10 +7,13 @@ import pytest
 from repro.cluster.client import ClosedLoopClient, OpenLoopClient, run_clients
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.failures import FailureEvent, FailureInjector
+from repro.core.messages import Val
+from repro.core.timestamps import Timestamp
 from repro.errors import ConfigurationError, SimulationError
 from repro.membership.detector import FailureDetectorConfig
 from repro.membership.service import MembershipConfig, MembershipService
 from repro.membership.view import MembershipView
+from repro.rpc import WingsPacket
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.node import NodeProcess
@@ -95,6 +98,76 @@ def test_replica_rejects_a_message_class_with_no_handler(use_wings):
     cluster = Cluster(ClusterConfig(protocol="craq", num_replicas=3, use_wings=use_wings))
     with pytest.raises(SimulationError, match="CraqReplica 1 has no handler for 'Stray'"):
         cluster.replica(1).on_message(0, Stray())
+
+
+def _recording(obj, name):
+    """Wrap ``obj.name`` in an instance attribute that records each call."""
+    calls = []
+    original = getattr(obj, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    setattr(obj, name, wrapper)
+    return calls
+
+
+def _val(cluster, key):
+    """A VAL that a replica handles by creating ``key``'s record (and no more)."""
+    return Val(key=key, ts=Timestamp.ZERO, epoch_id=cluster.view.epoch_id)
+
+
+@pytest.mark.parametrize("use_wings", [False, True])
+def test_an_arrival_reaches_its_handler_through_the_transport_that_packed_it(use_wings):
+    cluster = Cluster(ClusterConfig(protocol="hermes", num_replicas=3, use_wings=use_wings))
+    receiver = cluster.replica(1)
+    delivered = _recording(receiver, "on_message")
+    if use_wings:
+        flushes = _recording(receiver.transport, "flush")
+        packet = WingsPacket([(_val(cluster, 7), 20), (_val(cluster, 8), 20)])
+        cluster.replica(0).send(1, packet, packet.size_bytes)
+        # Sent past the batcher, as membership and 2PC traffic is.
+        cluster.replica(0).send(1, _val(cluster, 9), 20)
+    else:
+        cluster.replica(0).send(1, _val(cluster, 7), 20)
+    cluster.sim.run(until=1e-3)
+    if use_wings:
+        # Every packet, batched or not, is opened by on_message and flushed
+        # once, whatever it holds.
+        assert len(delivered) == 2 and len(flushes) == 2
+        assert receiver.store.peek_record(8) is not None
+        assert receiver.store.peek_record(9) is not None
+    else:
+        # Its own transport: the inbox entry named the table handler.
+        assert delivered == []
+    assert receiver.store.peek_record(7) is not None
+
+
+@pytest.mark.parametrize("use_wings", [False, True])
+def test_a_message_class_with_no_handler_fails_at_delivery(use_wings):
+    class Stray:
+        size_bytes = 8
+
+    cluster = Cluster(ClusterConfig(protocol="hermes", num_replicas=3, use_wings=use_wings))
+    cluster.replica(0).send(1, Stray(), 8)
+    with pytest.raises(SimulationError, match="HermesReplica 1 has no handler for 'Stray'"):
+        cluster.sim.run(until=1e-3)
+
+
+def test_a_shard_envelope_reaches_its_guest_through_the_host():
+    cluster = Cluster(ClusterConfig(protocol="hermes", num_replicas=3, shards=2))
+    host = cluster.nodes[1]
+    guest = cluster.replica(1, shard=1)
+    at_host = _recording(host, "on_message")
+    at_guest = _recording(guest, "on_message")
+    message = _val(cluster, 7)
+    cluster.replica(0, shard=1).send(1, message, message.size_bytes)
+    cluster.sim.run(until=1e-3)
+    assert at_host == [(0, (1, message))]
+    assert at_guest == [(0, message)]
+    assert guest.store.peek_record(7) is not None
+    assert cluster.replica(1, shard=0).store.peek_record(7) is None
 
 
 # ----------------------------------------------------------------- clients

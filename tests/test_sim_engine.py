@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import SimulationDeadlock, SimulationError
 from repro.sim.engine import Simulator
+from repro.sim.network import Network, NetworkConfig
 
 
 def test_initial_time_is_zero(sim):
@@ -217,3 +218,92 @@ def test_determinism_with_heavy_cancellation(sim):
         key=lambda i: ((i % 17) * 1e-6, i),
     )
     assert order == expected
+
+
+# --------------------------------------------------------------- two heaps
+def _sink_network(sim, latency=1.0):
+    """A jitter-free network whose node 1 is a callback sink: what it
+    receives rides the message heap, ``latency`` seconds after the send."""
+    network = Network(sim, NetworkConfig(base_latency=latency, jitter=0.0, per_byte_latency=0.0))
+    received = []
+    network.register(1, lambda src, message, size: received.append((sim.now, message)))
+    return network, received
+
+
+@pytest.mark.parametrize("timer_first", [True, False])
+def test_timer_and_arrival_at_one_instant_run_in_seq_order(sim, timer_first):
+    network, _ = _sink_network(sim)
+    order = []
+    network.register(1, lambda src, message, size: order.append("arrival"))
+    if timer_first:
+        sim.schedule(1.0, order.append, "timer")
+        network.send(0, 1, "m")
+    else:
+        network.send(0, 1, "m")
+        sim.schedule(1.0, order.append, "timer")
+    sim.run()
+    expected = ["timer", "arrival"] if timer_first else ["arrival", "timer"]
+    assert order == expected
+    assert sim.now == 1.0
+
+
+def test_cancelled_timers_stay_off_the_message_heap(sim):
+    """Arm and cancel 10k timers while messages flow: the message heap
+    holds only the live arrivals, and compaction bounds the timer heap."""
+    network = Network(sim, NetworkConfig(base_latency=1e-6, jitter=0.0, per_byte_latency=0.0))
+    timers = []
+    heap_sizes = []
+
+    def bounce(src, message, size):
+        heap_sizes.append(len(sim._heap))
+        if timers:
+            timers[-1].cancel()
+        if message < 10_000:
+            timers.append(sim.schedule(400e-6, lambda: None))
+            network.send(1, 2, message + 1)
+
+    network.register(1, bounce)
+    network.register(2, bounce)
+    network.send(2, 1, 0)
+    sim.run()
+    assert len(heap_sizes) == 10_001 and set(heap_sizes) == {0}
+    assert len(timers) == 10_000 and all(handle.cancelled for handle in timers)
+    assert sim._heap == [] and sim._timers == [] and sim._cancelled_pending == 0
+
+
+def test_pending_events_counts_both_heaps(sim):
+    network, received = _sink_network(sim)
+    sim.schedule(2.0, lambda: None)
+    network.send(0, 1, "m")
+    assert (len(sim._heap), len(sim._timers), sim.pending_events) == (1, 1, 2)
+    sim.run(until=1.5)
+    assert received == [(1.0, "m")]
+    assert sim.pending_events == 1
+    sim.run()
+    assert sim.pending_events == 0
+
+
+@pytest.mark.parametrize("pending", ["arrival", "timer"])
+def test_run_until_deadlocks_only_once_both_heaps_are_empty(sim, pending):
+    network, received = _sink_network(sim)
+    fired = []
+    if pending == "arrival":
+        network.send(0, 1, "m")
+    else:
+        sim.schedule(1.0, fired.append, "t")
+    # One heap is empty from the start: run_until keeps running the other.
+    sim.run_until(lambda: received or fired, check_interval=0.25)
+    assert sim.now == 1.0
+    with pytest.raises(SimulationDeadlock):
+        sim.run_until(lambda: False, check_interval=0.25)
+
+
+def test_close_empties_both_heaps(sim):
+    network, received = _sink_network(sim)
+    sim.schedule(1.0, lambda: None).cancel()
+    sim.schedule(1.0, lambda: None)
+    network.send(0, 1, "m")
+    sim.close()
+    assert sim._heap == [] and sim._timers == [] and sim.pending_events == 0
+    sim.run()
+    assert received == [] and sim.events_executed == 0
