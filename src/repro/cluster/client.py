@@ -228,7 +228,7 @@ class ClientSession:
             node = self._replica
             if node is None:
                 node = self._shard_replicas[self._shard_of(op.key)]
-        if node.crashed:
+        if self._node._crashed:
             self._stalled = True
             return
         if txn:

@@ -235,6 +235,8 @@ class Cluster:
         )
         if self.config.use_wings:
             replica.transport = WingsTransport(replica)
+            # Packets are opened by on_message (see NodeProcess._push_table).
+            replica._push_table = None
         return replica
 
     def _build_nodes(self) -> None:

@@ -199,7 +199,7 @@ class FailureInjector:
         elif event.kind is FailureKind.SET_LOSS_RATE:
             if event.loss_rate is None:
                 raise ConfigurationError("loss-rate event requires loss_rate")
-            cluster.network.config.loss_rate = event.loss_rate
+            cluster.network.reconfigure(loss_rate=event.loss_rate)
         elif event.kind is FailureKind.DEGRADE_LINK:
             if event.node is None or event.peer is None:
                 raise ConfigurationError("degrade-link event requires node and peer")

@@ -257,12 +257,16 @@ class ShardHost(NodeProcess):
 
     The host is what the network and the simulator see: one CPU timeline,
     one arrival inbox, one crash flag per simulated node (every guest's
-    ``node``). Incoming ``(shard_id, inner)`` network envelopes are
-    unwrapped and dispatched to the owning shard's replica, whose handlers
-    run under the host's CPU service model; local work needs no envelope,
-    because each inbox entry already names the guest handler that runs it.
-    Unenveloped membership traffic is handled by the host's own per-node
-    membership agent (when enabled), which serves all co-hosted shards.
+    ``node``). An incoming ``(shard_id, inner)`` network envelope is
+    resolved when it is pushed: its inbox entry names the owning shard
+    replica's table handler for ``inner``, which runs under the host's CPU
+    service model. Local work needs no envelope, because each inbox entry
+    already names the guest handler that runs it. Unenveloped traffic (the
+    per-node membership agent's, when enabled, which serves all co-hosted
+    shards, and the migration and join transfers) names the host's own
+    :attr:`UNENVELOPED` handler. Whatever no table takes (a guest with
+    Wings, an unknown class, any sanitized run) goes through
+    :meth:`on_message`.
     """
 
     #: Delay between freeze-quiescence re-checks while in-flight writes on
@@ -278,6 +282,8 @@ class ShardHost(NodeProcess):
         router: Optional[ShardRouter] = None,
     ) -> None:
         super().__init__(node_id, sim, network, service_model)
+        if self._sanitizer is None:
+            self._push_table = self.UNENVELOPED
         #: Shard id -> guest replica, indexed positionally (shard ids are
         #: dense 0..S-1); filled by :meth:`attach` during cluster assembly.
         self.shard_replicas: List[Any] = []
@@ -649,6 +655,23 @@ class ShardHost(NodeProcess):
                 source.submit_local((op, callback))
 
     # ------------------------------------------------------------- dispatch
+    def _network_entry(
+        self, arrival: float, seq: int, service: float, src: NodeId, message: Any
+    ) -> list:
+        """Name the guest's table handler for a ``(shard, inner)`` envelope.
+
+        A guest without a push table (Wings, a sanitized run) or without a
+        handler for ``inner`` leaves the envelope to :meth:`on_message`.
+        """
+        if message.__class__ is tuple:
+            shard, inner = message
+            guest = self.shard_replicas[shard]
+            table = guest._push_table
+            handler = None if table is None else table.get(inner.__class__)
+            if handler is not None:
+                return [arrival, seq, service, 1, handler, (guest, src, inner)]
+        return super()._network_entry(arrival, seq, service, src, message)
+
     def on_message(self, src: NodeId, message: Any) -> None:
         if type(message) is not tuple:
             # Unenveloped traffic is the node's own membership traffic.

@@ -228,7 +228,8 @@ class HermesReplica(ReplicaNode):
             value_size=self.value_size_of(pending.value),
         )
         self.transport.broadcast(self.peers(), inv, inv.size_bytes)
-        pending.cancel_timer()
+        if pending.mlt_timer is not None:
+            pending.mlt_timer.cancel()
         pending.mlt_timer = self.set_timer(
             self._mlt, self._coordinator_mlt_expired, pending.key, pending.ts
         )
@@ -261,7 +262,12 @@ class HermesReplica(ReplicaNode):
         if self._pending.get(pending.key) is not pending:
             return
         del self._pending[pending.key]
-        pending.cancel_timer()
+        # PendingUpdate.cancel_timer, inlined: the mlt timer is armed at
+        # every INV broadcast and cancelled at almost every commit.
+        timer = pending.mlt_timer
+        if timer is not None:
+            timer.cancel()
+            pending.mlt_timer = None
         record = self._records_get(pending.key) or self.store.record(pending.key)
 
         if record.state is KeyState.TRANS:
@@ -411,7 +417,9 @@ class HermesReplica(ReplicaNode):
             return
         if record.state in (KeyState.INVALID, KeyState.TRANS):
             record.transition(KeyState.VALID)
-            self._observed_acks.pop((val.key, val.ts), None)
+            if self._broadcast_acks:
+                # Only O3 records observed acks.
+                self._observed_acks.pop((val.key, val.ts), None)
             if val.key in self._stalled:
                 self._drain_stalled(val.key)
         elif record.state in (KeyState.WRITE, KeyState.REPLAY):

@@ -205,9 +205,10 @@ class ReplicaNode(NodeProcess):
         self._ring_view: Optional[MembershipView] = None
         self._ring_cache: Tuple[NodeId, ...] = ()
         self._handlers = self.dispatch_table()
-        if type(self).on_message is ReplicaNode.on_message:
+        if type(self).on_message is ReplicaNode.on_message and self._sanitizer is None:
             # An arriving message names its table handler in its inbox entry
-            # while this replica is its own transport (see NodeProcess).
+            # while this replica is its own transport (see NodeProcess);
+            # installing Wings clears the table.
             self._push_table = self._handlers
         # Flattened client-submit constants: the wire sizes of reads and
         # updates, and the bound handler a client operation runs under.

@@ -18,16 +18,19 @@ instead of dispatching to a Python ``__lt__``. The *timer heap* holds every
 scheduling allocates a single object. Cancellation stays O(1) and lazy, and
 the engine counts the cancelled timers still queued and compacts the timer
 heap once they dominate it. The *message heap* holds plain ``[time, seq,
-callback, args]`` entries that nobody cancels: node head events and the
-network's callback-sink pushes. :meth:`Simulator.run` executes whichever of
-the two tops has the lower ``(time, seq)``. Seqs come from one counter, so
-the order is the one a single heap would give, and they are unique but for
-one case: a node's superseded head event may tie with its replacement, and
-the version token in its ``args`` then decides (see :mod:`repro.sim.node`).
-Most timers (a Hermes write's ``mlt`` retransmission timer, say) are
-cancelled microseconds after they are armed; keeping their dead entries off
-the message heap keeps every message push and pop as cheap as the live
-traffic allows.
+callback, arg]`` entries that nobody cancels, each run as ``callback(arg)``
+with its one argument: a node's head event carries its version int, a
+network callback sink its ``(src, message, total_bytes)`` tuple, so no
+argument tuple is built or unpacked per message. :meth:`Simulator.run`
+executes whichever of the two tops has the lower ``(time, seq)``, and then
+drains message events back to back while the message top still precedes
+the timer top. Seqs come from one counter, so the order is the one a single
+heap would give, and they are unique but for one case: a node's superseded
+head event may tie with its replacement, and the version in its ``arg``
+then decides (see :mod:`repro.sim.node`). Most timers (a Hermes write's
+``mlt`` retransmission timer, say) are cancelled microseconds after they
+are armed; keeping their dead entries off the message heap keeps every
+message push and pop as cheap as the live traffic allows.
 """
 
 from __future__ import annotations
@@ -39,8 +42,10 @@ from typing import Any, Callable, List, Optional
 
 from repro.errors import SimulationDeadlock, SimulationError
 
-#: Heap-entry slot indices (see module docstring).
+#: Heap-entry slot indices (see module docstring). A message-heap entry
+#: keeps its one argument where a timer keeps its argument tuple.
 _TIME, _SEQ, _CALLBACK, _ARGS, _CANCELLED = range(5)
+_ARG = _ARGS
 
 #: Compaction starts only once this many cancelled entries are outstanding,
 #: so small simulations never pay for a heap rebuild.
@@ -118,7 +123,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now: float = 0.0
-        #: The message heap: plain ``[time, seq, callback, args]`` entries
+        #: The message heap: plain ``[time, seq, callback, arg]`` entries
         #: (node head events, callback-sink arrivals), never cancelled.
         self._heap: List[list] = []
         #: The timer heap: :class:`EventHandle` entries, lazily cancelled.
@@ -181,7 +186,7 @@ class Simulator:
     # The message heap ``_heap`` has no method: the node inbox
     # (repro.sim.node) and the network's callback sink
     # (``Network.register``) push plain entries ``[time, seq, callback,
-    # args]`` into it directly — no EventHandle, no cancellation — with
+    # arg]`` into it directly — no EventHandle, no cancellation — with
     # seqs allocated from ``_seq`` at message-send time so that
     # same-timestamp finish events tie-break in arrival order. Keep the
     # entry layout and the seq counter semantics in sync with that code.
@@ -249,9 +254,7 @@ class Simulator:
         heap = self._heap
         timers = self._timers
         heappop = heapq.heappop
-        while True:
-            if self._events_executed >= self._stop_at:
-                break
+        while self._events_executed < self._stop_at:
             if timers:
                 timer = timers[0]
                 if timer[_CALLBACK] is None:
@@ -263,7 +266,7 @@ class Simulator:
                     event_time = timer[_TIME]
                     if event_time > horizon:
                         self._now = until
-                        break
+                        return until
                     heappop(timers)
                     self._now = event_time
                     callback = timer[_CALLBACK]
@@ -279,16 +282,24 @@ class Simulator:
                 if until is not None and until > self._now:
                     self._now = until
                 break
-            # The message heap's top runs next.
+            # The message top runs next, and so does every message top after
+            # it that still precedes the timer top. A handler may arm a timer
+            # ahead of the next message, so the timer top is read afresh.
             entry = heap[0]
-            event_time = entry[_TIME]
-            if event_time > horizon:
-                self._now = until
-                break
-            heappop(heap)
-            self._now = event_time
-            entry[_CALLBACK](*entry[_ARGS])
-            self._events_executed += 1
+            while True:
+                event_time = entry[_TIME]
+                if event_time > horizon:
+                    self._now = until
+                    return until
+                heappop(heap)
+                self._now = event_time
+                entry[_CALLBACK](entry[_ARG])
+                self._events_executed += 1
+                if not heap or self._events_executed >= self._stop_at:
+                    break
+                entry = heap[0]
+                if timers and timers[0] < entry:
+                    break
         return self._now
 
     def run_until(

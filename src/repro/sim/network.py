@@ -19,16 +19,24 @@ drops what arrives while it is down (see :mod:`repro.sim.node`). A plain
 callback (:meth:`Network.register`) sits behind a sink that runs it at the
 arrival instant.
 
-Randomness is drawn through a bulk-refilled buffer of raw uniform draws, in
-exactly the per-message order of calling ``random.Random.random()`` once
-per decision.
+Every copy is timed by one block in :meth:`Network.send_multi`, which reads
+one timing tuple: the latency terms of the configuration and a ``faulty``
+flag. The network recomputes the tuple whenever its fault state changes (a
+partition, a gray link fault, a new configuration); while ``faulty`` is
+false, a copy runs none of the partition, loss, link-fault, reorder or
+duplication tests, which draw nothing on a healthy fabric anyway.
+
+Randomness comes from a C-level stream of raw uniform draws, refilled
+``_RNG_BUFFER_SIZE`` at a time, in exactly the per-message order of calling
+``random.Random.random()`` once per decision.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain, repeat, starmap
 from types import SimpleNamespace
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 import heapq
 import random
 
@@ -44,9 +52,10 @@ DEFAULT_HEADER_BYTES = 42
 _RNG_BUFFER_SIZE = 1024
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkConfig:
-    """Configuration of the network fabric.
+    """Configuration of the network fabric (immutable: a running network
+    changes its settings through :meth:`Network.reconfigure`).
 
     Attributes:
         base_latency: Mean one-way propagation + switching latency in seconds.
@@ -205,24 +214,22 @@ class Network:
         rng: Optional[random.Random] = None,
     ) -> None:
         self.sim = sim
-        self.config = config or NetworkConfig()
-        self.config.validate()
         self._rng = rng or random.Random(0)
         #: Registered destinations: objects exposing ``_push_arrival``.
         self._destinations: Dict[NodeId, Any] = {}
         self._partition: Optional[Partition] = None
         #: Gray per-link degradations, keyed by directed ``(src, dst)`` pair.
-        #: Empty in healthy runs: the hot paths gate every lookup behind one
-        #: dict-truthiness check and draw no extra randomness, so runs
+        #: Any entry makes the fabric ``faulty``; the extra draws happen only
+        #: on a link that carries a lossy or duplicating fault, so runs
         #: without link faults consume the RNG stream byte-identically.
         self._link_faults: Dict[Tuple[NodeId, NodeId], LinkFault] = {}
         self.stats = NetworkStats()
-        # Bulk-prefetched raw uniform draws; every probabilistic decision
-        # (jitter, loss, duplication, reordering) consumes from this buffer
-        # in send order, so the stream is identical to calling
-        # ``self._rng.random()`` once per decision.
-        self._rand_buf: List[float] = []
-        self._rand_idx = 0
+        #: The next raw uniform draw: every probabilistic decision (jitter,
+        #: loss, duplication, reordering) takes one, in send order.
+        self._next_random: Callable[[], float] = _draw_stream(self._rng).__next__
+        self._config = config or NetworkConfig()
+        self._config.validate()
+        self._refresh_timing()
 
     # ---------------------------------------------------------- registration
     def register(self, node_id: NodeId, receiver: Callable[[NodeId, Any, int], None]) -> None:
@@ -235,9 +242,9 @@ class Network:
         sim = self.sim
         stats = self.stats
 
-        def deliver(src: NodeId, message: Any, total_bytes: int) -> None:
+        def deliver(copy: Tuple[NodeId, Any, int]) -> None:
             stats.messages_delivered += 1
-            receiver(src, message, total_bytes)
+            receiver(*copy)
 
         def push_arrival(arrival: float, seq: int, src: NodeId, message: Any, total_bytes: int) -> None:
             heapq.heappush(sim._heap, [arrival, seq, deliver, (src, message, total_bytes)])
@@ -257,9 +264,27 @@ class Network:
         self._destinations.clear()
 
     # --------------------------------------------------------------- faults
+    def reconfigure(self, **changes: Any) -> None:
+        """Change configuration fields, e.g. ``reconfigure(loss_rate=0.5)``.
+
+        The configuration is immutable and may be shared (a cluster's
+        :class:`~repro.cluster.cluster.ClusterConfig` hands the same object
+        to every network it builds), so a change builds a new one.
+        """
+        config = replace(self._config, **changes)
+        config.validate()
+        self._config = config
+        self._refresh_timing()
+
+    @property
+    def config(self) -> NetworkConfig:
+        """The installed configuration (see :meth:`reconfigure`)."""
+        return self._config
+
     def set_partition(self, partition: Optional[Partition]) -> None:
         """Install (or clear, with ``None``) a network partition."""
         self._partition = partition
+        self._refresh_timing()
 
     def degrade_link(
         self,
@@ -290,37 +315,41 @@ class Network:
         if fault == LinkFault():
             for pair in pairs:
                 self._link_faults.pop(pair, None)
-            return
-        for pair in pairs:
-            self._link_faults[pair] = fault
+        else:
+            for pair in pairs:
+                self._link_faults[pair] = fault
+        self._refresh_timing()
 
     def heal_link(self, src: NodeId, dst: NodeId, symmetric: bool = True) -> None:
         """Remove any gray fault from the ``src -> dst`` link."""
         self._link_faults.pop((src, dst), None)
         if symmetric:
             self._link_faults.pop((dst, src), None)
+        self._refresh_timing()
 
     @property
     def partition(self) -> Optional[Partition]:
         """The currently installed partition, if any."""
         return self._partition
 
-    # ---------------------------------------------------------------- random
-    def _refill(self) -> float:
-        """Refill the draw buffer and return the first draw."""
-        rnd = self._rng.random
-        self._rand_buf = [rnd() for _ in range(_RNG_BUFFER_SIZE)]
-        self._rand_idx = 1
-        return self._rand_buf[0]
+    def _refresh_timing(self) -> None:
+        """Recompute the timing tuple :meth:`send_multi` unpacks per send.
 
-    def _next_random(self) -> float:
-        """The next raw uniform draw (buffered ``self._rng.random()``)."""
-        idx = self._rand_idx
-        buf = self._rand_buf
-        if idx >= len(buf):
-            return self._refill()
-        self._rand_idx = idx + 1
-        return buf[idx]
+        ``(base_latency, per_byte_latency, jitter, -jitter, jitter span,
+        faulty)``: the jitter terms are those of ``random.uniform(-j, j)``,
+        and ``faulty`` says whether any partition, loss, duplication,
+        reordering or link fault can touch a copy.
+        """
+        cfg = self._config
+        jitter = cfg.jitter
+        faulty = (
+            self._partition is not None
+            or bool(self._link_faults)
+            or cfg.loss_rate > 0.0
+            or cfg.duplicate_rate > 0.0
+            or cfg.reorder_rate > 0.0
+        )
+        self._timing = (cfg.base_latency, cfg.per_byte_latency, jitter, -jitter, jitter - -jitter, faulty)
 
     # -------------------------------------------------------------- sending
     def send(
@@ -366,91 +395,103 @@ class Network:
         hoisted out of the loop. ``src`` itself is not filtered here, and a
         crashed node filters its own sends (see :mod:`repro.sim.node`).
         """
-        cfg = self.config
+        base_latency, per_byte_latency, jitter, jitter_low, jitter_span, faulty = self._timing
         stats = self.stats
-        partition = self._partition
         total_bytes = size_bytes + DEFAULT_HEADER_BYTES
-        loss_rate = cfg.loss_rate
-        duplicate_rate = cfg.duplicate_rate
-        reorder_rate = cfg.reorder_rate
-        jitter = cfg.jitter
         # The per-copy latency's invariant terms, computed once with the
         # operations (and so the bits) of the inlined expression below.
-        base_latency = cfg.base_latency
-        byte_latency = total_bytes * cfg.per_byte_latency
-        jitter_low = -jitter
-        jitter_span = jitter - -jitter
-        reorder_extra = cfg.reorder_extra_latency
+        byte_latency = total_bytes * per_byte_latency
         base = base_latency + byte_latency
+        draw = self._next_random
         sim = self.sim
         now = sim._now
-        destination_get = self._destinations.get
-        link_faults = self._link_faults
+        registry = self._destinations
+        if faulty:
+            cfg = self._config
+            partition = self._partition
+            loss_rate = cfg.loss_rate
+            duplicate_rate = cfg.duplicate_rate
+            reorder_rate = cfg.reorder_rate
+            reorder_extra = cfg.reorder_extra_latency
+            link_faults = self._link_faults
         # messages_sent/bytes_sent are charged per destination regardless of
         # drops, so they fold into one bulk update after the loop.
         sent = 0
+        # A late link duplicate's extra delay: only a faulty fabric makes one.
+        delay = 0.0
         for dst in destinations:
-            proc = destination_get(dst)
-            if proc is None:
+            try:
+                proc = registry[dst]
+            except KeyError:
                 stats.messages_sent += sent
                 stats.bytes_sent += sent * total_bytes
                 raise SimulationError(
                     f"destination node {dst} is not registered on the network"
-                )
+                ) from None
             sent += 1
-            if partition is not None and not partition.allows(src, dst):
-                stats.messages_dropped_partition += 1
-                continue
-            if loss_rate > 0.0 and self._next_random() < loss_rate:
-                stats.messages_dropped_loss += 1
-                continue
-            # Gray per-link fault: one dict-truthiness check on healthy
-            # runs; the extra loss draw happens only when the crossed link
-            # actually carries a lossy fault, so fault-free RNG streams are
-            # untouched.
-            link_fault = link_faults.get((src, dst)) if link_faults else None
-            if link_fault is not None and link_fault.loss_rate > 0.0:
-                if self._next_random() < link_fault.loss_rate:
+            if faulty:
+                if partition is not None and not partition.allows(src, dst):
+                    stats.messages_dropped_partition += 1
+                    continue
+                if loss_rate > 0.0 and draw() < loss_rate:
                     stats.messages_dropped_loss += 1
                     continue
+                # The extra loss draw happens only when the crossed link
+                # carries a lossy fault.
+                link_fault = link_faults.get((src, dst)) if link_faults else None
+                if link_fault is not None and link_fault.loss_rate > 0.0:
+                    if draw() < link_fault.loss_rate:
+                        stats.messages_dropped_loss += 1
+                        continue
+                delay = 0.0
+                # The next duplicate draw to make (see below).
+                stage = 0
             # One pass per copy, each drawing jitter then reorder: the
             # message, then a fabric duplicate, then a late link duplicate
-            # (its delay drawn first). ``stage`` is the next duplicate draw
-            # to make.
-            delay = 0.0
-            stage = 0
+            # (its delay drawn first); a healthy fabric makes one pass.
             while True:
                 if jitter > 0.0:
-                    idx = self._rand_idx
-                    buf = self._rand_buf
-                    if idx >= len(buf):
-                        draw = self._refill()
-                    else:
-                        self._rand_idx = idx + 1
-                        draw = buf[idx]
                     # Inlined random.Random.uniform(-j, j) over the draw:
                     # a + (b - a) * random() with a = -j, b = j.
-                    latency = base_latency * (1.0 + (jitter_low + jitter_span * draw)) + byte_latency
+                    latency = base_latency * (1.0 + (jitter_low + jitter_span * draw())) + byte_latency
                 else:
                     latency = base
-                if reorder_rate > 0.0 and self._next_random() < reorder_rate:
-                    latency += reorder_extra * self._next_random()
-                if link_fault is not None:
-                    latency *= link_fault.latency_factor
+                if faulty:
+                    if reorder_rate > 0.0 and draw() < reorder_rate:
+                        latency += reorder_extra * draw()
+                    if link_fault is not None:
+                        latency *= link_fault.latency_factor
                 seq = sim._seq
                 sim._seq = seq + 1
                 proc._push_arrival(now + (latency + delay), seq, src, message, total_bytes)
+                if not faulty:
+                    break
                 if stage == 0:
                     stage = 1
-                    if duplicate_rate > 0.0 and self._next_random() < duplicate_rate:
+                    if duplicate_rate > 0.0 and draw() < duplicate_rate:
                         stats.messages_duplicated += 1
                         continue
                 if stage == 1 and link_fault is not None and link_fault.duplicate_rate > 0.0:
                     stage = 2
-                    if self._next_random() < link_fault.duplicate_rate:
+                    if draw() < link_fault.duplicate_rate:
                         stats.messages_duplicated += 1
-                        delay = link_fault.duplicate_delay * self._next_random()
+                        delay = link_fault.duplicate_delay * draw()
                         continue
                 break
         stats.messages_sent += sent
         stats.bytes_sent += sent * total_bytes
+
+
+def _draw_stream(rng: random.Random) -> Iterator[float]:
+    """``rng.random()`` draws, fetched ``_RNG_BUFFER_SIZE`` at a time.
+
+    Only C-level iterators run per draw. The refill closure holds ``rng``
+    alone: one that held the network would make a reference cycle of
+    every network.
+    """
+    rnd = rng.random
+
+    def refill() -> List[float]:
+        return list(starmap(rnd, repeat((), _RNG_BUFFER_SIZE)))
+
+    return chain.from_iterable(starmap(refill, repeat(())))

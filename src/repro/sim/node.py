@@ -16,20 +16,27 @@ Message delivery
 ----------------
 
 Every inbox entry names the handler that runs it:
-``[arrival, seq, service, is_network, handler, args]``. The network pushes
-entries straight into the destination's **inbox** (a per-node heap ordered
-by arrival) at *send* time, through :meth:`NodeProcess._push_arrival`. A
-network entry names ``on_message(src, message)``, unless the process has a
-push table (:attr:`NodeProcess._push_table`: a replica that is its own
-transport, outside sanitized runs) with an entry for the message's class;
-then it names that table function with ``(process, src, message)``, and
-delivery costs no ``on_message``/``dispatch`` frames. Local work (client
+``[arrival, seq, service, is_network, handler, args]``, a fresh list per
+entry. The network pushes entries straight into the destination's **inbox**
+(a per-node heap ordered by arrival) at *send* time, through
+:meth:`NodeProcess._push_arrival`. A network entry names that table
+function with ``(process, src, message)`` when the process has a push table
+(:attr:`NodeProcess._push_table`: a replica that is its own transport, or
+a ``ShardHost`` for its own unenveloped traffic; never in sanitized runs)
+with an entry for the message's class, so delivery costs no
+``on_message``/``dispatch`` frames. Otherwise
+:meth:`NodeProcess._network_entry` names the handler:
+``on_message(src, message)``, or, at a
+:class:`~repro.cluster.sharding.ShardHost`, the guest replica's table
+function with ``(guest, src, inner)`` for a ``(shard, inner)`` envelope.
+Local work (client
 operations, locally submitted work items, a 2PC self-send) enters the same
 inbox at submit time, through :meth:`NodeProcess._push_local` on the
 process that owns the CPU — a process's :attr:`~NodeProcess.node`. The
 node keeps exactly **one** outstanding simulator event — for the finish time
 ``max(arrival, cpu_free_at) + service`` of the earliest-arriving entry, on
-the engine's message heap. When it fires, the handler runs and the finish
+the engine's message heap, with the head version as its one argument. When
+it fires, the handler runs and the finish
 event of the next entry is scheduled: one simulator event per message, and
 the message heap stays small. Two rules fix the schedule:
 
@@ -90,9 +97,9 @@ Outgoing messages are tagged with the guest's ``guest_tag`` (the shard id)
 as a ``(tag, inner)`` envelope. The envelope is routing metadata only (no
 wire bytes): a real deployment demultiplexes incoming traffic by key, and
 the key already determines the shard. Guests never register with the
-network; a message addressed to the node is delivered to the host, which
-unwraps the envelope and dispatches the inner message to
-``shard_replicas[tag]`` (see :class:`repro.cluster.sharding.ShardHost`).
+network; a message addressed to the node arrives at the host, whose inbox
+entry names the handler of ``shard_replicas[tag]`` for the inner message
+(see :class:`repro.cluster.sharding.ShardHost`).
 The transaction layer (:mod:`repro.cluster.txn`) rides the same
 envelopes: its 2PC messages are sent through the guest's ``send`` and
 arrive back through the host's dispatch, so cross-shard coordination
@@ -107,7 +114,7 @@ from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.sanitize import get_sanitizer
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.network import Network
 from repro.types import NodeId
@@ -203,7 +210,6 @@ class NodeProcess:
         #: Runtime sanitizer (``None`` unless ``REPRO_SANITIZE=1``): hot
         #: paths pay one is-None check, like the txn hooks in protocols.base.
         self._sanitizer = get_sanitizer()
-        self.messages_processed = 0
         # Flattened service-model constants for the hot paths. The model
         # instance itself is never mutated (it may be shared across nodes);
         # :meth:`set_cpu_scale` swaps in a scaled private copy instead.
@@ -214,10 +220,7 @@ class NodeProcess:
         self._sm_per_byte = model.per_byte
         self._sm_send_overhead = model.send_overhead
         self._sm_workers = model.worker_threads
-        # Inbox state (see module docstring). One-entry pool: the inbox
-        # entry consumed by the last processed frame, recycled by the next
-        # push instead of allocating afresh.
-        self._spare_entry: Optional[list] = None
+        # Inbox state (see module docstring).
         self._inbox: List[list] = []
         # The outstanding head event is identified by a version token: any
         # event carrying a stale version is ignored when it fires, which
@@ -232,12 +235,13 @@ class NodeProcess:
         self._timers: Set[EventHandle] = set()
         self._timer_prune_at = _TIMER_PRUNE_THRESHOLD
         #: Message class -> ``handler(process, src, message)`` that an
-        #: arriving message's inbox entry may name directly instead of
-        #: :meth:`on_message` (see "Message delivery"); ``None`` routes every
-        #: arrival through :meth:`on_message`. A replica sets it to its
-        #: dispatch table, which applies only while the replica is its own
-        #: ``transport``: a Wings replica's ``on_message`` opens the packet
-        #: and flushes what the handlers batched.
+        #: arriving message's inbox entry names directly instead of
+        #: :meth:`on_message` (see "Message delivery"); ``None``, as in every
+        #: sanitized run, leaves each arrival to :meth:`_network_entry`. A
+        #: replica sets it to its dispatch table while it is its own
+        #: ``transport``: installing Wings clears it, because a Wings
+        #: replica's ``on_message`` opens the packet and flushes what the
+        #: handlers batched.
         self._push_table: Optional[Dict[type, Callable[..., None]]] = None
         # Hot-path binds, fixed for the node's lifetime: the network's one
         # send body, the engine's message heap (never replaced) and the head
@@ -269,8 +273,8 @@ class NodeProcess:
         """Drop all of this process's state; it must not be used afterwards.
 
         A process points at itself in many ways (its transport, its
-        membership agent's callbacks, the recycled inbox entry, a guest's
-        delegating methods, protocol callback tables), so rather than unpick
+        membership agent's callbacks, a guest's delegating methods,
+        protocol callback tables), so rather than unpick
         each one this drops every instance attribute. Part of the teardown
         of a dropped :class:`~repro.cluster.cluster.Cluster`.
         """
@@ -434,7 +438,11 @@ class NodeProcess:
         Timers armed before a crash never fire, even after :meth:`recover`
         — a restarted process starts with a clean timer table.
         """
-        handle = self.sim.schedule(delay, self._timer_fired, callback, args)
+        # Simulator.schedule, inlined.
+        if delay < 0:
+            raise SimulationError(f"cannot schedule event in the past (delay={delay})")
+        sim = self.sim
+        handle = sim._push(sim._now + delay, self._timer_fired, (callback, args))
         timers = self._timers
         timers.add(handle)
         if len(timers) > self._timer_prune_at:
@@ -487,44 +495,20 @@ class NodeProcess:
     def _push_arrival(self, arrival: float, seq: int, src: NodeId, message: Any, total_bytes: int) -> None:
         """Network entry point (called at send time).
 
-        Same push discipline as :meth:`_push_local` — this runs once per
-        network message; ``seq`` is the engine sequence number the network
-        allocated for this delivery (see "Arrival order" in the module
-        docstring). Service arithmetic matches ``ServiceTimeModel.cost``
-        with ``weight=1.0`` exactly. The entry names the handler from
-        :attr:`_push_table` when there is one for the message's class, and
-        :meth:`on_message` otherwise.
+        ``seq`` is the engine sequence number the network allocated for
+        this delivery (see "Arrival order" in the module docstring). Service
+        arithmetic matches ``ServiceTimeModel.cost`` with ``weight=1.0``
+        exactly. The entry names the handler from :attr:`_push_table` when
+        there is one for the message's class, and the one
+        :meth:`_network_entry` names otherwise.
         """
         service = (self._sm_base + total_bytes * self._sm_per_byte) / self._sm_workers
-        san = self._sanitizer
-        if san is None:
-            handler = None
-            table = self._push_table
-            if table is not None and self.transport is self:
-                handler = table.get(message.__class__)
-            if handler is None:
-                handler = self.on_message
-                args = (src, message)
-            else:
-                args = (self, src, message)
-            entry = self._spare_entry
-            if entry is None:
-                entry = [arrival, seq, service, 1, handler, args]
-            else:
-                # Recycled from the last processed frame (see _process_head).
-                self._spare_entry = None
-                entry[0] = arrival
-                entry[1] = seq
-                entry[2] = service
-                entry[3] = 1
-                entry[4] = handler
-                entry[5] = args
+        table = self._push_table
+        handler = None if table is None else table.get(message.__class__)
+        if handler is not None:
+            entry = [arrival, seq, service, 1, handler, (self, src, message)]
         else:
-            # Extra slot beyond _HARGS: heap comparisons never reach it
-            # (the entry seq in slot 1 is unique). Sanitized entries are
-            # 7 slots long and never pooled.
-            args = (src, message)
-            entry = [arrival, seq, service, 1, self.on_message, args, san.fingerprint(args)]
+            entry = self._network_entry(arrival, seq, service, src, message)
         inbox = self._inbox
         heappush(inbox, entry)
         if self._crashed:
@@ -535,8 +519,24 @@ class NodeProcess:
             elif inbox[0] is entry:
                 # The new entry arrives before the one the outstanding event
                 # was computed for: recompute the head finish time (the old
-                # event's version token goes stale).
+                # event's version goes stale).
                 self._schedule_head()
+
+    def _network_entry(
+        self, arrival: float, seq: int, service: float, src: NodeId, message: Any
+    ) -> list:
+        """The inbox entry of an arrival that no push-table handler takes.
+
+        It runs :meth:`on_message`, which raises for a message class nobody
+        handles. Under the sanitizer an extra slot beyond ``_HARGS`` holds
+        the payload fingerprint; heap comparisons never reach it (the seq
+        in slot 1 is unique).
+        """
+        args = (src, message)
+        san = self._sanitizer
+        if san is None:
+            return [arrival, seq, service, 1, self.on_message, args]
+        return [arrival, seq, service, 1, self.on_message, args, san.fingerprint(args)]
 
     def _push_local(self, arrival: float, service: float, handler, args: tuple) -> None:
         """The one way local (non-network) work enters this node's inbox.
@@ -544,9 +544,7 @@ class NodeProcess:
         ``handler(*args)`` runs at ``arrival`` behind the CPU for
         ``service`` seconds. ``handler`` is a bound method of the process
         the work belongs to: this node, or one of its guests. A crashed
-        node takes no work. Client submits are the dominant push on
-        read-heavy cells, so local entries share the one-entry pool with
-        :meth:`_push_arrival`.
+        node takes no work.
         """
         if self._crashed:
             return
@@ -555,17 +553,7 @@ class NodeProcess:
         sim._seq = seq + 1
         san = self._sanitizer
         if san is None:
-            entry = self._spare_entry
-            if entry is None:
-                entry = [arrival, seq, service, 0, handler, args]
-            else:
-                self._spare_entry = None
-                entry[0] = arrival
-                entry[1] = seq
-                entry[2] = service
-                entry[3] = 0
-                entry[4] = handler
-                entry[5] = args
+            entry = [arrival, seq, service, 0, handler, args]
         else:
             entry = [arrival, seq, service, 0, handler, args, san.fingerprint(args)]
         heappush(self._inbox, entry)
@@ -609,12 +597,12 @@ class NodeProcess:
         # tie-break, so same-instant finishes across nodes execute in
         # arrival order. Reschedules reuse it too, so a superseded event can
         # tie with its replacement on (time, seq) — when the preempting
-        # entry finished before the old head's arrival — and the version
-        # tuple, compared after the (equal) callback, keeps the comparison
-        # total. _process_head repeats this body inline.
+        # entry finished before the old head's arrival — and the version,
+        # compared after the (equal) callback, keeps the comparison total.
+        # _process_head repeats this body inline.
         heappush(
             self._message_heap,
-            [start + entry[_SERVICE], entry[_SEQ], self._head_callback, (version,)],
+            [start + entry[_SERVICE], entry[_SEQ], self._head_callback, version],
         )
 
     def _process_head(self, version: int) -> None:
@@ -634,7 +622,6 @@ class NodeProcess:
         self._cpu_free_at = self.sim._now
         if entry[_IS_NET]:
             self._net_stats.messages_delivered += 1
-        self.messages_processed += 1
         self._processing = True
         san = self._sanitizer
         if san is None:
@@ -642,10 +629,6 @@ class NodeProcess:
                 entry[_HANDLER](*entry[_HARGS])
             finally:
                 self._processing = False
-            # Recycle the consumed entry for the next push (a handler that
-            # hands work to its own node would otherwise allocate one per hop).
-            entry[_HARGS] = ()
-            self._spare_entry = entry
         else:
             san.verify(entry[_HARGS], entry[6], self.node_id)
             # Attributed to the handler's process: a guest's local work runs
@@ -678,7 +661,7 @@ class NodeProcess:
             self._head_scheduled = True
             heappush(
                 self._message_heap,
-                [start + entry[_SERVICE], entry[_SEQ], self._head_callback, (version,)],
+                [start + entry[_SERVICE], entry[_SEQ], self._head_callback, version],
             )
 
     def _ensure_drop_chain(self) -> None:

@@ -98,7 +98,8 @@ class Operation:
     op_type: OpType
     key: Key
     payload: Value = None
-    op_id: int = field(default_factory=next_op_id)
+    # next_op_id's counter, drawn without a Python frame per operation.
+    op_id: int = field(default_factory=_op_id_counter.__next__)
     client_id: int = 0
     compare: Optional[Value] = None
     status: Optional[OpStatus] = field(default=None, metadata=OUTCOME)

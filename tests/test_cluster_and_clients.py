@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.sanitize import reset_sanitizer
 from repro.cluster.client import ClosedLoopClient, OpenLoopClient, run_clients
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.failures import FailureEvent, FailureInjector
@@ -155,19 +156,43 @@ def test_a_message_class_with_no_handler_fails_at_delivery(use_wings):
         cluster.sim.run(until=1e-3)
 
 
-def test_a_shard_envelope_reaches_its_guest_through_the_host():
+def _send_an_envelope_to_shard_1_on_node_1():
+    """Send a VAL from node 0's shard-1 guest to node 1; return node 1's
+    host, its shard-1 guest, the VAL, and the host's one inbox entry."""
     cluster = Cluster(ClusterConfig(protocol="hermes", num_replicas=3, shards=2))
     host = cluster.nodes[1]
     guest = cluster.replica(1, shard=1)
-    at_host = _recording(host, "on_message")
-    at_guest = _recording(guest, "on_message")
     message = _val(cluster, 7)
     cluster.replica(0, shard=1).send(1, message, message.size_bytes)
+    (entry,) = host._inbox
+    return cluster, host, guest, message, entry
+
+
+def test_a_shard_envelope_reaches_its_guest_through_the_host():
+    cluster, host, guest, message, entry = _send_an_envelope_to_shard_1_on_node_1()
+    # Resolved at push: the entry names the guest's table handler for the
+    # inner message, so no on_message frame runs at the host or the guest.
+    assert entry[4:] == [type(guest).dispatch_table()[Val], (guest, 0, message)]
+    at_host = _recording(host, "on_message")
+    at_guest = _recording(guest, "on_message")
     cluster.sim.run(until=1e-3)
-    assert at_host == [(0, (1, message))]
-    assert at_guest == [(0, message)]
+    assert at_host == [] and at_guest == []
     assert guest.store.peek_record(7) is not None
     assert cluster.replica(1, shard=0).store.peek_record(7) is None
+
+
+def test_a_sanitized_shard_envelope_goes_through_the_host(monkeypatch):
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    try:
+        cluster, host, guest, message, entry = _send_an_envelope_to_shard_1_on_node_1()
+        assert entry[4:6] == [host.on_message, (0, (1, message))]
+        at_guest = _recording(guest, "on_message")
+        cluster.sim.run(until=1e-3)
+        assert at_guest == [(0, message)]
+        assert guest.store.peek_record(7) is not None
+        assert cluster.replica(1, shard=0).store.peek_record(7) is None
+    finally:
+        reset_sanitizer()
 
 
 # ----------------------------------------------------------------- clients

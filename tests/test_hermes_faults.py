@@ -189,6 +189,17 @@ def test_failure_injector_message_loss_episode():
     assert cluster.network.config.loss_rate == 0.0
 
 
+def test_a_message_loss_episode_leaves_the_cluster_config_alone():
+    config = ClusterConfig(protocol="hermes", num_replicas=3)
+    first = Cluster(config)
+    FailureInjector(first, [FailureEvent.message_loss(1e-6, 0.5)]).arm()
+    first.run(until=1e-5)
+    assert first.network.config.loss_rate == 0.5
+    second = Cluster(config)
+    assert config.network.loss_rate == 0.0
+    assert second.network.config.loss_rate == 0.0
+
+
 def test_minority_partition_cannot_commit_writes():
     """Writes in a minority partition stall (no ACK from the majority side)."""
     cluster = make_cluster("hermes", 5)

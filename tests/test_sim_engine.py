@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import SimulationDeadlock, SimulationError
 from repro.sim.engine import Simulator
-from repro.sim.network import Network, NetworkConfig
+from repro.sim.network import DEFAULT_HEADER_BYTES, Network, NetworkConfig
 
 
 def test_initial_time_is_zero(sim):
@@ -307,3 +307,63 @@ def test_close_empties_both_heaps(sim):
     assert sim._heap == [] and sim._timers == [] and sim.pending_events == 0
     sim.run()
     assert received == [] and sim.events_executed == 0
+
+
+def test_a_sink_arrival_carries_its_tuple_as_the_one_argument(sim):
+    network, received = _sink_network(sim)
+    network.send(0, 1, "m", 8)
+    ((time, seq, deliver, arrival),) = sim._heap
+    assert (time, arrival) == (1.0, (0, "m", 8 + DEFAULT_HEADER_BYTES))
+    sim.run()
+    assert received == [(1.0, "m")]
+    assert network.stats.messages_delivered == 1
+
+
+def _ping_pong(sim, on_delivery):
+    """Nodes 1 and 2 bounce a counter up to 50, one message event per hop
+    and no timer; ``on_delivery(count)`` runs in every handler."""
+    network = Network(sim, NetworkConfig(base_latency=1e-6, jitter=0.0, per_byte_latency=0.0))
+
+    def bounce(src, count, size):
+        on_delivery(count)
+        if count < 50:
+            network.send(src ^ 3, src, count + 1)
+
+    network.register(1, bounce)
+    network.register(2, bounce)
+    network.send(2, 1, 1)
+
+
+def test_stop_and_max_events_are_exact_inside_a_run_of_message_events(sim):
+    seen = []
+
+    def on_delivery(count):
+        seen.append(count)
+        if count == 5:
+            sim.stop()
+
+    _ping_pong(sim, on_delivery)
+    sim.run()
+    assert seen == [1, 2, 3, 4, 5] and sim.events_executed == 5
+    sim.run(max_events=7)
+    assert seen[-1] == 12 and sim.events_executed == 12
+    assert not sim._timers and len(sim._heap) == 1
+
+
+def test_a_timer_armed_by_a_message_handler_runs_before_a_later_message(sim):
+    """A handler arms a timer for the current instant, then sends a message
+    that arrives at that instant too: the timer's seq is lower, so it runs
+    first, though the message heap's top was running when it was armed."""
+    network = Network(sim, NetworkConfig(base_latency=0.0, jitter=0.0, per_byte_latency=0.0))
+    order = []
+
+    def handler(src, message, size):
+        order.append(message)
+        if message == "first":
+            sim.call_soon(order.append, "timer")
+            network.send(0, 1, "second")
+
+    network.register(1, handler)
+    network.send(0, 1, "first")
+    sim.run()
+    assert order == ["first", "timer", "second"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -160,6 +161,56 @@ def test_config_validation_rejects_bad_probabilities():
         NetworkConfig(jitter=2.0).validate()
     with pytest.raises(ConfigurationError):
         NetworkConfig(base_latency=-1.0).validate()
+
+
+def test_network_config_is_frozen():
+    config = NetworkConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.loss_rate = 0.5
+
+
+def test_reconfigure_builds_a_new_config_and_applies_it(sim):
+    shared = NetworkConfig(jitter=0.0)
+    net = Network(sim, shared, rng=random.Random(1))
+    inbox = register_sink(net, 1)
+    net.reconfigure(loss_rate=1.0)
+    net.send(0, 1, "lost")
+    with pytest.raises(ConfigurationError):
+        net.reconfigure(loss_rate=2.0)
+    assert net.config.loss_rate == 1.0
+    net.reconfigure(loss_rate=0.0)
+    net.send(0, 1, "kept")
+    sim.run()
+    assert [message for _, message, _ in inbox] == ["kept"]
+    assert net.stats.messages_dropped_loss == 1
+    assert shared.loss_rate == 0.0
+
+
+def test_the_faulty_flag_follows_every_fault_state_change(sim):
+    """A healthy fabric skips every fault test; each fault knob turns that
+    off while it is set, and clearing it turns it back on."""
+    net = build(sim)
+
+    def faulty():
+        return net._timing[-1]
+
+    assert not faulty()
+    net.set_partition(Partition.split([0], [1]))
+    assert faulty()
+    net.set_partition(None)
+    assert not faulty()
+    net.degrade_link(0, 1, latency_factor=2.0)
+    assert faulty()
+    net.heal_link(0, 1)
+    assert not faulty()
+    net.degrade_link(0, 1, loss_rate=0.5, symmetric=False)
+    net.degrade_link(0, 1)
+    assert not faulty()
+    for field in ("loss_rate", "duplicate_rate", "reorder_rate"):
+        net.reconfigure(**{field: 0.1})
+        assert faulty()
+        net.reconfigure(**{field: 0.0})
+        assert not faulty()
 
 
 def test_jitter_varies_latency(sim):

@@ -159,14 +159,6 @@ def test_charge_send_delays_subsequent_processing(sim):
     assert a.local[0][1] >= 5e-6
 
 
-def test_messages_processed_counter(sim):
-    _, a, b = build_pair(sim)
-    for _ in range(3):
-        a.send(1, "x")
-    sim.run()
-    assert b.messages_processed == 3
-
-
 # -------------------------------------------------------------------- clock
 def test_clock_skew_bounded():
     for seed in range(10):
